@@ -39,8 +39,6 @@ from .errors import (
 from .estimate import (
     EstimateResult,
     Matrix2,
-    adjugate2,
-    det2,
     lse,
     normal_equations,
     score_vector,

@@ -403,8 +403,9 @@ class CovKernel:
     The cache stores each canonical lag once; R[k, l] = R[-k, -l] by
     stationarity so lags are canonicalised before lookup, and a cached value
     is always bit-identical to a fresh evaluation.  Safe to share across
-    workers once pre-warmed (reads only), or give each worker its own clone;
-    evaluation is idempotent so concurrent duplicate inserts are harmless.
+    workers once pre-warmed (reads only), or give each worker its own
+    kernel; evaluation is idempotent so concurrent duplicate inserts are
+    harmless.
     """
 
     params: ModelParams
@@ -448,6 +449,3 @@ class CovKernel:
             for dl in range(-lmax, lmax + 1):
                 out[dk + kmax, dl + lmax] = self.R(dk, dl)
         return out
-
-    def clone(self) -> "CovKernel":
-        return CovKernel(self.params, self.method, self.tol, self.margin)

@@ -7,6 +7,11 @@ The estimator solves the 2x2 normal equations B theta = C with
 x1 = X[i-1, j], x2 = X[i, j-1], y = X[i, j], summed over the triangle.
 The solve goes through the adjugate, theta = adj(B) C / det(B), so that
 det(B) and adj(B) C stay first-class observables for the limit experiments.
+
+One reduction kernel serves every caller: ``accumulate`` reduces a batch of
+R replications layer by layer, and ``lse``, ``normal_equations`` and
+``score_vector`` are its R = 1 case on a stored field.  A replication's
+sums depend only on its own rows, so they are bit-identical for any R.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import MissingInnovationsError, MissingValuesError, SingularDesignE
 from .model import Field, TriangleWindow
 
 __all__ = [
-    "Matrix2", "EstimateResult", "adjugate2", "det2",
+    "Matrix2", "EstimateResult", "accumulate", "solve",
     "normal_equations", "lse", "score_vector",
 ]
 
@@ -75,15 +80,6 @@ class Matrix2:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
 
-def adjugate2(b: Matrix2) -> Matrix2:
-    """adj([[a, b], [c, d]]) = [[d, -b], [-c, a]]; B adj(B) = det(B) I."""
-    return b.adjugate()
-
-
-def det2(b: Matrix2) -> float:
-    return b.det()
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """LSE output with its normal-equation components.
@@ -101,59 +97,98 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
-def _layer_products(field: Field, w: TriangleWindow):
-    if field.window != w:
-        raise MissingValuesError("field was built on a different window")
-    for d in range(1, w.s + 1):
-        prev = field.values[d - 1]
-        yield field.values[d], prev[:-1], prev[1:], d
+def accumulate(layers, reps: int = 1) -> np.ndarray:
+    """Per-replication sums (B11, B12, B22, C1, C2, A1, A2) over the triangle.
 
-
-def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarray]:
-    """Accumulate B and C over the triangle.
-
-    Per-layer dot products are combined with exact (fsum) accumulation: at
-    s >= 128 the sums mix ~1e4 squared terms whose magnitude grows like the
-    near-boundary variance, and naive running sums lose digits.
+    ``layers`` yields (prev, y, eps) for d = 1 .. s as (R, .) arrays: layer
+    d - 1, layer d, and layer d's innovations (or None, which leaves A at
+    0).  One pass, six row-wise reductions per layer: with x1 = prev[:-1]
+    and x2 = prev[1:], the shift identities x1.x1 = |prev|^2 - prev[-1]^2
+    and x2.x2 = |prev|^2 - prev[0]^2 reuse the squared norm of the layer
+    below, which is the previous layer's |y|^2.  Per-layer partials are
+    combined with exact (fsum) accumulation: at s >= 128 the sums mix ~1e4
+    squared terms whose magnitude grows like the near-boundary variance,
+    and naive running sums lose digits.  Each reduction is one BLAS dot
+    product per row (rows have unit stride), so a row's sums depend on that
+    row alone, never on the batch.  Returns an (R, 7) array; zeros when
+    there are no layers.
     """
-    b11, b12, b22, c1, c2 = [], [], [], [], []
-    for y, x1, x2, _ in _layer_products(field, w):
-        b11.append(float(x1 @ x1))
-        b12.append(float(x1 @ x2))
-        b22.append(float(x2 @ x2))
-        c1.append(float(x1 @ y))
-        c2.append(float(x2 @ y))
-    bmat = Matrix2.symmetric(0.0, 0.0) if not b11 else Matrix2(
-        math.fsum(b11), math.fsum(b12), math.fsum(b12), math.fsum(b22))
-    cvec = np.array([math.fsum(c1), math.fsum(c2)])
-    return bmat, cvec
+    parts = []
+    norm = None
+    for prev, y, eps in layers:
+        if norm is None:
+            norm = np.vecdot(prev, prev)
+        x1, x2 = prev[:, :-1], prev[:, 1:]
+        part = [norm - prev[:, -1] ** 2, np.vecdot(x1, x2),
+                norm - prev[:, 0] ** 2, np.vecdot(x1, y), np.vecdot(x2, y)]
+        if eps is None:
+            part += [np.zeros(len(y))] * 2
+        else:
+            part += [np.vecdot(x1, eps), np.vecdot(x2, eps)]
+        parts.append(part)
+        norm = np.vecdot(y, y)
+    if not parts:
+        return np.zeros((reps, 7))
+    # (layers, 7, R) -> one row of 7 fsums per replication
+    by_rep = np.array(parts).transpose(2, 1, 0)
+    return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])
 
 
-def lse(field: Field, w: TriangleWindow) -> EstimateResult:
-    """Least squares estimate via the adjugate solve.
+def solve(sums, w: TriangleWindow, with_score: bool = True) -> EstimateResult:
+    """Least squares estimate from one replication's ``accumulate`` row.
 
     Raises SingularDesign when |det B| <= 1e-12 (B11 B22 + B12^2); the
     threshold is relative to B's own scale because field magnitudes blow up
     near the unstable boundary.
     """
-    bmat, cvec = normal_equations(field, w)
+    b11, b12, b22, c1, c2, a1, a2 = (float(v) for v in sums)
+    bmat = Matrix2(b11, b12, b12, b22)
+    cvec = np.array([c1, c2])
     det = bmat.det()
     if abs(det) <= _SINGULAR_REL * (bmat.a11 * bmat.a22 + bmat.a12 ** 2):
         raise SingularDesignError(
             f"normal equations singular on window ({w.k}, {w.l}): det = {det:g}"
         )
     theta = bmat.adjugate().matvec(cvec) / det
-    score = score_vector(field, w) if field.has_innovations() else None
+    score = np.array([a1, a2]) if with_score else None
     return EstimateResult(float(theta[0]), float(theta[1]), bmat, cvec, det, score)
+
+
+def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray:
+    """``accumulate`` on a stored field, as a batch of one."""
+    if field.window != w:
+        raise MissingValuesError("field was built on a different window")
+    if with_score and not field.has_innovations():
+        raise MissingInnovationsError("field does not carry innovations")
+    v = field.values
+    layers = ((v[d - 1][None], v[d][None],
+               field.innovations[d - 1][None] if with_score else None)
+              for d in range(1, w.s + 1))
+    return accumulate(layers)[0]
+
+
+def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarray]:
+    """Accumulate B and C over the triangle in one pass.
+
+    Per layer it reduces |y|^2, x1.x2, x1.y and x2.y; x1.x1 and x2.x2 come
+    from the shift identities |prev|^2 - prev[-1]^2 and |prev|^2 - prev[0]^2,
+    with |prev|^2 carried over from the layer below.  The per-layer partials
+    are combined with math.fsum (see ``accumulate``).
+    """
+    b11, b12, b22, c1, c2, _, _ = _field_sums(field, w, with_score=False).tolist()
+    return Matrix2(b11, b12, b12, b22), np.array([c1, c2])
+
+
+def lse(field: Field, w: TriangleWindow) -> EstimateResult:
+    """Least squares estimate via the adjugate solve (see ``solve``).
+
+    B, C and, when the field retains innovations, the score come from one
+    pass over the field.
+    """
+    with_score = field.has_innovations()
+    return solve(_field_sums(field, w, with_score), w, with_score)
 
 
 def score_vector(field: Field, w: TriangleWindow) -> np.ndarray:
     """A = sum over the triangle of (x1 eps, x2 eps); needs retained innovations."""
-    if not field.has_innovations():
-        raise MissingInnovationsError("field does not carry innovations")
-    a1, a2 = [], []
-    for _, x1, x2, d in _layer_products(field, w):
-        eps = field.innovations[d - 1]
-        a1.append(float(x1 @ eps))
-        a2.append(float(x2 @ eps))
-    return np.array([math.fsum(a1), math.fsum(a2)])
+    return _field_sums(field, w, with_score=True)[5:7]

@@ -27,7 +27,7 @@ from .covariance import (
     oracle_margin,
 )
 from .errors import ConfigError, ExperimentAbortedError, SingularDesignError
-from .estimate import Matrix2, lse, score_vector
+from .estimate import Matrix2, accumulate, lse, solve
 from .limits import (
     LimitLaw,
     condition_statistic,
@@ -45,7 +45,7 @@ from .model import (
     NearlyUnstableDesign,
     TriangleWindow,
 )
-from .simulate import FieldSimulator, InnovationDist, RngStream, SimMethod
+from .simulate import FieldSimulator, InnovationDist, RngStream, SimMethod, batch_size
 
 __all__ = [
     "Tolerances", "ExperimentConfig", "ExperimentReport", "run_clt",
@@ -187,31 +187,50 @@ def dumps_canonical(obj) -> str:
 # replication engine
 
 
+def _row(rep: int, estimator, *args) -> tuple:
+    """One replication's result row from ``estimator(*args)``."""
+    try:
+        est = estimator(*args)
+    except SingularDesignError:
+        return (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
+    score = est.score if est.score is not None else (math.nan, math.nan)
+    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, score[0], score[1])
+
+
 def _simulate_chunk(payload) -> np.ndarray:
-    """Worker body: rows (rep_id, alpha_hat, beta_hat, ok, detB, score1, score2)."""
-    (alpha, beta, k, l, method_text, dist_value, master_seed, rep_ids) = payload
+    """Worker body: rows (rep_id, alpha_hat, beta_hat, ok, detB, score1, score2).
+
+    Boundary-plus-sweep methods run ``batch`` replications per sweep and
+    reduce each layer as it is made, without storing fields; the other
+    methods sample and estimate one field at a time.  Either way a row is
+    bit-identical to ``lse(sim.sample(RngStream(master_seed, rep)))``.
+    """
+    (alpha, beta, k, l, method_text, dist_value, master_seed, batch, rep_ids) = payload
     params = ModelParams(alpha, beta)
     window = TriangleWindow(k, l)
     sim = FieldSimulator(params, window, SimMethod.parse(method_text),
                          InnovationDist(dist_value))
-    rows = np.empty((len(rep_ids), 7))
-    for pos, rep in enumerate(rep_ids):
-        fld = sim.sample(RngStream(master_seed, rep))
-        try:
-            est = lse(fld, window)
-            score = est.score if est.score is not None else (math.nan, math.nan)
-            rows[pos] = (rep, est.alpha_hat, est.beta_hat, 1.0,
-                         est.detB, score[0], score[1])
-        except SingularDesignError:
-            rows[pos] = (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
-    return rows
+    rows = []
+    for start in range(0, len(rep_ids), batch):
+        ids = rep_ids[start:start + batch]
+        streams = [RngStream(master_seed, rep) for rep in ids]
+        if sim.sweeps:
+            sums = accumulate(sim.sweep(streams), len(ids))
+            rows += [_row(rep, solve, row, window) for rep, row in zip(ids, sums)]
+        else:
+            rows += [_row(rep, lse, sim.sample(st), window)
+                     for rep, st in zip(ids, streams)]
+    return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
 
 
 def _run_reps(params: ModelParams, window: TriangleWindow, method: SimMethod,
               dist: InnovationDist, master_seed: int, rep_ids: list[int],
-              workers: int = 1) -> np.ndarray:
+              workers: int = 1, batch_reps: int | None = None) -> np.ndarray:
+    """Result rows of ``rep_ids`` in id order; identical for any worker count
+    and any ``batch_reps`` (default: ``batch_size`` for the method)."""
+    batch = batch_reps or batch_size(method, window.s)
     payload_base = (params.alpha, params.beta, window.k, window.l,
-                    method.describe(), dist.value, master_seed)
+                    method.describe(), dist.value, master_seed, batch)
     if workers <= 1 or len(rep_ids) < 2 * workers:
         rows = _simulate_chunk(payload_base + (rep_ids,))
     else:
@@ -309,8 +328,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
         params = design.params_at(m)
         window = TriangleWindow.balanced(s)
         rep_ids = [idx * config.reps + r for r in range(config.reps)]
+        batch = batch_size(config.method, s)
         rows = _run_reps(params, window, config.method, config.dist,
-                         config.master_seed, rep_ids, workers)
+                         config.master_seed, rep_ids, workers, batch)
         ok = rows[:, 3] == 1.0
         n_singular = int(len(rows) - np.sum(ok))
         if n_singular > 0.01 * config.reps:
@@ -382,7 +402,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
                                        rate * (rows[:, 1] - params.alpha),
                                        rate * (rows[:, 2] - params.beta)])
         raw_all.append(scaled_rows)
-        timing.append({"m": m, "s": s, "elapsed_s": time.perf_counter() - t0})
+        elapsed = time.perf_counter() - t0
+        timing.append({"m": m, "s": s, "elapsed_s": elapsed,
+                       "reps_per_s": config.reps / elapsed, "batch_reps": batch})
     if use_true_theta:
         passed = True
     report = ExperimentReport(config, per_size, raw_all, passed, timing)

@@ -6,15 +6,22 @@ the triangle recursion consumes innovations with u + v >= 1.  The two index
 sets are disjoint, and the innovations are i.i.d., so the boundary vector is
 independent of every triangle innovation.  The stationary law of the whole
 hull therefore factorises into (law of the boundary) x (recursion given the
-boundary), and it suffices to draw the (s+1)-point boundary exactly -- an
-O(s^3) Cholesky factorisation of its Toeplitz covariance R(t, -t) -- and
-sweep the recursion upward at O(s^2).  A joint factorisation of the full
-hull would cost O(s^6); that path is kept only as a validation oracle.
+boundary), and it suffices to draw the (s+1)-point boundary exactly and
+sweep the recursion upward at O(s^2).  The boundary covariance is
+R(t, -t) = sigma^2 D^|t| with D = ``d_factor`` -- a Kac-Murdock-Szego
+(AR(1)) matrix -- whose Cholesky factor is the O(s) recursion
+x_0 = sigma z_0, x_t = D x_(t-1) + sigma sqrt(1 - D^2) z_t.  A joint
+factorisation of the full hull would cost O(s^6); that path is kept only as
+a validation oracle.
 
 For non-Gaussian innovations Cholesky colouring is no longer exact in law,
 so the boundary is instead assembled from the truncated moving-average
 series (tail variance certified by ``tail_variance_bound``), with the same
 exact recursion above it.
+
+Both boundary-plus-sweep methods run a batch of replications at once
+(``FieldSimulator.sweep``): every replication draws from its own stream in
+its own row, so a batch reproduces each replication's draws exactly.
 """
 
 from __future__ import annotations
@@ -25,16 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovKernel, oracle_margin
+from .covariance import CovKernel, d_factor, oracle_margin, sigma_sq
 from .errors import MethodUnsupportedError, NotSPDError
 from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
     "InnovationDist", "MethodKind", "SimMethod", "RngStream", "chol_spd",
-    "tail_variance_bound", "FieldSimulator", "simulate", "deterministic_field",
+    "tail_variance_bound", "FieldSimulator", "batch_size", "simulate",
+    "deterministic_field",
 ]
 
 _JITTER_LADDER = (1e-12, 1e-10, 1e-8)
+_GROUP_LAYERS = 8         # innovation layers per generator call
+_BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
 
 
 class InnovationDist(enum.Enum):
@@ -173,12 +183,29 @@ def _binomial_kernel_rows(p: ModelParams, margin: int) -> list[np.ndarray]:
     return rows
 
 
+_SWEEP_KINDS = (MethodKind.BOUNDARY_CHOLESKY, MethodKind.BOUNDARY_SERIES)
+
+
+def batch_size(method: SimMethod, s: int) -> int:
+    """Replications to sweep together on a window with sum s.
+
+    One draw group of the batch (_GROUP_LAYERS layers of at most s + 1
+    points per replication) stays within 1 MiB of float64.  Methods without
+    a boundary-plus-sweep structure run one replication at a time.
+    """
+    if method.kind not in _SWEEP_KINDS:
+        return 1
+    return max(1, _BATCH_FLOATS // (_GROUP_LAYERS * (s + 1)))
+
+
 class FieldSimulator:
     """Reusable sampler for one (params, window, method, dist) combination.
 
-    Precomputes whatever is replication-invariant (boundary Cholesky factor,
-    hull factor, or binomial kernel rows); ``sample`` is then a pure function
-    of the stream, so replications may run concurrently in any order.
+    Precomputes whatever is replication-invariant (the AR(1) boundary
+    coefficients, hull factor, or binomial kernel rows); ``sample`` is then
+    a pure function of the stream, so replications may run concurrently in
+    any order.  Set-up is O(1) for boundary_cholesky, so a draw costs
+    O(s) for the boundary plus O(s^2) for the sweep.
 
     Draw layout (fixed per method, part of the determinism contract):
     boundary_cholesky -- s+1 boundary normals, then the triangle block in
@@ -200,6 +227,7 @@ class FieldSimulator:
         self.dist = dist
         self.kernel = kernel if kernel is not None else CovKernel(params)
         self.boundary_jitter = 0.0
+        self._ar1 = None
         self._chol = None
         self._kernel_rows = None
 
@@ -210,11 +238,9 @@ class FieldSimulator:
                     f"{kind.value} is exact in law only for Gaussian innovations"
                 )
         if kind is MethodKind.BOUNDARY_CHOLESKY:
-            s = window.s
-            lags = np.arange(s + 1)
-            row = np.array([self.kernel.R(int(t), -int(t)) for t in lags])
-            cov = row[np.abs(lags[:, None] - lags[None, :])]
-            self._chol, self.boundary_jitter = chol_spd(cov)
+            d = d_factor(params)
+            sig = math.sqrt(sigma_sq(params))
+            self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
         elif kind is MethodKind.FULL_CHOLESKY:
             from .model import hull_indices
 
@@ -232,33 +258,59 @@ class FieldSimulator:
                 self.method = SimMethod(kind, margin)
             self._kernel_rows = _binomial_kernel_rows(params, margin)
 
-    # -- method-specific samplers ------------------------------------------
+    @property
+    def sweeps(self) -> bool:
+        """True when a draw is a boundary layer followed by the recursion sweep."""
+        return self.method.kind in _SWEEP_KINDS
 
-    def _sweep(self, boundary: np.ndarray, eps_layers: list[np.ndarray]) -> list[np.ndarray]:
+    # -- boundary-plus-sweep core ------------------------------------------
+
+    def _boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
+        """(R, s+1) boundary layers; row r is drawn from gens[r]."""
+        if self.method.kind is MethodKind.BOUNDARY_SERIES:
+            return np.array([self._series_boundary(gen) for gen in gens])
+        d, sig, step = self._ar1
+        z = np.array([gen.standard_normal(self.window.s + 1) for gen in gens])
+        x = step * z
+        x[:, 0] = sig * z[:, 0]
+        for t in range(1, x.shape[1]):
+            x[:, t] += d * x[:, t - 1]
+        return x
+
+    def sweep(self, streams: list[RngStream]):
+        """Run a batch of replications up the triangle, one layer at a time.
+
+        Yields (prev, y, eps) for d = 1 .. s: layer d - 1, layer d and the
+        innovations of layer d, each an (R, .) array whose row r belongs to
+        streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
+        in the same order: the boundary, then the triangle block in (d, i)
+        order, taken _GROUP_LAYERS layers per generator call (chunked draws
+        continue the stream, so they equal the one-shot block bit for bit).
+        The yielded arrays are not modified afterwards.
+        """
+        if not self.sweeps:
+            raise MethodUnsupportedError(
+                f"{self.method.kind.value} has no boundary-plus-sweep structure")
+        w = self.window
         a, b = self.params.alpha, self.params.beta
-        values = [boundary]
-        prev = boundary
-        for d in range(1, self.window.s + 1):
-            prev = a * prev[:-1] + b * prev[1:] + eps_layers[d - 1]
-            values.append(prev)
-        return values
+        gens = [stream.generator() for stream in streams]
+        prev = self._boundaries(gens)
+        for d0 in range(1, w.s + 1, _GROUP_LAYERS):
+            lens = [w.layer_len(d) for d in range(d0, min(d0 + _GROUP_LAYERS, w.s + 1))]
+            block = np.empty((len(gens), sum(lens)))
+            for row, gen in zip(block, gens):
+                row[:] = self.dist.draw(gen, len(row))
+            pos = 0
+            for n in lens:
+                eps = block[:, pos:pos + n]
+                pos += n
+                y = a * prev[:, :-1]
+                y += b * prev[:, 1:]
+                y += eps
+                yield prev, y, eps
+                prev = y
 
-    def _draw_triangle(self, gen: np.random.Generator) -> list[np.ndarray]:
-        w = self.window
-        block = self.dist.draw(gen, w.n_triangle)
-        layers, pos = [], 0
-        for d in range(1, w.s + 1):
-            n = w.layer_len(d)
-            layers.append(block[pos:pos + n])
-            pos += n
-        return layers
-
-    def _sample_boundary_cholesky(self, gen: np.random.Generator) -> Field:
-        w = self.window
-        z = gen.standard_normal(w.s + 1)
-        boundary = self._chol @ z
-        eps = self._draw_triangle(gen)
-        return Field(w, self._sweep(boundary, eps), eps, self.params)
+    # -- method-specific samplers ------------------------------------------
 
     def _sample_full_cholesky(self, gen: np.random.Generator) -> Field:
         w = self.window
@@ -274,11 +326,21 @@ class FieldSimulator:
                for d in range(1, w.s + 1)]
         return Field(w, values, eps, self.params)
 
-    def _draw_extended(self, gen: np.random.Generator, lowest: int) -> dict[int, np.ndarray]:
-        # layers lowest..s of the staircase {u <= k, v <= l}, ascending order
+    def _draw_extended(self, gen: np.random.Generator, lowest: int,
+                       highest: int | None = None) -> dict[int, np.ndarray]:
+        # layers lowest..highest (default s) of the staircase {u <= k, v <= l},
+        # ascending order, _GROUP_LAYERS layers per generator call: a draw
+        # split into chunks continues the stream, so this equals drawing the
+        # layers one by one
         w = self.window
-        return {d: self.dist.draw(gen, w.layer_len(d))
-                for d in range(lowest, w.s + 1)}
+        layers = range(lowest, (w.s if highest is None else highest) + 1)
+        out = {}
+        for g in range(0, len(layers), _GROUP_LAYERS):
+            group = layers[g:g + _GROUP_LAYERS]
+            lens = [w.layer_len(d) for d in group]
+            block = self.dist.draw(gen, sum(lens))
+            out.update(zip(group, np.split(block, np.cumsum(lens)[:-1])))
+        return out
 
     def _series_layer(self, eps: dict[int, np.ndarray], d: int) -> np.ndarray:
         # per-point truncation at relative depth `margin`
@@ -296,25 +358,18 @@ class FieldSimulator:
         innov = [eps[d] for d in range(1, w.s + 1)]
         return Field(w, values, innov, self.params)
 
-    def _sample_boundary_series(self, gen: np.random.Generator) -> Field:
-        w = self.window
-        margin = self.method.margin
-        eps_below = {d: self.dist.draw(gen, w.layer_len(d))
-                     for d in range(-margin, 1)}
-        boundary = self._series_layer(eps_below, 0)
-        eps = self._draw_triangle(gen)
-        return Field(w, self._sweep(boundary, eps), eps, self.params)
+    def _series_boundary(self, gen: np.random.Generator) -> np.ndarray:
+        return self._series_layer(self._draw_extended(gen, -self.method.margin, 0), 0)
 
     def sample(self, stream: RngStream) -> Field:
+        if self.sweeps:
+            prevs, ys, eps = zip(*self.sweep([stream]))
+            values = [prevs[0][0]] + [y[0] for y in ys]
+            return Field(self.window, values, [e[0] for e in eps], self.params)
         gen = stream.generator()
-        kind = self.method.kind
-        if kind is MethodKind.BOUNDARY_CHOLESKY:
-            return self._sample_boundary_cholesky(gen)
-        if kind is MethodKind.FULL_CHOLESKY:
+        if self.method.kind is MethodKind.FULL_CHOLESKY:
             return self._sample_full_cholesky(gen)
-        if kind is MethodKind.TRUNCATED_SERIES:
-            return self._sample_truncated_series(gen)
-        return self._sample_boundary_series(gen)
+        return self._sample_truncated_series(gen)
 
 
 def simulate(params: ModelParams, window: TriangleWindow, method: SimMethod,

@@ -17,8 +17,6 @@ from spatialar import (
     SimMethod,
     SingularDesignError,
     TriangleWindow,
-    adjugate2,
-    det2,
     deterministic_field,
     lse,
     normal_equations,
@@ -41,13 +39,13 @@ def three_point_field(x1x2_pairs, y=0.0):
 class TestMatrix2:
     def test_adjugate_and_det_examples(self):
         b = Matrix2(6, 3, 3, 6)
-        assert adjugate2(b) == Matrix2(6, -3, -3, 6)
-        assert det2(b) == 27
-        assert adjugate2(Matrix2.identity()) == Matrix2.identity()
-        assert det2(Matrix2.identity()) == 1
+        assert b.adjugate() == Matrix2(6, -3, -3, 6)
+        assert b.det() == 27
+        assert Matrix2.identity().adjugate() == Matrix2.identity()
+        assert Matrix2.identity().det() == 1
         m = Matrix2(1, 2, 3, 4)
-        assert adjugate2(m) == Matrix2(4, -2, -3, 1)
-        assert det2(m) == -2
+        assert m.adjugate() == Matrix2(4, -2, -3, 1)
+        assert m.det() == -2
 
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)

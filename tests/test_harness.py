@@ -9,16 +9,24 @@ from spatialar import (
     BoundaryPoint,
     ConfigError,
     ExperimentConfig,
+    FieldSimulator,
+    InnovationDist,
+    ModelParams,
     NearlyUnstableDesign,
+    RngStream,
     Schedule,
+    SimMethod,
     Tolerances,
+    TriangleWindow,
+    lse,
     run_clt,
     verify_covlim,
     verify_detB,
     verify_prop1,
     verify_score,
 )
-from spatialar.harness import dumps_canonical, scaled_expected_B
+from spatialar.harness import _run_reps, dumps_canonical, scaled_expected_B
+from spatialar.simulate import batch_size
 
 
 def interior_design():
@@ -145,9 +153,34 @@ class TestRunCLT:
         assert report["per_size"][0]["reps_used"] == 100
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
         assert len(timing["per_size"]) == 1
+        rung = timing["per_size"][0]
+        assert rung["batch_reps"] == batch_size(SimMethod(), 16)
+        assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
         assert header == "rep_id,alpha_hat,beta_hat,scaled_err_a,scaled_err_b"
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("method, dist", [
+        (SimMethod.boundary_cholesky(), InnovationDist.GAUSSIAN),
+        (SimMethod.boundary_series(), InnovationDist.RADEMACHER),
+    ], ids=["boundary_cholesky", "boundary_series"])
+    def test_rows_identical_across_batch_sizes_and_workers(self, method, dist):
+        params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
+        rep_ids = list(range(5, 25))
+        runs = [_run_reps(params, window, method, dist, seed, rep_ids,
+                          workers=workers, batch_reps=batch)
+                for batch in (1, 7, 64) for workers in (1, 2)]
+        assert len({rows.tobytes() for rows in runs}) == 1
+        # each row is the public single-field path, bit for bit
+        sim = FieldSimulator(params, window, method, dist)
+        expected = []
+        for rep in rep_ids:
+            est = lse(sim.sample(RngStream(seed, rep)), window)
+            expected.append([rep, est.alpha_hat, est.beta_hat, 1.0, est.detB,
+                             est.score[0], est.score[1]])
+        assert runs[0].tobytes() == np.array(expected).tobytes()
 
 
 class TestVerifySuites:

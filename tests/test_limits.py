@@ -17,7 +17,6 @@ from spatialar import (
     RateUndefinedError,
     Schedule,
     SingularMatrixError,
-    adjugate2,
     condition_statistic,
     cov_closed,
     expected_B,
@@ -63,7 +62,7 @@ class TestPsi:
     def test_singular_and_adjugate_consistency(self):
         for pair in [(0.5, 0.5), (0.3, -0.7), (1.0, 0.0)]:
             psi = psi_matrix(BoundaryPoint.from_pair(*pair))
-            assert psi_adjugate(BoundaryPoint.from_pair(*pair)) == adjugate2(psi)
+            assert psi_adjugate(BoundaryPoint.from_pair(*pair)) == psi.adjugate()
             if 0 < abs(pair[0]) < 1:
                 assert psi.det() == 0.0
 

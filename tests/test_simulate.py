@@ -5,13 +5,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spatialar import (
+    BoundaryPoint,
     CovKernel,
     FieldSimulator,
     InnovationDist,
     MethodUnsupportedError,
     ModelParams,
+    NearlyUnstableDesign,
     NotSPDError,
     RngStream,
+    Schedule,
     SimMethod,
     TriangleWindow,
     chol_spd,
@@ -21,6 +24,7 @@ from spatialar import (
     simulate,
     tail_variance_bound,
 )
+from spatialar.covariance import d_factor
 from spatialar.simulate import MethodKind
 
 
@@ -90,6 +94,32 @@ class TestSimulate:
             for a, b in zip(f1.values, f2.values):
                 assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_chunked_draws_continue_the_stream(self, dist):
+        # the samplers split the layout's draws into chunks of any size
+        gen = RngStream(8, 1).generator()
+        chunks = [dist.draw(gen, n) for n in (7, 6, 1, 13)]
+        whole = dist.draw(RngStream(8, 1).generator(), 27)
+        assert_array_equal(np.concatenate(chunks), whole)
+
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_draw_layout_layer_by_layer(self, dist):
+        # the sweep draws the triangle in groups of layers, and the series
+        # boundary in one call; both must equal the layout's draws
+        p, w, margin = ModelParams(0.4, 0.3), TriangleWindow.balanced(21), 5
+        gaussian = dist is InnovationDist.GAUSSIAN
+        method = (SimMethod.boundary_cholesky() if gaussian
+                  else SimMethod.boundary_series(margin))
+        sim = FieldSimulator(p, w, method, dist)
+        f = sim.sample(RngStream(4, 2))
+        gen = RngStream(4, 2).generator()
+        if gaussian:
+            gen.standard_normal(w.s + 1)
+        else:
+            below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
+            assert_array_equal(f.values[0], sim._series_layer(below, 0))
+        assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.n_triangle))
+
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
         w = TriangleWindow.balanced(24)
@@ -150,6 +180,48 @@ class TestSimulate:
         f = simulate(p, w, SimMethod.boundary_cholesky(),
                      InnovationDist.GAUSSIAN, RngStream(0, 0))
         assert f.window == w
+
+
+def _near_unstable_2048():
+    design = NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, 0.5),
+                                  Schedule.constant(1.0), Schedule.constant(1.0))
+    return design.params_at(2048)
+
+
+class TestKMSBoundary:
+    """The boundary covariance R(t - t', -(t - t')) = sigma^2 D^|t - t'| is a
+    Kac-Murdock-Szego matrix with an explicit Cholesky factor."""
+
+    POINTS = [ModelParams(0.25, 0.25), ModelParams(0.3, -0.45),
+              ModelParams(0.0, 0.6), _near_unstable_2048()]
+
+    @staticmethod
+    def kms_factor(p, s):
+        d, sig = d_factor(p), math.sqrt(sigma_sq(p))
+        t = np.arange(s + 1)
+        lag = t[:, None] - t[None, :]
+        fac = sig * np.where(lag >= 0, d ** np.maximum(lag, 0), 0.0)
+        fac[:, 1:] *= math.sqrt(1.0 - d * d)
+        return fac
+
+    @pytest.mark.parametrize("s", [1, 2, 16, 64])
+    @pytest.mark.parametrize("p", POINTS, ids=str)
+    def test_factor_matches_dense_cholesky(self, p, s):
+        kern = CovKernel(p)
+        t = np.arange(s + 1)
+        dense = np.array([[kern.R(int(u - v), -int(u - v)) for v in t] for u in t])
+        fac = self.kms_factor(p, s)
+        chol = np.linalg.cholesky(dense)
+        assert np.max(np.abs(fac - chol)) <= 1e-12 * np.max(np.abs(chol))
+
+    @pytest.mark.parametrize("s", [1, 2, 16, 64])
+    @pytest.mark.parametrize("p", POINTS, ids=str)
+    def test_boundary_draw_is_factor_times_normals(self, p, s):
+        stream = RngStream(31, s)
+        z = stream.generator().standard_normal(s + 1)
+        boundary = FieldSimulator(p, TriangleWindow.balanced(s)).sample(stream).values[0]
+        expected = self.kms_factor(p, s) @ z
+        assert np.max(np.abs(boundary - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestLawCorrectness:
