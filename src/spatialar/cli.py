@@ -22,6 +22,7 @@ from .estimate import lse
 from .limits import condition_statistic, limit_law
 from .model import (
     BoundaryPoint,
+    CaseTag,
     Field,
     ModelParams,
     NearlyUnstableDesign,
@@ -55,6 +56,13 @@ def _design_from_args(args) -> NearlyUnstableDesign:
         gamma=Schedule.constant(args.gamma_c),
         delta=Schedule.constant(args.delta_c),
     )
+
+
+def _default_ladder(design: NearlyUnstableDesign) -> list[tuple[int, int]]:
+    """s = m for interior designs, s = ceil(m^(5/4)) for boundary designs."""
+    if design.case_tag is CaseTag.INTERIOR:
+        return [(m, m) for m in (64, 128, 256)]
+    return [(m, math.ceil(m**1.25)) for m in (16, 32, 64)]
 
 
 def _cmd_cov_eval(args) -> int:
@@ -165,10 +173,8 @@ def _cmd_limits_describe(args) -> int:
     law = limit_law(design)
     if args.ladder:
         ladder = [tuple(int(v) for v in pair.split(":")) for pair in args.ladder]
-    elif design.case_tag.value == "interior":
-        ladder = [(m, m) for m in (64, 128, 256)]
     else:
-        ladder = [(m, math.ceil(m**1.25)) for m in (16, 32, 64)]
+        ladder = _default_ladder(design)
     payload = {
         "case": law.case_tag.value,
         "singular": law.singular,
@@ -205,11 +211,7 @@ def _cmd_verify(args) -> int:
         return _cmd_cov_verify(args)
     design = _design_from_args(args)
     if args.what == "prop1":
-        if design.case_tag.value == "interior":
-            ladder = [(m, m) for m in (64, 128, 256)]
-        else:
-            ladder = [(m, math.ceil(m**1.25)) for m in (16, 32, 64)]
-        result = harness.verify_prop1(design, ladder)
+        result = harness.verify_prop1(design, _default_ladder(design))
     elif args.what == "covlim":
         result = harness.verify_covlim(design, args.m, args.n_probe)
     elif args.what == "detb":

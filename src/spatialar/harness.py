@@ -228,7 +228,7 @@ def _run_reps(params: ModelParams, window: TriangleWindow, method: SimMethod,
               workers: int = 1, batch_reps: int | None = None) -> np.ndarray:
     """Result rows of ``rep_ids`` in id order; identical for any worker count
     and any ``batch_reps`` (default: ``batch_size`` for the method)."""
-    batch = batch_reps or batch_size(method, window.s)
+    batch = batch_reps or batch_size(method, window.s, params)
     payload_base = (params.alpha, params.beta, window.k, window.l,
                     method.describe(), dist.value, master_seed, batch)
     if workers <= 1 or len(rep_ids) < 2 * workers:
@@ -328,7 +328,7 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
         params = design.params_at(m)
         window = TriangleWindow.balanced(s)
         rep_ids = [idx * config.reps + r for r in range(config.reps)]
-        batch = batch_size(config.method, s)
+        batch = batch_size(config.method, s, params)
         rows = _run_reps(params, window, config.method, config.dist,
                          config.master_seed, rep_ids, workers, batch)
         ok = rows[:, 3] == 1.0

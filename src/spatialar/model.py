@@ -138,24 +138,39 @@ class Schedule:
 
 @dataclass(frozen=True)
 class NearlyUnstableDesign:
-    """A boundary point approached along alpha_m = alpha - gamma(m)/m, etc."""
+    """A boundary point approached along alpha_m = alpha - gamma(m)/m, etc.
+
+    Construction raises ConfigError when params_at(2**k) would be
+    non-stationary for every k = 0..40.
+    """
 
     boundary: BoundaryPoint
     gamma: Schedule
     delta: Schedule
 
+    def __post_init__(self):
+        # schedules whose signs push (alpha_m, beta_m) outward, or along the
+        # boundary, never reach the stable region at any index
+        if not any(self._raw_params(2**k).is_stationary() for k in range(41)):
+            raise ConfigError(
+                f"design at ({self.boundary.alpha}, {self.boundary.beta}) is "
+                "non-stationary at every index m = 2**k, k = 0..40")
+
     @property
     def case_tag(self) -> CaseTag:
         return self.boundary.case_tag
+
+    def _raw_params(self, m: int) -> ModelParams:
+        return ModelParams(
+            self.boundary.alpha - self.gamma(m) / m,
+            self.boundary.beta - self.delta(m) / m,
+        )
 
     def params_at(self, m: int) -> ModelParams:
         """Model parameters at index m; raises if they leave the stable region."""
         if m < 1:
             raise ConfigError(f"design index must be >= 1, got {m}")
-        p = ModelParams(
-            self.boundary.alpha - self.gamma(m) / m,
-            self.boundary.beta - self.delta(m) / m,
-        )
+        p = self._raw_params(m)
         if not p.is_stationary():
             raise NonStationaryError(
                 f"index m={m} leaves the stable region: |alpha_m| + |beta_m| = {p.q:.6g}"

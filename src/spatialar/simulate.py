@@ -15,9 +15,12 @@ factorisation of the full hull would cost O(s^6); that path is kept only as
 a validation oracle.
 
 For non-Gaussian innovations Cholesky colouring is no longer exact in law,
-so the boundary is instead assembled from the truncated moving-average
-series (tail variance certified by ``tail_variance_bound``), with the same
-exact recursion above it.
+so the boundary is instead the truncated moving-average series
+sum_(t <= margin) (alpha S_0 + beta S_1)^t eps[-t] (tail variance certified
+by ``tail_variance_bound``), with the same exact recursion above it.  That
+series is the recursion itself run up from layer -margin, started at
+eps[-margin], so a boundary costs O(margin * s) rather than the O(margin^2 * s)
+of summing the series term by term.
 
 Both boundary-plus-sweep methods run a batch of replications at once
 (``FieldSimulator.sweep``): every replication draws from its own stream in
@@ -186,16 +189,31 @@ def _binomial_kernel_rows(p: ModelParams, margin: int) -> list[np.ndarray]:
 _SWEEP_KINDS = (MethodKind.BOUNDARY_CHOLESKY, MethodKind.BOUNDARY_SERIES)
 
 
-def batch_size(method: SimMethod, s: int) -> int:
+def _series_margin(method: SimMethod, params: ModelParams | None) -> int:
+    """Truncation depth of a series method: its own ``margin``, or by default
+    the smallest one whose tail variance bound is below 1e-12."""
+    if method.margin is not None:
+        return method.margin
+    if params is None:
+        raise ValueError(f"{method.kind.value} needs params to resolve its default margin")
+    return oracle_margin(params.q, 1e-12)
+
+
+def batch_size(method: SimMethod, s: int, params: ModelParams | None = None) -> int:
     """Replications to sweep together on a window with sum s.
 
-    One draw group of the batch (_GROUP_LAYERS layers of at most s + 1
-    points per replication) stays within 1 MiB of float64.  Methods without
-    a boundary-plus-sweep structure run one replication at a time.
+    One draw group of the batch (_GROUP_LAYERS layers of the widest drawn
+    layer per replication: s + 1 points, or s + 1 + margin for the series
+    boundary) stays within 1 MiB of float64.  ``params`` resolves the
+    default margin of boundary_series.  Methods without a boundary-plus-sweep
+    structure run one replication at a time.
     """
     if method.kind not in _SWEEP_KINDS:
         return 1
-    return max(1, _BATCH_FLOATS // (_GROUP_LAYERS * (s + 1)))
+    width = s + 1
+    if method.kind is MethodKind.BOUNDARY_SERIES:
+        width += _series_margin(method, params)
+    return max(1, _BATCH_FLOATS // (_GROUP_LAYERS * width))
 
 
 class FieldSimulator:
@@ -204,8 +222,11 @@ class FieldSimulator:
     Precomputes whatever is replication-invariant (the AR(1) boundary
     coefficients, hull factor, or binomial kernel rows); ``sample`` is then
     a pure function of the stream, so replications may run concurrently in
-    any order.  Set-up is O(1) for boundary_cholesky, so a draw costs
-    O(s) for the boundary plus O(s^2) for the sweep.
+    any order.  Set-up is O(1) for boundary_cholesky and boundary_series,
+    and a draw costs O(s) (boundary_cholesky) or O(margin * s)
+    (boundary_series: the truncated series evaluated by running the
+    recursion up from layer -margin) for the boundary, plus O(s^2) for the
+    sweep.
 
     Draw layout (fixed per method, part of the determinism contract):
     boundary_cholesky -- s+1 boundary normals, then the triangle block in
@@ -252,11 +273,9 @@ class FieldSimulator:
                     cov[ia, ib] = self.kernel.R(i1 - i2, j1 - j2)
             self._chol, self.boundary_jitter = chol_spd(cov)
         else:
-            margin = method.margin
-            if margin is None:
-                margin = oracle_margin(params.q, 1e-12)
-                self.method = SimMethod(kind, margin)
-            self._kernel_rows = _binomial_kernel_rows(params, margin)
+            self.method = SimMethod(kind, _series_margin(method, params))
+            if kind is MethodKind.TRUNCATED_SERIES:
+                self._kernel_rows = _binomial_kernel_rows(params, self.method.margin)
 
     @property
     def sweeps(self) -> bool:
@@ -265,10 +284,42 @@ class FieldSimulator:
 
     # -- boundary-plus-sweep core ------------------------------------------
 
+    def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
+        """Yield (d, eps) for layers d = lowest .. highest in ascending order.
+
+        eps is an (R, layer_len(d)) array whose row r is drawn from gens[r],
+        each layer in i order, _GROUP_LAYERS layers per generator call: a
+        draw split into chunks continues the stream, so this equals drawing
+        the layers one by one.
+        """
+        w = self.window
+        for d0 in range(lowest, highest + 1, _GROUP_LAYERS):
+            group = range(d0, min(d0 + _GROUP_LAYERS, highest + 1))
+            lens = [w.layer_len(d) for d in group]
+            block = np.empty((len(gens), sum(lens)))
+            for row, gen in zip(block, gens):
+                row[:] = self.dist.draw(gen, len(row))
+            pos = 0
+            for d, n in zip(group, lens):
+                yield d, block[:, pos:pos + n]
+                pos += n
+
+    def _step(self, prev: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        # one layer of the recursion for every row of the batch
+        y = self.params.alpha * prev[:, :-1]
+        y += self.params.beta * prev[:, 1:]
+        y += eps
+        return y
+
     def _boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
         """(R, s+1) boundary layers; row r is drawn from gens[r]."""
         if self.method.kind is MethodKind.BOUNDARY_SERIES:
-            return np.array([self._series_boundary(gen) for gen in gens])
+            # the series truncated at relative depth margin is the recursion
+            # run up from layer -margin, started at eps[-margin]
+            y = None
+            for _, eps in self._layers(gens, -self.method.margin, 0):
+                y = eps if y is None else self._step(y, eps)
+            return y
         d, sig, step = self._ar1
         z = np.array([gen.standard_normal(self.window.s + 1) for gen in gens])
         x = step * z
@@ -284,31 +335,18 @@ class FieldSimulator:
         innovations of layer d, each an (R, .) array whose row r belongs to
         streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
         in the same order: the boundary, then the triangle block in (d, i)
-        order, taken _GROUP_LAYERS layers per generator call (chunked draws
-        continue the stream, so they equal the one-shot block bit for bit).
-        The yielded arrays are not modified afterwards.
+        order (see ``_layers``).  The yielded arrays are not modified
+        afterwards.
         """
         if not self.sweeps:
             raise MethodUnsupportedError(
                 f"{self.method.kind.value} has no boundary-plus-sweep structure")
-        w = self.window
-        a, b = self.params.alpha, self.params.beta
         gens = [stream.generator() for stream in streams]
         prev = self._boundaries(gens)
-        for d0 in range(1, w.s + 1, _GROUP_LAYERS):
-            lens = [w.layer_len(d) for d in range(d0, min(d0 + _GROUP_LAYERS, w.s + 1))]
-            block = np.empty((len(gens), sum(lens)))
-            for row, gen in zip(block, gens):
-                row[:] = self.dist.draw(gen, len(row))
-            pos = 0
-            for n in lens:
-                eps = block[:, pos:pos + n]
-                pos += n
-                y = a * prev[:, :-1]
-                y += b * prev[:, 1:]
-                y += eps
-                yield prev, y, eps
-                prev = y
+        for _, eps in self._layers(gens, 1, self.window.s):
+            y = self._step(prev, eps)
+            yield prev, y, eps
+            prev = y
 
     # -- method-specific samplers ------------------------------------------
 
@@ -326,22 +364,6 @@ class FieldSimulator:
                for d in range(1, w.s + 1)]
         return Field(w, values, eps, self.params)
 
-    def _draw_extended(self, gen: np.random.Generator, lowest: int,
-                       highest: int | None = None) -> dict[int, np.ndarray]:
-        # layers lowest..highest (default s) of the staircase {u <= k, v <= l},
-        # ascending order, _GROUP_LAYERS layers per generator call: a draw
-        # split into chunks continues the stream, so this equals drawing the
-        # layers one by one
-        w = self.window
-        layers = range(lowest, (w.s if highest is None else highest) + 1)
-        out = {}
-        for g in range(0, len(layers), _GROUP_LAYERS):
-            group = layers[g:g + _GROUP_LAYERS]
-            lens = [w.layer_len(d) for d in group]
-            block = self.dist.draw(gen, sum(lens))
-            out.update(zip(group, np.split(block, np.cumsum(lens)[:-1])))
-        return out
-
     def _series_layer(self, eps: dict[int, np.ndarray], d: int) -> np.ndarray:
         # per-point truncation at relative depth `margin`
         rows = self._kernel_rows
@@ -353,13 +375,11 @@ class FieldSimulator:
     def _sample_truncated_series(self, gen: np.random.Generator) -> Field:
         w = self.window
         margin = self.method.margin
-        eps = self._draw_extended(gen, -margin)
+        # layers -margin..s of the staircase {u <= k, v <= l}
+        eps = {d: e[0] for d, e in self._layers([gen], -margin, w.s)}
         values = [self._series_layer(eps, d) for d in range(0, w.s + 1)]
         innov = [eps[d] for d in range(1, w.s + 1)]
         return Field(w, values, innov, self.params)
-
-    def _series_boundary(self, gen: np.random.Generator) -> np.ndarray:
-        return self._series_layer(self._draw_extended(gen, -self.method.margin, 0), 0)
 
     def sample(self, stream: RngStream) -> Field:
         if self.sweeps:

@@ -90,6 +90,20 @@ class TestLimitsAndVerify:
         assert code == 0
         assert json.loads(out)["case"] == "interior"
 
+    @pytest.mark.parametrize("args, ladder", [
+        (("--alpha", "0.5", "--beta", "0.5"), [(64, 64), (128, 128), (256, 256)]),
+        (("--alpha", "1", "--beta", "0", "--gamma-c", "2"), [(16, 32), (32, 77), (64, 182)]),
+    ], ids=["interior", "boundary"])
+    def test_describe_default_ladder(self, capsys, args, ladder):
+        code, out, _ = run_cli(capsys, "limits", "describe", *args)
+        assert code == 0
+        assert [(r["m"], r["s"]) for r in json.loads(out)["ladder"]] == ladder
+
+    def test_never_stationary_design_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "limits", "describe", "--alpha", "1", "--beta", "0")
+        assert code == 1
+        assert "non-stationary at every index" in err
+
     def test_verify_covlim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "covlim", "--alpha", "0.5",
                                "--beta", "0.5")

@@ -171,8 +171,14 @@ class TestLimitLaw:
                         atol=1e-7)
 
     def test_rate_undefined(self):
+        # constant gamma = delta never reaches the stable region at (1, 0), so
+        # the design is rejected when built; gamma(m) = 2 sqrt(m) meets
+        # delta = 4 at the probe m = 4 and still stabilises for large m
+        design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
+                                      Schedule(ScheduleKind.POWER, 2.0, 0.5),
+                                      Schedule.constant(4.0))
         with pytest.raises(RateUndefinedError):
-            limit_law(boundary_design(gamma=1.0, delta=1.0))
+            limit_law(design, m_probe=4)
 
     def test_drifting_omega_is_flagged_unsettled(self):
         # gamma/delta -> infinity slowly: the probe cannot settle the limit

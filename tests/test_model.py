@@ -144,6 +144,21 @@ class TestParamsAt:
         p = d.params_at(m)
         assert abs(0.5 - p.alpha) == pytest.approx(1.0 / m)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.75, -0.25), (1.0, 0.0)])
+    def test_never_stationary_design_rejected(self, alpha, beta):
+        # |alpha_m| + |beta_m| = 1 at every m: the drift runs along the boundary
+        with pytest.raises(ConfigError):
+            make_design(alpha, beta)
+        with pytest.raises(ConfigError):
+            NearlyUnstableDesign.from_json(
+                {"alpha": alpha, "beta": beta, "gamma": 1.0, "delta": 1.0})
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (0.75, -0.25, 2.0), (1.0, 0.0, 2.0), (0.5, 0.5, 1.0)])
+    def test_eventually_stationary_design_accepted(self, alpha, beta, gamma):
+        d = make_design(alpha, beta, gamma=gamma)
+        assert d.params_at(1 << 20).is_stationary()
+
     def test_case_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             NearlyUnstableDesign.from_json(

@@ -25,7 +25,7 @@ from spatialar import (
     tail_variance_bound,
 )
 from spatialar.covariance import d_factor
-from spatialar.simulate import MethodKind
+from spatialar.simulate import _GROUP_LAYERS, MethodKind, batch_size
 
 
 class TestCholSPD:
@@ -104,8 +104,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
     def test_draw_layout_layer_by_layer(self, dist):
-        # the sweep draws the triangle in groups of layers, and the series
-        # boundary in one call; both must equal the layout's draws
+        # the sweep draws the series layers and the triangle in groups of
+        # layers; both must equal the layout's draws, and the series
+        # boundary is the recursion run up from layer -margin over them
         p, w, margin = ModelParams(0.4, 0.3), TriangleWindow.balanced(21), 5
         gaussian = dist is InnovationDist.GAUSSIAN
         method = (SimMethod.boundary_cholesky() if gaussian
@@ -117,7 +118,16 @@ class TestSimulate:
             gen.standard_normal(w.s + 1)
         else:
             below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
-            assert_array_equal(f.values[0], sim._series_layer(below, 0))
+            drawn = dict(sim._layers([RngStream(4, 2).generator()], -margin, 0))
+            assert drawn.keys() == below.keys()
+            for d, eps in drawn.items():
+                assert_array_equal(eps[0], below[d])
+            y = below[-margin]
+            for d in range(-margin + 1, 1):
+                y = p.alpha * y[:-1] + p.beta * y[1:] + below[d]
+            assert_array_equal(f.values[0], y)
+            series = _series_reference(p, w, margin, dist, below)
+            assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
         assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.n_triangle))
 
     def test_recursion_residual_boundary_cholesky(self):
@@ -180,6 +190,58 @@ class TestSimulate:
         f = simulate(p, w, SimMethod.boundary_cholesky(),
                      InnovationDist.GAUSSIAN, RngStream(0, 0))
         assert f.window == w
+
+
+def _series_reference(p, w, margin, dist, below):
+    # the boundary as the term-by-term truncated series over the same draws
+    sim = FieldSimulator(p, w, SimMethod.truncated_series(margin), dist)
+    return sim._series_layer(below, 0)
+
+
+class TestSeriesBoundary:
+    """The boundary_series boundary is the truncated moving-average series,
+    evaluated for a whole batch by running the recursion up from -margin."""
+
+    DISTS = [InnovationDist.RADEMACHER, InnovationDist.UNIFORM_UNIT_VAR]
+
+    @pytest.mark.parametrize("margin", [0, 1, 5, None])
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.value)
+    @pytest.mark.parametrize("p", [ModelParams(0.4, 0.35), ModelParams(0.45, -0.45)],
+                             ids=str)
+    def test_batched_boundary_matches_series(self, p, dist, margin):
+        w = TriangleWindow.balanced(17)
+        sim = FieldSimulator(p, w, SimMethod.boundary_series(margin), dist)
+        margin = sim.method.margin
+        streams = [RngStream(12, r) for r in (0, 3, 4)]
+        batch = sim._boundaries([st.generator() for st in streams])
+        assert batch.shape == (len(streams), w.s + 1)
+        for row, st in zip(batch, streams):
+            gen = st.generator()
+            below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
+            series = _series_reference(p, w, margin, dist, below)
+            assert np.max(np.abs(row - series)) <= 1e-13 * np.max(np.abs(series))
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.value)
+    def test_margin_zero_is_own_innovation_layer(self, dist):
+        p, w = ModelParams(0.4, 0.3), TriangleWindow.balanced(10)
+        sim = FieldSimulator(p, w, SimMethod.boundary_series(0), dist)
+        f = sim.sample(RngStream(6, 1))
+        assert_array_equal(f.values[0], dist.draw(RngStream(6, 1).generator(), w.s + 1))
+
+    @pytest.mark.parametrize("s", [64, 181])
+    @pytest.mark.parametrize("margin", [0, 50, None])
+    def test_batch_draw_group_within_budget(self, s, margin):
+        design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
+                                      Schedule.constant(2.0), Schedule.constant(1.0))
+        p = design.params_at(32)
+        method = SimMethod.boundary_series(margin)
+        width = s + 1 + FieldSimulator(p, TriangleWindow.balanced(s), method,
+                                       InnovationDist.RADEMACHER).method.margin
+        assert batch_size(method, s, p) * _GROUP_LAYERS * width * 8 <= 1 << 20
+
+    def test_default_margin_needs_params(self):
+        with pytest.raises(ValueError):
+            batch_size(SimMethod.boundary_series(), 64)
 
 
 def _near_unstable_2048():
