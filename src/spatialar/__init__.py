@@ -13,7 +13,6 @@ from .covariance import (
     cov_closed,
     cov_f4,
     cov_series_oracle,
-    f4_series,
     oracle_margin,
     pmf_s,
     rho_corr,
@@ -21,7 +20,6 @@ from .covariance import (
 )
 from .errors import (
     ConfigError,
-    DivergentSeriesError,
     ExperimentAbortedError,
     IndeterminateOmegaError,
     MethodUnsupportedError,
@@ -87,9 +85,7 @@ from .simulate import (
     MethodKind,
     RngStream,
     SimMethod,
-    chol_spd,
     deterministic_field,
-    simulate,
     tail_variance_bound,
 )
 

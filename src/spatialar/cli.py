@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--beta", type=float, required=True)
     sf.add_argument("--k", type=int, required=True)
     sf.add_argument("--l", type=int, required=True)
-    sf.add_argument("--method", default="boundary_cholesky")
+    sf.add_argument("--method", default="boundary_cholesky",
+                    help="boundary_cholesky or boundary_series[:margin]")
     sf.add_argument("--dist", choices=[d.value for d in InnovationDist],
                     default="gaussian")
     sf.add_argument("--seed", type=int, default=0)

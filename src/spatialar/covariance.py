@@ -26,12 +26,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DivergentSeriesError, NonStationaryError, WrongQuadrantError
+from .errors import NonStationaryError, WrongQuadrantError
 from .model import ModelParams
 
 __all__ = [
     "sigma_sq", "rho_corr", "geom_factors", "d_factor", "cov_closed",
-    "f4_series", "cov_f4", "pmf_s", "cov_binrep", "cov_series_oracle",
+    "cov_f4", "pmf_s", "cov_binrep", "cov_series_oracle",
     "oracle_margin", "CovMethod", "CovKernel",
 ]
 
@@ -162,61 +162,10 @@ def cov_closed(p: ModelParams, k: int, l: int) -> float:
 # Appell F4 route
 
 
-def _f4_truncation_level(a: int, b: int, w: float, tol: float) -> int:
-    """Smallest S so the tail beyond level S is provably < tol.
-
-    Terms grouped by level s = m + n are bounded by
-    L(s) = C(s+a-1, a-1) * C(s+b-1, b-1) * w**s with w = (sqrt|x| + sqrt|y|)^2:
-    the Pochhammer ratios (a)_s (b)_s / ((c)_m (d)_n m! n!) are at most
-    (a)_s (b)_s / (s!)^2 * C(s, m)^2 for integer c, d >= 1, and the inner
-    binomial-square sum is dominated by the square of the binomial theorem.
-    The level ratio L(s+1)/L(s) = w (s+a)(s+b)/(s+1)^2 decreases, so once it
-    drops below 1 the tail is geometric.
-    """
-    if w == 0.0:
-        return 0
-    logw = math.log(w)
-
-    def log_level(s: int) -> float:
-        return (gammaln(s + a) - gammaln(a) + gammaln(s + b) - gammaln(b)
-                - 2 * gammaln(s + 1) + s * logw)
-
-    s = 4
-    while True:
-        rho = w * (s + 1 + a) * (s + 1 + b) / (s + 2) ** 2
-        if rho < 1.0:
-            log_tail = log_level(s + 1) - math.log1p(-rho)
-            if log_tail < math.log(tol):
-                return s
-        s += max(4, s // 4)
-        if s > 200_000:  # unreachable for w < 1
-            raise DivergentSeriesError("F4 truncation level search did not terminate")
-
-
-def f4_series(a: int, b: int, c: int, d: int, x: float, y: float,
-              tol: float = 1e-12) -> float:
-    """Appell F4(a, b; c, d; x, y) for positive integer parameters.
-
-    Sums sum_{m,n} (a)_{m+n} (b)_{m+n} / ((c)_m (d)_n m! n!) x^m y^n over the
-    convergence region sqrt|x| + sqrt|y| < 1, truncated once the a priori
-    geometric tail bound falls below ``tol``.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if int(v) != v or v < 1:
-            raise ValueError(f"parameter {name} must be a positive integer, got {v}")
-    w = (math.sqrt(abs(x)) + math.sqrt(abs(y))) ** 2
-    if w >= 1.0:
-        raise DivergentSeriesError(
-            f"sqrt|x| + sqrt|y| = {math.sqrt(w):.6g} >= 1: F4 series diverges"
-        )
-    if x == 0.0 and y == 0.0:
-        return 1.0
-    smax = _f4_truncation_level(int(a), int(b), w, tol)
-    return _f4_grid_sum(a, b, c, d, x, y, smax)
-
-
 def _f4_grid_sum(a: int, b: int, c: int, d: int, x: float, y: float,
                  smax: int) -> float:
+    """Appell F4(a, b; c, d; x, y) = sum_{m,n} (a)_{m+n} (b)_{m+n} /
+    ((c)_m (d)_n m! n!) x^m y^n, summed over the levels m + n <= smax."""
     m = np.arange(smax + 1)
     M, N = np.meshgrid(m, m, indexing="ij")
     mask = (M + N) <= smax
@@ -242,14 +191,13 @@ def cov_f4(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
 
     Mixed quadrant: a^|k| b^|l| F4(|k|+1, |l|+1, |k|+1, |l|+1; a^2, b^2).
     Same-sign quadrant: a^|k| b^|l| C(|k|+|l|, |k|)
-    F4(|k|+|l|+1, 1, |k|+1, |l|+1; a^2, b^2).   Stationarity guarantees the
-    arguments stay inside the convergence region, so Divergent cannot occur.
+    F4(|k|+|l|+1, 1, |k|+1, |l|+1; a^2, b^2).   Stationarity keeps the
+    arguments inside the convergence region |a| + |b| < 1.
 
     Both parameterisations match the moving-average weight products term by
     term (prefactor included), so F4 level t contributes at most q^(2t) to
     the covariance and truncating at level S leaves an absolute error of at
-    most q^(2(S+1))/(1-q^2) -- far tighter than the generic f4_series bound
-    when the integer parameters are large.
+    most q^(2(S+1))/(1-q^2).
     """
     p.require_stationary()
     a, b = p.alpha, p.beta

@@ -9,16 +9,12 @@ class NonStationaryError(SpatialARError):
     """Parameters violate |alpha| + |beta| < 1."""
 
 
-class DivergentSeriesError(SpatialARError):
-    """Series arguments outside the convergence region."""
-
-
 class WrongQuadrantError(SpatialARError):
     """Lag quadrant not supported by the requested representation."""
 
 
 class NotSPDError(SpatialARError):
-    """Matrix is not symmetric positive definite (after jitter escalation)."""
+    """Matrix is not symmetric positive (semi)definite."""
 
 
 class MethodUnsupportedError(SpatialARError):

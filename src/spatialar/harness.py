@@ -27,6 +27,7 @@ from .covariance import (
     oracle_margin,
 )
 from .errors import ConfigError, ExperimentAbortedError, SingularDesignError
+# lse is not called here; perfbench/tracing.py wraps harness.lse by name
 from .estimate import Matrix2, accumulate, lse, solve
 from .limits import (
     LimitLaw,
@@ -187,10 +188,10 @@ def dumps_canonical(obj) -> str:
 # replication engine
 
 
-def _row(rep: int, estimator, *args) -> tuple:
-    """One replication's result row from ``estimator(*args)``."""
+def _row(rep: int, sums, window: TriangleWindow) -> tuple:
+    """One replication's result row from its accumulated sums."""
     try:
-        est = estimator(*args)
+        est = solve(sums, window)
     except SingularDesignError:
         return (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
     score = est.score if est.score is not None else (math.nan, math.nan)
@@ -200,10 +201,9 @@ def _row(rep: int, estimator, *args) -> tuple:
 def _simulate_chunk(payload) -> np.ndarray:
     """Worker body: rows (rep_id, alpha_hat, beta_hat, ok, detB, score1, score2).
 
-    Boundary-plus-sweep methods run ``batch`` replications per sweep and
-    reduce each layer as it is made, without storing fields; the other
-    methods sample and estimate one field at a time.  Either way a row is
-    bit-identical to ``lse(sim.sample(RngStream(master_seed, rep)))``.
+    Runs ``batch`` replications per sweep and reduces each layer as it is
+    made, without storing fields; a row is bit-identical to
+    ``lse(sim.sample(RngStream(master_seed, rep)))``.
     """
     (alpha, beta, k, l, method_text, dist_value, master_seed, batch, rep_ids) = payload
     params = ModelParams(alpha, beta)
@@ -214,12 +214,8 @@ def _simulate_chunk(payload) -> np.ndarray:
     for start in range(0, len(rep_ids), batch):
         ids = rep_ids[start:start + batch]
         streams = [RngStream(master_seed, rep) for rep in ids]
-        if sim.sweeps:
-            sums = accumulate(sim.sweep(streams), len(ids))
-            rows += [_row(rep, solve, row, window) for rep, row in zip(ids, sums)]
-        else:
-            rows += [_row(rep, lse, sim.sample(st), window)
-                     for rep, st in zip(ids, streams)]
+        sums = accumulate(sim.sweep(streams), len(ids))
+        rows += [_row(rep, row, window) for rep, row in zip(ids, sums)]
     return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
 
 

@@ -1,6 +1,6 @@
 """Exact and controllably-approximate sampling of the stationary field.
 
-The default sampler exploits the geometry of the hull: the d = 0
+The sampler core exploits the geometry of the hull: the d = 0
 anti-diagonal X[i, -i] depends only on innovations with u + v <= 0, while
 the triangle recursion consumes innovations with u + v >= 1.  The two index
 sets are disjoint, and the innovations are i.i.d., so the boundary vector is
@@ -10,9 +10,7 @@ boundary), and it suffices to draw the (s+1)-point boundary exactly and
 sweep the recursion upward at O(s^2).  The boundary covariance is
 R(t, -t) = sigma^2 D^|t| with D = ``d_factor`` -- a Kac-Murdock-Szego
 (AR(1)) matrix -- whose Cholesky factor is the O(s) recursion
-x_0 = sigma z_0, x_t = D x_(t-1) + sigma sqrt(1 - D^2) z_t.  A joint
-factorisation of the full hull would cost O(s^6); that path is kept only as
-a validation oracle.
+x_0 = sigma z_0, x_t = D x_(t-1) + sigma sqrt(1 - D^2) z_t.
 
 For non-Gaussian innovations Cholesky colouring is no longer exact in law,
 so the boundary is instead the truncated moving-average series
@@ -22,9 +20,10 @@ series is the recursion itself run up from layer -margin, started at
 eps[-margin], so a boundary costs O(margin * s) rather than the O(margin^2 * s)
 of summing the series term by term.
 
-Both boundary-plus-sweep methods run a batch of replications at once
-(``FieldSimulator.sweep``): every replication draws from its own stream in
-its own row, so a batch reproduces each replication's draws exactly.
+Both methods are a boundary draw followed by that sweep, and both run a
+batch of replications at once (``FieldSimulator.sweep``): every replication
+draws from its own stream in its own row, so a batch reproduces each
+replication's draws exactly.
 """
 
 from __future__ import annotations
@@ -35,17 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovKernel, d_factor, oracle_margin, sigma_sq
-from .errors import MethodUnsupportedError, NotSPDError
+from .covariance import d_factor, oracle_margin, sigma_sq
+from .errors import ConfigError, MethodUnsupportedError
 from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
-    "InnovationDist", "MethodKind", "SimMethod", "RngStream", "chol_spd",
-    "tail_variance_bound", "FieldSimulator", "batch_size", "simulate",
-    "deterministic_field",
+    "InnovationDist", "MethodKind", "SimMethod", "RngStream",
+    "tail_variance_bound", "FieldSimulator", "batch_size", "deterministic_field",
 ]
 
-_JITTER_LADDER = (1e-12, 1e-10, 1e-8)
 _GROUP_LAYERS = 8         # innovation layers per generator call
 _BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
 
@@ -68,29 +65,31 @@ class InnovationDist(enum.Enum):
 
 class MethodKind(enum.Enum):
     BOUNDARY_CHOLESKY = "boundary_cholesky"
-    FULL_CHOLESKY = "full_cholesky"
-    TRUNCATED_SERIES = "truncated_series"
     BOUNDARY_SERIES = "boundary_series"
 
 
 @dataclass(frozen=True)
 class SimMethod:
-    """Sampling strategy; ``margin`` is the truncation depth of series variants."""
+    """Sampling strategy; ``margin`` is the truncation depth of boundary_series.
+
+    Malformed methods (an unknown kind, a margin that is not a non-negative
+    integer, a margin on boundary_cholesky) raise ConfigError.
+    """
 
     kind: MethodKind = MethodKind.BOUNDARY_CHOLESKY
     margin: int | None = None
 
+    def __post_init__(self):
+        if self.margin is None:
+            return
+        if self.kind is not MethodKind.BOUNDARY_SERIES:
+            raise ConfigError(f"{self.kind.value} takes no margin")
+        if self.margin < 0:
+            raise ConfigError(f"series margin must be >= 0, got {self.margin}")
+
     @classmethod
     def boundary_cholesky(cls) -> "SimMethod":
         return cls(MethodKind.BOUNDARY_CHOLESKY)
-
-    @classmethod
-    def full_cholesky(cls) -> "SimMethod":
-        return cls(MethodKind.FULL_CHOLESKY)
-
-    @classmethod
-    def truncated_series(cls, margin: int | None = None) -> "SimMethod":
-        return cls(MethodKind.TRUNCATED_SERIES, margin)
 
     @classmethod
     def boundary_series(cls, margin: int | None = None) -> "SimMethod":
@@ -98,9 +97,21 @@ class SimMethod:
 
     @classmethod
     def parse(cls, text: str) -> "SimMethod":
-        name, _, arg = text.partition(":")
-        kind = MethodKind(name)
-        margin = int(arg) if arg else None
+        """``kind`` or ``kind:margin``, the form ``describe`` writes."""
+        if not isinstance(text, str):
+            raise ConfigError(f"sampling method must be a string, got {text!r}")
+        name, colon, arg = text.partition(":")
+        try:
+            kind = MethodKind(name)
+        except ValueError:
+            known = ", ".join(k.value for k in MethodKind)
+            raise ConfigError(f"unknown sampling method {name!r} (known: {known})") from None
+        if not colon:
+            return cls(kind)
+        try:
+            margin = int(arg)
+        except ValueError:
+            raise ConfigError(f"margin {arg!r} of {text!r} is not an integer") from None
         return cls(kind, margin)
 
     def describe(self) -> str:
@@ -134,33 +145,6 @@ class RngStream:
         return RngStream(self.master_seed, replication_id)
 
 
-def chol_spd(m: np.ndarray, jitter_scales: tuple = _JITTER_LADDER):
-    """Lower Cholesky factor of a symmetric matrix, with jitter escalation.
-
-    Returns (L, jitter) where jitter is the multiple of max|diag| added to
-    the diagonal (0.0 on the clean path).  Raises NotSPD once the ladder of
-    jitter scales is exhausted.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError("need a square matrix of dimension >= 1")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * max(1.0, np.max(np.abs(m)))):
-        raise NotSPDError("matrix is not symmetric")
-    scale = float(np.max(np.abs(np.diag(m)))) or 1.0
-    try:
-        return np.linalg.cholesky(m), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    for jit in jitter_scales:
-        try:
-            bumped = m + jit * scale * np.eye(m.shape[0])
-            return np.linalg.cholesky(bumped), jit * scale
-        except np.linalg.LinAlgError:
-            continue
-    raise NotSPDError("matrix not SPD after jitter escalation "
-                      f"{jitter_scales} * {scale:g}")
-
-
 def tail_variance_bound(q: float, margin: int) -> float:
     """Variance omitted by truncating the moving-average series at ``margin``.
 
@@ -171,22 +155,6 @@ def tail_variance_bound(q: float, margin: int) -> float:
     if not 0.0 <= q < 1.0:
         raise ValueError(f"need 0 <= q < 1, got {q}")
     return q ** (2 * (margin + 1)) / (1.0 - q * q)
-
-
-def _binomial_kernel_rows(p: ModelParams, margin: int) -> list[np.ndarray]:
-    # row t holds C(t, r) a^(t-r) b^r, r = 0..t: coefficients of (a + b z)^t
-    rows = [np.array([1.0])]
-    a, b = p.alpha, p.beta
-    for _ in range(margin):
-        prev = rows[-1]
-        nxt = np.zeros(len(prev) + 1)
-        nxt[:-1] += a * prev
-        nxt[1:] += b * prev
-        rows.append(nxt)
-    return rows
-
-
-_SWEEP_KINDS = (MethodKind.BOUNDARY_CHOLESKY, MethodKind.BOUNDARY_SERIES)
 
 
 def _series_margin(method: SimMethod, params: ModelParams | None) -> int:
@@ -205,11 +173,8 @@ def batch_size(method: SimMethod, s: int, params: ModelParams | None = None) -> 
     One draw group of the batch (_GROUP_LAYERS layers of the widest drawn
     layer per replication: s + 1 points, or s + 1 + margin for the series
     boundary) stays within 1 MiB of float64.  ``params`` resolves the
-    default margin of boundary_series.  Methods without a boundary-plus-sweep
-    structure run one replication at a time.
+    default margin of boundary_series.
     """
-    if method.kind not in _SWEEP_KINDS:
-        return 1
     width = s + 1
     if method.kind is MethodKind.BOUNDARY_SERIES:
         width += _series_margin(method, params)
@@ -219,26 +184,24 @@ def batch_size(method: SimMethod, s: int, params: ModelParams | None = None) -> 
 class FieldSimulator:
     """Reusable sampler for one (params, window, method, dist) combination.
 
-    Precomputes whatever is replication-invariant (the AR(1) boundary
-    coefficients, hull factor, or binomial kernel rows); ``sample`` is then
-    a pure function of the stream, so replications may run concurrently in
-    any order.  Set-up is O(1) for boundary_cholesky and boundary_series,
-    and a draw costs O(s) (boundary_cholesky) or O(margin * s)
-    (boundary_series: the truncated series evaluated by running the
-    recursion up from layer -margin) for the boundary, plus O(s^2) for the
-    sweep.
+    Every method draws a boundary layer and then sweeps the recursion up the
+    triangle.  Set-up holds only what is replication-invariant (the AR(1)
+    boundary coefficients, or the resolved series margin) and is O(1), so
+    ``sample`` is a pure function of the stream and replications may run
+    concurrently in any order.  A draw costs O(s) (boundary_cholesky) or
+    O(margin * s) (boundary_series: the truncated series evaluated by
+    running the recursion up from layer -margin) for the boundary, plus
+    O(s^2) for the sweep.
 
     Draw layout (fixed per method, part of the determinism contract):
-    boundary_cholesky -- s+1 boundary normals, then the triangle block in
-    (d, i) order; full_cholesky -- one hull block in (d, i) order;
-    truncated_series / boundary_series -- extended innovation layers in
-    ascending layer order (d = -margin first), each layer in i order, then
-    (boundary_series only) the triangle block.
+    boundary_cholesky -- s+1 boundary normals; boundary_series -- extended
+    innovation layers in ascending layer order (d = -margin first, up to
+    d = 0), each layer in i order; then, for both, the triangle block in
+    (d, i) order.
     """
 
     def __init__(self, params: ModelParams, window: TriangleWindow,
-                 method: SimMethod = SimMethod(), dist: InnovationDist = InnovationDist.GAUSSIAN,
-                 kernel: CovKernel | None = None):
+                 method: SimMethod = SimMethod(), dist: InnovationDist = InnovationDist.GAUSSIAN):
         params.require_stationary()
         if window.s < 1:
             raise ValueError("window sum must be >= 1")
@@ -246,43 +209,21 @@ class FieldSimulator:
         self.window = window
         self.method = method
         self.dist = dist
-        self.kernel = kernel if kernel is not None else CovKernel(params)
+        # no sampler adds jitter; stays 0.0 because the benchmark in
+        # perfbench/ (workloads.py, tracing.py) reads and reports it
         self.boundary_jitter = 0.0
         self._ar1 = None
-        self._chol = None
-        self._kernel_rows = None
 
-        kind = method.kind
-        if kind in (MethodKind.BOUNDARY_CHOLESKY, MethodKind.FULL_CHOLESKY):
+        if method.kind is MethodKind.BOUNDARY_CHOLESKY:
             if dist is not InnovationDist.GAUSSIAN:
                 raise MethodUnsupportedError(
-                    f"{kind.value} is exact in law only for Gaussian innovations"
+                    f"{method.kind.value} is exact in law only for Gaussian innovations"
                 )
-        if kind is MethodKind.BOUNDARY_CHOLESKY:
             d = d_factor(params)
             sig = math.sqrt(sigma_sq(params))
             self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
-        elif kind is MethodKind.FULL_CHOLESKY:
-            from .model import hull_indices
-
-            pts = hull_indices(window)
-            n = len(pts)
-            cov = np.empty((n, n))
-            for ia, (i1, j1) in enumerate(pts):
-                for ib, (i2, j2) in enumerate(pts):
-                    cov[ia, ib] = self.kernel.R(i1 - i2, j1 - j2)
-            self._chol, self.boundary_jitter = chol_spd(cov)
         else:
-            self.method = SimMethod(kind, _series_margin(method, params))
-            if kind is MethodKind.TRUNCATED_SERIES:
-                self._kernel_rows = _binomial_kernel_rows(params, self.method.margin)
-
-    @property
-    def sweeps(self) -> bool:
-        """True when a draw is a boundary layer followed by the recursion sweep."""
-        return self.method.kind in _SWEEP_KINDS
-
-    # -- boundary-plus-sweep core ------------------------------------------
+            self.method = SimMethod(method.kind, _series_margin(method, params))
 
     def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
@@ -338,9 +279,6 @@ class FieldSimulator:
         order (see ``_layers``).  The yielded arrays are not modified
         afterwards.
         """
-        if not self.sweeps:
-            raise MethodUnsupportedError(
-                f"{self.method.kind.value} has no boundary-plus-sweep structure")
         gens = [stream.generator() for stream in streams]
         prev = self._boundaries(gens)
         for _, eps in self._layers(gens, 1, self.window.s):
@@ -348,55 +286,11 @@ class FieldSimulator:
             yield prev, y, eps
             prev = y
 
-    # -- method-specific samplers ------------------------------------------
-
-    def _sample_full_cholesky(self, gen: np.random.Generator) -> Field:
-        w = self.window
-        z = gen.standard_normal(w.n_hull)
-        flat = self._chol @ z
-        values, pos = [], 0
-        for d in range(0, w.s + 1):
-            n = w.layer_len(d)
-            values.append(flat[pos:pos + n])
-            pos += n
-        a, b = self.params.alpha, self.params.beta
-        eps = [values[d] - a * values[d - 1][:-1] - b * values[d - 1][1:]
-               for d in range(1, w.s + 1)]
-        return Field(w, values, eps, self.params)
-
-    def _series_layer(self, eps: dict[int, np.ndarray], d: int) -> np.ndarray:
-        # per-point truncation at relative depth `margin`
-        rows = self._kernel_rows
-        out = np.zeros(self.window.layer_len(d))
-        for t in range(len(rows)):
-            out += np.correlate(eps[d - t], rows[t], mode="valid")
-        return out
-
-    def _sample_truncated_series(self, gen: np.random.Generator) -> Field:
-        w = self.window
-        margin = self.method.margin
-        # layers -margin..s of the staircase {u <= k, v <= l}
-        eps = {d: e[0] for d, e in self._layers([gen], -margin, w.s)}
-        values = [self._series_layer(eps, d) for d in range(0, w.s + 1)]
-        innov = [eps[d] for d in range(1, w.s + 1)]
-        return Field(w, values, innov, self.params)
-
     def sample(self, stream: RngStream) -> Field:
-        if self.sweeps:
-            prevs, ys, eps = zip(*self.sweep([stream]))
-            values = [prevs[0][0]] + [y[0] for y in ys]
-            return Field(self.window, values, [e[0] for e in eps], self.params)
-        gen = stream.generator()
-        if self.method.kind is MethodKind.FULL_CHOLESKY:
-            return self._sample_full_cholesky(gen)
-        return self._sample_truncated_series(gen)
-
-
-def simulate(params: ModelParams, window: TriangleWindow, method: SimMethod,
-             dist: InnovationDist, stream: RngStream,
-             kernel: CovKernel | None = None) -> Field:
-    """Draw one field realisation; see FieldSimulator for the contracts."""
-    return FieldSimulator(params, window, method, dist, kernel).sample(stream)
+        """One field realisation: the R = 1 case of ``sweep``."""
+        prevs, ys, eps = zip(*self.sweep([stream]))
+        values = [prevs[0][0]] + [y[0] for y in ys]
+        return Field(self.window, values, [e[0] for e in eps], self.params)
 
 
 def deterministic_field(params: ModelParams, window: TriangleWindow,

@@ -70,6 +70,22 @@ class TestSimEstimate:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+# an unknown kind (the removed kinds included), a margin that is not an
+# integer, a negative margin, and a margin on boundary_cholesky
+MALFORMED_METHODS = ["bogus", "truncated_series", "full_cholesky:3",
+                     "boundary_series:x", "boundary_series:-1", "boundary_cholesky:5"]
+
+
+@pytest.mark.parametrize("method", MALFORMED_METHODS)
+def test_sim_field_malformed_method_is_a_usage_error(capsys, method):
+    code, out, err = run_cli(capsys, "sim", "field", "--alpha", "0.4", "--beta", "0.3",
+                             "--k", "4", "--l", "4", "--dist", "rademacher",
+                             "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestLimitsAndVerify:
     def test_describe(self, capsys):
         code, out, _ = run_cli(capsys, "limits", "describe", "--alpha", "1",
@@ -164,6 +180,14 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "run", "--config", str(path))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("method", MALFORMED_METHODS + [5])
+    def test_malformed_method_exits_1(self, capsys, tmp_path, method):
+        cfg = self.write_config(tmp_path, method=method, out_dir=str(tmp_path / "out"))
+        code, _, err = run_cli(capsys, "experiment", "run", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "experiment", "run", "--config",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from spatialar import (
     BoundaryPoint,
@@ -12,46 +12,17 @@ from spatialar import (
     MethodUnsupportedError,
     ModelParams,
     NearlyUnstableDesign,
-    NotSPDError,
     RngStream,
     Schedule,
     SimMethod,
     TriangleWindow,
-    chol_spd,
     deterministic_field,
     hull_indices,
     sigma_sq,
-    simulate,
     tail_variance_bound,
 )
 from spatialar.covariance import d_factor
-from spatialar.simulate import _GROUP_LAYERS, MethodKind, batch_size
-
-
-class TestCholSPD:
-    def test_identity(self):
-        l, jitter = chol_spd(np.eye(3))
-        assert_array_equal(l, np.eye(3))
-        assert jitter == 0.0
-
-    def test_hand_example(self):
-        l, _ = chol_spd(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        assert_allclose(l, [[2.0, 0.0], [1.0, 2.0]])
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotSPDError):
-            chol_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_asymmetric_raises(self):
-        with pytest.raises(NotSPDError):
-            chol_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_jitter_escalation_reported(self):
-        # PSD but rank deficient: jitter makes it factorable and is reported
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        l, jitter = chol_spd(m)
-        assert jitter > 0.0
-        assert_allclose(l @ l.T, m + jitter * np.eye(2), atol=1e-12)
+from spatialar.simulate import _GROUP_LAYERS, batch_size
 
 
 class TestTailBound:
@@ -88,7 +59,7 @@ class TestSimulate:
         p = ModelParams(0.4, 0.35)
         w = TriangleWindow.balanced(16)
         for method in (SimMethod.boundary_cholesky(),
-                       SimMethod.truncated_series(20)):
+                       SimMethod.boundary_series(20)):
             f1 = FieldSimulator(p, w, method).sample(RngStream(9, 4))
             f2 = FieldSimulator(p, w, method).sample(RngStream(9, 4))
             for a, b in zip(f1.values, f2.values):
@@ -126,7 +97,7 @@ class TestSimulate:
             for d in range(-margin + 1, 1):
                 y = p.alpha * y[:-1] + p.beta * y[1:] + below[d]
             assert_array_equal(f.values[0], y)
-            series = _series_reference(p, w, margin, dist, below)
+            series = _series_reference(p, margin, below)
             assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
         assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.n_triangle))
 
@@ -139,32 +110,13 @@ class TestSimulate:
     def test_gaussian_required_for_cholesky(self):
         p = ModelParams(0.4, 0.4)
         w = TriangleWindow.balanced(8)
-        for kind in (MethodKind.BOUNDARY_CHOLESKY, MethodKind.FULL_CHOLESKY):
-            with pytest.raises(MethodUnsupportedError):
-                FieldSimulator(p, w, SimMethod(kind), InnovationDist.RADEMACHER)
+        with pytest.raises(MethodUnsupportedError):
+            FieldSimulator(p, w, SimMethod.boundary_cholesky(), InnovationDist.RADEMACHER)
 
     def test_zero_jitter_on_model_covariances(self):
         p = ModelParams(0.49, 0.49)
         sim = FieldSimulator(p, TriangleWindow.balanced(32))
         assert sim.boundary_jitter == 0.0
-
-    def test_truncated_series_margin_zero_is_own_innovation(self):
-        p = ModelParams(0.4, 0.3)
-        w = TriangleWindow.balanced(10)
-        f = FieldSimulator(p, w, SimMethod.truncated_series(0),
-                           InnovationDist.UNIFORM_UNIT_VAR).sample(RngStream(3, 1))
-        for d in range(1, w.s + 1):
-            assert_array_equal(f.values[d], f.innovations[d - 1])
-
-    def test_truncated_series_residual_within_tail(self):
-        # at margin 40 and q = 0.75 the dropped layer has std <= q^(m+1)
-        p = ModelParams(0.4, 0.35)
-        w = TriangleWindow.balanced(12)
-        margin = 40
-        f = FieldSimulator(p, w, SimMethod.truncated_series(margin)).sample(
-            RngStream(11, 2))
-        ceiling = 12 * p.q ** (margin + 1) / math.sqrt(1 - p.q**2)
-        assert f.max_recursion_residual() <= ceiling
 
     def test_boundary_series_exact_recursion(self):
         p = ModelParams(0.45, 0.45)
@@ -184,18 +136,17 @@ class TestSimulate:
         assert f.value(1, 1) == pytest.approx(1.44)
         assert f.max_recursion_residual() <= 1e-15
 
-    def test_simulate_wrapper(self):
-        p = ModelParams(0.2, 0.2)
-        w = TriangleWindow.balanced(6)
-        f = simulate(p, w, SimMethod.boundary_cholesky(),
-                     InnovationDist.GAUSSIAN, RngStream(0, 0))
-        assert f.window == w
 
-
-def _series_reference(p, w, margin, dist, below):
-    # the boundary as the term-by-term truncated series over the same draws
-    sim = FieldSimulator(p, w, SimMethod.truncated_series(margin), dist)
-    return sim._series_layer(below, 0)
+def _series_reference(p, margin, below):
+    # the boundary as the term-by-term truncated series over the same draws,
+    # sum_t (a S_0 + b S_1)^t eps[-t]: term t correlates layer -t with the
+    # coefficients C(t, r) a^(t-r) b^r of (a + b z)^t
+    a, b = p.alpha, p.beta
+    out = 0.0
+    for t in range(margin + 1):
+        coef = np.array([math.comb(t, r) * a ** (t - r) * b ** r for r in range(t + 1)])
+        out = out + np.correlate(below[-t], coef, mode="valid")
+    return out
 
 
 class TestSeriesBoundary:
@@ -218,7 +169,7 @@ class TestSeriesBoundary:
         for row, st in zip(batch, streams):
             gen = st.generator()
             below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
-            series = _series_reference(p, w, margin, dist, below)
+            series = _series_reference(p, margin, below)
             assert np.max(np.abs(row - series)) <= 1e-13 * np.max(np.abs(series))
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.value)
@@ -317,7 +268,7 @@ class TestLawCorrectness:
         assert np.all(np.abs(cov) <= 4.0 * se)
 
     def test_method_equivalence_hull_covariance(self):
-        # both exact Gaussian samplers reproduce every covariance entry
+        # the exact Gaussian sampler reproduces every covariance entry
         p = ModelParams(0.3, 0.45)
         w = TriangleWindow.balanced(8)
         kern = CovKernel(p)
@@ -325,13 +276,36 @@ class TestLawCorrectness:
         true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
                          for i1, j1 in pts])
         se = np.sqrt((kern.R(0, 0) ** 2 + true**2) / 10_000)
-        for method in (SimMethod.boundary_cholesky(), SimMethod.full_cholesky()):
-            sim = FieldSimulator(p, w, method, kernel=kern)
-            flat = np.empty((10_000, w.n_hull))
-            for r in range(10_000):
-                flat[r] = np.concatenate(sim.sample(RngStream(21, r)).values)
-            emp = flat.T @ flat / len(flat)
-            assert np.all(np.abs(emp - true) <= 5.0 * se)
+        sim = FieldSimulator(p, w, SimMethod.boundary_cholesky())
+        flat = np.empty((10_000, w.n_hull))
+        for r in range(10_000):
+            flat[r] = np.concatenate(sim.sample(RngStream(21, r)).values)
+        emp = flat.T @ flat / len(flat)
+        assert np.all(np.abs(emp - true) <= 5.0 * se)
+
+    @pytest.mark.parametrize("s", [1, 4, 8])
+    @pytest.mark.parametrize("p", [ModelParams(0.3, 0.45), ModelParams(0.45, -0.5),
+                                   ModelParams(0.0, 0.6)], ids=str)
+    def test_hull_law_exact(self, p, s):
+        # the hull is linear in (boundary normals, triangle innovations): push
+        # each column of the boundary factor (zero innovations) and each unit
+        # innovation (zero boundary) through the recursion; those fields are
+        # the columns of M, and the sampler's hull covariance is M M^T
+        w = TriangleWindow.balanced(s)
+        zeros = [np.zeros(w.layer_len(d)) for d in range(1, s + 1)]
+        cols = [deterministic_field(p, w, col, zeros).values
+                for col in TestKMSBoundary.kms_factor(p, s).T]
+        for d in range(1, s + 1):
+            for i in range(w.layer_len(d)):
+                unit = [z.copy() for z in zeros]
+                unit[d - 1][i] = 1.0
+                cols.append(deterministic_field(p, w, np.zeros(s + 1), unit).values)
+        m = np.column_stack([np.concatenate(values) for values in cols])
+        kern = CovKernel(p)
+        pts = hull_indices(w)
+        true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
+                         for i1, j1 in pts])
+        assert np.max(np.abs(m @ m.T - true)) <= 1e-12 * np.max(np.abs(true))
 
     def test_non_gaussian_boundary_series_variance(self):
         p = ModelParams(0.4, 0.35)
