@@ -157,7 +157,7 @@ def _cmd_estimate(args) -> int:
         "B": est.B,
         "C": est.cross,
         "detB": est.detB,
-        "A": est.score if est.score is not None else None,
+        "A": est.score,
     }
     text = harness.dumps_canonical(payload)
     if args.json_out:

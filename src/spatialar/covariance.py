@@ -358,8 +358,6 @@ class CovKernel:
 
     params: ModelParams
     method: CovMethod = CovMethod.CLOSED_FORM
-    tol: float = 1e-12
-    margin: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -369,13 +367,13 @@ class CovKernel:
         if self.method is CovMethod.CLOSED_FORM:
             return cov_closed(self.params, k, l)
         if self.method is CovMethod.APPELL_F4:
-            return cov_f4(self.params, k, l, self.tol)
+            return cov_f4(self.params, k, l)
         if self.method is CovMethod.BINOMIAL_REP:
             if k * l < 0:
                 # mixed quadrant is outside this representation; fall back
                 return cov_closed(self.params, k, l)
-            return cov_binrep(self.params, k, l, self.tol)
-        return cov_series_oracle(self.params, k, l, self.margin)
+            return cov_binrep(self.params, k, l)
+        return cov_series_oracle(self.params, k, l)
 
     def R(self, k: int, l: int) -> float:
         if k < 0 or (k == 0 and l < 0):
@@ -386,9 +384,6 @@ class CovKernel:
             hit = self._evaluate(k, l)
             self._cache[key] = hit
         return hit
-
-    def __call__(self, k: int, l: int) -> float:
-        return self.R(k, l)
 
     def table(self, kmax: int, lmax: int) -> np.ndarray:
         """Array R[dk + kmax, dl + lmax] for |dk| <= kmax, |dl| <= lmax."""

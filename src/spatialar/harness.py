@@ -30,7 +30,6 @@ from .errors import ConfigError, ExperimentAbortedError, SingularDesignError
 # lse is not called here; perfbench/tracing.py wraps harness.lse by name
 from .estimate import Matrix2, accumulate, lse, solve
 from .limits import (
-    LimitLaw,
     condition_statistic,
     expected_B,
     limit_law,
@@ -81,6 +80,8 @@ class Tolerances:
     def from_json(cls, obj: dict | None) -> "Tolerances":
         if obj is None:
             return cls()
+        if not isinstance(obj, dict):
+            raise ConfigError(f"tolerances must be an object, got {obj!r}")
         return cls(float(obj.get("cov_rel_tol", 0.3)),
                    float(obj.get("zero_var_ceiling", 0.05)))
 
@@ -145,6 +146,8 @@ class ExperimentConfig:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
         return cfg
 
 
@@ -194,8 +197,7 @@ def _row(rep: int, sums, window: TriangleWindow) -> tuple:
         est = solve(sums, window)
     except SingularDesignError:
         return (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
-    score = est.score if est.score is not None else (math.nan, math.nan)
-    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, score[0], score[1])
+    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, est.score[0], est.score[1])
 
 
 def _simulate_chunk(payload) -> np.ndarray:
@@ -205,11 +207,8 @@ def _simulate_chunk(payload) -> np.ndarray:
     made, without storing fields; a row is bit-identical to
     ``lse(sim.sample(RngStream(master_seed, rep)))``.
     """
-    (alpha, beta, k, l, method_text, dist_value, master_seed, batch, rep_ids) = payload
-    params = ModelParams(alpha, beta)
-    window = TriangleWindow(k, l)
-    sim = FieldSimulator(params, window, SimMethod.parse(method_text),
-                         InnovationDist(dist_value))
+    params, window, method, dist, master_seed, batch, rep_ids = payload
+    sim = FieldSimulator(params, window, method, dist)
     rows = []
     for start in range(0, len(rep_ids), batch):
         ids = rep_ids[start:start + batch]
@@ -225,8 +224,7 @@ def _run_reps(params: ModelParams, window: TriangleWindow, method: SimMethod,
     """Result rows of ``rep_ids`` in id order; identical for any worker count
     and any ``batch_reps`` (default: ``batch_size`` for the method)."""
     batch = batch_reps or batch_size(method, window.s, params)
-    payload_base = (params.alpha, params.beta, window.k, window.l,
-                    method.describe(), dist.value, master_seed, batch)
+    payload_base = (params, window, method, dist, master_seed, batch)
     if workers <= 1 or len(rep_ids) < 2 * workers:
         rows = _simulate_chunk(payload_base + (rep_ids,))
     else:
@@ -238,6 +236,17 @@ def _run_reps(params: ModelParams, window: TriangleWindow, method: SimMethod,
         rows = np.concatenate(parts, axis=0)
     # ordered reduction: aggregate strictly by replication id, not arrival
     return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
+def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
+                 master_seed: int, workers: int) -> np.ndarray:
+    """Rows of the solved replications 0 .. reps-1 of the Gaussian sampler at
+    params_at(m) on the balanced window with sum s."""
+    if reps < 1:
+        raise ConfigError("reps must be positive")
+    rows = _run_reps(design.params_at(m), TriangleWindow.balanced(s), SimMethod(),
+                     InnovationDist.GAUSSIAN, master_seed, list(range(reps)), workers)
+    return rows[rows[:, 3] == 1.0]
 
 
 def _ks_normal(x: np.ndarray) -> float:
@@ -375,11 +384,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
                               <= tol.cov_rel_tol * lim_diff
                               and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
         else:
-            wm = omega_n(design.boundary, design.gamma(m), design.delta(m))
-            theta_m = theta_scalar(design.boundary, wm)
-            half = sqrt_spd2(theta_matrix(theta_m))
+            half = sqrt_spd2(_prop1_target(design, m))
             norm_err = errors @ half.to_array().T
-            record["omega_n"] = wm
+            record["omega_n"] = omega_n(design.boundary, design.gamma(m), design.delta(m))
             record["normalized_cov"] = _sample_cov(norm_err).tolist()
             if law.covariance is not None:
                 record["limit_cov"] = law.covariance
@@ -447,6 +454,8 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
 
 
 def _prop1_target(design: NearlyUnstableDesign, m_probe: int) -> Matrix2:
+    """Limit of the scaled information mean and of the scaled score covariance:
+    Psi / sqrt(32|a||b|) (interior) or Theta(theta(omega_m)) (boundary)."""
     bp = design.boundary
     if design.case_tag is CaseTag.INTERIOR:
         c = (32.0 * abs(bp.alpha) * abs(bp.beta)) ** -0.5
@@ -457,13 +466,8 @@ def _prop1_target(design: NearlyUnstableDesign, m_probe: int) -> Matrix2:
 
 def scaled_expected_B(design: NearlyUnstableDesign, m: int, s: int) -> Matrix2:
     """The Prop-1 scaling applied to the exact E[B] at (m, s)."""
-    params = design.params_at(m)
-    g, d = design.gamma(m), design.delta(m)
-    if design.case_tag is CaseTag.INTERIOR:
-        scale = s**-2.0 * m**-0.5 * (abs(g) + abs(d)) ** 0.5
-    else:
-        scale = s**-2.0 * abs(g * g - d * d) ** 0.5 / m
-    return expected_B(params, s).scale(scale)
+    scale = condition_statistic(design, m, 1) * s**-2.0
+    return expected_B(design.params_at(m), s).scale(scale)
 
 
 def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]],
@@ -510,15 +514,12 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
     the probe index must be large (the checks are closed-form and cheap).
     Off-diagonal pairs must at least halve when n_probe doubles.
     """
-    params = design.params_at(m)
-    kernel = CovKernel(params)
-    g, d = design.gamma(m), design.delta(m)
+    kernel = CovKernel(design.params_at(m))
+    scale = condition_statistic(design, m, 1)
     if design.case_tag is CaseTag.INTERIOR:
-        scale = (abs(g) + abs(d)) ** 0.5 * m**-0.5
         bound = 1.0 / math.sqrt(8.0 * abs(design.boundary.alpha)
                                 * abs(design.boundary.beta))
     else:
-        scale = abs(g * g - d * d) ** 0.5 / m
         bound = 0.5
 
     def scaled_R(n: int, s1, t1, s2, t2) -> float:
@@ -551,20 +552,13 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     """Monte Carlo mean of the scaled determinant against 2 (8|a||b|)^(-3/2)."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
-    if reps < 1:
-        raise ConfigError("reps must be positive")
-    params = design.params_at(m)
-    window = TriangleWindow.balanced(s)
-    rows = _run_reps(params, window, SimMethod(), InnovationDist.GAUSSIAN,
-                     master_seed, list(range(reps)), workers)
-    ok = rows[:, 3] == 1.0
-    g, d = design.gamma(m), design.delta(m)
-    scaled = rows[ok, 4] * s**-4.0 * m**-0.5 * (abs(g) + abs(d)) ** 0.5
+    rows = _solved_rows(design, m, s, reps, master_seed, workers)
+    scaled = rows[:, 4] * (condition_statistic(design, m, 1) * s**-4.0)
     bp = design.boundary
     target = 2.0 * (8.0 * abs(bp.alpha) * abs(bp.beta)) ** -1.5
     mean = float(scaled.mean())
     return {
-        "m": m, "s": s, "reps": int(np.sum(ok)),
+        "m": m, "s": s, "reps": len(rows),
         "scaled_mean": mean,
         "std_error": float(scaled.std(ddof=1) / math.sqrt(len(scaled))),
         "target": target,
@@ -578,28 +572,15 @@ def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int = 0, rel_tol: float = 0.2,
                  workers: int = 1) -> dict:
     """Monte Carlo covariance of the scaled score vector against its limit."""
-    if reps < 1:
-        raise ConfigError("reps must be positive")
-    params = design.params_at(m)
-    window = TriangleWindow.balanced(s)
-    rows = _run_reps(params, window, SimMethod(), InnovationDist.GAUSSIAN,
-                     master_seed, list(range(reps)), workers)
-    ok = rows[:, 3] == 1.0
-    g, d = design.gamma(m), design.delta(m)
-    bp = design.boundary
-    if design.case_tag is CaseTag.INTERIOR:
-        scale = s**-1.0 * m**-0.25 * (abs(g) + abs(d)) ** 0.25
-        target = psi_matrix(bp).scale((32.0 * abs(bp.alpha) * abs(bp.beta)) ** -0.5)
-    else:
-        scale = s**-1.0 * m**-0.5 * abs(g * g - d * d) ** 0.25
-        target = theta_matrix(theta_scalar(bp, omega_n(bp, g, d)))
-    scores = rows[ok, 5:7] * scale
+    rows = _solved_rows(design, m, s, reps, master_seed, workers)
+    scores = rows[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
+    target = _prop1_target(design, m)
     cov = _sample_cov(scores)
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(len(scores))
     dev = float(np.max(np.abs(cov - target.to_array())) / target.max_abs())
     return {
-        "m": m, "s": s, "reps": int(np.sum(ok)),
+        "m": m, "s": s, "reps": len(rows),
         "scaled_cov": cov.tolist(),
         "target": target,
         "mean": mean.tolist(),

@@ -132,6 +132,8 @@ class Schedule:
     def from_json(cls, obj) -> "Schedule":
         if isinstance(obj, (int, float)):
             return cls.constant(float(obj))
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a schedule is a number or an object, got {obj!r}")
         kind = ScheduleKind(obj.get("kind", "const"))
         return cls(kind, float(obj.get("c", 1.0)), float(obj.get("p", 0.0)))
 
@@ -188,14 +190,18 @@ class NearlyUnstableDesign:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NearlyUnstableDesign":
-        bp = BoundaryPoint.from_pair(float(obj["alpha"]), float(obj["beta"]))
-        design = cls(
-            boundary=bp,
-            gamma=Schedule.from_json(obj["gamma"]),
-            delta=Schedule.from_json(obj["delta"]),
-        )
-        declared = obj.get("case")
-        if declared is not None and CaseTag(declared) is not design.case_tag:
+        try:
+            bp = BoundaryPoint.from_pair(float(obj["alpha"]), float(obj["beta"]))
+            design = cls(
+                boundary=bp,
+                gamma=Schedule.from_json(obj["gamma"]),
+                delta=Schedule.from_json(obj["delta"]),
+            )
+            declared = obj.get("case")
+            declared_tag = None if declared is None else CaseTag(declared)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed design: {exc}") from exc
+        if declared_tag is not None and declared_tag is not design.case_tag:
             raise ConfigError(
                 f"declared case '{declared}' does not match boundary alpha {bp.alpha}"
             )
@@ -293,12 +299,6 @@ class Field:
     def value(self, i: int, j: int) -> float:
         d = i + j
         return float(self.values[d][i - self.window.layer_start(d)])
-
-    def innovation(self, i: int, j: int) -> float:
-        if self.innovations is None:
-            raise ValueError("field carries no innovations")
-        d = i + j
-        return float(self.innovations[d - 1][i - self.window.layer_start(d)])
 
     def has_innovations(self) -> bool:
         return self.innovations is not None

@@ -141,9 +141,6 @@ class RngStream:
         )
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, replication_id: int) -> "RngStream":
-        return RngStream(self.master_seed, replication_id)
-
 
 def tail_variance_bound(q: float, margin: int) -> float:
     """Variance omitted by truncating the moving-average series at ``margin``.

@@ -115,6 +115,18 @@ class TestLimitsAndVerify:
         assert code == 0
         assert [(r["m"], r["s"]) for r in json.loads(out)["ladder"]] == ladder
 
+    @pytest.mark.parametrize("overrides", [
+        {"gamma": "x"}, {"gamma": [1]}, {"gamma": {"kind": "bogus"}},
+        {"alpha": "x"}, {"case": "bogus"}])
+    def test_malformed_design_file_is_a_usage_error(self, capsys, tmp_path, overrides):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(
+            {"alpha": 1.0, "beta": 0.0, "gamma": 2.0, "delta": 1.0, **overrides}))
+        code, out, err = run_cli(capsys, "limits", "describe", "--design", str(design))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_never_stationary_design_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "limits", "describe", "--alpha", "1", "--beta", "0")
         assert code == 1
@@ -188,6 +200,24 @@ class TestExperiment:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"tolerances": 5},
+        {"out_dir": 5},
+        {"design": {"alpha": 0.5, "beta": 0.5, "gamma": "x", "delta": 1.0}},
+        {"design": {"alpha": 0.5, "beta": 0.5, "gamma": [1], "delta": 1.0}},
+    ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list"])
+    def test_malformed_field_exits_1_before_running(self, capsys, tmp_path,
+                                                    monkeypatch, overrides):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a malformed config ran replications")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        cfg = self.write_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "experiment", "run", "--config",

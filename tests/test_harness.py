@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 from spatialar import (
     BoundaryPoint,
+    CaseTag,
     ConfigError,
+    CovKernel,
     ExperimentConfig,
     FieldSimulator,
     InnovationDist,
@@ -25,7 +27,13 @@ from spatialar import (
     verify_prop1,
     verify_score,
 )
-from spatialar.harness import _run_reps, dumps_canonical, scaled_expected_B
+from spatialar.harness import (
+    _prop1_target,
+    _run_reps,
+    dumps_canonical,
+    scaled_expected_B,
+)
+from spatialar.limits import expected_B
 from spatialar.simulate import batch_size
 
 
@@ -37,6 +45,12 @@ def interior_design():
 def boundary_design():
     return NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
                                 Schedule.constant(2.0), Schedule.constant(1.0))
+
+
+def interior_log_design():
+    return NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, 0.5),
+                                Schedule.from_json({"kind": "log", "c": 1.0}),
+                                Schedule.constant(1.0))
 
 
 def small_config(**kw):
@@ -231,3 +245,40 @@ def test_scaled_expected_B_limits():
         (32 * 0.25) ** -0.5, rel=0.02)
     assert scaled_expected_B(boundary_design(), 4096, 4096 * 2).a11 == pytest.approx(
         0.25, rel=0.01)
+
+
+@pytest.mark.parametrize("design", [interior_design(), interior_log_design(),
+                                    boundary_design()],
+                         ids=["interior", "interior_log", "boundary"])
+def test_suite_scales_match_per_case_expressions(design):
+    # the per-case scales as the suites spelled them out before they took
+    # them from condition_statistic
+    m, s, reps, seed = 64, 24, 40, 5
+    g, d = design.gamma(m), design.delta(m)
+    if design.case_tag is CaseTag.INTERIOR:
+        info = (abs(g) + abs(d)) ** 0.5 * m**-0.5
+        mean_scale = s**-2.0 * m**-0.5 * (abs(g) + abs(d)) ** 0.5
+        det_scale = s**-4.0 * m**-0.5 * (abs(g) + abs(d)) ** 0.5
+        score_scale = s**-1.0 * m**-0.25 * (abs(g) + abs(d)) ** 0.25
+    else:
+        info = abs(g * g - d * d) ** 0.5 / m
+        mean_scale = s**-2.0 * abs(g * g - d * d) ** 0.5 / m
+        score_scale = s**-1.0 * m**-0.5 * abs(g * g - d * d) ** 0.25
+    params = design.params_at(m)
+    rel = dict(rtol=1e-14, atol=0)
+
+    assert_allclose(scaled_expected_B(design, m, s).to_array(),
+                    expected_B(params, s).scale(mean_scale).to_array(), **rel)
+    covlim = verify_covlim(design, m, n_probe=50)
+    assert_allclose(covlim["value_at_zero_lag"], info * CovKernel(params).R(0, 0), **rel)
+
+    rows = _run_reps(params, TriangleWindow.balanced(s), SimMethod(),
+                     InnovationDist.GAUSSIAN, seed, list(range(reps)))
+    rows = rows[rows[:, 3] == 1.0]
+    score = verify_score(design, m, s, reps, master_seed=seed)
+    assert score["target"] == _prop1_target(design, m)
+    assert_allclose(score["scaled_cov"], np.cov(rows[:, 5:7] * score_scale, rowvar=False),
+                    **rel)
+    if design.case_tag is CaseTag.INTERIOR:
+        detb = verify_detB(design, m, s, reps, master_seed=seed)
+        assert_allclose(detb["scaled_mean"], np.mean(rows[:, 4] * det_scale), **rel)
