@@ -14,6 +14,14 @@ The four evaluators are deliberately independent of each other:
 All series truncations use a priori geometric tail bounds rather than
 "last term small" heuristics, so accuracy is certified even close to the
 unstable boundary |alpha| + |beta| = 1 where terms decay slowly.
+
+The three series routes share two tables and no formula.  Every
+gamma-function value they need is the log-factorial of an integer, so each
+term is a gather from one module-level table lf[i] = log(i!), built on
+first use and grown by doubling.  Each route sums over the index pairs
+(m, n) with m + n <= smax, flattened level by level and kept, with their
+parities, in a small bounded cache keyed by smax; ``cov_binrep`` runs its
+whole i-sum as one log-space convolution over that grid.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy import special
 
 from .errors import NonStationaryError, WrongQuadrantError
 from .model import ModelParams
@@ -159,30 +167,81 @@ def cov_closed(p: ModelParams, k: int, l: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# shared log-factorial table and level grid
+
+
+_LOG_FACTORIALS = np.empty(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table lf with lf[i] = log(i!) = lgamma(i + 1) for i = 0..n at least.
+
+    Every gamma-function value the three series routes need is the
+    log-factorial of an integer, so each term they sum is a gather from this
+    one table.  It is built on first use, not at import, and when an index
+    beyond its end is asked for it is rebuilt at least twice as long.  An
+    entry does not depend on the table's length, so growth never changes a
+    value already handed out.
+    """
+    global _LOG_FACTORIALS
+    if _LOG_FACTORIALS.size <= n:
+        size = max(n + 1, 2 * _LOG_FACTORIALS.size)
+        table = special.gammaln(np.arange(size) + 1.0)
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS
+
+
+def _xlog(x: np.ndarray, log_base: float) -> np.ndarray:
+    """x * log_base elementwise, with 0 * log 0 read as 0 (log_base = -inf)."""
+    if log_base == -math.inf:
+        return np.where(x > 0, -math.inf, 0.0)
+    return x * log_base
+
+
+@lru_cache(maxsize=8)
+def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (m, n) with m + n <= smax, flattened level by level.
+
+    Level t = m + n fills entries t(t+1)/2 .. t(t+1)/2 + t with m = 0..t, so
+    a per-level sum is one segment of a ``reduceat``.  Returns the read-only
+    arrays (m, n, m odd, n odd).
+    """
+    t = np.repeat(np.arange(smax + 1), np.arange(1, smax + 2))
+    m = np.arange(t.size) - t * (t + 1) // 2
+    n = t - m
+    grid = (m, n, m % 2 == 1, n % 2 == 1)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+# ---------------------------------------------------------------------------
 # Appell F4 route
 
 
 def _f4_grid_sum(a: int, b: int, c: int, d: int, x: float, y: float,
                  smax: int) -> float:
     """Appell F4(a, b; c, d; x, y) = sum_{m,n} (a)_{m+n} (b)_{m+n} /
-    ((c)_m (d)_n m! n!) x^m y^n, summed over the levels m + n <= smax."""
-    m = np.arange(smax + 1)
-    M, N = np.meshgrid(m, m, indexing="ij")
-    mask = (M + N) <= smax
-    S = M + N
-    logt = (gammaln(a + S) - gammaln(a) + gammaln(b + S) - gammaln(b)
-            - (gammaln(c + M) - gammaln(c)) - (gammaln(d + N) - gammaln(d))
-            - gammaln(M + 1) - gammaln(N + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.where(M > 0, M * math.log(abs(x)) if x != 0 else -np.inf, 0.0)
-        ly = np.where(N > 0, N * math.log(abs(y)) if y != 0 else -np.inf, 0.0)
-    logt = logt + lx + ly
-    sign = np.ones_like(logt)
+    ((c)_m (d)_n m! n!) x^m y^n, summed over the levels m + n <= smax.
+
+    The parameters are positive integers, so each Pochhammer symbol is a
+    ratio of factorials, (a)_t = (a-1+t)! / (a-1)!, read from the shared
+    log-factorial table.
+    """
+    m, n, m_odd, n_odd = _level_grid(smax)
+    s = m + n
+    lf = _log_factorials(max(a, b, c, d) - 1 + smax)
+    logt = (lf[a - 1 + s] - lf[a - 1] + lf[b - 1 + s] - lf[b - 1]
+            - (lf[c - 1 + m] - lf[c - 1]) - (lf[d - 1 + n] - lf[d - 1])
+            - lf[m] - lf[n])
+    # a zero argument leaves only the m = 0 (n = 0) terms
+    terms = np.exp(logt + _xlog(m, math.log(abs(x)) if x != 0 else -math.inf)
+                   + _xlog(n, math.log(abs(y)) if y != 0 else -math.inf))
     if x < 0:
-        sign *= np.where(M % 2 == 1, -1.0, 1.0)
+        terms = np.where(m_odd, -terms, terms)
     if y < 0:
-        sign *= np.where(N % 2 == 1, -1.0, 1.0)
-    terms = np.where(mask, sign * np.exp(logt), 0.0)
+        terms = np.where(n_odd, -terms, terms)
     return float(np.sum(terms))
 
 
@@ -197,7 +256,8 @@ def cov_f4(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     Both parameterisations match the moving-average weight products term by
     term (prefactor included), so F4 level t contributes at most q^(2t) to
     the covariance and truncating at level S leaves an absolute error of at
-    most q^(2(S+1))/(1-q^2).
+    most q^(2(S+1))/(1-q^2).  Each F4 sum is one pass over the level grid,
+    its Pochhammer symbols read from the shared log-factorial table.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
@@ -214,24 +274,37 @@ def cov_f4(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
 # binomial-representation route
 
 
-@lru_cache(maxsize=8192)
-def _binom_logpmf(n: int, prob: float) -> np.ndarray:
-    """log pmf of Binomial(n, prob) on 0..n, safe for prob in [0, 1]."""
-    k = np.arange(n + 1)
-    if prob == 0.0 or prob == 1.0:
-        out = np.full(n + 1, -np.inf)
-        out[n if prob == 1.0 else 0] = 0.0
-    else:
-        logc = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        out = logc + k * math.log(prob) + (n - k) * math.log1p(-prob)
-    out.flags.writeable = False
-    return out
+def _log_binomial_pmf(lf: np.ndarray, n, k, prob: float) -> np.ndarray:
+    """log P(Binomial(n, prob) = k) elementwise; prob in {0, 1} is a point mass."""
+    log_p = math.log(prob) if prob > 0.0 else -math.inf
+    log_q = math.log1p(-prob) if prob < 1.0 else -math.inf
+    return lf[n] - lf[k] - lf[n - k] + _xlog(k, log_p) + _xlog(n - k, log_q)
+
+
+def _pmf_s_segments(lf: np.ndarray, n, m, nu: float, j, u: np.ndarray,
+                    sizes: np.ndarray) -> np.ndarray:
+    """P(S(n, m) = j) for each segment of ``sizes[r]`` consecutive entries of u.
+
+    S(n, m) = Binomial(n, nu) + Binomial(m, 1 - nu); n, m and j are scalars
+    or arrays aligned with u, constant on each segment, and term u is
+    P(Binomial(n, nu) = u) P(Binomial(m, 1 - nu) = j - u), with the
+    log-factorials read from ``lf``.  Each segment is summed in log space,
+    shifted by its peak term, and any rounding residue is clamped at 0.
+    """
+    logs = (_log_binomial_pmf(lf, n, u, nu)
+            + _log_binomial_pmf(lf, m, j - u, 1.0 - nu))
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(logs, starts)
+    shift = np.where(peak == -np.inf, 0.0, peak)
+    body = np.add.reduceat(np.exp(logs - np.repeat(shift, sizes)), starts)
+    return np.maximum(0.0, np.exp(peak) * body)
 
 
 def pmf_s(n: int, m: int, nu: float, j: int) -> float:
     """P(S = j) for S = Binomial(n, nu) + Binomial(m, 1 - nu), independent.
 
-    Log-space convolution; any rounding residue is clamped at 0.
+    Log-space convolution over u = max(0, j - m) .. min(n, j); the one-segment
+    case of the helper that ``cov_binrep`` runs over all its levels at once.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -239,15 +312,9 @@ def pmf_s(n: int, m: int, nu: float, j: int) -> float:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
     if j < 0 or j > n + m:
         return 0.0
-    l1 = _binom_logpmf(n, nu)
-    l2 = _binom_logpmf(m, 1.0 - nu)
-    lo, hi = max(0, j - m), min(n, j)
-    u = np.arange(lo, hi + 1)
-    logs = l1[u] + l2[j - u]
-    peak = np.max(logs)
-    if peak == -np.inf:
-        return 0.0
-    return max(0.0, float(math.exp(peak) * np.sum(np.exp(logs - peak))))
+    u = np.arange(max(0, j - m), min(n, j) + 1)
+    return float(_pmf_s_segments(_log_factorials(max(n, m)), n, m, nu, j, u,
+                                 np.array([u.size]))[0])
 
 
 def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
@@ -255,7 +322,10 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
 
     sign(a)^|k| sign(b)^|l| * sum_i q^(|k|+|l|+2i) P(S(i, |k|+|l|+i) = |l|+i)
     with q = |a| + |b| and nu = |a|/q; the i-sum stops once the geometric
-    tail q^(2i)/(1 - q^2) falls below ``tol``.
+    tail q^(2i)/(1 - q^2) falls below ``tol``.  The convolution for level i
+    runs over u = 0..i, so the whole sum is one pass over the level grid
+    (u, i - u), one segment per i, with the binomial coefficients read from the
+    shared log-factorial table.
     """
     p.require_stationary()
     if k * l < 0:
@@ -270,13 +340,18 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     nu = abs(a) / q
     sign = (1 if a >= 0 or ka % 2 == 0 else -1) * (1 if b >= 0 or la % 2 == 0 else -1)
     big = ka + la
-    total = 0.0
-    i = 0
+    levels = 0
     tail_den = 1.0 - q * q
-    while q ** (2 * i) / tail_den >= tol:
-        total += q ** (big + 2 * i) * pmf_s(i, big + i, nu, la + i)
-        i += 1
-    return sign * total
+    while q ** (2 * levels) / tail_den >= tol:
+        levels += 1
+    if levels == 0:
+        return sign * 0.0
+    u, w, _, _ = _level_grid(levels - 1)
+    i = u + w
+    t = np.arange(levels)
+    lf = _log_factorials(big + levels - 1)
+    pmf = _pmf_s_segments(lf, i, big + i, nu, la + i, u, t + 1)
+    return sign * float(np.sum(q ** (big + 2 * t) * pmf))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +378,8 @@ def cov_series_oracle(p: ModelParams, k: int, l: int, margin: int | None = None)
     ``margin`` + 1 anti-diagonal levels of that support.  Level t contributes
     at most q^(2t) (product of the two binomial-theorem norms), so the
     truncation error is bounded by q^(2(margin+1))/(1-q^2).  Deliberately
-    ignorant of every closed form.
+    ignorant of every closed form; the binomial coefficients come from the
+    shared log-factorial table.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
@@ -313,24 +389,18 @@ def cov_series_oracle(p: ModelParams, k: int, l: int, margin: int | None = None)
     kp, lp = max(k, 0), max(l, 0)
     km, lm = max(-k, 0), max(-l, 0)
     depth0 = km + lm  # depth of the first shared innovation below the origin
-    u = np.arange(margin + 1)
-    U, V = np.meshgrid(u, u, indexing="ij")
-    mask = (U + V) <= margin
+    u, v, _, _ = _level_grid(margin)
+    lf = _log_factorials(max(depth0, kp + lp) + margin)
     # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
     # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
-    logw = (gammaln(depth0 + U + V + 1) - gammaln(km + U + 1) - gammaln(lm + V + 1)
-            + gammaln(kp + lp + U + V + 1) - gammaln(kp + U + 1) - gammaln(lp + V + 1))
-    ea = km + kp + 2 * U
-    eb = lm + lp + 2 * V
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la_ = np.where(ea > 0, ea * (math.log(abs(a)) if a != 0 else -np.inf), 0.0)
-        lb_ = np.where(eb > 0, eb * (math.log(abs(b)) if b != 0 else -np.inf), 0.0)
-    logw = logw + la_ + lb_
+    logw = (lf[depth0 + u + v] - lf[km + u] - lf[lm + v]
+            + lf[kp + lp + u + v] - lf[kp + u] - lf[lp + v])
+    logw = (logw + _xlog(km + kp + 2 * u, math.log(abs(a)) if a != 0 else -math.inf)
+            + _xlog(lm + lp + 2 * v, math.log(abs(b)) if b != 0 else -math.inf))
     # every kept term carries the same sign pattern
     sign = (1 if a >= 0 or (km + kp) % 2 == 0 else -1) * \
            (1 if b >= 0 or (lm + lp) % 2 == 0 else -1)
-    terms = np.where(mask, np.exp(logw), 0.0)
-    return sign * float(np.sum(terms))
+    return sign * float(np.sum(np.exp(logw)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +454,3 @@ class CovKernel:
             hit = self._evaluate(k, l)
             self._cache[key] = hit
         return hit
-
-    def table(self, kmax: int, lmax: int) -> np.ndarray:
-        """Array R[dk + kmax, dl + lmax] for |dk| <= kmax, |dl| <= lmax."""
-        out = np.empty((2 * kmax + 1, 2 * lmax + 1))
-        for dk in range(-kmax, kmax + 1):
-            for dl in range(-lmax, lmax + 1):
-                out[dk + kmax, dl + lmax] = self.R(dk, dl)
-        return out

@@ -67,9 +67,6 @@ class Matrix2:
         return np.array([self.a11 * v[0] + self.a12 * v[1],
                          self.a21 * v[0] + self.a22 * v[1]])
 
-    def matmul(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2.from_array(self.to_array() @ other.to_array())
-
     def scale(self, c: float) -> "Matrix2":
         return Matrix2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
 

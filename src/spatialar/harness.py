@@ -86,6 +86,14 @@ class Tolerances:
                    float(obj.get("zero_var_ceiling", 0.05)))
 
 
+def _integer(name: str, value) -> int:
+    """A config integer; a boolean or a number with a fractional part is
+    rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     design: NearlyUnstableDesign
@@ -133,14 +141,15 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         try:
             design = NearlyUnstableDesign.from_json(obj["design"])
-            ladder = [(int(m), int(s)) for m, s in obj["ladder"]]
+            ladder = [(_integer("ladder m", m), _integer("ladder s", s))
+                      for m, s in obj["ladder"]]
             cfg = cls(
                 design=design,
                 ladder=ladder,
-                reps=int(obj["reps"]),
+                reps=_integer("reps", obj["reps"]),
                 dist=InnovationDist(obj.get("dist", "gaussian")),
                 method=SimMethod.parse(obj.get("method", "boundary_cholesky")),
-                master_seed=int(obj.get("seed", 0)),
+                master_seed=_integer("seed", obj.get("seed", 0)),
                 tolerances=Tolerances.from_json(obj.get("tolerances")),
                 out_dir=obj.get("out_dir"),
             )

@@ -99,6 +99,13 @@ class ScheduleKind(enum.Enum):
     POWER = "power"
 
 
+def _real(name: str, value) -> float:
+    """A config number as a float; a boolean is rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Named closed-form schedule m -> c, c*log(m), or c*m**p with p < 1."""
@@ -130,12 +137,12 @@ class Schedule:
 
     @classmethod
     def from_json(cls, obj) -> "Schedule":
-        if isinstance(obj, (int, float)):
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             return cls.constant(float(obj))
         if not isinstance(obj, dict):
             raise ConfigError(f"a schedule is a number or an object, got {obj!r}")
         kind = ScheduleKind(obj.get("kind", "const"))
-        return cls(kind, float(obj.get("c", 1.0)), float(obj.get("p", 0.0)))
+        return cls(kind, _real("c", obj.get("c", 1.0)), _real("p", obj.get("p", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -218,17 +225,6 @@ class TriangleWindow:
     @property
     def s(self) -> int:
         return self.k + self.l
-
-    @property
-    def n_triangle(self) -> int:
-        """Number of lattice points in the triangle: s(s+1)/2 (0 if s <= 0)."""
-        s = self.s
-        return s * (s + 1) // 2 if s >= 1 else 0
-
-    @property
-    def n_hull(self) -> int:
-        s = self.s
-        return (s + 1) * (s + 2) // 2 if s >= 1 else 0
 
     @classmethod
     def balanced(cls, s: int) -> "TriangleWindow":

@@ -206,18 +206,32 @@ class TestExperiment:
         {"out_dir": 5},
         {"design": {"alpha": 0.5, "beta": 0.5, "gamma": "x", "delta": 1.0}},
         {"design": {"alpha": 0.5, "beta": 0.5, "gamma": [1], "delta": 1.0}},
-    ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list"])
+        # fractional or boolean values are rejected, not truncated or read as 0/1
+        {"ladder": [[16.9, 16.7]]},
+        {"reps": 150.9},
+        {"seed": 3.5},
+        {"seed": True},
+        {"design": {"alpha": 0.5, "beta": 0.5, "gamma": True, "delta": 1.0}},
+        {"design": {"alpha": 0.5, "beta": 0.5,
+                    "gamma": {"kind": "const", "c": True}, "delta": 1.0}},
+        {"design": {"alpha": 0.5, "beta": 0.5,
+                    "gamma": {"kind": "power", "c": 1.0, "p": False}, "delta": 1.0}},
+    ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list",
+            "ladder_fraction", "reps_fraction", "seed_fraction", "seed_bool",
+            "schedule_bool", "schedule_c_bool", "schedule_p_bool"])
     def test_malformed_field_exits_1_before_running(self, capsys, tmp_path,
                                                     monkeypatch, overrides):
         def no_run(*args, **kwargs):
             raise AssertionError("a malformed config ran replications")
         monkeypatch.setattr("spatialar.harness._run_reps", no_run)
-        cfg = self.write_config(tmp_path, **overrides)
+        cfg = self.write_config(
+            tmp_path, **{"out_dir": str(tmp_path / "out"), **overrides})
         code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "experiment", "run", "--config",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from spatialar import (
     CovKernel,
@@ -212,13 +213,6 @@ class TestKernel:
         kern = CovKernel(ModelParams(0.3, 0.4), CovMethod.BINOMIAL_REP)
         assert kern.R(2, -1) == pytest.approx(cov_closed(kern.params, 2, -1))
 
-    def test_table_layout(self):
-        kern = CovKernel(ModelParams(0.2, 0.3))
-        t = kern.table(2, 3)
-        assert t.shape == (5, 7)
-        assert t[2, 3] == kern.R(0, 0)
-        assert t[4, 6] == kern.R(2, 3)
-
     def test_hull_covariance_is_spd(self):
         # Cholesky must succeed, with no jitter, on every hull matrix
         from spatialar import TriangleWindow, hull_indices
@@ -230,6 +224,155 @@ class TestKernel:
                 cov = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
                                 for i1, j1 in pts])
                 np.linalg.cholesky(cov)
+
+
+# ---------------------------------------------------------------------------
+# Reference formulas: each series route as written before the shared
+# log-factorial table, one gammaln meshgrid (or one pmf table) per call.
+
+
+def _ref_f4_grid_sum(a, b, c, d, x, y, smax):
+    m = np.arange(smax + 1)
+    M, N = np.meshgrid(m, m, indexing="ij")
+    mask = (M + N) <= smax
+    S = M + N
+    logt = (gammaln(a + S) - gammaln(a) + gammaln(b + S) - gammaln(b)
+            - (gammaln(c + M) - gammaln(c)) - (gammaln(d + N) - gammaln(d))
+            - gammaln(M + 1) - gammaln(N + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.where(M > 0, M * math.log(abs(x)) if x != 0 else -np.inf, 0.0)
+        ly = np.where(N > 0, N * math.log(abs(y)) if y != 0 else -np.inf, 0.0)
+    logt = logt + lx + ly
+    sign = np.ones_like(logt)
+    if x < 0:
+        sign *= np.where(M % 2 == 1, -1.0, 1.0)
+    if y < 0:
+        sign *= np.where(N % 2 == 1, -1.0, 1.0)
+    return float(np.sum(np.where(mask, sign * np.exp(logt), 0.0)))
+
+
+def _ref_cov_series_oracle(p, k, l, margin):
+    a, b = p.alpha, p.beta
+    kp, lp = max(k, 0), max(l, 0)
+    km, lm = max(-k, 0), max(-l, 0)
+    depth0 = km + lm
+    u = np.arange(margin + 1)
+    U, V = np.meshgrid(u, u, indexing="ij")
+    mask = (U + V) <= margin
+    logw = (gammaln(depth0 + U + V + 1) - gammaln(km + U + 1) - gammaln(lm + V + 1)
+            + gammaln(kp + lp + U + V + 1) - gammaln(kp + U + 1) - gammaln(lp + V + 1))
+    ea = km + kp + 2 * U
+    eb = lm + lp + 2 * V
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la_ = np.where(ea > 0, ea * (math.log(abs(a)) if a != 0 else -np.inf), 0.0)
+        lb_ = np.where(eb > 0, eb * (math.log(abs(b)) if b != 0 else -np.inf), 0.0)
+    logw = logw + la_ + lb_
+    sign = (1 if a >= 0 or (km + kp) % 2 == 0 else -1) * \
+           (1 if b >= 0 or (lm + lp) % 2 == 0 else -1)
+    return sign * float(np.sum(np.where(mask, np.exp(logw), 0.0)))
+
+
+def _ref_binom_logpmf(n, prob):
+    k = np.arange(n + 1)
+    if prob == 0.0 or prob == 1.0:
+        out = np.full(n + 1, -np.inf)
+        out[n if prob == 1.0 else 0] = 0.0
+        return out
+    logc = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return logc + k * math.log(prob) + (n - k) * math.log1p(-prob)
+
+
+def _ref_pmf_s(n, m, nu, j):
+    # convolution of the Binomial(n, nu) and Binomial(m, 1 - nu) pmfs at j
+    if j < 0 or j > n + m:
+        return 0.0
+    l1 = _ref_binom_logpmf(n, nu)
+    l2 = _ref_binom_logpmf(m, 1.0 - nu)
+    u = np.arange(max(0, j - m), min(n, j) + 1)
+    logs = l1[u] + l2[j - u]
+    peak = np.max(logs)
+    if peak == -np.inf:
+        return 0.0
+    return max(0.0, float(math.exp(peak) * np.sum(np.exp(logs - peak))))
+
+
+def _ref_cov_binrep(p, k, l, tol=1e-12):
+    # the i-sum term by term: q^(big+2i) P(S(i, big+i) = |l|+i)
+    a, b, q = p.alpha, p.beta, p.q
+    if q == 0.0:
+        return 1.0 if (k == 0 and l == 0) else 0.0
+    ka, la = abs(k), abs(l)
+    nu = abs(a) / q
+    sign = (1 if a >= 0 or ka % 2 == 0 else -1) * (1 if b >= 0 or la % 2 == 0 else -1)
+    big = ka + la
+    total = 0.0
+    i = 0
+    while q ** (2 * i) / (1.0 - q * q) >= tol:
+        total += q ** (big + 2 * i) * _ref_pmf_s(i, big + i, nu, la + i)
+        i += 1
+    return sign * total
+
+
+def _assert_rel(new, ref, rtol=1e-14):
+    assert abs(new - ref) <= rtol * abs(ref), (new, ref)
+
+
+# generic, near the unstable boundary (q = 0.95), the degenerate a = 0 and
+# b = 0 lines (nu = 0 and nu = 1), and the white-noise origin
+REF_PARAMS = [(0.45, -0.25), (-0.5, 0.45), (0.95, 0.0), (0.0, 0.6),
+              (-0.7, 0.0), (0.0, 0.0)]
+
+
+class TestAgainstReferenceFormulas:
+    @pytest.mark.parametrize("args", [(1, 1, 1, 1), (3, 2, 4, 1), (7, 1, 4, 4)])
+    @pytest.mark.parametrize("x,y", [(0.0, 0.0), (0.2, 0.0), (0.0, -0.15),
+                                     (-0.2, 0.1), (0.15, -0.1), (-0.1, -0.05)])
+    @pytest.mark.parametrize("smax", [0, 1, 60])
+    def test_f4_grid_sum(self, args, x, y, smax):
+        _assert_rel(_f4_grid_sum(*args, x, y, smax),
+                    _ref_f4_grid_sum(*args, x, y, smax))
+
+    @pytest.mark.parametrize("a,b", REF_PARAMS)
+    def test_cov_f4(self, a, b):
+        p = ModelParams(a, b)
+        smax = oracle_margin(p.q)
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                ka, la = abs(k), abs(l)
+                if k * l <= 0:
+                    ref = a**ka * b**la * _ref_f4_grid_sum(
+                        ka + 1, la + 1, ka + 1, la + 1, a * a, b * b, smax)
+                else:
+                    ref = a**ka * b**la * math.comb(ka + la, ka) * _ref_f4_grid_sum(
+                        ka + la + 1, 1, ka + 1, la + 1, a * a, b * b, smax)
+                _assert_rel(cov_f4(p, k, l), ref)
+
+    @pytest.mark.parametrize("a,b", REF_PARAMS)
+    @pytest.mark.parametrize("margin", [0, 1, 60, None])
+    def test_cov_series_oracle(self, a, b, margin):
+        p = ModelParams(a, b)
+        ref_margin = oracle_margin(p.q) if margin is None else margin
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                _assert_rel(cov_series_oracle(p, k, l, margin),
+                            _ref_cov_series_oracle(p, k, l, ref_margin))
+
+    @pytest.mark.parametrize("a,b", REF_PARAMS)
+    def test_cov_binrep(self, a, b):
+        p = ModelParams(a, b)
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                if k * l >= 0:
+                    _assert_rel(cov_binrep(p, k, l), _ref_cov_binrep(p, k, l))
+        _assert_rel(cov_binrep(p, 2, 1, tol=1e-4), _ref_cov_binrep(p, 2, 1, tol=1e-4))
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 5), (4, 0), (7, 3), (40, 55)])
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0])
+    def test_pmf_s(self, n, m, nu):
+        for j in range(-1, n + m + 2):
+            new = pmf_s(n, m, nu, j)
+            assert not math.isnan(new)
+            _assert_rel(new, _ref_pmf_s(n, m, nu, j))
 
 
 def test_geom_factor_product_equals_normalised_mixed_lag():

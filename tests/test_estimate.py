@@ -51,7 +51,7 @@ class TestMatrix2:
     @settings(max_examples=60, deadline=None)
     def test_b_times_adjugate_is_det_identity(self, entries):
         b = Matrix2(*entries)
-        prod = b.matmul(b.adjugate()).to_array()
+        prod = b.to_array() @ b.adjugate().to_array()
         expected = b.det() * np.eye(2)
         scale = max(1.0, b.max_abs() ** 2)
         assert np.max(np.abs(prod - expected)) <= 4 * np.finfo(float).eps * scale

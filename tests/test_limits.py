@@ -142,11 +142,11 @@ class TestTheta:
     @settings(max_examples=50, deadline=None)
     def test_inverse_and_sqrt_identities(self, theta):
         t = theta_matrix(theta)
-        prod = t.matmul(invert_spd2(t)).to_array()
+        prod = t.to_array() @ invert_spd2(t).to_array()
         assert_allclose(prod, np.eye(2), atol=1e-12)
         root = sqrt_spd2(t)
         assert root.is_symmetric(1e-15)
-        assert_allclose(root.matmul(root).to_array(), t.to_array(), atol=1e-12)
+        assert_allclose(root.to_array() @ root.to_array(), t.to_array(), atol=1e-12)
         assert root.a11 >= 0.0 and root.det() >= -1e-15
 
 

@@ -99,7 +99,7 @@ class TestSimulate:
             assert_array_equal(f.values[0], y)
             series = _series_reference(p, margin, below)
             assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
-        assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.n_triangle))
+        assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.s * (w.s + 1) // 2))
 
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
@@ -277,7 +277,7 @@ class TestLawCorrectness:
                          for i1, j1 in pts])
         se = np.sqrt((kern.R(0, 0) ** 2 + true**2) / 10_000)
         sim = FieldSimulator(p, w, SimMethod.boundary_cholesky())
-        flat = np.empty((10_000, w.n_hull))
+        flat = np.empty((10_000, len(pts)))
         for r in range(10_000):
             flat[r] = np.concatenate(sim.sample(RngStream(21, r)).values)
         emp = flat.T @ flat / len(flat)
