@@ -15,7 +15,6 @@ from .covariance import (
     cov_series_oracle,
     oracle_margin,
     pmf_s,
-    rho_corr,
     sigma_sq,
 )
 from .errors import (
@@ -53,17 +52,14 @@ from .harness import (
     verify_score,
 )
 from .limits import (
-    FisherScaleConstants,
     LimitLaw,
     condition_statistic,
     expected_B,
-    fisher_scale_constants,
     invert_spd2,
     limit_law,
     omega_n,
     psi_adjugate,
     psi_matrix,
-    sigma_alpha_sq,
     sqrt_spd2,
     theta_matrix,
     theta_scalar,

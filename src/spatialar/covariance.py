@@ -18,10 +18,12 @@ unstable boundary |alpha| + |beta| = 1 where terms decay slowly.
 The three series routes share two tables and no formula.  Every
 gamma-function value they need is the log-factorial of an integer, so each
 term is a gather from one module-level table lf[i] = log(i!), built on
-first use and grown by doubling.  Each route sums over the index pairs
-(m, n) with m + n <= smax, flattened level by level and kept, with their
-parities, in a small bounded cache keyed by smax; ``cov_binrep`` runs its
-whole i-sum as one log-space convolution over that grid.
+first use and grown by doubling.  Its entries are computed in plain Python
+by the floating-point steps of the Cephes ``lgam`` routine, so they equal
+that library's log-gamma at i + 1 bit for bit.  Each route sums over the
+index pairs (m, n) with m + n <= smax, flattened level by level and kept,
+with their parities, in a small bounded cache keyed by smax; ``cov_binrep``
+runs its whole i-sum as one log-space convolution over that grid.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import NonStationaryError, WrongQuadrantError
 from .model import ModelParams
 
 __all__ = [
-    "sigma_sq", "rho_corr", "geom_factors", "d_factor", "cov_closed",
+    "sigma_sq", "geom_factors", "d_factor", "cov_closed",
     "cov_f4", "pmf_s", "cov_binrep", "cov_series_oracle",
     "oracle_margin", "CovMethod", "CovKernel",
 ]
@@ -53,16 +54,6 @@ def sigma_sq(p: ModelParams) -> float:
     a, b = p.alpha, p.beta
     prod = (1 + a + b) * (1 + a - b) * (1 - a + b) * (1 - a - b)
     return prod**-0.5
-
-
-def rho_corr(p: ModelParams) -> float:
-    """Correlation constant ((1 - a^2 - b^2) * sig2 - 1) / (2ab * sig2); 0 when ab = 0."""
-    p.require_stationary()
-    a, b = p.alpha, p.beta
-    if a * b == 0.0:
-        return 0.0
-    s2 = sigma_sq(p)
-    return ((1 - a * a - b * b) * s2 - 1.0) / (2 * a * b * s2)
 
 
 def geom_factors(p: ModelParams) -> tuple[float, float]:
@@ -172,21 +163,52 @@ def cov_closed(p: ModelParams, k: int, l: int) -> float:
 
 _LOG_FACTORIALS = np.empty(0)
 
+# Stirling-series coefficients of Cephes lgam (S. L. Moshier), highest first
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(i: int) -> float:
+    """log(i!) = lgamma(x) at x = i + 1, by the floating-point steps of Cephes
+    lgam: the log of the exact product below x = 13, the Stirling series
+    above it, cut to three terms from x = 1000 and to none above 1e8.
+
+    The result equals Cephes' lgam(i + 1) bit for bit.  ``math.lgamma`` is
+    1 ulp away from it on about half of all integers.
+    """
+    if i < 12:
+        return math.log(math.factorial(i))
+    x = i + 1.0
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _STIRLING[0]
+    for coef in _STIRLING[1:]:
+        series = series * p + coef
+    return q + series / x
+
 
 def _log_factorials(n: int) -> np.ndarray:
     """Read-only table lf with lf[i] = log(i!) = lgamma(i + 1) for i = 0..n at least.
 
     Every gamma-function value the three series routes need is the
     log-factorial of an integer, so each term they sum is a gather from this
-    one table.  It is built on first use, not at import, and when an index
-    beyond its end is asked for it is rebuilt at least twice as long.  An
-    entry does not depend on the table's length, so growth never changes a
-    value already handed out.
+    one table.  Each entry is ``_log_factorial(i)``.  The table is built on
+    first use, not at import, and when an index beyond its end is asked for
+    it is rebuilt at least twice as long.  An entry does not depend on the
+    table's length, so growth never changes a value already handed out.
     """
     global _LOG_FACTORIALS
     if _LOG_FACTORIALS.size <= n:
         size = max(n + 1, 2 * _LOG_FACTORIALS.size)
-        table = special.gammaln(np.arange(size) + 1.0)
+        table = np.array([_log_factorial(i) for i in range(size)])
         table.flags.writeable = False
         _LOG_FACTORIALS = table
     return _LOG_FACTORIALS
@@ -321,8 +343,9 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     """Same-sign-quadrant covariance through binomial pmfs.
 
     sign(a)^|k| sign(b)^|l| * sum_i q^(|k|+|l|+2i) P(S(i, |k|+|l|+i) = |l|+i)
-    with q = |a| + |b| and nu = |a|/q; the i-sum stops once the geometric
-    tail q^(2i)/(1 - q^2) falls below ``tol``.  The convolution for level i
+    with q = |a| + |b| and nu = |a|/q; the i-sum keeps i = 0..M with
+    M = ``oracle_margin(q, tol)``, the truncation rule of the other series
+    routes, so its tail is below ``tol``.  The convolution for level i
     runs over u = 0..i, so the whole sum is one pass over the level grid
     (u, i - u), one segment per i, with the binomial coefficients read from the
     shared log-factorial table.
@@ -340,16 +363,11 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     nu = abs(a) / q
     sign = (1 if a >= 0 or ka % 2 == 0 else -1) * (1 if b >= 0 or la % 2 == 0 else -1)
     big = ka + la
-    levels = 0
-    tail_den = 1.0 - q * q
-    while q ** (2 * levels) / tail_den >= tol:
-        levels += 1
-    if levels == 0:
-        return sign * 0.0
-    u, w, _, _ = _level_grid(levels - 1)
+    margin = oracle_margin(q, tol)
+    u, w, _, _ = _level_grid(margin)
     i = u + w
-    t = np.arange(levels)
-    lf = _log_factorials(big + levels - 1)
+    t = np.arange(margin + 1)
+    lf = _log_factorials(big + margin)
     pmf = _pmf_s_segments(lf, i, big + i, nu, la + i, u, t + 1)
     return sign * float(np.sum(q ** (big + 2 * t) * pmf))
 

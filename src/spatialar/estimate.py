@@ -42,11 +42,6 @@ class Matrix2:
     a22: float
 
     @classmethod
-    def from_array(cls, m) -> "Matrix2":
-        m = np.asarray(m, dtype=np.float64)
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-
-    @classmethod
     def symmetric(cls, diag: float, off: float) -> "Matrix2":
         return cls(diag, off, off, diag)
 

@@ -44,6 +44,7 @@ from .model import (
     ModelParams,
     NearlyUnstableDesign,
     TriangleWindow,
+    _real,
 )
 from .simulate import FieldSimulator, InnovationDist, RngStream, SimMethod, batch_size
 
@@ -82,8 +83,8 @@ class Tolerances:
             return cls()
         if not isinstance(obj, dict):
             raise ConfigError(f"tolerances must be an object, got {obj!r}")
-        return cls(float(obj.get("cov_rel_tol", 0.3)),
-                   float(obj.get("zero_var_ceiling", 0.05)))
+        return cls(_real("cov_rel_tol", obj.get("cov_rel_tol", 0.3)),
+                   _real("zero_var_ceiling", obj.get("zero_var_ceiling", 0.05)))
 
 
 def _integer(name: str, value) -> int:
@@ -320,8 +321,7 @@ class ExperimentReport:
         return report_path
 
 
-def run_clt(config: ExperimentConfig, workers: int = 1,
-            use_true_theta: bool = False) -> ExperimentReport:
+def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the CLT experiment over the configured size ladder.
 
     For each (m, s) and replication: simulate at params_at(m) on the
@@ -329,8 +329,7 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
     the limit-law rate.  Boundary designs additionally record the
     square-root-normalised errors (whose limit covariance is the identity).
     Singular replications are dropped and counted; more than 1% of them
-    aborts the run.  ``use_true_theta`` replaces the estimator by the true
-    parameter (pipeline null test: every aggregate must vanish).
+    aborts the run.
     """
     config.validate()
     design = config.design
@@ -351,8 +350,6 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
             raise ExperimentAbortedError(
                 f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
         hats = rows[ok, 1:3]
-        if use_true_theta:
-            hats = np.tile([params.alpha, params.beta], (int(np.sum(ok)), 1))
         rate = law.rate(m, s)
         errors = rate * (hats - [params.alpha, params.beta])
         cov = _sample_cov(errors)
@@ -387,11 +384,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
             record["limit_cov"] = lim
             record["limit_proj"] = {"sum": (lim.a11 + lim.a22 + 2 * lim.a12) / 2.0,
                                     "diff": lim_diff}
-            if not use_true_theta:
-                tol = config.tolerances
-                entry_pass = (abs(record["proj_var"]["diff"] - lim_diff)
-                              <= tol.cov_rel_tol * lim_diff
-                              and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
+            tol = config.tolerances
+            entry_pass = (abs(record["proj_var"]["diff"] - lim_diff)
+                          <= tol.cov_rel_tol * lim_diff
+                          and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
         else:
             half = sqrt_spd2(_prop1_target(design, m))
             norm_err = errors @ half.to_array().T
@@ -400,11 +396,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
             if law.covariance is not None:
                 record["limit_cov"] = law.covariance
                 record["elementwise_dev"] = _matrix_rel_dev(cov, law.covariance)
-                if not use_true_theta:
-                    emp, tgt = cov, law.covariance.to_array()
-                    entry_pass = bool(
-                        np.all(np.abs(emp - tgt)
-                               <= config.tolerances.cov_rel_tol * np.abs(tgt)))
+                tgt = law.covariance.to_array()
+                entry_pass = bool(np.all(
+                    np.abs(cov - tgt) <= config.tolerances.cov_rel_tol * np.abs(tgt)))
         if entry_pass is not None:
             record["pass"] = entry_pass
             if idx == len(config.ladder) - 1:
@@ -417,8 +411,6 @@ def run_clt(config: ExperimentConfig, workers: int = 1,
         elapsed = time.perf_counter() - t0
         timing.append({"m": m, "s": s, "elapsed_s": elapsed,
                        "reps_per_s": config.reps / elapsed, "batch_reps": batch})
-    if use_true_theta:
-        passed = True
     report = ExperimentReport(config, per_size, raw_all, passed, timing)
     if config.out_dir:
         report.write(config.out_dir)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .covariance import d_factor, rho_corr, sigma_sq
+from .covariance import d_factor, sigma_sq
 from .errors import (
     IndeterminateOmegaError,
     NotSPDError,
@@ -32,8 +32,7 @@ from .estimate import Matrix2
 from .model import BoundaryPoint, CaseTag, ModelParams, NearlyUnstableDesign
 
 __all__ = [
-    "psi_matrix", "psi_adjugate", "sigma_alpha_sq", "FisherScaleConstants",
-    "fisher_scale_constants", "omega_n", "omega_limit", "theta_scalar",
+    "psi_matrix", "psi_adjugate", "omega_n", "omega_limit", "theta_scalar",
     "theta_matrix", "invert_spd2", "sqrt_spd2", "LimitLaw", "limit_law",
     "condition_statistic", "expected_B",
 ]
@@ -53,52 +52,6 @@ def psi_matrix(bp: BoundaryPoint) -> Matrix2:
 
 def psi_adjugate(bp: BoundaryPoint) -> Matrix2:
     return psi_matrix(bp).adjugate()
-
-
-def sigma_alpha_sq(alpha: float) -> float:
-    """2^(9/2) / (15 sqrt(pi |alpha| (1 - |alpha|))) for 0 < |alpha| < 1."""
-    a = abs(alpha)
-    if not 0.0 < a < 1.0:
-        raise OutOfRangeError(f"need 0 < |alpha| < 1, got {alpha}")
-    return 2.0**4.5 / (15.0 * math.sqrt(math.pi * a * (1.0 - a)))
-
-
-@dataclass(frozen=True)
-class FisherScaleConstants:
-    """Informational scaling constants of the observed information matrix.
-
-    info_exponent is the growth order of the information: 2 on the stable
-    region, 5/2 on the boundary with 0 < |alpha| < 1, 3 at |alpha| in {0, 1}.
-    No limit test is attached to these; they are exposed for reporting only.
-    """
-
-    sigma_sq_ab: float
-    rho: float
-    sigma_alpha_sq: float | None
-    gamma_matrix: Matrix2
-    info_exponent: float
-
-
-def fisher_scale_constants(alpha: float, beta: float) -> FisherScaleConstants:
-    q = abs(alpha) + abs(beta)
-    if q < 1.0:
-        p = ModelParams(alpha, beta)
-        s2, rho = sigma_sq(p), rho_corr(p)
-        exponent = 2.0
-    elif q == 1.0:
-        s2 = math.inf
-        rho = float(_sign(alpha * beta))
-        exponent = 2.5 if 0.0 < abs(alpha) < 1.0 else 3.0
-    else:
-        raise OutOfRangeError(f"|alpha| + |beta| = {q} > 1")
-    saa = sigma_alpha_sq(alpha) if 0.0 < abs(alpha) < 1.0 else None
-    return FisherScaleConstants(
-        sigma_sq_ab=s2,
-        rho=rho,
-        sigma_alpha_sq=saa,
-        gamma_matrix=Matrix2.symmetric(2.0, -2.0 * rho),
-        info_exponent=exponent,
-    )
 
 
 def omega_n(bp: BoundaryPoint, gamma_m: float, delta_m: float) -> float:

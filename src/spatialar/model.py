@@ -198,7 +198,8 @@ class NearlyUnstableDesign:
     @classmethod
     def from_json(cls, obj: dict) -> "NearlyUnstableDesign":
         try:
-            bp = BoundaryPoint.from_pair(float(obj["alpha"]), float(obj["beta"]))
+            bp = BoundaryPoint.from_pair(_real("alpha", obj["alpha"]),
+                                         _real("beta", obj["beta"]))
             design = cls(
                 boundary=bp,
                 gamma=Schedule.from_json(obj["gamma"]),

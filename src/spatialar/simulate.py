@@ -191,7 +191,7 @@ class FieldSimulator:
     O(s^2) for the sweep.
 
     Draw layout (fixed per method, part of the determinism contract):
-    boundary_cholesky -- s+1 boundary normals; boundary_series -- extended
+    boundary_cholesky -- the s+1 normals of layer 0; boundary_series -- extended
     innovation layers in ascending layer order (d = -margin first, up to
     d = 0), each layer in i order; then, for both, the triangle block in
     (d, i) order.
@@ -224,6 +224,8 @@ class FieldSimulator:
 
     def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
+
+        Every random number of a replication, boundary included, is drawn here.
 
         eps is an (R, layer_len(d)) array whose row r is drawn from gens[r],
         each layer in i order, _GROUP_LAYERS layers per generator call: a
@@ -259,7 +261,7 @@ class FieldSimulator:
                 y = eps if y is None else self._step(y, eps)
             return y
         d, sig, step = self._ar1
-        z = np.array([gen.standard_normal(self.window.s + 1) for gen in gens])
+        _, z = next(self._layers(gens, 0, 0))
         x = step * z
         x[:, 0] = sig * z[:, 0]
         for t in range(1, x.shape[1]):

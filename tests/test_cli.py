@@ -117,7 +117,9 @@ class TestLimitsAndVerify:
 
     @pytest.mark.parametrize("overrides", [
         {"gamma": "x"}, {"gamma": [1]}, {"gamma": {"kind": "bogus"}},
-        {"alpha": "x"}, {"case": "bogus"}])
+        {"alpha": "x"}, {"case": "bogus"},
+        # a boolean is not read as the boundary point (1, 0)
+        {"alpha": True, "beta": False}, {"beta": False}])
     def test_malformed_design_file_is_a_usage_error(self, capsys, tmp_path, overrides):
         design = tmp_path / "design.json"
         design.write_text(json.dumps(
@@ -216,9 +218,13 @@ class TestExperiment:
                     "gamma": {"kind": "const", "c": True}, "delta": 1.0}},
         {"design": {"alpha": 0.5, "beta": 0.5,
                     "gamma": {"kind": "power", "c": 1.0, "p": False}, "delta": 1.0}},
+        {"tolerances": {"cov_rel_tol": True, "zero_var_ceiling": 0.05}},
+        {"tolerances": {"cov_rel_tol": 0.3, "zero_var_ceiling": False}},
+        {"design": {"alpha": True, "beta": False, "gamma": 2.0, "delta": 1.0}},
     ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list",
             "ladder_fraction", "reps_fraction", "seed_fraction", "seed_bool",
-            "schedule_bool", "schedule_c_bool", "schedule_p_bool"])
+            "schedule_bool", "schedule_c_bool", "schedule_p_bool",
+            "cov_rel_tol_bool", "zero_var_ceiling_bool", "boundary_bool"])
     def test_malformed_field_exits_1_before_running(self, capsys, tmp_path,
                                                     monkeypatch, overrides):
         def no_run(*args, **kwargs):

@@ -19,10 +19,9 @@ from spatialar import (
     cov_series_oracle,
     oracle_margin,
     pmf_s,
-    rho_corr,
     sigma_sq,
 )
-from spatialar.covariance import _f4_grid_sum, geom_factors
+from spatialar.covariance import _f4_grid_sum, _log_factorials, d_factor, geom_factors
 
 GRID = [(a, b)
         for a in (-0.45, -0.25, -0.1, 0.1, 0.25, 0.45)
@@ -51,9 +50,9 @@ class TestScalarConstants:
         assert sigma_sq(p) >= 1.0
 
     def test_rho_values(self):
-        assert rho_corr(ModelParams(0.5, 0.0)) == 0.0
-        assert rho_corr(ModelParams(0.0, 0.0)) == 0.0
-        assert rho_corr(ModelParams(0.25, 0.25)) == pytest.approx(0.0717968, abs=1e-7)
+        assert d_factor(ModelParams(0.5, 0.0)) == 0.0
+        assert d_factor(ModelParams(0.0, 0.0)) == 0.0
+        assert d_factor(ModelParams(0.25, 0.25)) == pytest.approx(0.0717968, abs=1e-7)
 
 
 class TestClosedForm:
@@ -311,6 +310,14 @@ def _ref_cov_binrep(p, k, l, tol=1e-12):
         total += q ** (big + 2 * i) * _ref_pmf_s(i, big + i, nu, la + i)
         i += 1
     return sign * total
+
+
+def test_log_factorial_table_equals_gammaln_bit_for_bit():
+    # the reference formulas below read gammaln; the 1e-14 tolerances of
+    # TestAgainstReferenceFormulas rest on the shared table being identical
+    table = _log_factorials(100000)[:100001]
+    ref = gammaln(np.arange(100001) + 1.0)
+    assert np.array_equal(table.view(np.int64), ref.view(np.int64))
 
 
 def _assert_rel(new, ref, rtol=1e-14):

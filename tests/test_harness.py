@@ -121,8 +121,15 @@ class TestRunCLT:
         csv2 = (tmp_path / "r2" / "errors_m16_s16.csv").read_bytes()
         assert csv1 == csv2
 
-    def test_null_pipeline_is_exactly_zero(self):
-        rep = run_clt(small_config(), use_true_theta=True)
+    def test_null_pipeline_is_exactly_zero(self, monkeypatch):
+        # every replication estimates the true (alpha, beta): each aggregate
+        # of the scaled errors must vanish exactly
+        def exact_reps(params, window, method, dist, master_seed, rep_ids,
+                       workers=1, batch_reps=None):
+            return np.array([[r, params.alpha, params.beta, 1.0, 0.0, 0.0, 0.0]
+                             for r in rep_ids])
+        monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
+        rep = run_clt(small_config())
         rec = rep.per_size[0]
         assert_allclose(rec["scaled_mean"], [0.0, 0.0])
         assert_allclose(rec["scaled_cov"], np.zeros((2, 2)))

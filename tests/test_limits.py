@@ -20,13 +20,11 @@ from spatialar import (
     condition_statistic,
     cov_closed,
     expected_B,
-    fisher_scale_constants,
     invert_spd2,
     limit_law,
     omega_n,
     psi_adjugate,
     psi_matrix,
-    sigma_alpha_sq,
     sigma_sq,
     sqrt_spd2,
     theta_matrix,
@@ -65,21 +63,6 @@ class TestPsi:
             assert psi_adjugate(BoundaryPoint.from_pair(*pair)) == psi.adjugate()
             if 0 < abs(pair[0]) < 1:
                 assert psi.det() == 0.0
-
-
-class TestScalarLimitConstants:
-    def test_sigma_alpha_sq_value(self):
-        # 2^(9/2) / (15 sqrt(pi/4)) = 22.627417 / 13.2934039
-        assert sigma_alpha_sq(0.5) == pytest.approx(1.7021537, abs=1e-6)
-
-    def test_half_is_the_minimiser(self):
-        assert sigma_alpha_sq(0.5) < sigma_alpha_sq(0.3)
-        assert sigma_alpha_sq(0.5) < sigma_alpha_sq(0.7)
-
-    def test_out_of_range(self):
-        for bad in (0.0, 1.0, -1.0, 1.5):
-            with pytest.raises(OutOfRangeError):
-                sigma_alpha_sq(bad)
 
 
 class TestOmega:
@@ -267,23 +250,3 @@ class TestScaledInformationTrends:
             scaled_expected_B(design, m, math.ceil(m**1.25)).to_array() - target))
             for m in (16, 64)]
         assert devs[1] < devs[0]
-
-
-class TestFisherScaleConstants:
-    def test_stable_point(self):
-        c = fisher_scale_constants(0.25, 0.25)
-        assert c.info_exponent == 2.0
-        assert c.sigma_sq_ab == pytest.approx(sigma_sq(ModelParams(0.25, 0.25)))
-        assert c.gamma_matrix.a12 == pytest.approx(-2.0 * c.rho)
-
-    def test_boundary_exponents(self):
-        assert fisher_scale_constants(0.25, 0.25).info_exponent == 2.0
-        assert fisher_scale_constants(0.5, 0.5).info_exponent == 2.5
-        assert fisher_scale_constants(0.5, -0.5).info_exponent == 2.5
-        assert fisher_scale_constants(1.0, 0.0).info_exponent == 3.0
-        assert fisher_scale_constants(0.0, 1.0).info_exponent == 3.0
-
-    def test_boundary_rho_is_sign(self):
-        assert fisher_scale_constants(0.5, -0.5).rho == -1.0
-        assert fisher_scale_constants(1.0, 0.0).rho == 0.0
-        assert fisher_scale_constants(0.5, -0.5).sigma_sq_ab == math.inf
