@@ -1,10 +1,11 @@
 """Experiment orchestration: replication engine, verification suites, reports.
 
-Replications are embarrassingly parallel: each one reads an independent
-counter-based stream, so results depend only on (master_seed, replication
-id) and aggregation is an ordered reduction over replication ids.  The
-number of workers must not change a single output byte; wall-clock timings
-are therefore kept out of the canonical report and written to a sidecar.
+Replications are embarrassingly parallel: each one reads its own SFC64
+stream keyed by a SeedSequence spawn key, so results depend only on
+(master_seed, replication id) and aggregation is an ordered reduction over
+replication ids.  The number of workers must not change a single output
+byte; wall-clock timings are therefore kept out of the canonical report and
+written to a sidecar.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ __all__ = [
 
 _GROUP_LAYERS = 8         # innovation layers per generator call
 _BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
+_MASK64 = (1 << 64) - 1
 
 
 class InnovationDist(enum.Enum):
@@ -54,13 +55,28 @@ class InnovationDist(enum.Enum):
     RADEMACHER = "rademacher"
     UNIFORM_UNIT_VAR = "uniform"
 
-    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+    def draw(self, gen: np.random.Generator, n: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """n innovations from ``gen``, written into ``out`` (a contiguous
+        float64 row of length n) when it is given.
+
+        Rademacher signs are the first n bits of ceil(n / 8) random bytes,
+        unpacked most significant bit first: one random bit per sign.
+        """
+        if out is None:
+            out = np.empty(n)
         if self is InnovationDist.GAUSSIAN:
-            return gen.standard_normal(n)
+            return gen.standard_normal(out=out)
         if self is InnovationDist.RADEMACHER:
-            return 2.0 * gen.integers(0, 2, n).astype(np.float64) - 1.0
+            bits = np.unpackbits(gen.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
+            np.multiply(bits, 2.0, out=out)
+            out -= 1.0
+            return out
         r = math.sqrt(3.0)
-        return gen.uniform(-r, r, n)
+        gen.random(out=out)
+        out *= 2.0 * r
+        out -= r
+        return out
 
 
 class MethodKind(enum.Enum):
@@ -122,24 +138,23 @@ class SimMethod:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based stream: draw t of replication r is a pure function of
-    (master_seed, r, t).
+    """Independent stream per replication: every draw of replication r is a
+    pure function of (master_seed, r).
 
-    Backed by a Philox generator keyed on (master_seed, replication_id), so
-    distinct replications get statistically independent streams and the
-    sequence a replication sees never depends on worker scheduling.
+    Backed by an SFC64 generator seeded by
+    ``SeedSequence(master_seed, spawn_key=(replication_id,))``, the key
+    ``SeedSequence.spawn`` gives child r, so distinct replications get
+    statistically independent streams and the sequence a replication sees
+    never depends on worker scheduling.  Both numbers are taken modulo 2^64.
     """
 
     master_seed: int
     replication_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [int(self.master_seed) & 0xFFFFFFFFFFFFFFFF,
-             int(self.replication_id) & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(int(self.master_seed) & _MASK64,
+                                     spawn_key=(int(self.replication_id) & _MASK64,))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def tail_variance_bound(q: float, margin: int) -> float:
@@ -190,11 +205,13 @@ class FieldSimulator:
     running the recursion up from layer -margin) for the boundary, plus
     O(s^2) for the sweep.
 
-    Draw layout (fixed per method, part of the determinism contract):
-    boundary_cholesky -- the s+1 normals of layer 0; boundary_series -- extended
-    innovation layers in ascending layer order (d = -margin first, up to
-    d = 0), each layer in i order; then, for both, the triangle block in
-    (d, i) order.
+    Draw layout (fixed per method, part of the determinism contract): every
+    number comes from the replication's ``RngStream``.  boundary_cholesky --
+    the s+1 normals of layer 0; boundary_series -- extended innovation
+    layers in ascending layer order (d = -margin first, up to d = 0), each
+    layer in i order; then, for both, the triangle block in (d, i) order.
+    The boundary layers and the triangle layers are each drawn in groups of
+    _GROUP_LAYERS layers, one ``InnovationDist.draw`` call per group.
     """
 
     def __init__(self, params: ModelParams, window: TriangleWindow,
@@ -228,9 +245,10 @@ class FieldSimulator:
         Every random number of a replication, boundary included, is drawn here.
 
         eps is an (R, layer_len(d)) array whose row r is drawn from gens[r],
-        each layer in i order, _GROUP_LAYERS layers per generator call: a
-        draw split into chunks continues the stream, so this equals drawing
-        the layers one by one.
+        each layer in i order.  The layers are drawn in groups of
+        _GROUP_LAYERS starting at ``lowest``, with one generator call per row
+        and group.  Rademacher signs do not continue across a split draw, so
+        the group boundaries are part of the draw layout.
         """
         w = self.window
         for d0 in range(lowest, highest + 1, _GROUP_LAYERS):
@@ -238,7 +256,7 @@ class FieldSimulator:
             lens = [w.layer_len(d) for d in group]
             block = np.empty((len(gens), sum(lens)))
             for row, gen in zip(block, gens):
-                row[:] = self.dist.draw(gen, len(row))
+                self.dist.draw(gen, len(row), out=row)
             pos = 0
             for d, n in zip(group, lens):
                 yield d, block[:, pos:pos + n]
@@ -254,12 +272,7 @@ class FieldSimulator:
     def _boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
         """(R, s+1) boundary layers; row r is drawn from gens[r]."""
         if self.method.kind is MethodKind.BOUNDARY_SERIES:
-            # the series truncated at relative depth margin is the recursion
-            # run up from layer -margin, started at eps[-margin]
-            y = None
-            for _, eps in self._layers(gens, -self.method.margin, 0):
-                y = eps if y is None else self._step(y, eps)
-            return y
+            return self._series_boundaries(gens)
         d, sig, step = self._ar1
         _, z = next(self._layers(gens, 0, 0))
         x = step * z
@@ -267,6 +280,27 @@ class FieldSimulator:
         for t in range(1, x.shape[1]):
             x[:, t] += d * x[:, t - 1]
         return x
+
+    def _series_boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
+        # the series truncated at relative depth margin is the recursion run
+        # up from layer -margin, started at eps[-margin].  Each layer is one
+        # shorter than the last, so the layers alternate between the fronts
+        # of two flat buffers, with a third for the beta term.  A step
+        # allocates nothing, rounds as _step and writes C-contiguous arrays
+        # (numpy writes strided 2-D views about 2x slower)
+        a, b = self.params.alpha, self.params.beta
+        layers = self._layers(gens, -self.method.margin, 0)
+        _, prev = next(layers)
+        bufs = np.empty((3, prev.size))
+        for k, (_, eps) in enumerate(layers):
+            y = bufs[k % 2, :eps.size].reshape(eps.shape)
+            tail = bufs[2, :eps.size].reshape(eps.shape)
+            np.multiply(prev[:, :-1], a, out=y)
+            np.multiply(prev[:, 1:], b, out=tail)
+            y += tail
+            y += eps
+            prev = y
+        return prev
 
     def sweep(self, streams: list[RngStream]):
         """Run a batch of replications up the triangle, one layer at a time.

@@ -6,6 +6,7 @@ public names at module level, so removing or renaming one of them breaks
 every traced benchmark run.  This check catches that in the test suite.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,35 @@ def test_tracer_installs_on_the_package():
     proc = subprocess.run([sys.executable, "-c", _INSTALL], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_SWEEP = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+import tracing
+from spatialar.model import ModelParams, TriangleWindow
+from spatialar.simulate import FieldSimulator, InnovationDist, RngStream, SimMethod
+tracer = tracing.Tracer()
+tracing.install(tracer)
+counts = {}
+for dist in InnovationDist:
+    method = (SimMethod.boundary_cholesky() if dist is InnovationDist.GAUSSIAN
+              else SimMethod.boundary_series(3))
+    sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(10), method, dist)
+    before = len(tracer.spans)
+    list(sim.sweep([RngStream(1, 0), RngStream(1, 1)]))
+    counts[dist.value] = sum(s[0] == "simulate.rng" for s in tracer.spans[before:])
+print(json.dumps(counts))
+"""
+
+
+def test_sweep_draws_are_traced_as_rng_spans():
+    # the tracer times simulate.rng by wrapping the Generator each RngStream
+    # returns, so every draw must go through a Generator method: per stream,
+    # one span for the generator, one for the boundary group (4 series
+    # layers at margin 3) and one per group of 8 triangle layers (s = 10)
+    proc = subprocess.run([sys.executable, "-c", _SWEEP], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 4, "uniform": 2 * 4}

@@ -53,6 +53,32 @@ class TestDraws:
         b = RngStream(5, 3).generator().standard_normal(4)
         assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 3), (2**40 + 1, 12345)])
+    def test_stream_is_sfc64_keyed_by_spawn_key(self, seed, rep):
+        # replication r's stream is child r of SeedSequence(master_seed)
+        ours = RngStream(seed, rep).generator().standard_normal(6)
+        keyed = np.random.SeedSequence(seed, spawn_key=(rep,))
+        assert_array_equal(
+            ours, np.random.Generator(np.random.SFC64(keyed)).standard_normal(6))
+        child = np.random.SeedSequence(seed).spawn(rep + 1)[rep]
+        assert_array_equal(
+            ours, np.random.Generator(np.random.SFC64(child)).standard_normal(6))
+
+    @pytest.mark.parametrize("n", [1, 8, 13, 1000])
+    def test_signs_are_unpacked_bits_of_the_stream(self, n):
+        signs = InnovationDist.RADEMACHER.draw(RngStream(7, 2).generator(), n)
+        assert signs.dtype == np.float64 and signs.shape == (n,)
+        assert np.all((signs == 1.0) | (signs == -1.0))
+        assert_array_equal(signs, _signs(RngStream(7, 2).generator(), n))
+
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_draw_into_row_matches_fresh_draw(self, dist):
+        block = np.full((2, 9), np.nan)
+        out = dist.draw(RngStream(3, 1).generator(), 9, out=block[1])
+        assert np.shares_memory(out, block[1])
+        assert_array_equal(block[1], dist.draw(RngStream(3, 1).generator(), 9))
+        assert np.all(np.isnan(block[0]))
+
 
 class TestSimulate:
     def test_determinism_bit_identical(self):
@@ -67,11 +93,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
     def test_chunked_draws_continue_the_stream(self, dist):
-        # the samplers split the layout's draws into chunks of any size
+        # normals and uniforms continue the stream across a split draw; each
+        # Rademacher draw starts on a fresh byte, so its chunks are the signs
+        # of whole bytes drawn chunk by chunk
+        sizes = (7, 6, 1, 13)
         gen = RngStream(8, 1).generator()
-        chunks = [dist.draw(gen, n) for n in (7, 6, 1, 13)]
-        whole = dist.draw(RngStream(8, 1).generator(), 27)
-        assert_array_equal(np.concatenate(chunks), whole)
+        chunks = np.concatenate([dist.draw(gen, n) for n in sizes])
+        ref = RngStream(8, 1).generator()
+        if dist is InnovationDist.RADEMACHER:
+            whole = np.concatenate([_signs(ref, n) for n in sizes])
+        else:
+            whole = dist.draw(ref, sum(sizes))
+        assert_array_equal(chunks, whole)
 
     @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
     def test_draw_layout_layer_by_layer(self, dist):
@@ -88,7 +121,7 @@ class TestSimulate:
         if gaussian:
             gen.standard_normal(w.s + 1)
         else:
-            below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
+            below = _layout_draws(dist, gen, w, -margin, 0)
             drawn = dict(sim._layers([RngStream(4, 2).generator()], -margin, 0))
             assert drawn.keys() == below.keys()
             for d, eps in drawn.items():
@@ -99,7 +132,8 @@ class TestSimulate:
             assert_array_equal(f.values[0], y)
             series = _series_reference(p, margin, below)
             assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
-        assert_array_equal(np.concatenate(f.innovations), dist.draw(gen, w.s * (w.s + 1) // 2))
+        triangle = _layout_draws(dist, gen, w, 1, w.s)
+        assert_array_equal(np.concatenate(f.innovations), np.concatenate(list(triangle.values())))
 
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
@@ -137,6 +171,24 @@ class TestSimulate:
         assert f.max_recursion_residual() <= 1e-15
 
 
+def _signs(gen, n):
+    # the Rademacher layout: the first n bits of ceil(n / 8) random bytes
+    bits = np.unpackbits(gen.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
+    return 2.0 * bits - 1.0
+
+
+def _layout_draws(dist, gen, w, lowest, highest):
+    # layers lowest .. highest as the sampler draws them: one draw per group
+    # of _GROUP_LAYERS layers, split into the layers in ascending order
+    layers = {}
+    for d0 in range(lowest, highest + 1, _GROUP_LAYERS):
+        group = range(d0, min(d0 + _GROUP_LAYERS, highest + 1))
+        block = dist.draw(gen, sum(w.layer_len(d) for d in group))
+        for d in group:
+            layers[d], block = block[:w.layer_len(d)], block[w.layer_len(d):]
+    return layers
+
+
 def _series_reference(p, margin, below):
     # the boundary as the term-by-term truncated series over the same draws,
     # sum_t (a S_0 + b S_1)^t eps[-t]: term t correlates layer -t with the
@@ -167,8 +219,7 @@ class TestSeriesBoundary:
         batch = sim._boundaries([st.generator() for st in streams])
         assert batch.shape == (len(streams), w.s + 1)
         for row, st in zip(batch, streams):
-            gen = st.generator()
-            below = {d: dist.draw(gen, w.layer_len(d)) for d in range(-margin, 1)}
+            below = _layout_draws(dist, st.generator(), w, -margin, 0)
             series = _series_reference(p, margin, below)
             assert np.max(np.abs(row - series)) <= 1e-13 * np.max(np.abs(series))
 
