@@ -47,7 +47,16 @@ from .model import (
     TriangleWindow,
     _real,
 )
-from .simulate import FieldSimulator, InnovationDist, RngStream, SimMethod, batch_size
+from .simulate import (
+    FieldSimulator,
+    InnovationDist,
+    MethodKind,
+    RngStream,
+    SimMethod,
+    batch_size,
+    series_margin,
+    tail_variance_bound,
+)
 
 __all__ = [
     "Tolerances", "ExperimentConfig", "ExperimentReport", "run_clt",
@@ -322,6 +331,15 @@ class ExperimentReport:
         return report_path
 
 
+def _series_diagnostics(method: SimMethod, params: ModelParams) -> dict:
+    """The truncation margin of a series boundary and its tail-variance bound."""
+    if method.kind is not MethodKind.BOUNDARY_SERIES:
+        return {}
+    margin = series_margin(method, params)
+    return {"series_margin": margin,
+            "series_tail_bound": tail_variance_bound(params.q, margin)}
+
+
 def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the CLT experiment over the configured size ladder.
 
@@ -411,7 +429,8 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         raw_all.append(scaled_rows)
         elapsed = time.perf_counter() - t0
         timing.append({"m": m, "s": s, "elapsed_s": elapsed,
-                       "reps_per_s": config.reps / elapsed, "batch_reps": batch})
+                       "reps_per_s": config.reps / elapsed, "batch_reps": batch,
+                       **_series_diagnostics(config.method, params)})
     report = ExperimentReport(config, per_size, raw_all, passed, timing)
     if config.out_dir:
         report.write(config.out_dir)

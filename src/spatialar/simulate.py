@@ -23,7 +23,13 @@ of summing the series term by term.
 Both methods are a boundary draw followed by that sweep, and both run a
 batch of replications at once (``FieldSimulator.sweep``): every replication
 draws from its own stream in its own row, so a batch reproduces each
-replication's draws exactly.
+replication's draws exactly.  A replication's draws are two spans of layers,
+the boundary and then the triangle, and each span is one draw of its whole
+length split into layers (``FieldSimulator._layers``), so neither the batch
+size nor the number of layers made at once changes a value.  Rademacher
+signs take one generator call per replication and span: the span's bytes
+are held packed, at one bit per sign, and unpacked for the whole batch a
+group of layers at a time.
 """
 
 from __future__ import annotations
@@ -40,10 +46,11 @@ from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
     "InnovationDist", "MethodKind", "SimMethod", "RngStream",
-    "tail_variance_bound", "FieldSimulator", "batch_size", "deterministic_field",
+    "tail_variance_bound", "series_margin", "FieldSimulator", "batch_size",
+    "deterministic_field",
 ]
 
-_GROUP_LAYERS = 8         # innovation layers per generator call
+_GROUP_LAYERS = 8         # innovation layers made as one float64 block
 _BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
 _MASK64 = (1 << 64) - 1
 
@@ -68,15 +75,29 @@ class InnovationDist(enum.Enum):
         if self is InnovationDist.GAUSSIAN:
             return gen.standard_normal(out=out)
         if self is InnovationDist.RADEMACHER:
-            bits = np.unpackbits(gen.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
-            np.multiply(bits, 2.0, out=out)
-            out -= 1.0
+            _unpack_signs(_sign_bytes(gen, n)[None], 0, out[None])
             return out
         r = math.sqrt(3.0)
         gen.random(out=out)
         out *= 2.0 * r
         out -= r
         return out
+
+
+def _sign_bytes(gen: np.random.Generator, n: int) -> np.ndarray:
+    """The ceil(n / 8) random bytes that carry n Rademacher signs."""
+    return gen.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+
+
+def _unpack_signs(packed: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Write signs start .. start + n - 1 of every row of ``packed`` (R, bytes)
+    into ``out`` (R, n): bit 1 is +1 and bit 0 is -1, most significant bit
+    of each byte first."""
+    first, skip = divmod(start, 8)
+    n = out.shape[1]
+    bits = np.unpackbits(packed[:, first:(start + n + 7) // 8], axis=1)
+    np.multiply(bits[:, skip:skip + n], 2.0, out=out)
+    out -= 1.0
 
 
 class MethodKind(enum.Enum):
@@ -169,7 +190,7 @@ def tail_variance_bound(q: float, margin: int) -> float:
     return q ** (2 * (margin + 1)) / (1.0 - q * q)
 
 
-def _series_margin(method: SimMethod, params: ModelParams | None) -> int:
+def series_margin(method: SimMethod, params: ModelParams | None) -> int:
     """Truncation depth of a series method: its own ``margin``, or by default
     the smallest one whose tail variance bound is below 1e-12."""
     if method.margin is not None:
@@ -184,12 +205,14 @@ def batch_size(method: SimMethod, s: int, params: ModelParams | None = None) -> 
 
     One draw group of the batch (_GROUP_LAYERS layers of the widest drawn
     layer per replication: s + 1 points, or s + 1 + margin for the series
-    boundary) stays within 1 MiB of float64.  ``params`` resolves the
-    default margin of boundary_series.
+    boundary) stays within 1 MiB of float64.  Rademacher signs add the
+    packed bytes of a whole span, 1/64 of its float64 size: about 25 KB per
+    replication, 600 KB per batch, for the series boundary at s = 181.
+    ``params`` resolves the default margin of boundary_series.
     """
     width = s + 1
     if method.kind is MethodKind.BOUNDARY_SERIES:
-        width += _series_margin(method, params)
+        width += series_margin(method, params)
     return max(1, _BATCH_FLOATS // (_GROUP_LAYERS * width))
 
 
@@ -206,12 +229,12 @@ class FieldSimulator:
     O(s^2) for the sweep.
 
     Draw layout (fixed per method, part of the determinism contract): every
-    number comes from the replication's ``RngStream``.  boundary_cholesky --
-    the s+1 normals of layer 0; boundary_series -- extended innovation
-    layers in ascending layer order (d = -margin first, up to d = 0), each
-    layer in i order; then, for both, the triangle block in (d, i) order.
-    The boundary layers and the triangle layers are each drawn in groups of
-    _GROUP_LAYERS layers, one ``InnovationDist.draw`` call per group.
+    number comes from the replication's ``RngStream``, in two spans.  The
+    boundary span: boundary_cholesky -- the s+1 normals of layer 0;
+    boundary_series -- extended innovation layers in ascending layer order
+    (d = -margin first, up to d = 0), each layer in i order.  Then, for
+    both, the triangle span in (d, i) order.  Each span is exactly one
+    ``InnovationDist.draw`` of its total length, split into layers.
     """
 
     def __init__(self, params: ModelParams, window: TriangleWindow,
@@ -237,7 +260,7 @@ class FieldSimulator:
             sig = math.sqrt(sigma_sq(params))
             self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
         else:
-            self.method = SimMethod(method.kind, _series_margin(method, params))
+            self.method = SimMethod(method.kind, series_margin(method, params))
 
     def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
@@ -245,20 +268,32 @@ class FieldSimulator:
         Every random number of a replication, boundary included, is drawn here.
 
         eps is an (R, layer_len(d)) array whose row r is drawn from gens[r],
-        each layer in i order.  The layers are drawn in groups of
-        _GROUP_LAYERS starting at ``lowest``, with one generator call per row
-        and group.  Rademacher signs do not continue across a split draw, so
-        the group boundaries are part of the draw layout.
+        each layer in i order.  Row r of the span is exactly
+        ``self.dist.draw(gens[r], N)``, N the total length of the layers,
+        split into the layers.  Rademacher signs take one generator call per
+        row for the whole span: its ceil(N / 8) bytes are held packed, 1/64
+        of the span's float64 size, and unpacked for the whole batch one
+        group at a time.  Normals and uniforms are drawn row by row per
+        group, and continue the stream across groups.  The float64 layers
+        are made in groups of _GROUP_LAYERS, which bounds their memory and
+        does not change the values.
         """
-        w = self.window
-        for d0 in range(lowest, highest + 1, _GROUP_LAYERS):
-            group = range(d0, min(d0 + _GROUP_LAYERS, highest + 1))
-            lens = [w.layer_len(d) for d in group]
-            block = np.empty((len(gens), sum(lens)))
-            for row, gen in zip(block, gens):
-                self.dist.draw(gen, len(row), out=row)
+        lens = [self.window.layer_len(d) for d in range(lowest, highest + 1)]
+        packed = None
+        if self.dist is InnovationDist.RADEMACHER:
+            packed = np.stack([_sign_bytes(gen, sum(lens)) for gen in gens])
+        start = 0
+        for k in range(0, len(lens), _GROUP_LAYERS):
+            group = lens[k:k + _GROUP_LAYERS]
+            block = np.empty((len(gens), sum(group)))
+            if packed is None:
+                for row, gen in zip(block, gens):
+                    self.dist.draw(gen, len(row), out=row)
+            else:
+                _unpack_signs(packed, start, block)
+            start += block.shape[1]
             pos = 0
-            for d, n in zip(group, lens):
+            for d, n in enumerate(group, lowest + k):
                 yield d, block[:, pos:pos + n]
                 pos += n
 

@@ -36,25 +36,35 @@ from spatialar.model import ModelParams, TriangleWindow
 from spatialar.simulate import FieldSimulator, InnovationDist, RngStream, SimMethod
 tracer = tracing.Tracer()
 tracing.install(tracer)
+
+def rng_spans(size, method, dist):
+    sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(size), method, dist)
+    before = len(tracer.spans)
+    list(sim.sweep([RngStream(1, 0), RngStream(1, 1)]))
+    return sum(span[0] == "simulate.rng" for span in tracer.spans[before:])
+
 counts = {}
 for dist in InnovationDist:
     method = (SimMethod.boundary_cholesky() if dist is InnovationDist.GAUSSIAN
               else SimMethod.boundary_series(3))
-    sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(10), method, dist)
-    before = len(tracer.spans)
-    list(sim.sweep([RngStream(1, 0), RngStream(1, 1)]))
-    counts[dist.value] = sum(s[0] == "simulate.rng" for s in tracer.spans[before:])
+    counts[dist.value] = rng_spans(10, method, dist)
+counts["rademacher_s40"] = rng_spans(40, SimMethod.boundary_series(30),
+                                     InnovationDist.RADEMACHER)
 print(json.dumps(counts))
 """
 
 
 def test_sweep_draws_are_traced_as_rng_spans():
     # the tracer times simulate.rng by wrapping the Generator each RngStream
-    # returns, so every draw must go through a Generator method: per stream,
-    # one span for the generator, one for the boundary group (4 series
-    # layers at margin 3) and one per group of 8 triangle layers (s = 10)
+    # returns, so every draw must go through a Generator method.  Per stream,
+    # normals and uniforms take one span for the generator, one for the
+    # boundary group (4 series layers at margin 3) and one per group of 8
+    # triangle layers (s = 10).  Signs take one span for the generator, one
+    # for the boundary and one for the triangle, however long the spans
+    # are: at s = 40 and margin 30 they span 4 and 5 groups
     proc = subprocess.run([sys.executable, "-c", _SWEEP], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 4, "uniform": 2 * 4}
+    assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 3, "uniform": 2 * 4,
+                      "rademacher_s40": 2 * 3}

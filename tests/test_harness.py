@@ -22,6 +22,7 @@ from spatialar import (
     TriangleWindow,
     lse,
     run_clt,
+    tail_variance_bound,
     verify_covlim,
     verify_detB,
     verify_prop1,
@@ -177,9 +178,27 @@ class TestRunCLT:
         rung = timing["per_size"][0]
         assert rung["batch_reps"] == batch_size(SimMethod(), 16)
         assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
+        assert "series_margin" not in rung and "series_tail_bound" not in rung
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
         assert header == "rep_id,alpha_hat,beta_hat,scaled_err_a,scaled_err_b"
+
+    @pytest.mark.parametrize("margin", [None, 40])
+    def test_series_timing_reports_margin_and_tail_bound(self, tmp_path, margin):
+        method = SimMethod.boundary_series(margin)
+        cfg = small_config(ladder=[(16, 16), (24, 24)], method=method,
+                           dist=InnovationDist.RADEMACHER, out_dir=str(tmp_path / "out"))
+        run_clt(cfg)
+        timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+        for (m, s), rung in zip(cfg.ladder, timing["per_size"]):
+            params = cfg.design.params_at(m)
+            sim = FieldSimulator(params, TriangleWindow.balanced(s), method,
+                                 InnovationDist.RADEMACHER)
+            assert rung["series_margin"] == sim.method.margin
+            assert rung["series_tail_bound"] == tail_variance_bound(params.q, sim.method.margin)
+        # the diagnostics go to the sidecar only
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all("series_margin" not in rec for rec in report["per_size"])
 
 
 class TestBatchedEngine:

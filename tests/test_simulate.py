@@ -108,9 +108,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
     def test_draw_layout_layer_by_layer(self, dist):
-        # the sweep draws the series layers and the triangle in groups of
-        # layers; both must equal the layout's draws, and the series
-        # boundary is the recursion run up from layer -margin over them
+        # the sweep draws the series layers and the triangle as two spans;
+        # both must equal the layout's draws, and the series boundary is the
+        # recursion run up from layer -margin over them
         p, w, margin = ModelParams(0.4, 0.3), TriangleWindow.balanced(21), 5
         gaussian = dist is InnovationDist.GAUSSIAN
         method = (SimMethod.boundary_cholesky() if gaussian
@@ -134,6 +134,22 @@ class TestSimulate:
             assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
         triangle = _layout_draws(dist, gen, w, 1, w.s)
         assert_array_equal(np.concatenate(f.innovations), np.concatenate(list(triangle.values())))
+
+    @pytest.mark.parametrize("method, dist", [
+        (SimMethod.boundary_cholesky(), InnovationDist.GAUSSIAN),
+        *[(SimMethod.boundary_series(20), dist) for dist in InnovationDist],
+    ], ids=lambda v: v.describe() if isinstance(v, SimMethod) else v.value)
+    def test_group_size_does_not_change_the_draws(self, monkeypatch, method, dist):
+        # _GROUP_LAYERS bounds memory only: at s = 21 the 21 margin layers
+        # and 21 triangle layers span several groups at every size but 50
+        sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(21), method, dist)
+        outputs = set()
+        for group in (1, 3, 8, 50):
+            monkeypatch.setattr("spatialar.simulate._GROUP_LAYERS", group)
+            f = sim.sample(RngStream(4, 2))
+            outputs.add((np.concatenate(f.values).tobytes(),
+                         np.concatenate(f.innovations).tobytes()))
+        assert len(outputs) == 1
 
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
@@ -178,14 +194,13 @@ def _signs(gen, n):
 
 
 def _layout_draws(dist, gen, w, lowest, highest):
-    # layers lowest .. highest as the sampler draws them: one draw per group
-    # of _GROUP_LAYERS layers, split into the layers in ascending order
+    # layers lowest .. highest as the sampler draws them: one draw of the
+    # whole span, split into the layers in ascending order
+    span = range(lowest, highest + 1)
+    block = dist.draw(gen, sum(w.layer_len(d) for d in span))
     layers = {}
-    for d0 in range(lowest, highest + 1, _GROUP_LAYERS):
-        group = range(d0, min(d0 + _GROUP_LAYERS, highest + 1))
-        block = dist.draw(gen, sum(w.layer_len(d) for d in group))
-        for d in group:
-            layers[d], block = block[:w.layer_len(d)], block[w.layer_len(d):]
+    for d in span:
+        layers[d], block = block[:w.layer_len(d)], block[w.layer_len(d):]
     return layers
 
 
