@@ -45,10 +45,6 @@ class Matrix2:
     def symmetric(cls, diag: float, off: float) -> "Matrix2":
         return cls(diag, off, off, diag)
 
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def to_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]])
 

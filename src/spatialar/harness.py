@@ -53,8 +53,6 @@ from .simulate import (
     MethodKind,
     RngStream,
     SimMethod,
-    batch_size,
-    series_margin,
     tail_variance_bound,
 )
 
@@ -223,36 +221,32 @@ def _row(rep: int, sums, window: TriangleWindow) -> tuple:
 def _simulate_chunk(payload) -> np.ndarray:
     """Worker body: rows (rep_id, alpha_hat, beta_hat, ok, detB, score1, score2).
 
-    Runs ``batch`` replications per sweep and reduces each layer as it is
-    made, without storing fields; a row is bit-identical to
+    Runs ``sim.batch`` replications per sweep and reduces each layer as it
+    is made, without storing fields; a row is bit-identical to
     ``lse(sim.sample(RngStream(master_seed, rep)))``.
     """
-    params, window, method, dist, master_seed, batch, rep_ids = payload
-    sim = FieldSimulator(params, window, method, dist)
+    sim, master_seed, rep_ids = payload
     rows = []
-    for start in range(0, len(rep_ids), batch):
-        ids = rep_ids[start:start + batch]
+    for start in range(0, len(rep_ids), sim.batch):
+        ids = rep_ids[start:start + sim.batch]
         streams = [RngStream(master_seed, rep) for rep in ids]
         sums = accumulate(sim.sweep(streams), len(ids))
-        rows += [_row(rep, row, window) for rep, row in zip(ids, sums)]
+        rows += [_row(rep, row, sim.window) for rep, row in zip(ids, sums)]
     return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
 
 
-def _run_reps(params: ModelParams, window: TriangleWindow, method: SimMethod,
-              dist: InnovationDist, master_seed: int, rep_ids: list[int],
-              workers: int = 1, batch_reps: int | None = None) -> np.ndarray:
+def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
+              workers: int = 1) -> np.ndarray:
     """Result rows of ``rep_ids`` in id order; identical for any worker count
-    and any ``batch_reps`` (default: ``batch_size`` for the method)."""
-    batch = batch_reps or batch_size(method, window.s, params)
-    payload_base = (params, window, method, dist, master_seed, batch)
+    and any ``sim.batch``."""
     if workers <= 1 or len(rep_ids) < 2 * workers:
-        rows = _simulate_chunk(payload_base + (rep_ids,))
+        rows = _simulate_chunk((sim, master_seed, rep_ids))
     else:
         chunks = [[int(r) for r in c]
                   for c in np.array_split(rep_ids, workers) if len(c)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk,
-                                  [payload_base + (c,) for c in chunks]))
+                                  [(sim, master_seed, c) for c in chunks]))
         rows = np.concatenate(parts, axis=0)
     # ordered reduction: aggregate strictly by replication id, not arrival
     return rows[np.argsort(rows[:, 0], kind="stable")]
@@ -264,8 +258,8 @@ def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     params_at(m) on the balanced window with sum s."""
     if reps < 1:
         raise ConfigError("reps must be positive")
-    rows = _run_reps(design.params_at(m), TriangleWindow.balanced(s), SimMethod(),
-                     InnovationDist.GAUSSIAN, master_seed, list(range(reps)), workers)
+    sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
+    rows = _run_reps(sim, master_seed, list(range(reps)), workers)
     return rows[rows[:, 3] == 1.0]
 
 
@@ -331,15 +325,6 @@ class ExperimentReport:
         return report_path
 
 
-def _series_diagnostics(method: SimMethod, params: ModelParams) -> dict:
-    """The truncation margin of a series boundary and its tail-variance bound."""
-    if method.kind is not MethodKind.BOUNDARY_SERIES:
-        return {}
-    margin = series_margin(method, params)
-    return {"series_margin": margin,
-            "series_tail_bound": tail_variance_bound(params.q, margin)}
-
-
 def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the CLT experiment over the configured size ladder.
 
@@ -358,11 +343,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     for idx, (m, s) in enumerate(config.ladder):
         t0 = time.perf_counter()
         params = design.params_at(m)
-        window = TriangleWindow.balanced(s)
+        sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
+                             config.dist)
         rep_ids = [idx * config.reps + r for r in range(config.reps)]
-        batch = batch_size(config.method, s, params)
-        rows = _run_reps(params, window, config.method, config.dist,
-                         config.master_seed, rep_ids, workers, batch)
+        rows = _run_reps(sim, config.master_seed, rep_ids, workers)
         ok = rows[:, 3] == 1.0
         n_singular = int(len(rows) - np.sum(ok))
         if n_singular > 0.01 * config.reps:
@@ -428,9 +412,14 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                                        rate * (rows[:, 2] - params.beta)])
         raw_all.append(scaled_rows)
         elapsed = time.perf_counter() - t0
-        timing.append({"m": m, "s": s, "elapsed_s": elapsed,
-                       "reps_per_s": config.reps / elapsed, "batch_reps": batch,
-                       **_series_diagnostics(config.method, params)})
+        rung = {"m": m, "s": s, "elapsed_s": elapsed,
+                "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch}
+        if sim.method.kind is MethodKind.BOUNDARY_SERIES:
+            rung["series_margin"] = sim.method.margin
+            rung["series_tail_bound"] = tail_variance_bound(params.q, sim.method.margin)
+        if law.case_tag is not CaseTag.INTERIOR:
+            rung["omega_settled"] = law.omega_settled
+        timing.append(rung)
     report = ExperimentReport(config, per_size, raw_all, passed, timing)
     if config.out_dir:
         report.write(config.out_dir)

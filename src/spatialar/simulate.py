@@ -20,21 +20,24 @@ series is the recursion itself run up from layer -margin, started at
 eps[-margin], so a boundary costs O(margin * s) rather than the O(margin^2 * s)
 of summing the series term by term.
 
-Both methods are a boundary draw followed by that sweep, and both run a
-batch of replications at once (``FieldSimulator.sweep``): every replication
-draws from its own stream in its own row, so a batch reproduces each
-replication's draws exactly.  A replication's draws are two spans of layers,
-the boundary and then the triangle, and each span is one draw of its whole
-length split into layers (``FieldSimulator._layers``), so neither the batch
-size nor the number of layers made at once changes a value.  Rademacher
-signs take one generator call per replication and span: the span's bytes
-are held packed, at one bit per sign, and unpacked for the whole batch a
-group of layers at a time.
+Both methods run one recursion loop for a batch of replications at once
+(``FieldSimulator.sweep``): it starts at layer ``lowest`` (-margin for the
+series, 0 for Cholesky, whose start layer is coloured by the AR(1)
+recursion first) and steps up to layer s.  Every replication draws from its
+own stream in its own row, so a batch reproduces each replication's draws
+exactly.  A replication's draws are two spans of layers, the boundary
+(layers lowest .. 0) and then the triangle, and each span is one draw of its
+whole length split into layers (``FieldSimulator._layers``), so neither the
+batch size nor the number of layers made at once changes a value.
+Rademacher signs take one generator call per replication and span: the
+span's bytes are held packed, at one bit per sign, and unpacked for the
+whole batch a group of layers at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,8 +49,7 @@ from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
     "InnovationDist", "MethodKind", "SimMethod", "RngStream",
-    "tail_variance_bound", "series_margin", "FieldSimulator", "batch_size",
-    "deterministic_field",
+    "tail_variance_bound", "FieldSimulator", "deterministic_field",
 ]
 
 _GROUP_LAYERS = 8         # innovation layers made as one float64 block
@@ -117,8 +119,12 @@ class SimMethod:
     margin: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, MethodKind):
+            raise ConfigError(f"sampling method kind must be a MethodKind, got {self.kind!r}")
         if self.margin is None:
             return
+        if isinstance(self.margin, bool) or not isinstance(self.margin, (int, np.integer)):
+            raise ConfigError(f"series margin must be an integer, got {self.margin!r}")
         if self.kind is not MethodKind.BOUNDARY_SERIES:
             raise ConfigError(f"{self.kind.value} takes no margin")
         if self.margin < 0:
@@ -190,50 +196,31 @@ def tail_variance_bound(q: float, margin: int) -> float:
     return q ** (2 * (margin + 1)) / (1.0 - q * q)
 
 
-def series_margin(method: SimMethod, params: ModelParams | None) -> int:
-    """Truncation depth of a series method: its own ``margin``, or by default
-    the smallest one whose tail variance bound is below 1e-12."""
-    if method.margin is not None:
-        return method.margin
-    if params is None:
-        raise ValueError(f"{method.kind.value} needs params to resolve its default margin")
-    return oracle_margin(params.q, 1e-12)
-
-
-def batch_size(method: SimMethod, s: int, params: ModelParams | None = None) -> int:
-    """Replications to sweep together on a window with sum s.
-
-    One draw group of the batch (_GROUP_LAYERS layers of the widest drawn
-    layer per replication: s + 1 points, or s + 1 + margin for the series
-    boundary) stays within 1 MiB of float64.  Rademacher signs add the
-    packed bytes of a whole span, 1/64 of its float64 size: about 25 KB per
-    replication, 600 KB per batch, for the series boundary at s = 181.
-    ``params`` resolves the default margin of boundary_series.
-    """
-    width = s + 1
-    if method.kind is MethodKind.BOUNDARY_SERIES:
-        width += series_margin(method, params)
-    return max(1, _BATCH_FLOATS // (_GROUP_LAYERS * width))
-
-
 class FieldSimulator:
     """Reusable sampler for one (params, window, method, dist) combination.
 
-    Every method draws a boundary layer and then sweeps the recursion up the
-    triangle.  Set-up holds only what is replication-invariant (the AR(1)
-    boundary coefficients, or the resolved series margin) and is O(1), so
-    ``sample`` is a pure function of the stream and replications may run
-    concurrently in any order.  A draw costs O(s) (boundary_cholesky) or
-    O(margin * s) (boundary_series: the truncated series evaluated by
-    running the recursion up from layer -margin) for the boundary, plus
-    O(s^2) for the sweep.
+    Every method runs one recursion loop up from layer ``lowest``: -margin
+    for boundary_series, whose truncated moving-average series is the
+    recursion started at eps[-margin], and 0 for boundary_cholesky, whose
+    start layer is coloured by the AR(1) recursion.  Set-up holds only what
+    is replication-invariant (the AR(1) boundary coefficients or the
+    resolved series margin, and the batch size) and is O(1), so ``sample``
+    is a pure function of the stream and replications may run concurrently
+    in any order.  A draw costs O(s) (boundary_cholesky) or O(margin * s)
+    (boundary_series) for the boundary, plus O(s^2) for the triangle.
+
+    ``batch`` is the number of replications to sweep together: one draw
+    group of the batch (_GROUP_LAYERS layers of the widest drawn layer per
+    replication, s + 1 + margin points) stays within 1 MiB of float64.
+    Rademacher signs add the packed bytes of a whole span, 1/64 of its
+    float64 size: about 25 KB per replication, 600 KB per batch, for the
+    series boundary at s = 181.
 
     Draw layout (fixed per method, part of the determinism contract): every
     number comes from the replication's ``RngStream``, in two spans.  The
-    boundary span: boundary_cholesky -- the s+1 normals of layer 0;
-    boundary_series -- extended innovation layers in ascending layer order
-    (d = -margin first, up to d = 0), each layer in i order.  Then, for
-    both, the triangle span in (d, i) order.  Each span is exactly one
+    boundary span: layers lowest .. 0 in ascending order, each layer in i
+    order (boundary_cholesky: the s+1 normals of layer 0).  Then the
+    triangle span in (d, i) order.  Each span is exactly one
     ``InnovationDist.draw`` of its total length, split into layers.
     """
 
@@ -259,8 +246,11 @@ class FieldSimulator:
             d = d_factor(params)
             sig = math.sqrt(sigma_sq(params))
             self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
-        else:
-            self.method = SimMethod(method.kind, series_margin(method, params))
+        elif method.margin is None:
+            # the smallest margin whose tail variance bound is below 1e-12
+            self.method = SimMethod(method.kind, oracle_margin(params.q, 1e-12))
+        width = window.s + 1 + (self.method.margin or 0)
+        self.batch = max(1, _BATCH_FLOATS // (_GROUP_LAYERS * width))
 
     def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
@@ -304,38 +294,15 @@ class FieldSimulator:
         y += eps
         return y
 
-    def _boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
-        """(R, s+1) boundary layers; row r is drawn from gens[r]."""
-        if self.method.kind is MethodKind.BOUNDARY_SERIES:
-            return self._series_boundaries(gens)
+    def _colour(self, z: np.ndarray) -> np.ndarray:
+        # the boundary_cholesky boundary from its s+1 normals: the O(s)
+        # Cholesky factor of the AR(1) boundary covariance
         d, sig, step = self._ar1
-        _, z = next(self._layers(gens, 0, 0))
         x = step * z
         x[:, 0] = sig * z[:, 0]
         for t in range(1, x.shape[1]):
             x[:, t] += d * x[:, t - 1]
         return x
-
-    def _series_boundaries(self, gens: list[np.random.Generator]) -> np.ndarray:
-        # the series truncated at relative depth margin is the recursion run
-        # up from layer -margin, started at eps[-margin].  Each layer is one
-        # shorter than the last, so the layers alternate between the fronts
-        # of two flat buffers, with a third for the beta term.  A step
-        # allocates nothing, rounds as _step and writes C-contiguous arrays
-        # (numpy writes strided 2-D views about 2x slower)
-        a, b = self.params.alpha, self.params.beta
-        layers = self._layers(gens, -self.method.margin, 0)
-        _, prev = next(layers)
-        bufs = np.empty((3, prev.size))
-        for k, (_, eps) in enumerate(layers):
-            y = bufs[k % 2, :eps.size].reshape(eps.shape)
-            tail = bufs[2, :eps.size].reshape(eps.shape)
-            np.multiply(prev[:, :-1], a, out=y)
-            np.multiply(prev[:, 1:], b, out=tail)
-            y += tail
-            y += eps
-            prev = y
-        return prev
 
     def sweep(self, streams: list[RngStream]):
         """Run a batch of replications up the triangle, one layer at a time.
@@ -343,15 +310,21 @@ class FieldSimulator:
         Yields (prev, y, eps) for d = 1 .. s: layer d - 1, layer d and the
         innovations of layer d, each an (R, .) array whose row r belongs to
         streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
-        in the same order: the boundary, then the triangle block in (d, i)
-        order (see ``_layers``).  The yielded arrays are not modified
-        afterwards.
+        in the same order: the boundary span, then the triangle span (see
+        ``_layers``).  The first yielded prev is the boundary.  The yielded
+        arrays are not modified afterwards.
         """
         gens = [stream.generator() for stream in streams]
-        prev = self._boundaries(gens)
-        for _, eps in self._layers(gens, 1, self.window.s):
+        lowest = -(self.method.margin or 0)
+        layers = itertools.chain(self._layers(gens, lowest, 0),
+                                 self._layers(gens, 1, self.window.s))
+        _, prev = next(layers)
+        if self._ar1 is not None:
+            prev = self._colour(prev)
+        for d, eps in layers:
             y = self._step(prev, eps)
-            yield prev, y, eps
+            if d >= 1:
+                yield prev, y, eps
             prev = y
 
     def sample(self, stream: RngStream) -> Field:

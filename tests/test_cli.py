@@ -221,10 +221,13 @@ class TestExperiment:
         {"tolerances": {"cov_rel_tol": True, "zero_var_ceiling": 0.05}},
         {"tolerances": {"cov_rel_tol": 0.3, "zero_var_ceiling": False}},
         {"design": {"alpha": True, "beta": False, "gamma": 2.0, "delta": 1.0}},
+        # boundary_cholesky is exact in law only for Gaussian innovations
+        {"dist": "rademacher"},
     ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list",
             "ladder_fraction", "reps_fraction", "seed_fraction", "seed_bool",
             "schedule_bool", "schedule_c_bool", "schedule_p_bool",
-            "cov_rel_tol_bool", "zero_var_ceiling_bool", "boundary_bool"])
+            "cov_rel_tol_bool", "zero_var_ceiling_bool", "boundary_bool",
+            "cholesky_rademacher"])
     def test_malformed_field_exits_1_before_running(self, capsys, tmp_path,
                                                     monkeypatch, overrides):
         def no_run(*args, **kwargs):

@@ -41,8 +41,9 @@ class TestMatrix2:
         b = Matrix2(6, 3, 3, 6)
         assert b.adjugate() == Matrix2(6, -3, -3, 6)
         assert b.det() == 27
-        assert Matrix2.identity().adjugate() == Matrix2.identity()
-        assert Matrix2.identity().det() == 1
+        identity = Matrix2(1.0, 0.0, 0.0, 1.0)
+        assert identity.adjugate() == identity
+        assert identity.det() == 1
         m = Matrix2(1, 2, 3, 4)
         assert m.adjugate() == Matrix2(4, -2, -3, 1)
         assert m.det() == -2

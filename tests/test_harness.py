@@ -34,8 +34,7 @@ from spatialar.harness import (
     dumps_canonical,
     scaled_expected_B,
 )
-from spatialar.limits import expected_B
-from spatialar.simulate import batch_size
+from spatialar.limits import expected_B, limit_law
 
 
 def interior_design():
@@ -125,9 +124,8 @@ class TestRunCLT:
     def test_null_pipeline_is_exactly_zero(self, monkeypatch):
         # every replication estimates the true (alpha, beta): each aggregate
         # of the scaled errors must vanish exactly
-        def exact_reps(params, window, method, dist, master_seed, rep_ids,
-                       workers=1, batch_reps=None):
-            return np.array([[r, params.alpha, params.beta, 1.0, 0.0, 0.0, 0.0]
+        def exact_reps(sim, master_seed, rep_ids, workers=1):
+            return np.array([[r, sim.params.alpha, sim.params.beta, 1.0, 0.0, 0.0, 0.0]
                              for r in rep_ids])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
         rep = run_clt(small_config())
@@ -176,9 +174,11 @@ class TestRunCLT:
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
         assert len(timing["per_size"]) == 1
         rung = timing["per_size"][0]
-        assert rung["batch_reps"] == batch_size(SimMethod(), 16)
+        sim = FieldSimulator(cfg.design.params_at(16), TriangleWindow.balanced(16))
+        assert rung["batch_reps"] == sim.batch
         assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
         assert "series_margin" not in rung and "series_tail_bound" not in rung
+        assert "omega_settled" not in rung
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
         assert header == "rep_id,alpha_hat,beta_hat,scaled_err_a,scaled_err_b"
@@ -200,6 +200,23 @@ class TestRunCLT:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert all("series_margin" not in rec for rec in report["per_size"])
 
+    @pytest.mark.parametrize("design", [
+        boundary_design(),
+        # gamma/delta drifts to infinity: the probe cannot settle omega
+        NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
+                             Schedule.from_json({"kind": "power", "c": 1.0, "p": 0.5}),
+                             Schedule.from_json({"kind": "log", "c": 1.0})),
+    ], ids=["settled", "drifting"])
+    def test_boundary_timing_reports_omega_settled(self, tmp_path, design):
+        cfg = ExperimentConfig(design, [(16, 32), (24, 48)], reps=100, master_seed=5,
+                               out_dir=str(tmp_path / "out"))
+        run_clt(cfg)
+        settled = limit_law(design, m_probe=24).omega_settled
+        timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert [rung["omega_settled"] for rung in timing["per_size"]] == [settled] * 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all("omega_settled" not in rec for rec in report["per_size"])
+
 
 class TestBatchedEngine:
     @pytest.mark.parametrize("method, dist", [
@@ -209,12 +226,13 @@ class TestBatchedEngine:
     def test_rows_identical_across_batch_sizes_and_workers(self, method, dist):
         params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
         rep_ids = list(range(5, 25))
-        runs = [_run_reps(params, window, method, dist, seed, rep_ids,
-                          workers=workers, batch_reps=batch)
-                for batch in (1, 7, 64) for workers in (1, 2)]
+        sim = FieldSimulator(params, window, method, dist)
+        runs = []
+        for batch in (1, 7, 64):
+            sim.batch = batch
+            runs += [_run_reps(sim, seed, rep_ids, workers=workers) for workers in (1, 2)]
         assert len({rows.tobytes() for rows in runs}) == 1
         # each row is the public single-field path, bit for bit
-        sim = FieldSimulator(params, window, method, dist)
         expected = []
         for rep in rep_ids:
             est = lse(sim.sample(RngStream(seed, rep)), window)
@@ -298,8 +316,8 @@ def test_suite_scales_match_per_case_expressions(design):
     covlim = verify_covlim(design, m, n_probe=50)
     assert_allclose(covlim["value_at_zero_lag"], info * CovKernel(params).R(0, 0), **rel)
 
-    rows = _run_reps(params, TriangleWindow.balanced(s), SimMethod(),
-                     InnovationDist.GAUSSIAN, seed, list(range(reps)))
+    rows = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
+                     list(range(reps)))
     rows = rows[rows[:, 3] == 1.0]
     score = verify_score(design, m, s, reps, master_seed=seed)
     assert score["target"] == _prop1_target(design, m)

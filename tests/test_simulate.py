@@ -6,6 +6,7 @@ from numpy.testing import assert_array_equal
 
 from spatialar import (
     BoundaryPoint,
+    ConfigError,
     CovKernel,
     FieldSimulator,
     InnovationDist,
@@ -22,7 +23,7 @@ from spatialar import (
     tail_variance_bound,
 )
 from spatialar.covariance import d_factor
-from spatialar.simulate import _GROUP_LAYERS, batch_size
+from spatialar.simulate import _GROUP_LAYERS, MethodKind
 
 
 class TestTailBound:
@@ -33,6 +34,26 @@ class TestTailBound:
     def test_monotone_in_margin(self):
         vals = [tail_variance_bound(0.7, m) for m in range(10)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestSimMethod:
+    @pytest.mark.parametrize("kind, margin", [
+        ("bogus", None),
+        ("boundary_series", 3),
+        (MethodKind.BOUNDARY_SERIES, 2.5),
+        (MethodKind.BOUNDARY_SERIES, 3.0),
+        (MethodKind.BOUNDARY_SERIES, "3"),
+        (MethodKind.BOUNDARY_SERIES, True),
+        (MethodKind.BOUNDARY_SERIES, False),
+        (MethodKind.BOUNDARY_SERIES, -1),
+        (MethodKind.BOUNDARY_CHOLESKY, 3),
+    ])
+    def test_malformed_method_is_a_config_error(self, kind, margin):
+        with pytest.raises(ConfigError):
+            SimMethod(kind, margin)
+
+    def test_numpy_integer_margin_is_accepted(self):
+        assert SimMethod(MethodKind.BOUNDARY_SERIES, np.int64(7)).margin == 7
 
 
 class TestDraws:
@@ -231,7 +252,7 @@ class TestSeriesBoundary:
         sim = FieldSimulator(p, w, SimMethod.boundary_series(margin), dist)
         margin = sim.method.margin
         streams = [RngStream(12, r) for r in (0, 3, 4)]
-        batch = sim._boundaries([st.generator() for st in streams])
+        batch = next(sim.sweep(streams))[0]
         assert batch.shape == (len(streams), w.s + 1)
         for row, st in zip(batch, streams):
             below = _layout_draws(dist, st.generator(), w, -margin, 0)
@@ -251,14 +272,10 @@ class TestSeriesBoundary:
         design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
                                       Schedule.constant(2.0), Schedule.constant(1.0))
         p = design.params_at(32)
-        method = SimMethod.boundary_series(margin)
-        width = s + 1 + FieldSimulator(p, TriangleWindow.balanced(s), method,
-                                       InnovationDist.RADEMACHER).method.margin
-        assert batch_size(method, s, p) * _GROUP_LAYERS * width * 8 <= 1 << 20
-
-    def test_default_margin_needs_params(self):
-        with pytest.raises(ValueError):
-            batch_size(SimMethod.boundary_series(), 64)
+        sim = FieldSimulator(p, TriangleWindow.balanced(s), SimMethod.boundary_series(margin),
+                             InnovationDist.RADEMACHER)
+        width = s + 1 + sim.method.margin
+        assert sim.batch * _GROUP_LAYERS * width * 8 <= 1 << 20
 
 
 def _near_unstable_2048():
