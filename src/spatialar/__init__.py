@@ -72,16 +72,12 @@ from .model import (
     NearlyUnstableDesign,
     Schedule,
     TriangleWindow,
-    hull_indices,
-    triangle_indices,
 )
 from .simulate import (
     FieldSimulator,
     InnovationDist,
-    MethodKind,
     RngStream,
     SimMethod,
-    deterministic_field,
     tail_variance_bound,
 )
 

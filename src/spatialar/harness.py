@@ -50,7 +50,6 @@ from .model import (
 from .simulate import (
     FieldSimulator,
     InnovationDist,
-    MethodKind,
     RngStream,
     SimMethod,
     tail_variance_bound,
@@ -414,9 +413,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         elapsed = time.perf_counter() - t0
         rung = {"m": m, "s": s, "elapsed_s": elapsed,
                 "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch}
-        if sim.method.kind is MethodKind.BOUNDARY_SERIES:
+        if config.dist is not InnovationDist.GAUSSIAN:
             rung["series_margin"] = sim.method.margin
-            rung["series_tail_bound"] = tail_variance_bound(params.q, sim.method.margin)
+            rung["series_cumulant_bound"] = tail_variance_bound(params.q * params.q,
+                                                                sim.method.margin - 1)
         if law.case_tag is not CaseTag.INTERIOR:
             rung["omega_settled"] = law.omega_settled
         timing.append(rung)

@@ -241,33 +241,6 @@ class TriangleWindow:
         return self.s - d + 1
 
 
-def triangle_indices(w: TriangleWindow) -> list[tuple[int, int]]:
-    """All (i, j) with i + j >= 1, i <= k, j <= l, ordered by (i + j, i).
-
-    Empty when k + l <= 0.
-    """
-    out = []
-    for d in range(1, w.s + 1):
-        for i in range(w.layer_start(d), w.k + 1):
-            out.append((i, d - i))
-    return out
-
-
-def hull_indices(w: TriangleWindow) -> list[tuple[int, int]]:
-    """The triangle together with every regressor neighbour (i-1, j), (i, j-1).
-
-    Equals {(i, j) : i + j >= 0, i <= k, j <= l}, ordered by (i + j, i);
-    empty when the triangle is empty.
-    """
-    if w.s <= 0:
-        return []
-    out = []
-    for d in range(0, w.s + 1):
-        for i in range(w.layer_start(d), w.k + 1):
-            out.append((i, d - i))
-    return out
-
-
 @dataclass
 class Field:
     """Sample values on the hull of a window, stored by anti-diagonal layers.

@@ -1,37 +1,38 @@
-"""Exact and controllably-approximate sampling of the stationary field.
+"""Sampling of the stationary field: a coloured deep layer, then one sweep.
 
-The sampler core exploits the geometry of the hull: the d = 0
-anti-diagonal X[i, -i] depends only on innovations with u + v <= 0, while
-the triangle recursion consumes innovations with u + v >= 1.  The two index
-sets are disjoint, and the innovations are i.i.d., so the boundary vector is
-independent of every triangle innovation.  The stationary law of the whole
-hull therefore factorises into (law of the boundary) x (recursion given the
-boundary), and it suffices to draw the (s+1)-point boundary exactly and
-sweep the recursion upward at O(s^2).  The boundary covariance is
-R(t, -t) = sigma^2 D^|t| with D = ``d_factor`` -- a Kac-Murdock-Szego
-(AR(1)) matrix -- whose Cholesky factor is the O(s) recursion
+The sampler core exploits the geometry of the hull: anti-diagonal d of the
+field depends only on innovations with u + v <= d, so every layer is
+independent of the innovations above it.  The stationary law of the hull
+therefore factorises into (law of one low layer) x (recursion given that
+layer), and it suffices to draw one layer and sweep the recursion upward.
+Every anti-diagonal has the same covariance R(t, -t) = sigma^2 D^|t| with
+D = ``d_factor`` -- a Kac-Murdock-Szego (AR(1)) matrix -- whose Cholesky
+factor is the O(width) recursion
 x_0 = sigma z_0, x_t = D x_(t-1) + sigma sqrt(1 - D^2) z_t.
 
-For non-Gaussian innovations Cholesky colouring is no longer exact in law,
-so the boundary is instead the truncated moving-average series
-sum_(t <= margin) (alpha S_0 + beta S_1)^t eps[-t] (tail variance certified
-by ``tail_variance_bound``), with the same exact recursion above it.  That
-series is the recursion itself run up from layer -margin, started at
-eps[-margin], so a boundary costs O(margin * s) rather than the O(margin^2 * s)
-of summing the series term by term.
+So the sampler has one method with a depth M (``SimMethod.margin``): layer
+-M, with its s + 1 + M points, is drawn as standard normals and coloured by
+that recursion, the chosen innovation law drives layers -M + 1 .. 0 and the
+triangle, and second moments are exact at every depth.  Depth 0 with
+Gaussian innovations is exact in law.  For another law the boundary point's
+moving average sum_d sum_j w(d, j) eps, w(d, j) = C(d, j) a^j b^(d-j), has
+its layers d >= M replaced by a Gaussian of the same covariance.  All three
+laws are symmetric, so the first cumulant that differs is the fourth, off by
+|kappa4| sum_(d >= M) sum_j w(d, j)^4 <= |kappa4| q^(4M) / (1 - q^4), since
+sum_j w^4 <= (sum_j w^2)^2 <= q^(4d).  By default M is the smallest depth
+that puts this bound below 1e-12 (``tail_variance_bound(q * q, M - 1)``).
 
-Both methods run one recursion loop for a batch of replications at once
-(``FieldSimulator.sweep``): it starts at layer ``lowest`` (-margin for the
-series, 0 for Cholesky, whose start layer is coloured by the AR(1)
-recursion first) and steps up to layer s.  Every replication draws from its
-own stream in its own row, so a batch reproduces each replication's draws
-exactly.  A replication's draws are two spans of layers, the boundary
-(layers lowest .. 0) and then the triangle, and each span is one draw of its
-whole length split into layers (``FieldSimulator._layers``), so neither the
-batch size nor the number of layers made at once changes a value.
-Rademacher signs take one generator call per replication and span: the
-span's bytes are held packed, at one bit per sign, and unpacked for the
-whole batch a group of layers at a time.
+``FieldSimulator.sweep`` runs the recursion for a batch of replications at
+once, from the coloured layer -M up to layer s.  Every replication draws
+from its own stream in its own row, so a batch reproduces each
+replication's draws exactly.  A replication's draws are the deep layer's
+normals and then two spans of layers, the boundary (layers -M + 1 .. 0,
+empty at depth 0) and the triangle, and each span is one draw of its whole
+length split into layers (``FieldSimulator._layers``), so neither the batch
+size nor the number of layers made at once changes a value.  Rademacher
+signs take one generator call per replication and span: the span's bytes
+are held packed, at one bit per sign, and unpacked for the whole batch a
+group of layers at a time.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .errors import ConfigError, MethodUnsupportedError
 from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
-    "InnovationDist", "MethodKind", "SimMethod", "RngStream",
-    "tail_variance_bound", "FieldSimulator", "deterministic_field",
+    "InnovationDist", "SimMethod", "RngStream", "tail_variance_bound", "FieldSimulator",
 ]
 
 _GROUP_LAYERS = 8         # innovation layers made as one float64 block
@@ -102,65 +102,61 @@ def _unpack_signs(packed: np.ndarray, start: int, out: np.ndarray) -> None:
     out -= 1.0
 
 
-class MethodKind(enum.Enum):
-    BOUNDARY_CHOLESKY = "boundary_cholesky"
-    BOUNDARY_SERIES = "boundary_series"
-
-
 @dataclass(frozen=True)
 class SimMethod:
-    """Sampling strategy; ``margin`` is the truncation depth of boundary_series.
+    """Sampling depth ``margin``: layer -margin is drawn coloured, and the
+    innovation law drives every layer above it.  None resolves to the
+    default depth of the law (see ``FieldSimulator``).
 
-    Malformed methods (an unknown kind, a margin that is not a non-negative
-    integer, a margin on boundary_cholesky) raise ConfigError.
+    Its config strings are ``boundary_cholesky`` (depth 0) and
+    ``boundary_series[:margin]`` (depth margin, or None without it).  A
+    margin that is not a non-negative integer raises ConfigError.
     """
 
-    kind: MethodKind = MethodKind.BOUNDARY_CHOLESKY
-    margin: int | None = None
+    margin: int | None = 0
 
     def __post_init__(self):
-        if not isinstance(self.kind, MethodKind):
-            raise ConfigError(f"sampling method kind must be a MethodKind, got {self.kind!r}")
         if self.margin is None:
             return
         if isinstance(self.margin, bool) or not isinstance(self.margin, (int, np.integer)):
-            raise ConfigError(f"series margin must be an integer, got {self.margin!r}")
-        if self.kind is not MethodKind.BOUNDARY_SERIES:
-            raise ConfigError(f"{self.kind.value} takes no margin")
+            raise ConfigError(f"sampling depth must be an integer, got {self.margin!r}")
         if self.margin < 0:
-            raise ConfigError(f"series margin must be >= 0, got {self.margin}")
+            raise ConfigError(f"sampling depth must be >= 0, got {self.margin}")
 
     @classmethod
     def boundary_cholesky(cls) -> "SimMethod":
-        return cls(MethodKind.BOUNDARY_CHOLESKY)
+        return cls(0)
 
     @classmethod
     def boundary_series(cls, margin: int | None = None) -> "SimMethod":
-        return cls(MethodKind.BOUNDARY_SERIES, margin)
+        return cls(margin)
 
     @classmethod
     def parse(cls, text: str) -> "SimMethod":
-        """``kind`` or ``kind:margin``, the form ``describe`` writes."""
+        """``boundary_cholesky`` or ``boundary_series[:margin]``, the forms
+        ``describe`` writes."""
         if not isinstance(text, str):
             raise ConfigError(f"sampling method must be a string, got {text!r}")
+        if text == "boundary_cholesky":
+            return cls(0)
         name, colon, arg = text.partition(":")
-        try:
-            kind = MethodKind(name)
-        except ValueError:
-            known = ", ".join(k.value for k in MethodKind)
-            raise ConfigError(f"unknown sampling method {name!r} (known: {known})") from None
+        if name != "boundary_series":
+            raise ConfigError(f"unknown sampling method {text!r} "
+                              "(known: boundary_cholesky, boundary_series[:margin])")
         if not colon:
-            return cls(kind)
+            return cls(None)
         try:
             margin = int(arg)
         except ValueError:
             raise ConfigError(f"margin {arg!r} of {text!r} is not an integer") from None
-        return cls(kind, margin)
+        return cls(margin)
 
     def describe(self) -> str:
         if self.margin is None:
-            return self.kind.value
-        return f"{self.kind.value}:{self.margin}"
+            return "boundary_series"
+        if self.margin == 0:
+            return "boundary_cholesky"
+        return f"boundary_series:{self.margin}"
 
 
 @dataclass(frozen=True)
@@ -185,11 +181,14 @@ class RngStream:
 
 
 def tail_variance_bound(q: float, margin: int) -> float:
-    """Variance omitted by truncating the moving-average series at ``margin``.
+    """sum_{d > margin} q^(2d) = q^(2(margin+1)) / (1 - q^2).
 
-    The layer-d weights satisfy sum_j C(d,j)^2 a^(2j) b^(2(d-j)) <=
-    (|a|+|b|)^(2d) by the binomial theorem, so the dropped variance is at
-    most sum_{d > margin} q^(2d) = q^(2(margin+1)) / (1 - q^2).
+    The layer-d weights of the moving average satisfy
+    sum_j C(d,j)^2 a^(2j) b^(2(d-j)) <= (|a|+|b|)^(2d) by the binomial
+    theorem, so with q = |a| + |b| this bounds the variance of the layers
+    beyond ``margin``, and with q * q and margin M - 1 it bounds their fourth
+    powers sum_(d >= M) sum_j w(d, j)^4, the fourth-cumulant error of a
+    depth-M sample in units of kappa4.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"need 0 <= q < 1, got {q}")
@@ -199,29 +198,33 @@ def tail_variance_bound(q: float, margin: int) -> float:
 class FieldSimulator:
     """Reusable sampler for one (params, window, method, dist) combination.
 
-    Every method runs one recursion loop up from layer ``lowest``: -margin
-    for boundary_series, whose truncated moving-average series is the
-    recursion started at eps[-margin], and 0 for boundary_cholesky, whose
-    start layer is coloured by the AR(1) recursion.  Set-up holds only what
-    is replication-invariant (the AR(1) boundary coefficients or the
-    resolved series margin, and the batch size) and is O(1), so ``sample``
-    is a pure function of the stream and replications may run concurrently
-    in any order.  A draw costs O(s) (boundary_cholesky) or O(margin * s)
-    (boundary_series) for the boundary, plus O(s^2) for the triangle.
+    The sampler draws layer -M (M = ``method.margin``, the depth) as
+    standard normals, colours it with the AR(1) factor of the KMS
+    anti-diagonal covariance, and runs the recursion up from there with
+    ``dist``'s innovations.  A depth of None resolves here: to 0 for
+    Gaussian innovations, where the coloured layer 0 is exact, and for any
+    other law to the smallest M >= 2 whose fourth-cumulant bound
+    q^(4M) / (1 - q^4) is at most 1e-12.  Depth 0 with a non-Gaussian law
+    raises MethodUnsupportedError, since its boundary would be all Gaussian.
+    Set-up holds only what is replication-invariant (the AR(1) colouring
+    coefficients, the resolved depth and the batch size) and is O(1), so
+    ``sample`` is a pure function of the stream and replications may run
+    concurrently in any order.  A draw costs O(M * (s + M)) for the layers
+    below the triangle plus O(s^2) for the triangle.
 
     ``batch`` is the number of replications to sweep together: one draw
     group of the batch (_GROUP_LAYERS layers of the widest drawn layer per
-    replication, s + 1 + margin points) stays within 1 MiB of float64.
+    replication, s + 1 + M points) stays within 1 MiB of float64.
     Rademacher signs add the packed bytes of a whole span, 1/64 of its
-    float64 size: about 25 KB per replication, 600 KB per batch, for the
-    series boundary at s = 181.
+    float64 size.
 
-    Draw layout (fixed per method, part of the determinism contract): every
-    number comes from the replication's ``RngStream``, in two spans.  The
-    boundary span: layers lowest .. 0 in ascending order, each layer in i
-    order (boundary_cholesky: the s+1 normals of layer 0).  Then the
-    triangle span in (d, i) order.  Each span is exactly one
-    ``InnovationDist.draw`` of its total length, split into layers.
+    Draw layout (fixed per depth and law, part of the determinism
+    contract): every number comes from the replication's ``RngStream``.
+    First the s + 1 + M standard normals of the deep layer -M, in i order.
+    Then the boundary span, layers -M + 1 .. 0 in ascending order (empty at
+    depth 0), and then the triangle span, layers 1 .. s, each layer in
+    i order.  Each span is exactly one ``InnovationDist.draw`` of its total
+    length, split into layers.
     """
 
     def __init__(self, params: ModelParams, window: TriangleWindow,
@@ -231,31 +234,29 @@ class FieldSimulator:
             raise ValueError("window sum must be >= 1")
         self.params = params
         self.window = window
-        self.method = method
         self.dist = dist
         # no sampler adds jitter; stays 0.0 because the benchmark in
         # perfbench/ (workloads.py, tracing.py) reads and reports it
         self.boundary_jitter = 0.0
-        self._ar1 = None
 
-        if method.kind is MethodKind.BOUNDARY_CHOLESKY:
-            if dist is not InnovationDist.GAUSSIAN:
-                raise MethodUnsupportedError(
-                    f"{method.kind.value} is exact in law only for Gaussian innovations"
-                )
-            d = d_factor(params)
-            sig = math.sqrt(sigma_sq(params))
-            self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
-        elif method.margin is None:
-            # the smallest margin whose tail variance bound is below 1e-12
-            self.method = SimMethod(method.kind, oracle_margin(params.q, 1e-12))
-        width = window.s + 1 + (self.method.margin or 0)
-        self.batch = max(1, _BATCH_FLOATS // (_GROUP_LAYERS * width))
+        depth = method.margin
+        if depth is None:
+            depth = (0 if dist is InnovationDist.GAUSSIAN
+                     else oracle_margin(params.q * params.q, 1e-12) + 1)
+        if depth == 0 and dist is not InnovationDist.GAUSSIAN:
+            raise MethodUnsupportedError(
+                "depth 0 (boundary_cholesky) is exact in law only for Gaussian innovations")
+        self.method = SimMethod(depth)
+        d = d_factor(params)
+        sig = math.sqrt(sigma_sq(params))
+        self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
+        self.batch = max(1, _BATCH_FLOATS // (_GROUP_LAYERS * window.layer_len(-depth)))
 
     def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
 
-        Every random number of a replication, boundary included, is drawn here.
+        Every random number of a replication but the deep layer's normals
+        is drawn here.
 
         eps is an (R, layer_len(d)) array whose row r is drawn from gens[r],
         each layer in i order.  Row r of the span is exactly
@@ -295,8 +296,8 @@ class FieldSimulator:
         return y
 
     def _colour(self, z: np.ndarray) -> np.ndarray:
-        # the boundary_cholesky boundary from its s+1 normals: the O(s)
-        # Cholesky factor of the AR(1) boundary covariance
+        # an anti-diagonal layer from its standard normals: the O(width)
+        # Cholesky factor of the AR(1) anti-diagonal covariance
         d, sig, step = self._ar1
         x = step * z
         x[:, 0] = sig * z[:, 0]
@@ -310,17 +311,18 @@ class FieldSimulator:
         Yields (prev, y, eps) for d = 1 .. s: layer d - 1, layer d and the
         innovations of layer d, each an (R, .) array whose row r belongs to
         streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
-        in the same order: the boundary span, then the triangle span (see
-        ``_layers``).  The first yielded prev is the boundary.  The yielded
-        arrays are not modified afterwards.
+        in the same order: the deep layer's normals, the boundary span, then
+        the triangle span (see ``_layers``).  The first yielded prev is the
+        boundary.  The yielded arrays are not modified afterwards.
         """
         gens = [stream.generator() for stream in streams]
-        lowest = -(self.method.margin or 0)
-        layers = itertools.chain(self._layers(gens, lowest, 0),
+        depth = self.method.margin
+        deep = np.empty((len(gens), self.window.layer_len(-depth)))
+        for row, gen in zip(deep, gens):
+            gen.standard_normal(out=row)
+        prev = self._colour(deep)
+        layers = itertools.chain(self._layers(gens, 1 - depth, 0),
                                  self._layers(gens, 1, self.window.s))
-        _, prev = next(layers)
-        if self._ar1 is not None:
-            prev = self._colour(prev)
         for d, eps in layers:
             y = self._step(prev, eps)
             if d >= 1:
@@ -333,25 +335,3 @@ class FieldSimulator:
         values = [prevs[0][0]] + [y[0] for y in ys]
         return Field(self.window, values, [e[0] for e in eps], self.params)
 
-
-def deterministic_field(params: ModelParams, window: TriangleWindow,
-                        boundary: np.ndarray,
-                        innovations: list[np.ndarray] | None = None) -> Field:
-    """Run the recursion from fixed boundary values (zero innovations unless given).
-
-    Debug/oracle path: with eps = 0 the field is the deterministic recursion
-    of its boundary, and the least-squares estimator recovers (alpha, beta)
-    exactly whenever the normal equations are nonsingular.
-    """
-    w = window
-    boundary = np.asarray(boundary, dtype=np.float64)
-    if len(boundary) != w.s + 1:
-        raise ValueError(f"boundary must have {w.s + 1} values")
-    if innovations is None:
-        innovations = [np.zeros(w.layer_len(d)) for d in range(1, w.s + 1)]
-    a, b = params.alpha, params.beta
-    values, prev = [boundary], boundary
-    for d in range(1, w.s + 1):
-        prev = a * prev[:-1] + b * prev[1:] + innovations[d - 1]
-        values.append(prev)
-    return Field(w, values, innovations, params)

@@ -1,0 +1,55 @@
+"""Reference index sets and the deterministic recursion, used only by tests."""
+
+import numpy as np
+
+from spatialar import Field, ModelParams, TriangleWindow
+
+
+def triangle_indices(w: TriangleWindow) -> list[tuple[int, int]]:
+    """All (i, j) with i + j >= 1, i <= k, j <= l, ordered by (i + j, i).
+
+    Empty when k + l <= 0.
+    """
+    out = []
+    for d in range(1, w.s + 1):
+        for i in range(w.layer_start(d), w.k + 1):
+            out.append((i, d - i))
+    return out
+
+
+def hull_indices(w: TriangleWindow) -> list[tuple[int, int]]:
+    """The triangle together with every regressor neighbour (i-1, j), (i, j-1).
+
+    Equals {(i, j) : i + j >= 0, i <= k, j <= l}, ordered by (i + j, i);
+    empty when the triangle is empty.
+    """
+    if w.s <= 0:
+        return []
+    out = []
+    for d in range(0, w.s + 1):
+        for i in range(w.layer_start(d), w.k + 1):
+            out.append((i, d - i))
+    return out
+
+
+def deterministic_field(params: ModelParams, window: TriangleWindow,
+                        boundary: np.ndarray,
+                        innovations: list[np.ndarray] | None = None) -> Field:
+    """Run the recursion from fixed boundary values (zero innovations unless given).
+
+    With eps = 0 the field is the deterministic recursion of its boundary,
+    and the least-squares estimator recovers (alpha, beta) exactly whenever
+    the normal equations are nonsingular.
+    """
+    w = window
+    boundary = np.asarray(boundary, dtype=np.float64)
+    if len(boundary) != w.s + 1:
+        raise ValueError(f"boundary must have {w.s + 1} values")
+    if innovations is None:
+        innovations = [np.zeros(w.layer_len(d)) for d in range(1, w.s + 1)]
+    a, b = params.alpha, params.beta
+    values, prev = [boundary], boundary
+    for d in range(1, w.s + 1):
+        prev = a * prev[:-1] + b * prev[1:] + innovations[d - 1]
+        values.append(prev)
+    return Field(w, values, innovations, params)

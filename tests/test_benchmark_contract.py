@@ -57,14 +57,16 @@ print(json.dumps(counts))
 def test_sweep_draws_are_traced_as_rng_spans():
     # the tracer times simulate.rng by wrapping the Generator each RngStream
     # returns, so every draw must go through a Generator method.  Per stream,
-    # normals and uniforms take one span for the generator, one for the
-    # boundary group (4 series layers at margin 3) and one per group of 8
-    # triangle layers (s = 10).  Signs take one span for the generator, one
-    # for the boundary and one for the triangle, however long the spans
-    # are: at s = 40 and margin 30 they span 4 and 5 groups
+    # every law takes one span for the generator and one for the normals of
+    # the deep layer (layer 0 at depth 0, layer -3 at depth 3).  Then
+    # normals and uniforms take one span for the boundary group (the 3
+    # layers above -3; none at depth 0) and one per group of 8 triangle
+    # layers (s = 10).  Signs take one span for the boundary and one for the
+    # triangle, however long the spans are: at s = 40 and depth 30 they span
+    # 4 and 5 groups
     proc = subprocess.run([sys.executable, "-c", _SWEEP], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 3, "uniform": 2 * 4,
-                      "rademacher_s40": 2 * 3}
+    assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 4, "uniform": 2 * 5,
+                      "rademacher_s40": 2 * 4}

@@ -214,7 +214,8 @@ class TestKernel:
 
     def test_hull_covariance_is_spd(self):
         # Cholesky must succeed, with no jitter, on every hull matrix
-        from spatialar import TriangleWindow, hull_indices
+        from fieldref import hull_indices
+        from spatialar import TriangleWindow
 
         for a, b in [(0.45, 0.45), (0.3, -0.55), (-0.6, 0.25)]:
             kern = CovKernel(ModelParams(a, b))

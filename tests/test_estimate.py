@@ -9,19 +9,18 @@ from numpy.testing import assert_allclose
 from spatialar import (
     Field,
     FieldSimulator,
-    InnovationDist,
     Matrix2,
     MissingInnovationsError,
     ModelParams,
     RngStream,
-    SimMethod,
     SingularDesignError,
     TriangleWindow,
-    deterministic_field,
     lse,
     normal_equations,
     score_vector,
 )
+
+from fieldref import deterministic_field
 
 
 def three_point_field(x1x2_pairs, y=0.0):

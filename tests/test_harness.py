@@ -18,7 +18,6 @@ from spatialar import (
     RngStream,
     Schedule,
     SimMethod,
-    Tolerances,
     TriangleWindow,
     lse,
     run_clt,
@@ -177,7 +176,7 @@ class TestRunCLT:
         sim = FieldSimulator(cfg.design.params_at(16), TriangleWindow.balanced(16))
         assert rung["batch_reps"] == sim.batch
         assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
-        assert "series_margin" not in rung and "series_tail_bound" not in rung
+        assert "series_margin" not in rung and "series_cumulant_bound" not in rung
         assert "omega_settled" not in rung
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
@@ -185,6 +184,8 @@ class TestRunCLT:
 
     @pytest.mark.parametrize("margin", [None, 40])
     def test_series_timing_reports_margin_and_tail_bound(self, tmp_path, margin):
+        # a non-Gaussian rung reports its resolved depth and the certified
+        # bound q^(4M) / (1 - q^4) on its fourth-cumulant tail
         method = SimMethod.boundary_series(margin)
         cfg = small_config(ladder=[(16, 16), (24, 24)], method=method,
                            dist=InnovationDist.RADEMACHER, out_dir=str(tmp_path / "out"))
@@ -194,11 +195,17 @@ class TestRunCLT:
             params = cfg.design.params_at(m)
             sim = FieldSimulator(params, TriangleWindow.balanced(s), method,
                                  InnovationDist.RADEMACHER)
-            assert rung["series_margin"] == sim.method.margin
-            assert rung["series_tail_bound"] == tail_variance_bound(params.q, sim.method.margin)
+            depth = sim.method.margin
+            assert rung["series_margin"] == depth
+            assert rung["series_cumulant_bound"] == tail_variance_bound(params.q * params.q,
+                                                                        depth - 1)
+            assert rung["series_cumulant_bound"] == pytest.approx(
+                params.q ** (4 * depth) / (1.0 - params.q ** 4), rel=1e-12)
+            assert "series_tail_bound" not in rung
         # the diagnostics go to the sidecar only
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert all("series_margin" not in rec for rec in report["per_size"])
+        assert all("series_margin" not in rec and "series_cumulant_bound" not in rec
+                   for rec in report["per_size"])
 
     @pytest.mark.parametrize("design", [
         boundary_design(),

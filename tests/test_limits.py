@@ -30,6 +30,7 @@ from spatialar import (
     theta_matrix,
     theta_scalar,
 )
+from spatialar.covariance import d_factor
 from spatialar.harness import scaled_expected_B
 from spatialar.limits import omega_limit
 from spatialar.model import ScheduleKind
@@ -212,7 +213,8 @@ class TestExpectedB:
         assert_allclose(eb.to_array(), 28.0 * np.eye(2))
 
     def test_brute_force_summation_matches(self):
-        from spatialar import CovKernel, TriangleWindow, triangle_indices
+        from fieldref import triangle_indices
+        from spatialar import CovKernel, TriangleWindow
 
         p = ModelParams(0.35, -0.4)
         kern = CovKernel(p)
@@ -242,6 +244,28 @@ class TestScaledInformationTrends:
         devs = [np.max(np.abs(scaled_expected_B(design, m, m).to_array() - target))
                 for m in (64, 256)]
         assert devs[1] < devs[0]
+
+    def test_interior_diff_variance_is_twice_the_limit_law(self):
+        # no Monte Carlo: to first order Var(v'err) = 1 / v'E[B]v along
+        # v = (1, -1)/sqrt(2), the proj_diff direction, so the scaled
+        # var(diff) at m = s tends to 2 / lim sigma^2 (1 - D).  The exact
+        # moments put that limit at 4|a||b| = 1.0 at the boundary point
+        # (1/2, 1/2), while limit_law gives 2|a||b| = 0.5
+        design = interior_design()
+        ab = abs(design.boundary.alpha) * abs(design.boundary.beta)
+        scaled, product = [], []
+        for m in (128, 4096, 65536, 1 << 20):
+            p = design.params_at(m)
+            eb = expected_B(p, m)
+            scaled.append(m * m / ((eb.a11 + eb.a22 - 2.0 * eb.a12) / 2.0))
+            product.append(2.0 * ab * sigma_sq(p) * (1.0 - d_factor(p)))
+        assert scaled == pytest.approx([1.167, 1.031, 1.008, 1.002], abs=5e-4)
+        assert all(b < a for a, b in zip(scaled, scaled[1:]))
+        assert abs(scaled[-1] - 4.0 * ab) <= 0.005
+        assert product == pytest.approx([0.850, 0.970, 0.992, 0.998], abs=5e-4)
+        assert all(a < b < 1.0 for a, b in zip(product, product[1:]))
+        lim = limit_law(design).covariance
+        assert (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0 == pytest.approx(2.0 * ab)
 
     def test_boundary_scaled_mean_trend(self):
         design = boundary_design()

@@ -15,10 +15,10 @@ from spatialar import (
     NonStationaryError,
     Schedule,
     TriangleWindow,
-    hull_indices,
-    triangle_indices,
 )
 from spatialar.model import ScheduleKind
+
+from fieldref import hull_indices, triangle_indices
 
 
 def make_design(alpha, beta, gamma=1.0, delta=1.0):

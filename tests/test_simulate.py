@@ -17,13 +17,14 @@ from spatialar import (
     Schedule,
     SimMethod,
     TriangleWindow,
-    deterministic_field,
-    hull_indices,
+    cov_closed,
     sigma_sq,
     tail_variance_bound,
 )
 from spatialar.covariance import d_factor
-from spatialar.simulate import _GROUP_LAYERS, MethodKind
+from spatialar.simulate import _GROUP_LAYERS
+
+from fieldref import deterministic_field, hull_indices
 
 
 class TestTailBound:
@@ -37,23 +38,22 @@ class TestTailBound:
 
 
 class TestSimMethod:
-    @pytest.mark.parametrize("kind, margin", [
-        ("bogus", None),
-        ("boundary_series", 3),
-        (MethodKind.BOUNDARY_SERIES, 2.5),
-        (MethodKind.BOUNDARY_SERIES, 3.0),
-        (MethodKind.BOUNDARY_SERIES, "3"),
-        (MethodKind.BOUNDARY_SERIES, True),
-        (MethodKind.BOUNDARY_SERIES, False),
-        (MethodKind.BOUNDARY_SERIES, -1),
-        (MethodKind.BOUNDARY_CHOLESKY, 3),
-    ])
-    def test_malformed_method_is_a_config_error(self, kind, margin):
+    @pytest.mark.parametrize("margin", ["bogus", "boundary_series", 2.5, 3.0, "3",
+                                        True, False, -1])
+    def test_malformed_method_is_a_config_error(self, margin):
         with pytest.raises(ConfigError):
-            SimMethod(kind, margin)
+            SimMethod(margin)
 
     def test_numpy_integer_margin_is_accepted(self):
-        assert SimMethod(MethodKind.BOUNDARY_SERIES, np.int64(7)).margin == 7
+        assert SimMethod(np.int64(7)).margin == 7
+
+    @pytest.mark.parametrize("text, margin", [
+        ("boundary_cholesky", 0), ("boundary_series", None), ("boundary_series:7", 7)])
+    def test_config_strings_name_the_depth(self, text, margin):
+        method = SimMethod.parse(text)
+        assert method == SimMethod(margin)
+        assert method.describe() == text
+        assert SimMethod.parse("boundary_series:0") == SimMethod.boundary_cholesky()
 
 
 class TestDraws:
@@ -127,32 +127,19 @@ class TestSimulate:
             whole = dist.draw(ref, sum(sizes))
         assert_array_equal(chunks, whole)
 
-    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
-    def test_draw_layout_layer_by_layer(self, dist):
-        # the sweep draws the series layers and the triangle as two spans;
-        # both must equal the layout's draws, and the series boundary is the
-        # recursion run up from layer -margin over them
-        p, w, margin = ModelParams(0.4, 0.3), TriangleWindow.balanced(21), 5
-        gaussian = dist is InnovationDist.GAUSSIAN
-        method = (SimMethod.boundary_cholesky() if gaussian
-                  else SimMethod.boundary_series(margin))
-        sim = FieldSimulator(p, w, method, dist)
+    @pytest.mark.parametrize("dist, depth", [
+        (InnovationDist.GAUSSIAN, 0), *[(dist, 5) for dist in InnovationDist],
+    ], ids=lambda v: v.value if isinstance(v, InnovationDist) else f"depth{v}")
+    def test_draw_layout_layer_by_layer(self, dist, depth):
+        # the sweep draws the deep layer's normals, then the boundary layers
+        # and the triangle as two spans; the boundary is the coloured deep
+        # layer run up the recursion over the boundary span
+        p, w = ModelParams(0.4, 0.3), TriangleWindow.balanced(21)
+        sim = FieldSimulator(p, w, SimMethod(depth), dist)
         f = sim.sample(RngStream(4, 2))
         gen = RngStream(4, 2).generator()
-        if gaussian:
-            gen.standard_normal(w.s + 1)
-        else:
-            below = _layout_draws(dist, gen, w, -margin, 0)
-            drawn = dict(sim._layers([RngStream(4, 2).generator()], -margin, 0))
-            assert drawn.keys() == below.keys()
-            for d, eps in drawn.items():
-                assert_array_equal(eps[0], below[d])
-            y = below[-margin]
-            for d in range(-margin + 1, 1):
-                y = p.alpha * y[:-1] + p.beta * y[1:] + below[d]
-            assert_array_equal(f.values[0], y)
-            series = _series_reference(p, margin, below)
-            assert np.max(np.abs(f.values[0] - series)) <= 1e-13 * np.max(np.abs(series))
+        boundary = _boundary_reference(p, w, depth, dist, gen)
+        assert np.max(np.abs(f.values[0] - boundary)) <= 1e-13 * np.max(np.abs(boundary))
         triangle = _layout_draws(dist, gen, w, 1, w.s)
         assert_array_equal(np.concatenate(f.innovations), np.concatenate(list(triangle.values())))
 
@@ -161,8 +148,9 @@ class TestSimulate:
         *[(SimMethod.boundary_series(20), dist) for dist in InnovationDist],
     ], ids=lambda v: v.describe() if isinstance(v, SimMethod) else v.value)
     def test_group_size_does_not_change_the_draws(self, monkeypatch, method, dist):
-        # _GROUP_LAYERS bounds memory only: at s = 21 the 21 margin layers
-        # and 21 triangle layers span several groups at every size but 50
+        # _GROUP_LAYERS bounds memory only: at s = 21 and depth 20 the 20
+        # boundary layers and 21 triangle layers span several groups at
+        # every size but 50
         sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(21), method, dist)
         outputs = set()
         for group in (1, 3, 8, 50):
@@ -178,11 +166,15 @@ class TestSimulate:
         f = FieldSimulator(p, w).sample(RngStream(1, 0))
         assert f.max_recursion_residual() <= 1e-10
 
-    def test_gaussian_required_for_cholesky(self):
+    @pytest.mark.parametrize("dist", [InnovationDist.RADEMACHER,
+                                      InnovationDist.UNIFORM_UNIT_VAR], ids=lambda d: d.value)
+    def test_gaussian_required_for_cholesky(self, dist):
+        # depth 0 (boundary_cholesky, or boundary_series:0) would draw the
+        # whole boundary Gaussian
         p = ModelParams(0.4, 0.4)
         w = TriangleWindow.balanced(8)
         with pytest.raises(MethodUnsupportedError):
-            FieldSimulator(p, w, SimMethod.boundary_cholesky(), InnovationDist.RADEMACHER)
+            FieldSimulator(p, w, SimMethod.boundary_cholesky(), dist)
 
     def test_zero_jitter_on_model_covariances(self):
         p = ModelParams(0.49, 0.49)
@@ -194,7 +186,6 @@ class TestSimulate:
         w = TriangleWindow.balanced(16)
         sim = FieldSimulator(p, w, SimMethod.boundary_series(),
                              InnovationDist.RADEMACHER)
-        assert tail_variance_bound(p.q, sim.method.margin) <= 1e-12
         f = sim.sample(RngStream(2, 7))
         assert f.max_recursion_residual() <= 1e-10
 
@@ -225,25 +216,39 @@ def _layout_draws(dist, gen, w, lowest, highest):
     return layers
 
 
-def _series_reference(p, margin, below):
-    # the boundary as the term-by-term truncated series over the same draws,
-    # sum_t (a S_0 + b S_1)^t eps[-t]: term t correlates layer -t with the
-    # coefficients C(t, r) a^(t-r) b^r of (a + b z)^t
-    a, b = p.alpha, p.beta
-    out = 0.0
-    for t in range(margin + 1):
-        coef = np.array([math.comb(t, r) * a ** (t - r) * b ** r for r in range(t + 1)])
-        out = out + np.correlate(below[-t], coef, mode="valid")
-    return out
+def _boundary_reference(p, w, depth, dist, gen):
+    # the boundary as the layout defines it: the s + 1 + depth normals of
+    # layer -depth coloured by the dense KMS factor, then the recursion run
+    # up over the boundary span's draws
+    y = TestKMSBoundary.kms_factor(p, w.s + depth) @ gen.standard_normal(w.s + 1 + depth)
+    below = _layout_draws(dist, gen, w, 1 - depth, 0)
+    for d in range(1 - depth, 1):
+        y = p.alpha * y[:-1] + p.beta * y[1:] + below[d]
+    return y
+
+
+def _boundary_map(sim):
+    # the boundary is linear in the deep layer's normals and the boundary
+    # span's innovations: push every unit draw through the sampler's own
+    # colouring and recursion.  Row r is the boundary that unit draw r
+    # gives with every other draw zero (a unit innovation of layer d is
+    # layer d's unit vector there); the first `normals` rows are the
+    # Gaussian draws of layer -depth
+    w, depth = sim.window, sim.method.margin
+    rows = sim._colour(np.eye(w.layer_len(-depth)))
+    normals = len(rows)
+    for d in range(1 - depth, 1):
+        rows = np.vstack([sim._step(rows, 0.0), np.eye(w.layer_len(d))])
+    return rows, normals
 
 
 class TestSeriesBoundary:
-    """The boundary_series boundary is the truncated moving-average series,
-    evaluated for a whole batch by running the recursion up from -margin."""
+    """A boundary_series boundary is the coloured layer -M run up the
+    recursion over the law's innovations, for a whole batch at once."""
 
     DISTS = [InnovationDist.RADEMACHER, InnovationDist.UNIFORM_UNIT_VAR]
 
-    @pytest.mark.parametrize("margin", [0, 1, 5, None])
+    @pytest.mark.parametrize("margin", [1, 5, None])
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.value)
     @pytest.mark.parametrize("p", [ModelParams(0.4, 0.35), ModelParams(0.45, -0.45)],
                              ids=str)
@@ -255,16 +260,8 @@ class TestSeriesBoundary:
         batch = next(sim.sweep(streams))[0]
         assert batch.shape == (len(streams), w.s + 1)
         for row, st in zip(batch, streams):
-            below = _layout_draws(dist, st.generator(), w, -margin, 0)
-            series = _series_reference(p, margin, below)
-            assert np.max(np.abs(row - series)) <= 1e-13 * np.max(np.abs(series))
-
-    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.value)
-    def test_margin_zero_is_own_innovation_layer(self, dist):
-        p, w = ModelParams(0.4, 0.3), TriangleWindow.balanced(10)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(0), dist)
-        f = sim.sample(RngStream(6, 1))
-        assert_array_equal(f.values[0], dist.draw(RngStream(6, 1).generator(), w.s + 1))
+            ref = _boundary_reference(p, w, margin, dist, st.generator())
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [64, 181])
     @pytest.mark.parametrize("margin", [0, 50, None])
@@ -272,10 +269,73 @@ class TestSeriesBoundary:
         design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
                                       Schedule.constant(2.0), Schedule.constant(1.0))
         p = design.params_at(32)
+        # depth 0 is Gaussian only
+        dist = InnovationDist.GAUSSIAN if margin == 0 else InnovationDist.RADEMACHER
         sim = FieldSimulator(p, TriangleWindow.balanced(s), SimMethod.boundary_series(margin),
-                             InnovationDist.RADEMACHER)
+                             dist)
         width = s + 1 + sim.method.margin
         assert sim.batch * _GROUP_LAYERS * width * 8 <= 1 << 20
+
+
+# fourth cumulants E[x^4] - 3 of the unit-variance laws: a sign has
+# E[x^4] = 1, a uniform on [-sqrt 3, sqrt 3] has E[x^4] = 9/5
+KAPPA4 = {InnovationDist.RADEMACHER: -2.0, InnovationDist.UNIFORM_UNIT_VAR: -1.2}
+
+
+def _fourth_power_weights(p, lowest, highest):
+    # sum over layers d = lowest .. highest - 1 of sum_j w(d, j)^4,
+    # w(d, j) = C(d, j) a^j b^(d - j): the weights of a boundary point on
+    # the innovations of layer -d
+    a, b = p.alpha, p.beta
+    return sum((math.comb(d, j) * a ** j * b ** (d - j)) ** 4
+               for d in range(lowest, highest) for j in range(d + 1))
+
+
+class TestDeepStartLaw:
+    """Exact moments of the boundary for a non-Gaussian law, read off the
+    sampler's linear map from its draws: no Monte Carlo."""
+
+    @pytest.mark.parametrize("depth", [1, 5, None])
+    @pytest.mark.parametrize("p", [ModelParams(0.4, 0.35), ModelParams(0.45, -0.45)],
+                             ids=str)
+    def test_boundary_covariance_is_exact_at_any_depth(self, p, depth):
+        w = TriangleWindow.balanced(8)
+        sim = FieldSimulator(p, w, SimMethod.boundary_series(depth), InnovationDist.RADEMACHER)
+        rows, _ = _boundary_map(sim)
+        t = np.arange(w.s + 1)
+        true = np.array([[cov_closed(p, int(u - v), int(v - u)) for v in t] for u in t])
+        # every draw, normal or sign, has unit variance
+        assert np.max(np.abs(rows.T @ rows - true)) <= 1e-12 * np.max(np.abs(true))
+
+    @pytest.mark.parametrize("depth", [1, 5, None])
+    @pytest.mark.parametrize("dist", list(KAPPA4), ids=lambda d: d.value)
+    def test_boundary_fourth_cumulant(self, dist, depth):
+        # kappa4 of a sum of independent draws is sum g^4 kappa4(draw); the
+        # deep normals add none, so a boundary point carries the law's
+        # weights of the layers above -depth only
+        p, w = ModelParams(0.4, 0.35), TriangleWindow.balanced(8)
+        sim = FieldSimulator(p, w, SimMethod.boundary_series(depth), dist)
+        rows, normals = _boundary_map(sim)
+        depth = sim.method.margin
+        cumulant = KAPPA4[dist] * np.sum(rows[normals:] ** 4, axis=0)
+        expected = KAPPA4[dist] * _fourth_power_weights(p, 0, depth)
+        assert np.max(np.abs(cumulant - expected)) <= 1e-12 * abs(expected)
+        # the layers left to the Gaussian start hold at most the certified tail
+        tail = _fourth_power_weights(p, depth, depth + 200)
+        assert tail <= tail_variance_bound(p.q * p.q, depth - 1)
+
+    @pytest.mark.parametrize("m, s, depth", [(16, 64, 113), (32, 181, 235)])
+    def test_resolved_depth_is_smallest_certified(self, m, s, depth):
+        # the rungs of the clt_boundary_2w benchmark workload
+        design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
+                                      Schedule.constant(2.0), Schedule.constant(1.0))
+        p, w = design.params_at(m), TriangleWindow.balanced(s)
+        sim = FieldSimulator(p, w, SimMethod.boundary_series(), InnovationDist.RADEMACHER)
+        assert sim.method.margin == depth
+        q2 = p.q * p.q
+        assert tail_variance_bound(q2, depth - 1) <= 1e-12 < tail_variance_bound(q2, depth - 2)
+        gaussian = FieldSimulator(p, w, SimMethod.boundary_series(), InnovationDist.GAUSSIAN)
+        assert gaussian.method == SimMethod.boundary_cholesky()
 
 
 def _near_unstable_2048():
