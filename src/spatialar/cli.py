@@ -65,6 +65,18 @@ def _default_ladder(design: NearlyUnstableDesign) -> list[tuple[int, int]]:
     return [(m, math.ceil(m**1.25)) for m in (16, 32, 64)]
 
 
+def _write_rows(rows: list[list], out: str | None) -> None:
+    """CSV rows (header first) to stdout, or to the file ``out`` if given."""
+    if not out:
+        for row in rows:
+            print(",".join(str(v) for v in row))
+        return
+    path = Path(out)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    print(f"wrote {path}")
+
+
 def _cmd_cov_eval(args) -> int:
     kernel = CovKernel(ModelParams(args.alpha, args.beta),
                        _METHOD_NAMES[args.method])
@@ -79,23 +91,8 @@ def _cmd_cov_table(args) -> int:
     for k in range(-args.kmax, args.kmax + 1):
         for l in range(-args.lmax, args.lmax + 1):
             rows.append([k, l, _fmt(kernel.R(k, l))])
-    out = Path(args.out) if args.out else None
-    if out is None:
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        with out.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        print(f"wrote {out}")
+    _write_rows(rows, args.out)
     return 0
-
-
-def _cmd_cov_verify(args) -> int:
-    result = harness.verify_cov(tol=args.tol)
-    print(f"four-way covariance check over {result['n_points']} points: "
-          f"worst deviation {result['worst_dev']:.3g} at {result['worst_at']} "
-          f"(tol {result['tol']:g})")
-    return 0 if result["pass"] else 2
 
 
 def _cmd_sim_field(args) -> int:
@@ -104,20 +101,10 @@ def _cmd_sim_field(args) -> int:
     sim = FieldSimulator(params, window, SimMethod.parse(args.method),
                          InnovationDist(args.dist))
     fld = sim.sample(RngStream(args.seed, args.rep))
-    out = Path(args.out) if args.out else None
-    header = ["i", "j", "value", "innovation"]
-    rows = [[i, j, _fmt(v), "" if np.isnan(e) else _fmt(e)]
-            for i, j, v, e in fld.iter_rows(with_innovations=True)]
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        with out.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"wrote {out}")
+    rows = [["i", "j", "value", "innovation"]]
+    rows += [[i, j, _fmt(v), "" if np.isnan(e) else _fmt(e)]
+             for i, j, v, e in fld.iter_rows(with_innovations=True)]
+    _write_rows(rows, args.out)
     return 0
 
 
@@ -208,7 +195,11 @@ def _cmd_experiment_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.what == "cov":
-        return _cmd_cov_verify(args)
+        result = harness.verify_cov(tol=args.tol)
+        print(f"four-way covariance check over {result['n_points']} points: "
+              f"worst deviation {result['worst_dev']:.3g} at {result['worst_at']} "
+              f"(tol {result['tol']:g})")
+        return 0 if result["pass"] else 2
     design = _design_from_args(args)
     if args.what == "prop1":
         result = harness.verify_prop1(design, _default_ladder(design))
@@ -248,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--method", choices=sorted(_METHOD_NAMES), default="closed")
     ct.add_argument("--out", help="CSV output path (stdout when omitted)")
     ct.set_defaults(func=_cmd_cov_table)
-    cv = cov_sub.add_parser("verify", help="four-way cross-method check")
-    cv.add_argument("--tol", type=float, default=1e-8)
-    cv.set_defaults(func=_cmd_cov_verify)
 
     sim = sub.add_parser("sim", help="field simulation")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
@@ -295,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verification suites")
     ver.add_argument("what", choices=["cov", "prop1", "covlim", "detb", "score"])
     _add_design_args(ver)
-    ver.add_argument("--tol", type=float, default=1e-8, help="cov verify tolerance")
+    ver.add_argument("--tol", type=float, default=1e-8, help="verify cov tolerance")
     ver.add_argument("--m", type=int, default=10_000_000)
     ver.add_argument("--s", type=int, default=64)
     ver.add_argument("--n-probe", type=int, default=8000)

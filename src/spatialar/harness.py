@@ -519,18 +519,18 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
     """Scaled-covariance bound and exponential-decay surrogate checks.
 
     On-diagonal probe pairs (s1 - s2 = t1 - t2) must respect the limit bound
-    1/sqrt(8|a||b|) (interior) or 1/2 (boundary) with ``headroom``; the
-    finite-m scaled variance approaches the bound from above at O(1/m), so
-    the probe index must be large (the checks are closed-form and cheap).
-    Off-diagonal pairs must at least halve when n_probe doubles.
+    with ``headroom``.  The bound is the limit of the scaled variance
+    c sigma^2, c = condition_statistic(design, m, 1).  The scaled E[B] has
+    diagonal c sigma^2 n / s^2 with n / s^2 -> 1/2, so the bound is twice
+    the diagonal of the scaled information limit ``_prop1_target``: 1/2 in
+    the boundary case.  The finite-m scaled variance approaches the bound
+    from above at O(1/m), so the probe index must be large (the checks are
+    closed-form and cheap).  Off-diagonal pairs must at least halve when
+    n_probe doubles.
     """
     kernel = CovKernel(design.params_at(m))
     scale = condition_statistic(design, m, 1)
-    if design.case_tag is CaseTag.INTERIOR:
-        bound = 1.0 / math.sqrt(8.0 * abs(design.boundary.alpha)
-                                * abs(design.boundary.beta))
-    else:
-        bound = 0.5
+    bound = 2.0 * _prop1_target(design, m).a11
 
     def scaled_R(n: int, s1, t1, s2, t2) -> float:
         dk = math.floor(n * s1) - math.floor(n * s2)
@@ -559,13 +559,15 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
 def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                 master_seed: int = 0, rel_tol: float = 0.2,
                 workers: int = 1) -> dict:
-    """Monte Carlo mean of the scaled determinant against 2 (8|a||b|)^(-3/2)."""
+    """Monte Carlo mean of the scaled determinant c s^(-4) det B,
+    c = condition_statistic(design, m, 1), against its limit T11 / Sigma11:
+    the diagonal of the scaled information limit ``_prop1_target`` over
+    that of the error covariance ``limit_law`` (derived there)."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
     rows = _solved_rows(design, m, s, reps, master_seed, workers)
     scaled = rows[:, 4] * (condition_statistic(design, m, 1) * s**-4.0)
-    bp = design.boundary
-    target = 2.0 * (8.0 * abs(bp.alpha) * abs(bp.beta)) ** -1.5
+    target = _prop1_target(design, m).a11 / limit_law(design).covariance.a11
     mean = float(scaled.mean())
     return {
         "m": m, "s": s, "reps": len(rows),
@@ -588,7 +590,7 @@ def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     cov = _sample_cov(scores)
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(len(scores))
-    dev = float(np.max(np.abs(cov - target.to_array())) / target.max_abs())
+    dev = _matrix_rel_dev(cov, target)
     return {
         "m": m, "s": s, "reps": len(rows),
         "scaled_cov": cov.tolist(),

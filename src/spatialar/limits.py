@@ -3,8 +3,9 @@
 Two regimes, split on the boundary point (|alpha| + |beta| = 1):
 
 * interior (0 < |alpha| < 1): the scaled estimator error converges at rate
-  s = k + l with singular limit covariance |alpha||beta| * adj(Psi), where
-  Psi = [[1, sign(ab)], [sign(ab), 1]];
+  s = k + l with singular limit covariance 2|alpha||beta| * adj(Psi), where
+  Psi = [[1, sign(ab)], [sign(ab), 1]] (derived from the exact E[B] in
+  ``limit_law``);
 * boundary (|alpha| in {0, 1}): rate s * m^(1/2) |gamma^2 - delta^2|^(-1/4)
   with covariance Theta^(-1), Theta = (1/4)[[1, theta], [theta, 1]], theta
   determined by the schedule ratio limit omega.
@@ -153,13 +154,32 @@ class LimitLaw:
 def limit_law(design: NearlyUnstableDesign, m_probe: int = 4096) -> LimitLaw:
     """The limit law of the scaled LSE error for this design.
 
-    Interior: rate (m, s) -> s, covariance |alpha||beta| adj(Psi) (rank 1).
-    Boundary: rate (m, s) -> s sqrt(m) |gamma(m)^2 - delta(m)^2|^(-1/4),
+    Interior: rate (m, s) -> s, covariance Sigma = 2|alpha||beta| adj(Psi)
+    (rank 1).  Boundary: rate (m, s) -> s sqrt(m) |gamma(m)^2 - delta(m)^2|^(-1/4),
     covariance Theta(theta)^(-1) when |omega| > 1, singular at |omega| = 1.
+
+    The interior Sigma follows from the exact moments along ``params_at``,
+    under this package's convention (rate s, the balanced window with
+    n = s(s+1)/2 points, unit innovation variance); c is
+    condition_statistic(design, m, 1):
+
+    * E[B] = n sigma^2 [[1, D], [D, 1]] (``expected_B``), where
+      c sigma^2 -> (8|alpha||beta|)^(-1/2) = 2 T11, T the scaled
+      information limit (``harness._prop1_target``), and
+      sigma^2 (1 - |D|) -> 1 / (2|alpha||beta|).
+    * The score A has Var(A) = E[B], so to first order
+      s^2 Cov(err) = s^2 E[B]^(-1).  Along w = (1, -sign(ab)) / sqrt(2),
+      the null direction of Psi, this is s^2 / (n sigma^2 (1 - |D|)), which
+      tends to 4|alpha||beta|; across w it tends to 0, since sigma^2
+      diverges.  So Sigma = 4|alpha||beta| w w' = 2|alpha||beta| adj(Psi).
+    * The determinant splits into the two eigenvalues:
+      c s^(-4) det E[B] = [c s^(-2) n sigma^2 (1 + |D|)]
+      [s^(-2) n sigma^2 (1 - |D|)] -> 2 T11 / (4|alpha||beta|) = T11 / Sigma11,
+      the target ``verify_detB`` derives from T and Sigma.
     """
     bp = design.boundary
     if design.case_tag is CaseTag.INTERIOR:
-        cov = psi_adjugate(bp).scale(abs(bp.alpha) * abs(bp.beta))
+        cov = psi_adjugate(bp).scale(2.0 * abs(bp.alpha) * abs(bp.beta))
         return LimitLaw(CaseTag.INTERIOR, lambda m, s: float(s), cov, singular=True)
 
     g, d = design.gamma(m_probe), design.delta(m_probe)

@@ -124,14 +124,6 @@ class SimMethod:
             raise ConfigError(f"sampling depth must be >= 0, got {self.margin}")
 
     @classmethod
-    def boundary_cholesky(cls) -> "SimMethod":
-        return cls(0)
-
-    @classmethod
-    def boundary_series(cls, margin: int | None = None) -> "SimMethod":
-        return cls(margin)
-
-    @classmethod
     def parse(cls, text: str) -> "SimMethod":
         """``boundary_cholesky`` or ``boundary_series[:margin]``, the forms
         ``describe`` writes."""

@@ -45,10 +45,10 @@ def rng_spans(size, method, dist):
 
 counts = {}
 for dist in InnovationDist:
-    method = (SimMethod.boundary_cholesky() if dist is InnovationDist.GAUSSIAN
-              else SimMethod.boundary_series(3))
+    method = (SimMethod(0) if dist is InnovationDist.GAUSSIAN
+              else SimMethod(3))
     counts[dist.value] = rng_spans(10, method, dist)
-counts["rademacher_s40"] = rng_spans(40, SimMethod.boundary_series(30),
+counts["rademacher_s40"] = rng_spans(40, SimMethod(30),
                                      InnovationDist.RADEMACHER)
 print(json.dumps(counts))
 """

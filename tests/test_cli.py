@@ -140,6 +140,15 @@ class TestLimitsAndVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("tol, code", [(None, 0), ("1e-15", 2)])
+    def test_verify_cov(self, capsys, tol, code):
+        # the default tolerance 1e-8 is met; the four evaluators agree only
+        # to about 1e-13 after rounding, so 1e-15 is not
+        args = ["verify", "cov"] + (["--tol", tol] if tol else [])
+        got, out, _ = run_cli(capsys, *args)
+        assert got == code
+        assert out.startswith("four-way covariance check over ")
+
     def test_verify_prop1_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "prop1", "--alpha", "1",
                                "--beta", "0", "--gamma-c", "2")

@@ -186,7 +186,7 @@ class TestRunCLT:
     def test_series_timing_reports_margin_and_tail_bound(self, tmp_path, margin):
         # a non-Gaussian rung reports its resolved depth and the certified
         # bound q^(4M) / (1 - q^4) on its fourth-cumulant tail
-        method = SimMethod.boundary_series(margin)
+        method = SimMethod(margin)
         cfg = small_config(ladder=[(16, 16), (24, 24)], method=method,
                            dist=InnovationDist.RADEMACHER, out_dir=str(tmp_path / "out"))
         run_clt(cfg)
@@ -227,8 +227,8 @@ class TestRunCLT:
 
 class TestBatchedEngine:
     @pytest.mark.parametrize("method, dist", [
-        (SimMethod.boundary_cholesky(), InnovationDist.GAUSSIAN),
-        (SimMethod.boundary_series(), InnovationDist.RADEMACHER),
+        (SimMethod(0), InnovationDist.GAUSSIAN),
+        (SimMethod(None), InnovationDist.RADEMACHER),
     ], ids=["boundary_cholesky", "boundary_series"])
     def test_rows_identical_across_batch_sizes_and_workers(self, method, dist):
         params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23

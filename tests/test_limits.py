@@ -29,6 +29,8 @@ from spatialar import (
     sqrt_spd2,
     theta_matrix,
     theta_scalar,
+    verify_covlim,
+    verify_detB,
 )
 from spatialar.covariance import d_factor
 from spatialar.harness import scaled_expected_B
@@ -141,7 +143,7 @@ class TestLimitLaw:
         assert law.singular
         assert law.rate(16, 64) == 64.0
         assert_allclose(law.covariance.to_array(),
-                        0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+                        0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_boundary(self):
         law = limit_law(boundary_design())
@@ -245,12 +247,12 @@ class TestScaledInformationTrends:
                 for m in (64, 256)]
         assert devs[1] < devs[0]
 
-    def test_interior_diff_variance_is_twice_the_limit_law(self):
+    def test_interior_diff_variance_tends_to_the_limit_law(self):
         # no Monte Carlo: to first order Var(v'err) = 1 / v'E[B]v along
         # v = (1, -1)/sqrt(2), the proj_diff direction, so the scaled
         # var(diff) at m = s tends to 2 / lim sigma^2 (1 - D).  The exact
         # moments put that limit at 4|a||b| = 1.0 at the boundary point
-        # (1/2, 1/2), while limit_law gives 2|a||b| = 0.5
+        # (1/2, 1/2), limit_law's variance along v
         design = interior_design()
         ab = abs(design.boundary.alpha) * abs(design.boundary.beta)
         scaled, product = [], []
@@ -265,7 +267,46 @@ class TestScaledInformationTrends:
         assert product == pytest.approx([0.850, 0.970, 0.992, 0.998], abs=5e-4)
         assert all(a < b < 1.0 for a, b in zip(product, product[1:]))
         lim = limit_law(design).covariance
-        assert (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0 == pytest.approx(2.0 * ab)
+        assert (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0 == pytest.approx(4.0 * ab)
+
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.25, 0.75), (0.6, 0.4)])
+    def test_interior_limit_constants_match_exact_moments(self, pair):
+        # no Monte Carlo: along params_at at m = s, the exact E[B] drives the
+        # scaled w-variance s^2 / w'E[B]w down to limit_law's w'Sigma w, the
+        # scaled determinant c s^-4 det E[B] up to verify_detB's target, and
+        # the scaled variance c sigma^2 down to verify_covlim's bound, with
+        # w = (1, -1)/sqrt(2) the null direction of Psi and
+        # c = condition_statistic(design, m, 1).  The two derived constants
+        # equal the closed forms 2 (8|a||b|)^(-3/2) and (8|a||b|)^(-1/2)
+        design = NearlyUnstableDesign(BoundaryPoint.from_pair(*pair),
+                                      Schedule.constant(1.0), Schedule.constant(1.0))
+        ab = pair[0] * pair[1]
+        lim = limit_law(design).covariance
+        w_limit = (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0
+        det_target = verify_detB(design, 128, 16, reps=2)["target"]
+        bound = verify_covlim(design, 1 << 20, 8000)["bound"]
+        assert w_limit == pytest.approx(4.0 * ab, rel=1e-15)
+        closed_det = 2.0 * (8.0 * ab) ** -1.5
+        assert abs(det_target - closed_det) <= 1e-14 * closed_det
+        closed_bound = 1.0 / math.sqrt(8.0 * ab)
+        assert abs(bound - closed_bound) <= math.ulp(closed_bound)
+        w_var, det, scaled_var = [], [], []
+        for m in (128, 4096, 65536, 1 << 20):
+            p = design.params_at(m)
+            eb = expected_B(p, m)
+            c = condition_statistic(design, m, 1)
+            w_var.append(m * m / ((eb.a11 + eb.a22 - 2.0 * eb.a12) / 2.0))
+            det.append(c * m**-4.0 * eb.det())
+            scaled_var.append(c * sigma_sq(p))
+        assert all(b < a for a, b in zip(w_var, w_var[1:]))
+        assert abs(w_var[-1] / w_limit - 1.0) <= 0.005
+        assert all(a < b for a, b in zip(det, det[1:]))
+        assert abs(det[-1] / det_target - 1.0) <= 0.01
+        assert all(b < a for a, b in zip(scaled_var, scaled_var[1:]))
+        assert abs(scaled_var[-1] / bound - 1.0) <= 1e-5
+
+    def test_covlim_boundary_bound_is_twice_theta_diagonal(self):
+        assert verify_covlim(boundary_design(), 10_000_000, 8000)["bound"] == 0.5
 
     def test_boundary_scaled_mean_trend(self):
         design = boundary_design()

@@ -53,7 +53,7 @@ class TestSimMethod:
         method = SimMethod.parse(text)
         assert method == SimMethod(margin)
         assert method.describe() == text
-        assert SimMethod.parse("boundary_series:0") == SimMethod.boundary_cholesky()
+        assert SimMethod.parse("boundary_series:0") == SimMethod(0)
 
 
 class TestDraws:
@@ -105,8 +105,8 @@ class TestSimulate:
     def test_determinism_bit_identical(self):
         p = ModelParams(0.4, 0.35)
         w = TriangleWindow.balanced(16)
-        for method in (SimMethod.boundary_cholesky(),
-                       SimMethod.boundary_series(20)):
+        for method in (SimMethod(0),
+                       SimMethod(20)):
             f1 = FieldSimulator(p, w, method).sample(RngStream(9, 4))
             f2 = FieldSimulator(p, w, method).sample(RngStream(9, 4))
             for a, b in zip(f1.values, f2.values):
@@ -144,8 +144,8 @@ class TestSimulate:
         assert_array_equal(np.concatenate(f.innovations), np.concatenate(list(triangle.values())))
 
     @pytest.mark.parametrize("method, dist", [
-        (SimMethod.boundary_cholesky(), InnovationDist.GAUSSIAN),
-        *[(SimMethod.boundary_series(20), dist) for dist in InnovationDist],
+        (SimMethod(0), InnovationDist.GAUSSIAN),
+        *[(SimMethod(20), dist) for dist in InnovationDist],
     ], ids=lambda v: v.describe() if isinstance(v, SimMethod) else v.value)
     def test_group_size_does_not_change_the_draws(self, monkeypatch, method, dist):
         # _GROUP_LAYERS bounds memory only: at s = 21 and depth 20 the 20
@@ -174,7 +174,7 @@ class TestSimulate:
         p = ModelParams(0.4, 0.4)
         w = TriangleWindow.balanced(8)
         with pytest.raises(MethodUnsupportedError):
-            FieldSimulator(p, w, SimMethod.boundary_cholesky(), dist)
+            FieldSimulator(p, w, SimMethod(0), dist)
 
     def test_zero_jitter_on_model_covariances(self):
         p = ModelParams(0.49, 0.49)
@@ -184,7 +184,7 @@ class TestSimulate:
     def test_boundary_series_exact_recursion(self):
         p = ModelParams(0.45, 0.45)
         w = TriangleWindow.balanced(16)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(),
+        sim = FieldSimulator(p, w, SimMethod(None),
                              InnovationDist.RADEMACHER)
         f = sim.sample(RngStream(2, 7))
         assert f.max_recursion_residual() <= 1e-10
@@ -254,7 +254,7 @@ class TestSeriesBoundary:
                              ids=str)
     def test_batched_boundary_matches_series(self, p, dist, margin):
         w = TriangleWindow.balanced(17)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(margin), dist)
+        sim = FieldSimulator(p, w, SimMethod(margin), dist)
         margin = sim.method.margin
         streams = [RngStream(12, r) for r in (0, 3, 4)]
         batch = next(sim.sweep(streams))[0]
@@ -271,7 +271,7 @@ class TestSeriesBoundary:
         p = design.params_at(32)
         # depth 0 is Gaussian only
         dist = InnovationDist.GAUSSIAN if margin == 0 else InnovationDist.RADEMACHER
-        sim = FieldSimulator(p, TriangleWindow.balanced(s), SimMethod.boundary_series(margin),
+        sim = FieldSimulator(p, TriangleWindow.balanced(s), SimMethod(margin),
                              dist)
         width = s + 1 + sim.method.margin
         assert sim.batch * _GROUP_LAYERS * width * 8 <= 1 << 20
@@ -296,11 +296,14 @@ class TestDeepStartLaw:
     sampler's linear map from its draws: no Monte Carlo."""
 
     @pytest.mark.parametrize("depth", [1, 5, None])
+    @pytest.mark.parametrize("dist", [InnovationDist.GAUSSIAN, InnovationDist.RADEMACHER],
+                             ids=lambda d: d.value)
     @pytest.mark.parametrize("p", [ModelParams(0.4, 0.35), ModelParams(0.45, -0.45)],
                              ids=str)
-    def test_boundary_covariance_is_exact_at_any_depth(self, p, depth):
+    def test_boundary_covariance_is_exact_at_any_depth(self, p, dist, depth):
+        # a Gaussian depth of None resolves to 0: the coloured layer alone
         w = TriangleWindow.balanced(8)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(depth), InnovationDist.RADEMACHER)
+        sim = FieldSimulator(p, w, SimMethod(depth), dist)
         rows, _ = _boundary_map(sim)
         t = np.arange(w.s + 1)
         true = np.array([[cov_closed(p, int(u - v), int(v - u)) for v in t] for u in t])
@@ -314,7 +317,7 @@ class TestDeepStartLaw:
         # deep normals add none, so a boundary point carries the law's
         # weights of the layers above -depth only
         p, w = ModelParams(0.4, 0.35), TriangleWindow.balanced(8)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(depth), dist)
+        sim = FieldSimulator(p, w, SimMethod(depth), dist)
         rows, normals = _boundary_map(sim)
         depth = sim.method.margin
         cumulant = KAPPA4[dist] * np.sum(rows[normals:] ** 4, axis=0)
@@ -330,12 +333,12 @@ class TestDeepStartLaw:
         design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
                                       Schedule.constant(2.0), Schedule.constant(1.0))
         p, w = design.params_at(m), TriangleWindow.balanced(s)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(), InnovationDist.RADEMACHER)
+        sim = FieldSimulator(p, w, SimMethod(None), InnovationDist.RADEMACHER)
         assert sim.method.margin == depth
         q2 = p.q * p.q
         assert tail_variance_bound(q2, depth - 1) <= 1e-12 < tail_variance_bound(q2, depth - 2)
-        gaussian = FieldSimulator(p, w, SimMethod.boundary_series(), InnovationDist.GAUSSIAN)
-        assert gaussian.method == SimMethod.boundary_cholesky()
+        gaussian = FieldSimulator(p, w, SimMethod(None), InnovationDist.GAUSSIAN)
+        assert gaussian.method == SimMethod(0)
 
 
 def _near_unstable_2048():
@@ -419,7 +422,7 @@ class TestLawCorrectness:
         true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
                          for i1, j1 in pts])
         se = np.sqrt((kern.R(0, 0) ** 2 + true**2) / 10_000)
-        sim = FieldSimulator(p, w, SimMethod.boundary_cholesky())
+        sim = FieldSimulator(p, w, SimMethod(0))
         flat = np.empty((10_000, len(pts)))
         for r in range(10_000):
             flat[r] = np.concatenate(sim.sample(RngStream(21, r)).values)
@@ -453,7 +456,7 @@ class TestLawCorrectness:
     def test_non_gaussian_boundary_series_variance(self):
         p = ModelParams(0.4, 0.35)
         w = TriangleWindow.balanced(12)
-        sim = FieldSimulator(p, w, SimMethod.boundary_series(),
+        sim = FieldSimulator(p, w, SimMethod(None),
                              InnovationDist.RADEMACHER)
         reps = 6000
         vals = np.array([sim.sample(RngStream(3, r)).value(3, 3)
