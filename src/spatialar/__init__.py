@@ -78,6 +78,7 @@ from .simulate import (
     InnovationDist,
     RngStream,
     SimMethod,
+    cumulant_tail_bound,
     tail_variance_bound,
 )
 

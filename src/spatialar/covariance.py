@@ -22,8 +22,17 @@ first use and grown by doubling.  Its entries are computed in plain Python
 by the floating-point steps of the Cephes ``lgam`` routine, so they equal
 that library's log-gamma at i + 1 bit for bit.  Each route sums over the
 index pairs (m, n) with m + n <= smax, flattened level by level and kept,
-with their parities, in a small bounded cache keyed by smax; ``cov_binrep``
-runs its whole i-sum as one log-space convolution over that grid.
+with their levels, in a small bounded cache keyed by smax; ``cov_binrep``
+runs its whole i-sum as one log-space convolution over that grid.  A factor
+that depends on m, n or the level alone is formed once per value and
+gathered onto the grid.
+
+The three series routes take integer lags or integer arrays of lags.  A
+block of L lags of one (alpha, beta) is one pass over the shared grid: one
+``oracle_margin`` call, (L x grid) gathers from the table, and sums along
+the grid axis.  Every value is bit-identical to the one-lag call, which is
+the L = 1 case of the same code; callers bound L so that the temporaries
+stay small (``harness.verify_cov`` uses blocks of at most 8192 terms).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonStationaryError, WrongQuadrantError
+from .errors import NonStationaryError, OutOfRangeError, WrongQuadrantError
 from .model import ModelParams
 
 __all__ = [
@@ -221,53 +230,84 @@ def _xlog(x: np.ndarray, log_base: float) -> np.ndarray:
     return x * log_base
 
 
+def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Integer lags k, l (scalars or arrays) as two flat int64 arrays of their
+    broadcast size, with the shape to give the results: () for scalars."""
+    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
+    if k.dtype.kind not in "iu" or l.dtype.kind not in "iu":
+        raise TypeError(f"lags must be integers, got {k.dtype} and {l.dtype}")
+    return k.astype(np.int64).ravel(), l.astype(np.int64).ravel(), k.shape
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """Per-lag results in the lags' shape; a float for a scalar lag."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
 @lru_cache(maxsize=8)
-def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index pairs (m, n) with m + n <= smax, flattened level by level.
 
     Level t = m + n fills entries t(t+1)/2 .. t(t+1)/2 + t with m = 0..t, so
     a per-level sum is one segment of a ``reduceat``.  Returns the read-only
-    arrays (m, n, m odd, n odd).
+    arrays (m, n, t).  A route's factor that depends on m, n or t alone is
+    formed once per value r = 0..smax and gathered onto the grid by that
+    index, so each grid term is still computed by the same steps.
     """
     t = np.repeat(np.arange(smax + 1), np.arange(1, smax + 2))
     m = np.arange(t.size) - t * (t + 1) // 2
     n = t - m
-    grid = (m, n, m % 2 == 1, n % 2 == 1)
+    grid = (m, n, t)
     for arr in grid:
         arr.flags.writeable = False
     return grid
+
+
+def _spread(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[..., index]: a factor formed per value r = 0..smax (last axis),
+    gathered onto the level grid, C-ordered so that grid sums run along
+    contiguous rows."""
+    return np.take(table, index, axis=-1)
+
+
+def _spread_levels(table: np.ndarray) -> np.ndarray:
+    """``_spread(table, t)`` for the level t of each grid entry: level r
+    fills r + 1 consecutive entries, so the gather is a repeat."""
+    return np.repeat(table, np.arange(1, table.shape[-1] + 1), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Appell F4 route
 
 
-def _f4_grid_sum(a: int, b: int, c: int, d: int, x: float, y: float,
-                 smax: int) -> float:
+def _f4_grid_sum(a, b, c, d, x: float, y: float, smax: int):
     """Appell F4(a, b; c, d; x, y) = sum_{m,n} (a)_{m+n} (b)_{m+n} /
     ((c)_m (d)_n m! n!) x^m y^n, summed over the levels m + n <= smax.
 
     The parameters are positive integers, so each Pochhammer symbol is a
     ratio of factorials, (a)_t = (a-1+t)! / (a-1)!, read from the shared
-    log-factorial table.
+    log-factorial table.  They may also be (L, 1) integer columns, one F4
+    per row, summed over the grid axis in one pass; the result then has
+    shape (L,).
     """
-    m, n, m_odd, n_odd = _level_grid(smax)
-    s = m + n
-    lf = _log_factorials(max(a, b, c, d) - 1 + smax)
-    logt = (lf[a - 1 + s] - lf[a - 1] + lf[b - 1 + s] - lf[b - 1]
-            - (lf[c - 1 + m] - lf[c - 1]) - (lf[d - 1 + n] - lf[d - 1])
-            - lf[m] - lf[n])
+    m, n, _ = _level_grid(smax)
+    r = np.arange(smax + 1)
+    lf = _log_factorials(int(max(np.max(v, initial=1) for v in (a, b, c, d))) - 1 + smax)
+    level = lf[a - 1 + r] - lf[a - 1] + lf[b - 1 + r] - lf[b - 1]
+    logt = (_spread_levels(level) - _spread(lf[c - 1 + r] - lf[c - 1], m)
+            - _spread(lf[d - 1 + r] - lf[d - 1], n) - lf[m] - lf[n])
     # a zero argument leaves only the m = 0 (n = 0) terms
-    terms = np.exp(logt + _xlog(m, math.log(abs(x)) if x != 0 else -math.inf)
-                   + _xlog(n, math.log(abs(y)) if y != 0 else -math.inf))
+    log_x = math.log(abs(x)) if x != 0 else -math.inf
+    log_y = math.log(abs(y)) if y != 0 else -math.inf
+    terms = np.exp(logt + _spread(_xlog(r, log_x), m) + _spread(_xlog(r, log_y), n))
     if x < 0:
-        terms = np.where(m_odd, -terms, terms)
+        terms = np.where(m % 2 == 1, -terms, terms)
     if y < 0:
-        terms = np.where(n_odd, -terms, terms)
-    return float(np.sum(terms))
+        terms = np.where(n % 2 == 1, -terms, terms)
+    return np.sum(terms, axis=-1)
 
 
-def cov_f4(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
+def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     """Covariance through the two F4 representations.
 
     Mixed quadrant: a^|k| b^|l| F4(|k|+1, |l|+1, |k|+1, |l|+1; a^2, b^2).
@@ -280,45 +320,54 @@ def cov_f4(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     the covariance and truncating at level S leaves an absolute error of at
     most q^(2(S+1))/(1-q^2).  Each F4 sum is one pass over the level grid,
     its Pochhammer symbols read from the shared log-factorial table.
+
+    ``k`` and ``l`` are integers or integer arrays (broadcast together).
+    A block of lags is one pass over the grid, a (lags x grid) array, with
+    every value bit-identical to its one-lag call; integer lags return a
+    float, arrays an array of their broadcast shape.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
-    ka, la = abs(k), abs(l)
+    k, l, shape = _lag_arrays(k, l)
+    ka, la = np.abs(k), np.abs(l)
+    mixed = k * l <= 0
     smax = oracle_margin(p.q, tol)
-    if k * l <= 0:
-        f4 = _f4_grid_sum(ka + 1, la + 1, ka + 1, la + 1, a * a, b * b, smax)
-        return a**ka * b**la * f4
-    f4 = _f4_grid_sum(ka + la + 1, 1, ka + 1, la + 1, a * a, b * b, smax)
-    return a**ka * b**la * math.comb(ka + la, ka) * f4
+    f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
+                      np.where(mixed, la + 1, 1)[:, None],
+                      (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
+    prefactor = [a**x * b**y if mix else a**x * b**y * math.comb(x + y, x)
+                 for x, y, mix in zip(ka.tolist(), la.tolist(), mixed.tolist())]
+    return _shaped(np.array(prefactor) * f4, shape)
 
 
 # ---------------------------------------------------------------------------
 # binomial-representation route
 
 
+def _binomial_logs(prob: float) -> tuple[float, float]:
+    """(log prob, log(1 - prob)), -inf where the probability is 0."""
+    return (math.log(prob) if prob > 0.0 else -math.inf,
+            math.log1p(-prob) if prob < 1.0 else -math.inf)
+
+
 def _log_binomial_pmf(lf: np.ndarray, n, k, prob: float) -> np.ndarray:
     """log P(Binomial(n, prob) = k) elementwise; prob in {0, 1} is a point mass."""
-    log_p = math.log(prob) if prob > 0.0 else -math.inf
-    log_q = math.log1p(-prob) if prob < 1.0 else -math.inf
+    log_p, log_q = _binomial_logs(prob)
     return lf[n] - lf[k] - lf[n - k] + _xlog(k, log_p) + _xlog(n - k, log_q)
 
 
-def _pmf_s_segments(lf: np.ndarray, n, m, nu: float, j, u: np.ndarray,
-                    sizes: np.ndarray) -> np.ndarray:
-    """P(S(n, m) = j) for each segment of ``sizes[r]`` consecutive entries of u.
+def _segment_sums(logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """sum(exp(logs)) over each segment of ``sizes[r]`` consecutive entries
+    along the last axis; leading axes (one row per lag) are independent.
 
-    S(n, m) = Binomial(n, nu) + Binomial(m, 1 - nu); n, m and j are scalars
-    or arrays aligned with u, constant on each segment, and term u is
-    P(Binomial(n, nu) = u) P(Binomial(m, 1 - nu) = j - u), with the
-    log-factorials read from ``lf``.  Each segment is summed in log space,
-    shifted by its peak term, and any rounding residue is clamped at 0.
+    Each segment is summed in log space, shifted by its peak term, and any
+    rounding residue is clamped at 0.
     """
-    logs = (_log_binomial_pmf(lf, n, u, nu)
-            + _log_binomial_pmf(lf, m, j - u, 1.0 - nu))
     starts = np.cumsum(sizes) - sizes
-    peak = np.maximum.reduceat(logs, starts)
+    peak = np.maximum.reduceat(logs, starts, axis=-1)
     shift = np.where(peak == -np.inf, 0.0, peak)
-    body = np.add.reduceat(np.exp(logs - np.repeat(shift, sizes)), starts)
+    body = np.add.reduceat(np.exp(logs - np.repeat(shift, sizes, axis=-1)), starts,
+                           axis=-1)
     return np.maximum(0.0, np.exp(peak) * body)
 
 
@@ -334,12 +383,19 @@ def pmf_s(n: int, m: int, nu: float, j: int) -> float:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
     if j < 0 or j > n + m:
         return 0.0
+    # term u is P(Binomial(n, nu) = u) P(Binomial(m, 1 - nu) = j - u)
     u = np.arange(max(0, j - m), min(n, j) + 1)
-    return float(_pmf_s_segments(_log_factorials(max(n, m)), n, m, nu, j, u,
-                                 np.array([u.size]))[0])
+    lf = _log_factorials(max(n, m))
+    logs = _log_binomial_pmf(lf, n, u, nu) + _log_binomial_pmf(lf, m, j - u, 1.0 - nu)
+    return float(_segment_sums(logs, np.array([u.size]))[0])
 
 
-def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
+def _sign_of_power(base: float, expo: np.ndarray) -> np.ndarray:
+    """sign(base)^expo as +1/-1 integers, a zero base counting as positive."""
+    return np.where((base < 0) & (expo % 2 == 1), -1, 1)
+
+
+def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     """Same-sign-quadrant covariance through binomial pmfs.
 
     sign(a)^|k| sign(b)^|l| * sum_i q^(|k|+|l|+2i) P(S(i, |k|+|l|+i) = |l|+i)
@@ -349,27 +405,39 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
     runs over u = 0..i, so the whole sum is one pass over the level grid
     (u, i - u), one segment per i, with the binomial coefficients read from the
     shared log-factorial table.
+
+    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
+    block of lags is one (lags x grid) pass whose segments are summed along
+    the grid axis, bit-identical to one call per lag.  Any lag with
+    k*l < 0 raises WrongQuadrantError.
     """
     p.require_stationary()
-    if k * l < 0:
-        raise WrongQuadrantError(
-            f"binomial representation needs k*l >= 0, got ({k}, {l})"
-        )
+    k, l, shape = _lag_arrays(k, l)
+    mixed = np.flatnonzero(k * l < 0)
+    if mixed.size:
+        raise WrongQuadrantError("binomial representation needs k*l >= 0, "
+                                 f"got ({k[mixed[0]]}, {l[mixed[0]]})")
     a, b = p.alpha, p.beta
     q = p.q
     if q == 0.0:
-        return 1.0 if (k == 0 and l == 0) else 0.0
-    ka, la = abs(k), abs(l)
+        return _shaped(np.where((k == 0) & (l == 0), 1.0, 0.0), shape)
+    ka, la = np.abs(k), np.abs(l)
     nu = abs(a) / q
-    sign = (1 if a >= 0 or ka % 2 == 0 else -1) * (1 if b >= 0 or la % 2 == 0 else -1)
+    sign = _sign_of_power(a, ka) * _sign_of_power(b, la)
+    ka, la = ka[:, None], la[:, None]
     big = ka + la
     margin = oracle_margin(q, tol)
-    u, w, _, _ = _level_grid(margin)
-    i = u + w
-    t = np.arange(margin + 1)
-    lf = _log_factorials(big + margin)
-    pmf = _pmf_s_segments(lf, i, big + i, nu, la + i, u, t + 1)
-    return sign * float(np.sum(q ** (big + 2 * t) * pmf))
+    u, w, i = _level_grid(margin)
+    r = np.arange(margin + 1)
+    lf = _log_factorials(int(np.max(big, initial=0)) + margin)
+    # term (u, w) of level i is P(Binomial(i, nu) = u) times
+    # P(Binomial(big + i, 1 - nu) = la + w), whose failures number ka + u
+    log_p, log_q = _binomial_logs(1.0 - nu)
+    logs = _log_binomial_pmf(lf, i, u, nu) + (
+        _spread_levels(lf[big + r]) - _spread(lf[la + r], w) - _spread(lf[ka + r], u)
+        + _spread(_xlog(la + r, log_p), w) + _spread(_xlog(ka + r, log_q), u))
+    pmf = _segment_sums(logs, r + 1)
+    return _shaped(sign * np.sum(q ** (big + 2 * r) * pmf, axis=-1), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +445,32 @@ def cov_binrep(p: ModelParams, k: int, l: int, tol: float = 1e-12) -> float:
 
 
 def oracle_margin(q: float, tol: float = 1e-12) -> int:
-    """Smallest margin whose truncation tail q^(2(M+1))/(1-q^2) is below tol."""
+    """Smallest margin whose truncation tail q^(2(M+1))/(1-q^2) is below tol.
+
+    A tolerance that is not positive and finite raises OutOfRangeError: no
+    margin meets tol <= 0, and a NaN would be met by any.
+    """
     if not 0.0 <= q < 1.0:
         raise NonStationaryError(f"need 0 <= q < 1, got {q}")
+    if not 0.0 < tol < math.inf:
+        raise OutOfRangeError(f"truncation tolerance must be positive and finite, got {tol}")
     if q == 0.0:
         return 1
-    m = 0
-    while q ** (2 * (m + 1)) / (1.0 - q * q) > tol:
+
+    def tail(m: int) -> float:
+        return q ** (2 * (m + 1)) / (1.0 - q * q)
+
+    # start at the root of tail(m) = tol and step to the smallest m with
+    # tail(m) <= tol; the steps only absorb the rounding of the logs
+    m = max(0, math.floor((math.log(tol) + math.log1p(-q * q)) / (2.0 * math.log(q))) - 1)
+    while m > 0 and tail(m - 1) <= tol:
+        m -= 1
+    while tail(m) > tol:
         m += 1
     return max(m, 1)
 
 
-def cov_series_oracle(p: ModelParams, k: int, l: int, margin: int | None = None) -> float:
+def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     """Brute-force covariance: truncated inner product of the MA weights.
 
     Sums, over the shared innovation support, the product of the
@@ -398,27 +480,35 @@ def cov_series_oracle(p: ModelParams, k: int, l: int, margin: int | None = None)
     truncation error is bounded by q^(2(margin+1))/(1-q^2).  Deliberately
     ignorant of every closed form; the binomial coefficients come from the
     shared log-factorial table.
+
+    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
+    block of lags is one (lags x grid) pass, bit-identical to one call per
+    lag.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
     if margin is None:
         margin = oracle_margin(p.q)
+    k, l, shape = _lag_arrays(k, l)
     # support (i, j) <= (min(k,0), min(l,0)); substitute i = min(k,0)-u, j = min(l,0)-v
-    kp, lp = max(k, 0), max(l, 0)
-    km, lm = max(-k, 0), max(-l, 0)
+    kp, lp = np.maximum(k, 0), np.maximum(l, 0)
+    km, lm = np.maximum(-k, 0), np.maximum(-l, 0)
+    # every kept term of a lag carries the same sign pattern
+    sign = _sign_of_power(a, km + kp) * _sign_of_power(b, lm + lp)
+    kp, lp, km, lm = kp[:, None], lp[:, None], km[:, None], lm[:, None]
     depth0 = km + lm  # depth of the first shared innovation below the origin
-    u, v, _, _ = _level_grid(margin)
-    lf = _log_factorials(max(depth0, kp + lp) + margin)
+    u, v, _ = _level_grid(margin)
+    r = np.arange(margin + 1)
+    lf = _log_factorials(int(np.max(np.maximum(depth0, kp + lp), initial=0)) + margin)
     # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
     # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
-    logw = (lf[depth0 + u + v] - lf[km + u] - lf[lm + v]
-            + lf[kp + lp + u + v] - lf[kp + u] - lf[lp + v])
-    logw = (logw + _xlog(km + kp + 2 * u, math.log(abs(a)) if a != 0 else -math.inf)
-            + _xlog(lm + lp + 2 * v, math.log(abs(b)) if b != 0 else -math.inf))
-    # every kept term carries the same sign pattern
-    sign = (1 if a >= 0 or (km + kp) % 2 == 0 else -1) * \
-           (1 if b >= 0 or (lm + lp) % 2 == 0 else -1)
-    return sign * float(np.sum(np.exp(logw)))
+    logw = (_spread_levels(lf[depth0 + r]) - _spread(lf[km + r], u) - _spread(lf[lm + r], v)
+            + _spread_levels(lf[kp + lp + r]) - _spread(lf[kp + r], u) - _spread(lf[lp + r], v))
+    log_a = math.log(abs(a)) if a != 0 else -math.inf
+    log_b = math.log(abs(b)) if b != 0 else -math.inf
+    logw = (logw + _spread(_xlog(km + kp + 2 * r, log_a), u)
+            + _spread(_xlog(lm + lp + 2 * r, log_b), v))
+    return _shaped(sign * np.sum(np.exp(logw), axis=-1), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .simulate import (
     InnovationDist,
     RngStream,
     SimMethod,
-    tail_variance_bound,
+    cumulant_tail_bound,
 )
 
 __all__ = [
@@ -415,8 +415,7 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                 "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch}
         if config.dist is not InnovationDist.GAUSSIAN:
             rung["series_margin"] = sim.method.margin
-            rung["series_cumulant_bound"] = tail_variance_bound(params.q * params.q,
-                                                                sim.method.margin - 1)
+            rung["series_cumulant_bound"] = cumulant_tail_bound(params, sim.method.margin)
         if law.case_tag is not CaseTag.INTERIOR:
             rung["omega_settled"] = law.omega_settled
         timing.append(rung)
@@ -430,6 +429,11 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 # exact verification suites
 
 
+# lag x grid terms per covariance call of verify_cov: 64 KiB of float64 for
+# each temporary of a block (a single lag may exceed it near q = 0.9)
+_LAG_BLOCK_TERMS = 1 << 13
+
+
 def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
                tol: float = 1e-8) -> dict:
     """Four-way cross-check of the covariance evaluators.
@@ -437,28 +441,43 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     Closed form, Appell F4, binomial representation (its quadrant) and the
     truncated-series oracle must agree within ``tol`` absolutely over the
     parameter grid (restricted to |alpha| + |beta| <= 0.9) and all lags
-    |k|, |l| <= lag_max.
+    |k|, |l| <= lag_max.  The three series routes take each parameter
+    pair's lags in blocks of at most _LAG_BLOCK_TERMS lag x grid terms; a
+    block's values equal one call per lag bit for bit.  The oracle's tail
+    target is tol / 100, floored at 1e-16, below the rounding of
+    sigma^2 >= 1.  A ``tol`` that is not positive and finite raises
+    OutOfRangeError, and a NaN value fails the check as an infinite
+    deviation.
     """
     worst = 0.0
     worst_at = None
     n_points = 0
+    lags = np.arange(-lag_max, lag_max + 1)
+    ks, ls = np.repeat(lags, lags.size), np.tile(lags, lags.size)
     for a in values:
         for b in values:
             if abs(a) + abs(b) > 0.9:
                 continue
             p = ModelParams(a, b)
-            margin = oracle_margin(p.q, tol * 1e-2)
-            for k in range(-lag_max, lag_max + 1):
-                for l in range(-lag_max, lag_max + 1):
-                    n_points += 1
-                    ref = cov_closed(p, k, l)
-                    devs = [abs(cov_f4(p, k, l) - ref),
-                            abs(cov_series_oracle(p, k, l, margin) - ref)]
-                    if k * l >= 0:
-                        devs.append(abs(cov_binrep(p, k, l) - ref))
-                    d = max(devs)
-                    if d > worst:
-                        worst, worst_at = d, (a, b, k, l)
+            # oracle_margin rejects a tol that is not positive and finite
+            margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16) if tol > 0 else tol)
+            levels = max(margin, oracle_margin(p.q)) + 1
+            step = max(1, _LAG_BLOCK_TERMS // (levels * (levels + 1) // 2))
+            for start in range(0, ks.size, step):
+                k, l = ks[start:start + step], ls[start:start + step]
+                ref = np.array([cov_closed(p, int(x), int(y)) for x, y in zip(k, l)])
+                dev = np.maximum(np.abs(cov_f4(p, k, l) - ref),
+                                 np.abs(cov_series_oracle(p, k, l, margin) - ref))
+                same = k * l >= 0
+                if same.any():
+                    dev[same] = np.maximum(
+                        dev[same], np.abs(cov_binrep(p, k[same], l[same]) - ref[same]))
+                # a NaN from any route counts as an infinite deviation
+                dev[np.isnan(dev)] = np.inf
+                i = int(np.argmax(dev))
+                if dev[i] > worst:
+                    worst, worst_at = float(dev[i]), (a, b, int(k[i]), int(l[i]))
+            n_points += ks.size
     return {"n_points": n_points, "worst_dev": worst, "worst_at": worst_at,
             "tol": tol, "pass": worst <= tol}
 

@@ -18,9 +18,12 @@ Gaussian innovations is exact in law.  For another law the boundary point's
 moving average sum_d sum_j w(d, j) eps, w(d, j) = C(d, j) a^j b^(d-j), has
 its layers d >= M replaced by a Gaussian of the same covariance.  All three
 laws are symmetric, so the first cumulant that differs is the fourth, off by
-|kappa4| sum_(d >= M) sum_j w(d, j)^4 <= |kappa4| q^(4M) / (1 - q^4), since
-sum_j w^4 <= (sum_j w^2)^2 <= q^(4d).  By default M is the smallest depth
-that puts this bound below 1e-12 (``tail_variance_bound(q * q, M - 1)``).
+|kappa4| sum_(d >= M) sum_j w(d, j)^4.  With q = |a| + |b|, |w(d, j)| is
+q^d times the Binomial(d, |a|/q) pmf pi_d(j), so layer d holds q^(4d) S4(d),
+S4(d) = sum_j pi_d(j)^4.  S4 never rises with d (pi_(d+1) is pi_d convolved
+with a Bernoulli, which cannot raise an l4 norm, by Young's inequality), so
+the tail is at most S4(M) q^(4M) / (1 - q^4) (``cumulant_tail_bound``).  By
+default M is the smallest depth >= 2 that puts this certificate below 1e-12.
 
 ``FieldSimulator.sweep`` runs the recursion for a batch of replications at
 once, from the coloured layer -M up to layer s.  Every replication draws
@@ -44,17 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import d_factor, oracle_margin, sigma_sq
+from .covariance import _log_binomial_pmf, _log_factorials, d_factor, oracle_margin, sigma_sq
 from .errors import ConfigError, MethodUnsupportedError
 from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
-    "InnovationDist", "SimMethod", "RngStream", "tail_variance_bound", "FieldSimulator",
+    "InnovationDist", "SimMethod", "RngStream", "tail_variance_bound",
+    "cumulant_tail_bound", "FieldSimulator",
 ]
 
 _GROUP_LAYERS = 8         # innovation layers made as one float64 block
 _BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
 _MASK64 = (1 << 64) - 1
+_CUMULANT_TOL = 1e-12     # fourth-cumulant tail of the default depth, in units of kappa4
 
 
 class InnovationDist(enum.Enum):
@@ -180,11 +185,42 @@ def tail_variance_bound(q: float, margin: int) -> float:
     theorem, so with q = |a| + |b| this bounds the variance of the layers
     beyond ``margin``, and with q * q and margin M - 1 it bounds their fourth
     powers sum_(d >= M) sum_j w(d, j)^4, the fourth-cumulant error of a
-    depth-M sample in units of kappa4.
+    depth-M sample in units of kappa4 (``cumulant_tail_bound`` sharpens it).
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"need 0 <= q < 1, got {q}")
     return q ** (2 * (margin + 1)) / (1.0 - q * q)
+
+
+def cumulant_tail_bound(params: ModelParams, depth: int) -> float:
+    """S4(depth) q^(4 depth) / (1 - q^4) >= sum_(d >= depth) sum_j w(d, j)^4.
+
+    The fourth-cumulant error of a depth-``depth`` sample in units of
+    kappa4: S4(d) = sum_j pi_d(j)^4, pi_d the Binomial(d, |alpha|/q) pmf
+    read from the shared log-factorial table, is non-increasing in d (see
+    the module docstring), so it bounds every layer of the tail.
+    """
+    q = params.q
+    nu = abs(params.alpha) / q if q > 0.0 else 1.0
+    j = np.arange(depth + 1)
+    s4 = float(np.sum(np.exp(4.0 * _log_binomial_pmf(_log_factorials(depth), depth, j, nu))))
+    return s4 * tail_variance_bound(q * q, depth - 1)
+
+
+def _default_depth(params: ModelParams) -> int:
+    """Smallest depth M >= 2 with ``cumulant_tail_bound`` <= _CUMULANT_TOL.
+
+    The certificate is non-increasing in M and S4 <= 1, so the depth of the
+    bound q^(4M) / (1 - q^4) alone is certified, and bisection finds M.
+    """
+    lo, hi = 1, oracle_margin(params.q * params.q, _CUMULANT_TOL) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cumulant_tail_bound(params, mid) <= _CUMULANT_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class FieldSimulator:
@@ -195,11 +231,12 @@ class FieldSimulator:
     anti-diagonal covariance, and runs the recursion up from there with
     ``dist``'s innovations.  A depth of None resolves here: to 0 for
     Gaussian innovations, where the coloured layer 0 is exact, and for any
-    other law to the smallest M >= 2 whose fourth-cumulant bound
-    q^(4M) / (1 - q^4) is at most 1e-12.  Depth 0 with a non-Gaussian law
+    other law to the smallest M >= 2 whose fourth-cumulant certificate
+    ``cumulant_tail_bound`` is at most 1e-12.  Depth 0 with a non-Gaussian law
     raises MethodUnsupportedError, since its boundary would be all Gaussian.
     Set-up holds only what is replication-invariant (the AR(1) colouring
-    coefficients, the resolved depth and the batch size) and is O(1), so
+    coefficients, the resolved depth and the batch size) and is cheap (the
+    default depth is a bisection over O(M)-term certificates), so
     ``sample`` is a pure function of the stream and replications may run
     concurrently in any order.  A draw costs O(M * (s + M)) for the layers
     below the triangle plus O(s^2) for the triangle.
@@ -233,8 +270,7 @@ class FieldSimulator:
 
         depth = method.margin
         if depth is None:
-            depth = (0 if dist is InnovationDist.GAUSSIAN
-                     else oracle_margin(params.q * params.q, 1e-12) + 1)
+            depth = 0 if dist is InnovationDist.GAUSSIAN else _default_depth(params)
         if depth == 0 and dist is not InnovationDist.GAUSSIAN:
             raise MethodUnsupportedError(
                 "depth 0 (boundary_cholesky) is exact in law only for Gaussian innovations")

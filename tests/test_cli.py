@@ -149,6 +149,19 @@ class TestLimitsAndVerify:
         assert got == code
         assert out.startswith("four-way covariance check over ")
 
+    def test_verify_cov_extreme_tolerance(self, capsys):
+        # the oracle's tail target is floored at 1e-16, so a tolerance far
+        # below rounding runs as fast as 1e-14 and fails
+        got, out, _ = run_cli(capsys, "verify", "cov", "--tol", "1e-300")
+        assert got == 2
+        assert out.startswith("four-way covariance check over ")
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+    def test_verify_cov_bad_tolerance(self, capsys, tol):
+        got, out, err = run_cli(capsys, "verify", "cov", f"--tol={tol}")
+        assert got == 1 and out == ""
+        assert err.startswith("error: truncation tolerance must be positive and finite")
+
     def test_verify_prop1_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "prop1", "--alpha", "1",
                                "--beta", "0", "--gamma-c", "2")

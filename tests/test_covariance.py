@@ -383,6 +383,62 @@ class TestAgainstReferenceFormulas:
             _assert_rel(new, _ref_pmf_s(n, m, nu, j))
 
 
+LAGS = np.arange(-6, 7)
+BOX_K, BOX_L = np.repeat(LAGS, LAGS.size), np.tile(LAGS, LAGS.size)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestLagArrays:
+    """A block of lags is one pass over a route's level grid, and every
+    value equals its one-lag call bit for bit."""
+
+    @staticmethod
+    def routes(p):
+        margin = oracle_margin(p.q, 1e-10)  # verify_cov's oracle margin
+        same = BOX_K * BOX_L >= 0
+        return [(lambda k, l: cov_f4(p, k, l), BOX_K, BOX_L),
+                (lambda k, l: cov_series_oracle(p, k, l, margin), BOX_K, BOX_L),
+                (lambda k, l: cov_binrep(p, k, l), BOX_K[same], BOX_L[same])]
+
+    @pytest.mark.parametrize("a,b", GRID + REF_PARAMS)
+    def test_blocks_equal_one_lag_calls(self, a, b):
+        # blocks of 23 lags end mid-way through rows of the 13 x 13 lag box
+        p = ModelParams(a, b)
+        for route, ks, ls in self.routes(p):
+            one = np.array([route(int(k), int(l)) for k, l in zip(ks, ls)])
+            blocks = np.concatenate([route(ks[i:i + 23], ls[i:i + 23])
+                                     for i in range(0, ks.size, 23)])
+            assert np.array_equal(_bits(blocks), _bits(one))
+
+    def test_lag_shapes_broadcast(self):
+        p = ModelParams(-0.25, 0.45)
+        box = cov_f4(p, LAGS[:, None], LAGS[None, :])
+        assert box.shape == (13, 13)
+        assert np.array_equal(_bits(box.ravel()), _bits(cov_f4(p, BOX_K, BOX_L)))
+        empty = np.array([], dtype=np.int64)
+        assert cov_series_oracle(p, empty, empty).shape == (0,)
+        assert cov_binrep(p, 2, [0, 1, 3]).shape == (3,)
+
+    @pytest.mark.parametrize("a,b", [(0.45, -0.25), (0.0, 0.0)])
+    def test_scalar_calls_return_float(self, a, b):
+        p = ModelParams(a, b)
+        for lag in [(2, 1), (np.int64(2), np.int64(1)), (0, 0)]:
+            for value in (cov_f4(p, *lag), cov_series_oracle(p, *lag), cov_binrep(p, *lag)):
+                assert type(value) is float
+
+    def test_one_mixed_lag_rejects_the_block(self):
+        p = ModelParams(0.25, 0.45)
+        with pytest.raises(WrongQuadrantError, match=r"\(2, -1\)"):
+            cov_binrep(p, [0, 1, 2, 3], [0, 1, -1, 3])
+
+    def test_lags_must_be_integers(self):
+        with pytest.raises(TypeError):
+            cov_f4(ModelParams(0.25, 0.45), np.array([1.0, 2.0]), 1)
+
+
 def test_geom_factor_product_equals_normalised_mixed_lag():
     for a, b in GRID:
         p = ModelParams(a, b)

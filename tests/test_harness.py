@@ -18,16 +18,25 @@ from spatialar import (
     RngStream,
     Schedule,
     SimMethod,
+    OutOfRangeError,
     TriangleWindow,
+    cov_binrep,
+    cov_closed,
+    cov_f4,
+    cov_series_oracle,
+    cumulant_tail_bound,
     lse,
+    oracle_margin,
     run_clt,
     tail_variance_bound,
+    verify_cov,
     verify_covlim,
     verify_detB,
     verify_prop1,
     verify_score,
 )
 from spatialar.harness import (
+    _LAG_BLOCK_TERMS,
     _prop1_target,
     _run_reps,
     dumps_canonical,
@@ -184,8 +193,9 @@ class TestRunCLT:
 
     @pytest.mark.parametrize("margin", [None, 40])
     def test_series_timing_reports_margin_and_tail_bound(self, tmp_path, margin):
-        # a non-Gaussian rung reports its resolved depth and the certified
-        # bound q^(4M) / (1 - q^4) on its fourth-cumulant tail
+        # a non-Gaussian rung reports its resolved depth and the certificate
+        # S4(M) q^(4M) / (1 - q^4) on its fourth-cumulant tail, which is at
+        # most the plain geometric bound q^(4M) / (1 - q^4)
         method = SimMethod(margin)
         cfg = small_config(ladder=[(16, 16), (24, 24)], method=method,
                            dist=InnovationDist.RADEMACHER, out_dir=str(tmp_path / "out"))
@@ -197,10 +207,11 @@ class TestRunCLT:
                                  InnovationDist.RADEMACHER)
             depth = sim.method.margin
             assert rung["series_margin"] == depth
-            assert rung["series_cumulant_bound"] == tail_variance_bound(params.q * params.q,
-                                                                        depth - 1)
-            assert rung["series_cumulant_bound"] == pytest.approx(
-                params.q ** (4 * depth) / (1.0 - params.q ** 4), rel=1e-12)
+            assert rung["series_cumulant_bound"] == cumulant_tail_bound(params, depth)
+            assert 0.0 < rung["series_cumulant_bound"] <= tail_variance_bound(
+                params.q * params.q, depth - 1)
+            if margin is None:
+                assert rung["series_cumulant_bound"] <= 1e-12
             assert "series_tail_bound" not in rung
         # the diagnostics go to the sidecar only
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -263,6 +274,67 @@ class TestVerifySuites:
             r = verify_covlim(design, m=10_000_000, n_probe=8000)
             assert r["pass"], r
             assert r["value_at_zero_lag"] <= r["bound"] * (1 + 1e-6)
+
+    @staticmethod
+    def _verify_cov_one_lag(values, lag_max, tol):
+        # the four-way check with one call per lag and route
+        worst, worst_at, n_points = 0.0, None, 0
+        for a in values:
+            for b in values:
+                if abs(a) + abs(b) > 0.9:
+                    continue
+                p = ModelParams(a, b)
+                margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16))
+                for k in range(-lag_max, lag_max + 1):
+                    for l in range(-lag_max, lag_max + 1):
+                        n_points += 1
+                        ref = cov_closed(p, k, l)
+                        devs = [abs(cov_f4(p, k, l) - ref),
+                                abs(cov_series_oracle(p, k, l, margin) - ref)]
+                        if k * l >= 0:
+                            devs.append(abs(cov_binrep(p, k, l) - ref))
+                        if max(devs) > worst:
+                            worst, worst_at = max(devs), (a, b, k, l)
+        return {"n_points": n_points, "worst_dev": worst, "worst_at": worst_at,
+                "tol": tol, "pass": worst <= tol}
+
+    @pytest.mark.parametrize("values, lag_max, tol", [
+        ((-0.45, -0.1, 0.25, 0.45), 3, 1e-8),
+        ((-0.25, 0.0, 0.1, 0.45), 5, 1e-15),
+    ])
+    def test_verify_cov_equals_one_lag_calls(self, values, lag_max, tol):
+        # the blocked check reports what one call per lag reports, types
+        # included; the small-q pairs' blocks end mid-way through a row of
+        # the lag box, and the q = 0.9 pairs take one lag per block
+        assert _LAG_BLOCK_TERMS == 1 << 13
+        got = verify_cov(values, lag_max, tol)
+        assert repr(got) == repr(self._verify_cov_one_lag(values, lag_max, tol))
+
+    def test_verify_cov_fails_on_nan(self, monkeypatch):
+        # a route that returns NaN at one lag fails the check there
+        def f4(p, k, l, tol=1e-12):
+            return np.where((k == 1) & (l == -1), np.nan, cov_f4(p, k, l, tol))
+        monkeypatch.setattr("spatialar.harness.cov_f4", f4)
+        r = verify_cov((0.1, 0.25), lag_max=2)
+        assert r["worst_dev"] == math.inf and r["worst_at"] == (0.1, 0.1, 1, -1)
+        assert not r["pass"]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_verify_cov_rejects_bad_tolerance(self, tol):
+        with pytest.raises(OutOfRangeError):
+            verify_cov(lag_max=1, tol=tol)
+
+    def test_verify_cov_floors_the_oracle_target(self, monkeypatch):
+        # the oracle's tail target tol / 100 is floored at 1e-16, so a tol
+        # far below rounding runs the 1e-16 margin and fails
+        targets = []
+
+        def margin(q, tol=1e-12):
+            targets.append(tol)
+            return oracle_margin(q, tol)
+        monkeypatch.setattr("spatialar.harness.oracle_margin", margin)
+        r = verify_cov((-0.45, 0.45), lag_max=1, tol=1e-300)
+        assert min(targets) == 1e-16 and not r["pass"]
 
     def test_detb_report_structure(self):
         r = verify_detB(interior_design(), 64, 64, reps=150, master_seed=3)

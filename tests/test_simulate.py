@@ -18,6 +18,7 @@ from spatialar import (
     SimMethod,
     TriangleWindow,
     cov_closed,
+    cumulant_tail_bound,
     sigma_sq,
     tail_variance_bound,
 )
@@ -325,9 +326,24 @@ class TestDeepStartLaw:
         assert np.max(np.abs(cumulant - expected)) <= 1e-12 * abs(expected)
         # the layers left to the Gaussian start hold at most the certified tail
         tail = _fourth_power_weights(p, depth, depth + 200)
-        assert tail <= tail_variance_bound(p.q * p.q, depth - 1)
+        assert tail <= cumulant_tail_bound(p, depth)
 
-    @pytest.mark.parametrize("m, s, depth", [(16, 64, 113), (32, 181, 235)])
+    @pytest.mark.parametrize("depth", [1, 2, 5, 20])
+    @pytest.mark.parametrize("p", [ModelParams(0.4, 0.35), ModelParams(-0.6, 0.3),
+                                   ModelParams(0.0, 0.7), ModelParams(0.0, 0.0)], ids=str)
+    def test_cumulant_certificate_bounds_the_tail(self, p, depth):
+        # brute-force tail sum_(d >= depth) sum_j w(d, j)^4, against the
+        # certificate S4(depth) q^(4 depth) / (1 - q^4) and the cruder
+        # q^(4 depth) / (1 - q^4) it sharpens
+        tail = _fourth_power_weights(p, depth, depth + 400)
+        cert = cumulant_tail_bound(p, depth)
+        assert tail <= cert * (1 + 1e-12)
+        assert cert <= tail_variance_bound(p.q * p.q, depth - 1)
+        # S4(d) q^(4d) is the exact layer-d term
+        layer = _fourth_power_weights(p, depth, depth + 1)
+        assert cert * (1.0 - p.q ** 4) == pytest.approx(layer, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("m, s, depth", [(16, 64, 90), (32, 181, 187)])
     def test_resolved_depth_is_smallest_certified(self, m, s, depth):
         # the rungs of the clt_boundary_2w benchmark workload
         design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
@@ -335,8 +351,7 @@ class TestDeepStartLaw:
         p, w = design.params_at(m), TriangleWindow.balanced(s)
         sim = FieldSimulator(p, w, SimMethod(None), InnovationDist.RADEMACHER)
         assert sim.method.margin == depth
-        q2 = p.q * p.q
-        assert tail_variance_bound(q2, depth - 1) <= 1e-12 < tail_variance_bound(q2, depth - 2)
+        assert cumulant_tail_bound(p, depth) <= 1e-12 < cumulant_tail_bound(p, depth - 1)
         gaussian = FieldSimulator(p, w, SimMethod(None), InnovationDist.GAUSSIAN)
         assert gaussian.method == SimMethod(0)
 
@@ -452,6 +467,33 @@ class TestLawCorrectness:
         true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
                          for i1, j1 in pts])
         assert np.max(np.abs(m @ m.T - true)) <= 1e-12 * np.max(np.abs(true))
+
+    @pytest.mark.parametrize("depth", [1, 5])
+    @pytest.mark.parametrize("dist", [InnovationDist.GAUSSIAN, InnovationDist.RADEMACHER],
+                             ids=lambda d: d.value)
+    @pytest.mark.parametrize("s", [4, 8])
+    @pytest.mark.parametrize("p", [ModelParams(0.3, 0.45), ModelParams(0.45, -0.5),
+                                   ModelParams(0.0, 0.6)], ids=str)
+    def test_hull_law_exact_at_depth(self, p, s, dist, depth):
+        # the whole hull is linear in a replication's draws, and every draw
+        # has unit variance: continue _boundary_map's rows up the triangle
+        # with the sampler's own _step, one unit row per triangle
+        # innovation, and the hull covariance is G^T G
+        w = TriangleWindow.balanced(s)
+        sim = FieldSimulator(p, w, SimMethod(depth), dist)
+        rows, _ = _boundary_map(sim)
+        layers = [rows]
+        for d in range(1, s + 1):
+            rows = np.vstack([sim._step(rows, 0.0), np.eye(w.layer_len(d))])
+            layers.append(rows)
+        # draws after layer d do not reach it
+        g = np.hstack([np.vstack([lay, np.zeros((len(rows) - len(lay), lay.shape[1]))])
+                       for lay in layers])
+        kern = CovKernel(p)
+        pts = hull_indices(w)
+        true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
+                         for i1, j1 in pts])
+        assert np.max(np.abs(g.T @ g - true)) <= 1e-12 * np.max(np.abs(true))
 
     def test_non_gaussian_boundary_series_variance(self):
         p = ModelParams(0.4, 0.35)
