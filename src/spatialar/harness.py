@@ -6,6 +6,13 @@ stream keyed by a SeedSequence spawn key, so results depend only on
 replication ids.  The number of workers must not change a single output
 byte; wall-clock timings are therefore kept out of the canonical report and
 written to a sidecar.
+
+A run (``run_clt`` over its whole ladder, or one ``verify_detB`` /
+``verify_score`` call) opens at most one process pool, in ``_worker_pool``,
+and every call of ``_run_reps`` in it reuses the same warm workers.  The
+parent imports ``numpy.random`` just before that pool's first fork, so the
+workers inherit it instead of each importing it; a run without a pool
+leaves that import to the first draw.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,18 +242,48 @@ def _simulate_chunk(payload) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
 
 
+def _processes(workers: int, reps: int) -> int:
+    """Processes that a call of ``reps`` replications runs on: ``workers``,
+    or 1 (in-process) below 2 * workers replications."""
+    return workers if reps >= 2 * workers else 1
+
+
+@contextmanager
+def _worker_pool(workers: int, reps: int):
+    """The one process pool of a run whose calls have ``reps`` replications
+    each, or None when every call runs in-process (``_processes`` is 1).
+
+    A ``workers`` below 1 raises ConfigError before any replication runs.
+    The pool forks its workers on its first task; ``numpy.random`` is
+    imported here, on the pooled path only, so they inherit it.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if _processes(workers, reps) == 1:
+        yield None
+        return
+    import numpy.random  # noqa: F401  (loaded lazily by numpy otherwise)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
 def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
-              workers: int = 1) -> np.ndarray:
+              workers: int = 1, pool: ProcessPoolExecutor | None = None) -> np.ndarray:
     """Result rows of ``rep_ids`` in id order; identical for any worker count
-    and any ``sim.batch``."""
-    if workers <= 1 or len(rep_ids) < 2 * workers:
+    and any ``sim.batch``.
+
+    ``pool`` is the run's pool of ``workers`` processes from
+    ``_worker_pool``.  The ids are split into ``workers`` contiguous chunks,
+    one task each; without a pool, or below 2 * workers ids, they all run
+    in-process.
+    """
+    if pool is None or _processes(workers, len(rep_ids)) == 1:
         rows = _simulate_chunk((sim, master_seed, rep_ids))
     else:
         chunks = [[int(r) for r in c]
                   for c in np.array_split(rep_ids, workers) if len(c)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk,
-                                  [(sim, master_seed, c) for c in chunks]))
+        parts = list(pool.map(_simulate_chunk,
+                              [(sim, master_seed, c) for c in chunks]))
         rows = np.concatenate(parts, axis=0)
     # ordered reduction: aggregate strictly by replication id, not arrival
     return rows[np.argsort(rows[:, 0], kind="stable")]
@@ -257,8 +295,9 @@ def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     params_at(m) on the balanced window with sum s."""
     if reps < 1:
         raise ConfigError("reps must be positive")
-    sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
-    rows = _run_reps(sim, master_seed, list(range(reps)), workers)
+    with _worker_pool(workers, reps) as pool:
+        sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
+        rows = _run_reps(sim, master_seed, list(range(reps)), workers, pool)
     return rows[rows[:, 3] == 1.0]
 
 
@@ -333,92 +372,103 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     square-root-normalised errors (whose limit covariance is the identity).
     Singular replications are dropped and counted; more than 1% of them
     aborts the run.
+
+    Every rung runs on the one pool of ``workers`` processes that
+    ``_worker_pool`` opens for the whole ladder, or in-process at 1 worker
+    or below 2 * workers replications; each rung's ``timing.json`` record
+    names the processes it ran on as ``workers``.  A ``workers`` below 1
+    raises ConfigError before any replication runs.
     """
     config.validate()
     design = config.design
     law = limit_law(design, m_probe=max(m for m, _ in config.ladder))
     per_size, raw_all, timing = [], [], []
     passed = True
-    for idx, (m, s) in enumerate(config.ladder):
-        t0 = time.perf_counter()
-        params = design.params_at(m)
-        sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
-                             config.dist)
-        rep_ids = [idx * config.reps + r for r in range(config.reps)]
-        rows = _run_reps(sim, config.master_seed, rep_ids, workers)
-        ok = rows[:, 3] == 1.0
-        n_singular = int(len(rows) - np.sum(ok))
-        if n_singular > 0.01 * config.reps:
-            raise ExperimentAbortedError(
-                f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
-        hats = rows[ok, 1:3]
-        rate = law.rate(m, s)
-        errors = rate * (hats - [params.alpha, params.beta])
-        cov = _sample_cov(errors)
-        mean = errors.mean(axis=0)
-        proj_sum = (errors[:, 0] + errors[:, 1]) / _SQRT2
-        proj_diff = (errors[:, 0] - errors[:, 1]) / _SQRT2
+    with _worker_pool(workers, config.reps) as pool:
+        processes = _processes(workers, config.reps)
+        for idx, (m, s) in enumerate(config.ladder):
+            t0 = time.perf_counter()
+            params = design.params_at(m)
+            sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
+                                 config.dist)
+            rep_ids = [idx * config.reps + r for r in range(config.reps)]
+            rows = _run_reps(sim, config.master_seed, rep_ids, workers, pool)
+            ok = rows[:, 3] == 1.0
+            n_singular = int(len(rows) - np.sum(ok))
+            if n_singular > 0.01 * config.reps:
+                raise ExperimentAbortedError(
+                    f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
+            hats = rows[ok, 1:3]
+            rate = law.rate(m, s)
+            errors = rate * (hats - [params.alpha, params.beta])
+            cov = _sample_cov(errors)
+            mean = errors.mean(axis=0)
+            proj_sum = (errors[:, 0] + errors[:, 1]) / _SQRT2
+            proj_diff = (errors[:, 0] - errors[:, 1]) / _SQRT2
 
-        record = {
-            "m": m,
-            "s": s,
-            "reps_used": int(np.sum(ok)),
-            "singular_reps": n_singular,
-            "rate": rate,
-            "theta_true": [params.alpha, params.beta],
-            "condition_statistic": condition_statistic(design, m, s),
-            "scaled_mean": mean.tolist(),
-            "scaled_cov": cov.tolist(),
-            "proj_var": {"sum": float(proj_sum.var(ddof=1)),
-                         "diff": float(proj_diff.var(ddof=1))},
-        }
-        if len(errors) >= 8 and errors.std(axis=0).min() > 0:
-            d_sum, d_diff = _ks_normal(proj_sum), _ks_normal(proj_diff)
-            thr = 1.63 / math.sqrt(len(errors))
-            record["normality"] = {"d_sum": d_sum, "d_diff": d_diff,
-                                   "threshold": thr,
-                                   "flag": bool(max(d_sum, d_diff) > thr)}
+            record = {
+                "m": m,
+                "s": s,
+                "reps_used": int(np.sum(ok)),
+                "singular_reps": n_singular,
+                "rate": rate,
+                "theta_true": [params.alpha, params.beta],
+                "condition_statistic": condition_statistic(design, m, s),
+                "scaled_mean": mean.tolist(),
+                "scaled_cov": cov.tolist(),
+                "proj_var": {"sum": float(proj_sum.var(ddof=1)),
+                             "diff": float(proj_diff.var(ddof=1))},
+            }
+            if len(errors) >= 8 and errors.std(axis=0).min() > 0:
+                d_sum, d_diff = _ks_normal(proj_sum), _ks_normal(proj_diff)
+                thr = 1.63 / math.sqrt(len(errors))
+                record["normality"] = {"d_sum": d_sum, "d_diff": d_diff,
+                                       "threshold": thr,
+                                       "flag": bool(max(d_sum, d_diff) > thr)}
 
-        entry_pass = None
-        if law.case_tag is CaseTag.INTERIOR:
-            lim = law.covariance
-            lim_diff = (lim.a11 + lim.a22 - 2 * lim.a12) / 2.0
-            record["limit_cov"] = lim
-            record["limit_proj"] = {"sum": (lim.a11 + lim.a22 + 2 * lim.a12) / 2.0,
-                                    "diff": lim_diff}
-            tol = config.tolerances
-            entry_pass = (abs(record["proj_var"]["diff"] - lim_diff)
-                          <= tol.cov_rel_tol * lim_diff
-                          and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
-        else:
-            half = sqrt_spd2(_prop1_target(design, m))
-            norm_err = errors @ half.to_array().T
-            record["omega_n"] = omega_n(design.boundary, design.gamma(m), design.delta(m))
-            record["normalized_cov"] = _sample_cov(norm_err).tolist()
-            if law.covariance is not None:
-                record["limit_cov"] = law.covariance
-                record["elementwise_dev"] = _matrix_rel_dev(cov, law.covariance)
-                tgt = law.covariance.to_array()
-                entry_pass = bool(np.all(
-                    np.abs(cov - tgt) <= config.tolerances.cov_rel_tol * np.abs(tgt)))
-        if entry_pass is not None:
-            record["pass"] = entry_pass
-            if idx == len(config.ladder) - 1:
-                passed = entry_pass
-        per_size.append(record)
-        scaled_rows = np.column_stack([rows[:, 0], rows[:, 1], rows[:, 2],
-                                       rate * (rows[:, 1] - params.alpha),
-                                       rate * (rows[:, 2] - params.beta)])
-        raw_all.append(scaled_rows)
-        elapsed = time.perf_counter() - t0
-        rung = {"m": m, "s": s, "elapsed_s": elapsed,
-                "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch}
-        if config.dist is not InnovationDist.GAUSSIAN:
-            rung["series_margin"] = sim.method.margin
-            rung["series_cumulant_bound"] = cumulant_tail_bound(params, sim.method.margin)
-        if law.case_tag is not CaseTag.INTERIOR:
-            rung["omega_settled"] = law.omega_settled
-        timing.append(rung)
+            entry_pass = None
+            if law.case_tag is CaseTag.INTERIOR:
+                lim = law.covariance
+                lim_diff = (lim.a11 + lim.a22 - 2 * lim.a12) / 2.0
+                record["limit_cov"] = lim
+                record["limit_proj"] = {"sum": (lim.a11 + lim.a22 + 2 * lim.a12) / 2.0,
+                                        "diff": lim_diff}
+                tol = config.tolerances
+                entry_pass = (abs(record["proj_var"]["diff"] - lim_diff)
+                              <= tol.cov_rel_tol * lim_diff
+                              and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
+            else:
+                half = sqrt_spd2(_prop1_target(design, m))
+                norm_err = errors @ half.to_array().T
+                record["omega_n"] = omega_n(design.boundary, design.gamma(m),
+                                            design.delta(m))
+                record["normalized_cov"] = _sample_cov(norm_err).tolist()
+                if law.covariance is not None:
+                    record["limit_cov"] = law.covariance
+                    record["elementwise_dev"] = _matrix_rel_dev(cov, law.covariance)
+                    tgt = law.covariance.to_array()
+                    entry_pass = bool(np.all(
+                        np.abs(cov - tgt) <= config.tolerances.cov_rel_tol * np.abs(tgt)))
+            if entry_pass is not None:
+                record["pass"] = entry_pass
+                if idx == len(config.ladder) - 1:
+                    passed = entry_pass
+            per_size.append(record)
+            scaled_rows = np.column_stack([rows[:, 0], rows[:, 1], rows[:, 2],
+                                           rate * (rows[:, 1] - params.alpha),
+                                           rate * (rows[:, 2] - params.beta)])
+            raw_all.append(scaled_rows)
+            elapsed = time.perf_counter() - t0
+            rung = {"m": m, "s": s, "elapsed_s": elapsed,
+                    "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch,
+                    "workers": processes}
+            if config.dist is not InnovationDist.GAUSSIAN:
+                rung["series_margin"] = sim.method.margin
+                rung["series_cumulant_bound"] = cumulant_tail_bound(params,
+                                                                    sim.method.margin)
+            if law.case_tag is not CaseTag.INTERIOR:
+                rung["omega_settled"] = law.omega_settled
+            timing.append(rung)
     report = ExperimentReport(config, per_size, raw_all, passed, timing)
     if config.out_dir:
         report.write(config.out_dir)

@@ -70,3 +70,33 @@ def test_sweep_draws_are_traced_as_rng_spans():
     counts = json.loads(proc.stdout)
     assert counts == {"gaussian": 2 * 4, "rademacher": 2 * 4, "uniform": 2 * 5,
                       "rademacher_s40": 2 * 4}
+
+
+_POOL = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+import tracing
+from spatialar import harness
+from spatialar.model import BoundaryPoint, NearlyUnstableDesign, Schedule
+tracer = tracing.Tracer()
+tracing.install(tracer)
+design = NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, 0.5),
+                              Schedule.constant(1.0), Schedule.constant(1.0))
+config = harness.ExperimentConfig(design, [(16, 16), (24, 24)], reps=100,
+                                  master_seed=3)
+harness.run_clt(config, workers=2)
+spans = [i for i, span in enumerate(tracer.spans) if span[0] == "harness.pool"]
+print(json.dumps({"spans": spans, "pools": tracer.pools}))
+"""
+
+
+def test_one_traced_pool_span_per_run():
+    # the tracer times the pool by subclassing harness.ProcessPoolExecutor
+    # and hooking __enter__ / __exit__: a 2-rung run at 2 workers must enter
+    # that name once, as a context manager, for the whole ladder
+    proc = subprocess.run([sys.executable, "-c", _POOL], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(got["spans"]) == 1
+    assert got["pools"] == [[got["spans"][0], 2]]

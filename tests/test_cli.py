@@ -167,6 +167,16 @@ class TestLimitsAndVerify:
                                "--beta", "0", "--gamma-c", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("what", ["detb", "score"])
+    def test_verify_bad_worker_count_exits_1(self, capsys, monkeypatch, what):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a bad worker count")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        code, out, err = run_cli(capsys, "verify", what, "--alpha", "0.5",
+                                 "--beta", "0.5", "--workers", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: workers must be at least 1, got -1\n"
+
 
 class TestExperiment:
     @staticmethod
@@ -209,6 +219,18 @@ class TestExperiment:
         assert code == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_1(self, capsys, tmp_path, monkeypatch, workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a bad worker count")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        cfg = self.write_config(tmp_path, out_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg),
+                                 "--workers", workers)
+        assert code == 1 and out == ""
+        assert err == f"error: workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

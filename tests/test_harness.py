@@ -1,5 +1,10 @@
 import json
 import math
+import multiprocessing
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from spatialar import (
     CaseTag,
     ConfigError,
     CovKernel,
+    ExperimentAbortedError,
     ExperimentConfig,
     FieldSimulator,
     InnovationDist,
@@ -35,10 +41,12 @@ from spatialar import (
     verify_prop1,
     verify_score,
 )
+from spatialar import harness
 from spatialar.harness import (
     _LAG_BLOCK_TERMS,
     _prop1_target,
     _run_reps,
+    _worker_pool,
     dumps_canonical,
     scaled_expected_B,
 )
@@ -117,22 +125,27 @@ class TestCanonicalJson:
 
 
 class TestRunCLT:
-    def test_determinism_across_runs_and_workers(self, tmp_path):
-        cfg1 = small_config(out_dir=str(tmp_path / "r1"))
-        rep1 = run_clt(cfg1, workers=1)
-        cfg2 = small_config(out_dir=str(tmp_path / "r2"))
-        rep2 = run_clt(cfg2, workers=2)
-        d1, d2 = rep1.to_canonical_dict(), rep2.to_canonical_dict()
-        d1["config"]["out_dir"] = d2["config"]["out_dir"] = None
-        assert dumps_canonical(d1) == dumps_canonical(d2)
-        csv1 = (tmp_path / "r1" / "errors_m16_s16.csv").read_bytes()
-        csv2 = (tmp_path / "r2" / "errors_m16_s16.csv").read_bytes()
-        assert csv1 == csv2
+    def test_determinism_across_runs_and_workers(self, tmp_path, monkeypatch):
+        # report.json and every CSV keep their bytes at 1, 2 and 3 workers;
+        # out_dir is part of report.json, so every run writes to "out" in a
+        # directory of its own
+        outputs = []
+        for workers in (1, 2, 3):
+            run_dir = tmp_path / str(workers)
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            run_clt(small_config(ladder=[(16, 16), (20, 20)], out_dir="out"), workers)
+            outputs.append({path.name: path.read_bytes()
+                            for path in (run_dir / "out").iterdir()
+                            if path.name != "timing.json"})
+        assert sorted(outputs[0]) == ["errors_m16_s16.csv", "errors_m20_s20.csv",
+                                      "report.json"]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_null_pipeline_is_exactly_zero(self, monkeypatch):
         # every replication estimates the true (alpha, beta): each aggregate
         # of the scaled errors must vanish exactly
-        def exact_reps(sim, master_seed, rep_ids, workers=1):
+        def exact_reps(sim, master_seed, rep_ids, workers=1, pool=None):
             return np.array([[r, sim.params.alpha, sim.params.beta, 1.0, 0.0, 0.0, 0.0]
                              for r in rep_ids])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
@@ -185,6 +198,7 @@ class TestRunCLT:
         sim = FieldSimulator(cfg.design.params_at(16), TriangleWindow.balanced(16))
         assert rung["batch_reps"] == sim.batch
         assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
+        assert rung["workers"] == 1
         assert "series_margin" not in rung and "series_cumulant_bound" not in rung
         assert "omega_settled" not in rung
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
@@ -248,7 +262,9 @@ class TestBatchedEngine:
         runs = []
         for batch in (1, 7, 64):
             sim.batch = batch
-            runs += [_run_reps(sim, seed, rep_ids, workers=workers) for workers in (1, 2)]
+            for workers in (1, 2):
+                with _worker_pool(workers, len(rep_ids)) as pool:
+                    runs.append(_run_reps(sim, seed, rep_ids, workers, pool))
         assert len({rows.tobytes() for rows in runs}) == 1
         # each row is the public single-field path, bit for bit
         expected = []
@@ -257,6 +273,128 @@ class TestBatchedEngine:
             expected.append([rep, est.alpha_hat, est.beta_hat, 1.0, est.detB,
                              est.score[0], est.score[1]])
         assert runs[0].tobytes() == np.array(expected).tobytes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_FORKS = """
+import json, os, sys
+sys.path[:0] = ["src"]
+from spatialar import harness
+from spatialar.model import BoundaryPoint, NearlyUnstableDesign, Schedule
+after_import = "numpy.random" in sys.modules
+at_fork = []
+os.register_at_fork(before=lambda: at_fork.append("numpy.random" in sys.modules))
+design = NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, 0.5),
+                              Schedule.constant(1.0), Schedule.constant(1.0))
+harness.run_clt(harness.ExperimentConfig(design, [(16, 16)], reps=100), workers=2)
+print(json.dumps({"after_import": after_import, "at_fork": at_fork}))
+"""
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Spy on the pools the harness opens: the max_workers of each pool
+    entered, in order, and the number of processes started."""
+    entered, started = [], []
+
+    class SpyPool(harness.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy_start(process):
+        started.append(process)
+        return start(process)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy_start)
+    return entered, started
+
+
+class TestWorkerPool:
+    LADDER = [(16, 16), (20, 20), (24, 24)]
+
+    def test_one_pool_for_the_whole_ladder(self, pools, tmp_path):
+        entered, started = pools
+        run_clt(small_config(ladder=self.LADDER, out_dir=str(tmp_path / "out")),
+                workers=2)
+        assert entered == [2] and len(started) == 2
+        timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert [rung["workers"] for rung in timing["per_size"]] == [2, 2, 2]
+
+    def test_one_worker_opens_no_pool(self, pools):
+        entered, started = pools
+        run_clt(small_config(ladder=self.LADDER), workers=1)
+        assert entered == [] and started == []
+
+    @pytest.mark.parametrize("suite", [verify_detB, verify_score])
+    def test_too_few_reps_start_no_process(self, pools, suite):
+        # 3 replications on 2 workers run in-process
+        entered, started = pools
+        suite(interior_design(), 100, 12, reps=3, workers=2)
+        assert entered == [] and started == []
+
+    def test_fallback_rungs_report_one_worker(self, monkeypatch, tmp_path):
+        # 100 replications on 51 workers fall back to the parent process;
+        # the stand-in pool refuses to be built, so nothing can fork
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was opened for the in-process fallback")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        run_clt(small_config(ladder=self.LADDER[:2], out_dir=str(tmp_path / "out")),
+                workers=51)
+        timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert [rung["workers"] for rung in timing["per_size"]] == [1, 1]
+
+    def test_workers_inherit_numpy_random(self):
+        # numpy loads numpy.random lazily: importing the package must not load
+        # it, and the pooled path must load it in the parent before each fork
+        proc = subprocess.run([sys.executable, "-c", _FORKS], cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"after_import": False,
+                                           "at_fork": [True, True]}
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_rejected_before_any_replication(self, monkeypatch,
+                                                              workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a bad worker count")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            run_clt(small_config(), workers=workers)
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            verify_detB(interior_design(), 100, 12, reps=10, workers=workers)
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            verify_score(interior_design(), 100, 12, reps=10, workers=workers)
+
+    def test_abort_inside_the_pool_leaves_no_process(self, pools, monkeypatch):
+        # rung 2's replications come back singular while the pool is live:
+        # the abort must shut the pool down and join its workers
+        entered, started = pools
+        run_reps, live = harness._run_reps, []
+
+        def singular_at_rung_2(sim, master_seed, rep_ids, workers=1, pool=None):
+            rows = run_reps(sim, master_seed, rep_ids, workers, pool)
+            live.append(pool is not None)
+            if len(live) == 2:
+                rows[:, 3] = 0.0
+            return rows
+        monkeypatch.setattr(harness, "_run_reps", singular_at_rung_2)
+
+        def hung(signum, frame):
+            raise TimeoutError("the aborted run did not return")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with pytest.raises(ExperimentAbortedError, match=r"\(m=20, s=20\)"):
+                run_clt(small_config(ladder=self.LADDER), workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert live == [True, True] and entered == [2] and len(started) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestVerifySuites:
