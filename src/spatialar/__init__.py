@@ -16,6 +16,7 @@ from .covariance import (
     oracle_margin,
     pmf_s,
     sigma_sq,
+    tail_variance_bound,
 )
 from .errors import (
     ConfigError,
@@ -79,7 +80,6 @@ from .simulate import (
     RngStream,
     SimMethod,
     cumulant_tail_bound,
-    tail_variance_bound,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness
 from .covariance import CovKernel, CovMethod
-from .errors import SpatialARError
+from .errors import ConfigError, SpatialARError
 from .estimate import lse
 from .limits import condition_statistic, limit_law
 from .model import (
@@ -56,6 +56,17 @@ def _design_from_args(args) -> NearlyUnstableDesign:
         gamma=Schedule.constant(args.gamma_c),
         delta=Schedule.constant(args.delta_c),
     )
+
+
+def _ladder_pair(text: str) -> tuple[int, int]:
+    """One ``M:S`` entry of ``--ladder`` as two positive integers."""
+    try:
+        m, s = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"ladder entries are M:S pairs of integers, got {text!r}") from None
+    if m < 1 or s < 1:
+        raise ConfigError(f"ladder entries need m, s >= 1, got {text!r}")
+    return m, s
 
 
 def _default_ladder(design: NearlyUnstableDesign) -> list[tuple[int, int]]:
@@ -159,7 +170,7 @@ def _cmd_limits_describe(args) -> int:
     design = _design_from_args(args)
     law = limit_law(design)
     if args.ladder:
-        ladder = [tuple(int(v) for v in pair.split(":")) for pair in args.ladder]
+        ladder = [_ladder_pair(pair) for pair in args.ladder]
     else:
         ladder = _default_ladder(design)
     payload = {

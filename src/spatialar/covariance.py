@@ -21,18 +21,21 @@ term is a gather from one module-level table lf[i] = log(i!), built on
 first use and grown by doubling.  Its entries are computed in plain Python
 by the floating-point steps of the Cephes ``lgam`` routine, so they equal
 that library's log-gamma at i + 1 bit for bit.  Each route sums over the
-index pairs (m, n) with m + n <= smax, flattened level by level and kept,
-with their levels, in a small bounded cache keyed by smax; ``cov_binrep``
-runs its whole i-sum as one log-space convolution over that grid.  A factor
-that depends on m, n or the level alone is formed once per value and
-gathered onto the grid.
+index pairs (m, n) with m + n <= smax, flattened level by level and kept in
+a small bounded cache keyed by smax; ``cov_binrep`` runs its whole i-sum as
+one log-space convolution over that grid.  Every route writes the log of
+its term (m, n) as one level factor plus one factor per grid axis,
+level(m + n) + mfac(m) + nfac(n).  Each factor is formed once per value
+r = 0..smax, from the table and the parameters, and gathered onto the grid
+(``_grid_logs``), so a term costs three gathers, two adds and one exp.
 
 The three series routes take integer lags or integer arrays of lags.  A
 block of L lags of one (alpha, beta) is one pass over the shared grid: one
-``oracle_margin`` call, (L x grid) gathers from the table, and sums along
-the grid axis.  Every value is bit-identical to the one-lag call, which is
-the L = 1 case of the same code; callers bound L so that the temporaries
-stay small (``harness.verify_cov`` uses blocks of at most 8192 terms).
+``oracle_margin`` call, (L x (smax + 1)) factor tables, their (L x grid)
+gathers, and sums along the grid axis.  Every value is bit-identical to
+the one-lag call, which is the L = 1 case of the same code; callers bound L
+so that the temporaries stay small (``harness.verify_cov`` uses blocks of
+at most 8192 terms).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .model import ModelParams
 __all__ = [
     "sigma_sq", "geom_factors", "d_factor", "cov_closed",
     "cov_f4", "pmf_s", "cov_binrep", "cov_series_oracle",
-    "oracle_margin", "CovMethod", "CovKernel",
+    "tail_variance_bound", "oracle_margin", "CovMethod", "CovKernel",
 ]
 
 
@@ -245,35 +248,38 @@ def _shaped(values: np.ndarray, shape: tuple):
 
 
 @lru_cache(maxsize=8)
-def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs (m, n) with m + n <= smax, flattened level by level.
 
     Level t = m + n fills entries t(t+1)/2 .. t(t+1)/2 + t with m = 0..t, so
     a per-level sum is one segment of a ``reduceat``.  Returns the read-only
-    arrays (m, n, t).  A route's factor that depends on m, n or t alone is
-    formed once per value r = 0..smax and gathered onto the grid by that
-    index, so each grid term is still computed by the same steps.
+    arrays (m, n).
     """
     t = np.repeat(np.arange(smax + 1), np.arange(1, smax + 2))
     m = np.arange(t.size) - t * (t + 1) // 2
-    n = t - m
-    grid = (m, n, t)
+    grid = (m, t - m)
     for arr in grid:
         arr.flags.writeable = False
     return grid
 
 
-def _spread(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[..., index]: a factor formed per value r = 0..smax (last axis),
-    gathered onto the level grid, C-ordered so that grid sums run along
-    contiguous rows."""
-    return np.take(table, index, axis=-1)
+def _grid_logs(level: np.ndarray, ufac: np.ndarray, vfac: np.ndarray) -> np.ndarray:
+    """level(t) + ufac(u) + vfac(v) at every entry (u, v) of the level grid,
+    t = u + v: the log of a series term as one level factor plus one factor
+    per grid axis.
 
-
-def _spread_levels(table: np.ndarray) -> np.ndarray:
-    """``_spread(table, t)`` for the level t of each grid entry: level r
-    fills r + 1 consecutive entries, so the gather is a repeat."""
-    return np.repeat(table, np.arange(1, table.shape[-1] + 1), axis=-1)
+    Each factor is formed once per value r = 0..smax along its last axis (an
+    (L, smax + 1) table, one row per lag) and gathered onto the grid of that
+    smax: the level by a repeat, since level r fills r + 1 consecutive
+    entries, and each axis factor by ``np.take``, which keeps the rows
+    C-contiguous so that grid sums run along them.  A term costs three
+    gathers and two adds.
+    """
+    u, v = _level_grid(level.shape[-1] - 1)
+    logs = np.repeat(level, np.arange(1, level.shape[-1] + 1), axis=-1)
+    logs += np.take(ufac, u, axis=-1)
+    logs += np.take(vfac, v, axis=-1)
+    return logs
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +295,23 @@ def _f4_grid_sum(a, b, c, d, x: float, y: float, smax: int):
     log-factorial table.  They may also be (L, 1) integer columns, one F4
     per row, summed over the grid axis in one pass; the result then has
     shape (L,).
+
+    The log of |term (m, n)| is level(m + n) + mfac(m) + nfac(n), with
+    level(t) = log((a)_t (b)_t), mfac(m) = m log|x| - log((c)_m) - log m!
+    and nfac(n) likewise in d and y; each factor is formed once per value
+    r = 0..smax and gathered onto the grid, so a term costs three gathers,
+    two adds and one exp.
     """
-    m, n, _ = _level_grid(smax)
     r = np.arange(smax + 1)
     lf = _log_factorials(int(max(np.max(v, initial=1) for v in (a, b, c, d))) - 1 + smax)
-    level = lf[a - 1 + r] - lf[a - 1] + lf[b - 1 + r] - lf[b - 1]
-    logt = (_spread_levels(level) - _spread(lf[c - 1 + r] - lf[c - 1], m)
-            - _spread(lf[d - 1 + r] - lf[d - 1], n) - lf[m] - lf[n])
     # a zero argument leaves only the m = 0 (n = 0) terms
     log_x = math.log(abs(x)) if x != 0 else -math.inf
     log_y = math.log(abs(y)) if y != 0 else -math.inf
-    terms = np.exp(logt + _spread(_xlog(r, log_x), m) + _spread(_xlog(r, log_y), n))
+    level = lf[a - 1 + r] - lf[a - 1] + lf[b - 1 + r] - lf[b - 1]
+    mfac = _xlog(r, log_x) - (lf[c - 1 + r] - lf[c - 1]) - lf[r]
+    nfac = _xlog(r, log_y) - (lf[d - 1 + r] - lf[d - 1]) - lf[r]
+    terms = np.exp(_grid_logs(level, mfac, nfac))
+    m, n = _level_grid(smax)
     if x < 0:
         terms = np.where(m % 2 == 1, -terms, terms)
     if y < 0:
@@ -318,8 +330,10 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     Both parameterisations match the moving-average weight products term by
     term (prefactor included), so F4 level t contributes at most q^(2t) to
     the covariance and truncating at level S leaves an absolute error of at
-    most q^(2(S+1))/(1-q^2).  Each F4 sum is one pass over the level grid,
-    its Pochhammer symbols read from the shared log-factorial table.
+    most q^(2(S+1))/(1-q^2), ``tail_variance_bound(q, S)``.  Each F4 sum is
+    one pass over the level grid: the log of term (m, n) is
+    level(m + n) + mfac(m) + nfac(n), each factor formed once per value
+    from the shared log-factorial table (see ``_f4_grid_sum``).
 
     ``k`` and ``l`` are integers or integer arrays (broadcast together).
     A block of lags is one pass over the grid, a (lags x grid) array, with
@@ -403,8 +417,12 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     M = ``oracle_margin(q, tol)``, the truncation rule of the other series
     routes, so its tail is below ``tol``.  The convolution for level i
     runs over u = 0..i, so the whole sum is one pass over the level grid
-    (u, i - u), one segment per i, with the binomial coefficients read from the
-    shared log-factorial table.
+    (u, w = i - u), one segment per i.  The log of the product of the two
+    binomial pmfs is level(i) + ufac(u) + wfac(w), with
+    level(i) = log(i! (|k|+|l|+i)!),
+    ufac(u) = (|k| + 2u) log nu - log u! - log (|k|+u)! and
+    wfac(w) = (|l| + 2w) log(1 - nu) - log w! - log (|l|+w)!,
+    each formed once per value from the shared log-factorial table.
 
     ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
     block of lags is one (lags x grid) pass whose segments are summed along
@@ -427,15 +445,16 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     ka, la = ka[:, None], la[:, None]
     big = ka + la
     margin = oracle_margin(q, tol)
-    u, w, i = _level_grid(margin)
     r = np.arange(margin + 1)
     lf = _log_factorials(int(np.max(big, initial=0)) + margin)
+    log_nu, log_mu = _binomial_logs(nu)
     # term (u, w) of level i is P(Binomial(i, nu) = u) times
-    # P(Binomial(big + i, 1 - nu) = la + w), whose failures number ka + u
-    log_p, log_q = _binomial_logs(1.0 - nu)
-    logs = _log_binomial_pmf(lf, i, u, nu) + (
-        _spread_levels(lf[big + r]) - _spread(lf[la + r], w) - _spread(lf[ka + r], u)
-        + _spread(_xlog(la + r, log_p), w) + _spread(_xlog(ka + r, log_q), u))
+    # P(Binomial(big + i, 1 - nu) = la + w), whose failures number ka + u:
+    # i! (big + i)! / (u! w! (ka + u)! (la + w)!) nu^(ka + 2u) (1 - nu)^(la + 2w)
+    level = lf[r] + lf[big + r]
+    ufac = _xlog(ka + 2 * r, log_nu) - lf[r] - lf[ka + r]
+    wfac = _xlog(la + 2 * r, log_mu) - lf[r] - lf[la + r]
+    logs = _grid_logs(level, ufac, wfac)
     pmf = _segment_sums(logs, r + 1)
     return _shaped(sign * np.sum(q ** (big + 2 * r) * pmf, axis=-1), shape)
 
@@ -444,8 +463,26 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
 # series-oracle route
 
 
+def tail_variance_bound(q: float, margin: int) -> float:
+    """sum_{d > margin} q^(2d) = q^(2(margin+1)) / (1 - q^2).
+
+    The one truncation tail of the package.  Layer d of the moving average
+    has weights w(d, j) = C(d, j) a^j b^(d-j) with sum_j w(d, j)^2 <=
+    (|a|+|b|)^(2d) by the binomial theorem, so with q = |a| + |b| this bounds
+    the variance of the layers beyond ``margin``: the error of each series
+    route cut at level ``margin`` (``oracle_margin``).  With q * q and
+    margin M - 1 it bounds the layers' fourth powers sum_(d >= M) sum_j
+    w(d, j)^4, the fourth-cumulant error of a depth-M sample in units of
+    kappa4 (``simulate.cumulant_tail_bound`` sharpens it).
+    """
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"need 0 <= q < 1, got {q}")
+    return q ** (2 * (margin + 1)) / (1.0 - q * q)
+
+
 def oracle_margin(q: float, tol: float = 1e-12) -> int:
-    """Smallest margin whose truncation tail q^(2(M+1))/(1-q^2) is below tol.
+    """Smallest margin M whose truncation tail ``tail_variance_bound(q, M)``,
+    q^(2(M+1))/(1-q^2), is below tol.
 
     A tolerance that is not positive and finite raises OutOfRangeError: no
     margin meets tol <= 0, and a NaN would be met by any.
@@ -456,16 +493,12 @@ def oracle_margin(q: float, tol: float = 1e-12) -> int:
         raise OutOfRangeError(f"truncation tolerance must be positive and finite, got {tol}")
     if q == 0.0:
         return 1
-
-    def tail(m: int) -> float:
-        return q ** (2 * (m + 1)) / (1.0 - q * q)
-
     # start at the root of tail(m) = tol and step to the smallest m with
     # tail(m) <= tol; the steps only absorb the rounding of the logs
     m = max(0, math.floor((math.log(tol) + math.log1p(-q * q)) / (2.0 * math.log(q))) - 1)
-    while m > 0 and tail(m - 1) <= tol:
+    while m > 0 and tail_variance_bound(q, m - 1) <= tol:
         m -= 1
-    while tail(m) > tol:
+    while tail_variance_bound(q, m) > tol:
         m += 1
     return max(m, 1)
 
@@ -477,9 +510,12 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     moving-average weights of X[k, l] and X[0, 0], keeping the first
     ``margin`` + 1 anti-diagonal levels of that support.  Level t contributes
     at most q^(2t) (product of the two binomial-theorem norms), so the
-    truncation error is bounded by q^(2(margin+1))/(1-q^2).  Deliberately
-    ignorant of every closed form; the binomial coefficients come from the
-    shared log-factorial table.
+    truncation error is bounded by q^(2(margin+1))/(1-q^2),
+    ``tail_variance_bound(q, margin)``.  Deliberately ignorant of every
+    closed form.  The log of the weight product at (u, v) is
+    level(u + v) + ufac(u) + vfac(v): the two binomial numerators, and per
+    axis the powers of |a| (|b|) over the factorials of the denominators,
+    each formed once per value from the shared log-factorial table.
 
     ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
     block of lags is one (lags x grid) pass, bit-identical to one call per
@@ -497,18 +533,16 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     sign = _sign_of_power(a, km + kp) * _sign_of_power(b, lm + lp)
     kp, lp, km, lm = kp[:, None], lp[:, None], km[:, None], lm[:, None]
     depth0 = km + lm  # depth of the first shared innovation below the origin
-    u, v, _ = _level_grid(margin)
     r = np.arange(margin + 1)
     lf = _log_factorials(int(np.max(np.maximum(depth0, kp + lp), initial=0)) + margin)
-    # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
-    # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
-    logw = (_spread_levels(lf[depth0 + r]) - _spread(lf[km + r], u) - _spread(lf[lm + r], v)
-            + _spread_levels(lf[kp + lp + r]) - _spread(lf[kp + r], u) - _spread(lf[lp + r], v))
     log_a = math.log(abs(a)) if a != 0 else -math.inf
     log_b = math.log(abs(b)) if b != 0 else -math.inf
-    logw = (logw + _spread(_xlog(km + kp + 2 * r, log_a), u)
-            + _spread(_xlog(lm + lp + 2 * r, log_b), v))
-    return _shaped(sign * np.sum(np.exp(logw), axis=-1), shape)
+    # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
+    # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
+    level = lf[depth0 + r] + lf[kp + lp + r]
+    ufac = _xlog(km + kp + 2 * r, log_a) - lf[km + r] - lf[kp + r]
+    vfac = _xlog(lm + lp + 2 * r, log_b) - lf[lm + r] - lf[lp + r]
+    return _shaped(sign * np.sum(np.exp(_grid_logs(level, ufac, vfac)), axis=-1), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+# cov_closed is not called here; perfbench/tracing.py wraps harness.cov_closed by name
 from .covariance import (
     CovKernel,
     cov_binrep,
@@ -295,6 +296,8 @@ def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     params_at(m) on the balanced window with sum s."""
     if reps < 1:
         raise ConfigError("reps must be positive")
+    if s < 2:
+        raise ConfigError(f"window sum s must be at least 2, got {s}")
     with _worker_pool(workers, reps) as pool:
         sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
         rows = _run_reps(sim, master_seed, list(range(reps)), workers, pool)
@@ -491,11 +494,14 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     Closed form, Appell F4, binomial representation (its quadrant) and the
     truncated-series oracle must agree within ``tol`` absolutely over the
     parameter grid (restricted to |alpha| + |beta| <= 0.9) and all lags
-    |k|, |l| <= lag_max.  The three series routes take each parameter
-    pair's lags in blocks of at most _LAG_BLOCK_TERMS lag x grid terms; a
-    block's values equal one call per lag bit for bit.  The oracle's tail
-    target is tol / 100, floored at 1e-16, below the rounding of
-    sigma^2 >= 1.  A ``tol`` that is not positive and finite raises
+    |k|, |l| <= lag_max.  The closed form comes from one ``CovKernel`` per
+    parameter pair, which evaluates each lag pair (k, l), (-k, -l) once
+    (``cov_closed`` reads only |k|, |l| and the sign of k*l, so this is
+    bit-identical to one call per lag).  The three series routes take each
+    parameter pair's lags in blocks of at most _LAG_BLOCK_TERMS lag x grid
+    terms; a block's values equal one call per lag bit for bit.  The
+    oracle's tail target is tol / 100, floored at 1e-16, below the rounding
+    of sigma^2 >= 1.  A ``tol`` that is not positive and finite raises
     OutOfRangeError, and a NaN value fails the check as an infinite
     deviation.
     """
@@ -509,13 +515,14 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
             if abs(a) + abs(b) > 0.9:
                 continue
             p = ModelParams(a, b)
+            kernel = CovKernel(p)
             # oracle_margin rejects a tol that is not positive and finite
             margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16) if tol > 0 else tol)
             levels = max(margin, oracle_margin(p.q)) + 1
             step = max(1, _LAG_BLOCK_TERMS // (levels * (levels + 1) // 2))
             for start in range(0, ks.size, step):
                 k, l = ks[start:start + step], ls[start:start + step]
-                ref = np.array([cov_closed(p, int(x), int(y)) for x, y in zip(k, l)])
+                ref = np.array([kernel.R(int(x), int(y)) for x, y in zip(k, l)])
                 dev = np.maximum(np.abs(cov_f4(p, k, l) - ref),
                                  np.abs(cov_series_oracle(p, k, l, margin) - ref))
                 same = k * l >= 0
@@ -597,6 +604,8 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
     closed-form and cheap).  Off-diagonal pairs must at least halve when
     n_probe doubles.
     """
+    if n_probe < 1:
+        raise ConfigError(f"n_probe must be at least 1, got {n_probe}")
     kernel = CovKernel(design.params_at(m))
     scale = condition_statistic(design, m, 1)
     bound = 2.0 * _prop1_target(design, m).a11

@@ -47,13 +47,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _log_binomial_pmf, _log_factorials, d_factor, oracle_margin, sigma_sq
+from .covariance import (
+    _log_binomial_pmf,
+    _log_factorials,
+    d_factor,
+    oracle_margin,
+    sigma_sq,
+    tail_variance_bound,
+)
 from .errors import ConfigError, MethodUnsupportedError
 from .model import Field, ModelParams, TriangleWindow
 
 __all__ = [
-    "InnovationDist", "SimMethod", "RngStream", "tail_variance_bound",
-    "cumulant_tail_bound", "FieldSimulator",
+    "InnovationDist", "SimMethod", "RngStream", "cumulant_tail_bound",
+    "FieldSimulator",
 ]
 
 _GROUP_LAYERS = 8         # innovation layers made as one float64 block
@@ -177,21 +184,6 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-def tail_variance_bound(q: float, margin: int) -> float:
-    """sum_{d > margin} q^(2d) = q^(2(margin+1)) / (1 - q^2).
-
-    The layer-d weights of the moving average satisfy
-    sum_j C(d,j)^2 a^(2j) b^(2(d-j)) <= (|a|+|b|)^(2d) by the binomial
-    theorem, so with q = |a| + |b| this bounds the variance of the layers
-    beyond ``margin``, and with q * q and margin M - 1 it bounds their fourth
-    powers sum_(d >= M) sum_j w(d, j)^4, the fourth-cumulant error of a
-    depth-M sample in units of kappa4 (``cumulant_tail_bound`` sharpens it).
-    """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"need 0 <= q < 1, got {q}")
-    return q ** (2 * (margin + 1)) / (1.0 - q * q)
-
-
 def cumulant_tail_bound(params: ModelParams, depth: int) -> float:
     """S4(depth) q^(4 depth) / (1 - q^4) >= sum_(d >= depth) sum_j w(d, j)^4.
 
@@ -259,8 +251,9 @@ class FieldSimulator:
     def __init__(self, params: ModelParams, window: TriangleWindow,
                  method: SimMethod = SimMethod(), dist: InnovationDist = InnovationDist.GAUSSIAN):
         params.require_stationary()
-        if window.s < 1:
-            raise ValueError("window sum must be >= 1")
+        if window.k < 0 or window.l < 0 or window.s < 1:
+            raise ConfigError(f"a window needs k, l >= 0 and k + l >= 1, "
+                              f"got k = {window.k}, l = {window.l}")
         self.params = params
         self.window = window
         self.dist = dist

@@ -167,6 +167,26 @@ class TestLimitsAndVerify:
                                "--beta", "0", "--gamma-c", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["limits", "describe", "--alpha", "0.5", "--beta", "0.5", "--ladder", "64"],
+        ["limits", "describe", "--alpha", "0.5", "--beta", "0.5", "--ladder", "a:b"],
+        ["limits", "describe", "--alpha", "0.5", "--beta", "0.5", "--ladder", "64:64:1"],
+        ["limits", "describe", "--alpha", "0.5", "--beta", "0.5", "--ladder", "0:64"],
+        ["sim", "field", "--alpha", "0.3", "--beta", "0.3", "--k", "0", "--l", "0"],
+        ["sim", "field", "--alpha", "0.3", "--beta", "0.3", "--k", "-1", "--l", "3"],
+        ["verify", "score", "--alpha", "0.5", "--beta", "0.5", "--s", "0", "--reps", "3"],
+        ["verify", "detb", "--alpha", "0.5", "--beta", "0.5", "--s", "0", "--reps", "3"],
+        ["verify", "detb", "--alpha", "0.5", "--beta", "0.5", "--s", "1", "--reps", "3"],
+        ["verify", "covlim", "--alpha", "0.5", "--beta", "0.5", "--n-probe", "0"],
+    ], ids=["ladder_one_value", "ladder_not_integers", "ladder_three_values",
+            "ladder_m_zero", "sim_window_empty", "sim_window_negative_k",
+            "score_s_zero", "detb_s_zero", "detb_s_one", "covlim_no_probe"])
+    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("what", ["detb", "score"])
     def test_verify_bad_worker_count_exits_1(self, capsys, monkeypatch, what):
         def no_run(*args, **kwargs):

@@ -448,6 +448,33 @@ class TestVerifySuites:
         got = verify_cov(values, lag_max, tol)
         assert repr(got) == repr(self._verify_cov_one_lag(values, lag_max, tol))
 
+    def test_verify_cov_evaluates_each_canonical_lag_once(self, monkeypatch):
+        # one CovKernel per parameter pair: R[k, l] = R[-k, -l], so the
+        # closed form runs on 25 of the 49 lags of a pair at lag_max 3
+        calls = []
+
+        def closed(p, k, l):
+            calls.append((p.alpha, p.beta, k, l))
+            return cov_closed(p, k, l)
+        monkeypatch.setattr("spatialar.covariance.cov_closed", closed)
+        values = (-0.45, 0.0, 0.25)
+        r = verify_cov(values, lag_max=3)
+        canonical = {(k, l) for k in range(4) for l in range(-3, 4) if k > 0 or l >= 0}
+        assert len(canonical) == 25 and r["n_points"] == 9 * 49
+        assert len(calls) == len(set(calls)) == 9 * 25
+        assert set(calls) == {(a, b, k, l) for a in values for b in values
+                              for k, l in canonical}
+
+    def test_verify_cov_reference_is_per_lag_cov_closed(self, monkeypatch):
+        # every route returns per-lag cov_closed, so a zero worst deviation
+        # means that the kernel's reference equals it bit for bit
+        def per_lag(p, k, l, *args):
+            return np.array([cov_closed(p, int(x), int(y)) for x, y in zip(k, l)])
+        for name in ("cov_f4", "cov_series_oracle", "cov_binrep"):
+            monkeypatch.setattr(f"spatialar.harness.{name}", per_lag)
+        r = verify_cov((-0.45, -0.1, 0.0, 0.25, 0.45), lag_max=4)
+        assert r["worst_dev"] == 0.0 and r["worst_at"] is None and r["pass"]
+
     def test_verify_cov_fails_on_nan(self, monkeypatch):
         # a route that returns NaN at one lag fails the check there
         def f4(p, k, l, tol=1e-12):
