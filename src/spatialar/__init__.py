@@ -7,8 +7,6 @@ estimation error for nearly-unstable parameter designs.
 """
 
 from .covariance import (
-    CovKernel,
-    CovMethod,
     cov_binrep,
     cov_closed,
     cov_f4,

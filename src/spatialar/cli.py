@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .covariance import CovKernel, CovMethod
+from .covariance import cov_binrep, cov_closed, cov_f4, cov_series_oracle
 from .errors import ConfigError, SpatialARError
 from .estimate import lse
 from .limits import condition_statistic, limit_law
@@ -31,7 +31,21 @@ from .model import (
 )
 from .simulate import FieldSimulator, InnovationDist, RngStream, SimMethod
 
-_METHOD_NAMES = {m.value: m for m in CovMethod}
+
+def _cov_binrep_or_closed(p: ModelParams, k, l):
+    """cov_binrep on its quadrant k*l >= 0, cov_closed on the mixed lags."""
+    k, l = np.broadcast_arrays(k, l)
+    same = k * l >= 0
+    values = np.empty(k.shape)
+    values[same] = cov_binrep(p, k[same], l[same])
+    values[~same] = cov_closed(p, k[~same], l[~same])
+    return values
+
+
+_COV_ROUTES = {"closed": cov_closed, "f4": cov_f4, "binrep": _cov_binrep_or_closed,
+               "oracle": cov_series_oracle}
+_METHOD_HELP = ("covariance route; binrep covers k*l >= 0 and takes mixed-quadrant "
+                "lags from the closed form")
 
 
 def _fmt(x: float) -> str:
@@ -88,20 +102,26 @@ def _write_rows(rows: list[list], out: str | None) -> None:
     print(f"wrote {path}")
 
 
+def _cov(args, k, l):
+    """R at lags k, l by ``args.method``.  R[k, l] = R[-k, -l], and each lag
+    is evaluated as the one of the pair with k > 0, or k = 0 and l >= 0."""
+    k, l = np.broadcast_arrays(k, l)
+    flip = (k < 0) | ((k == 0) & (l < 0))
+    return _COV_ROUTES[args.method](ModelParams(args.alpha, args.beta),
+                                    np.where(flip, -k, k), np.where(flip, -l, l))
+
+
 def _cmd_cov_eval(args) -> int:
-    kernel = CovKernel(ModelParams(args.alpha, args.beta),
-                       _METHOD_NAMES[args.method])
-    print(_fmt(kernel.R(args.k, args.l)))
+    print(_fmt(_cov(args, args.k, args.l)))
     return 0
 
 
 def _cmd_cov_table(args) -> int:
-    kernel = CovKernel(ModelParams(args.alpha, args.beta),
-                       _METHOD_NAMES[args.method])
+    k, l = np.meshgrid(np.arange(-args.kmax, args.kmax + 1),
+                       np.arange(-args.lmax, args.lmax + 1), indexing="ij")
     rows = [["k", "l", "R"]]
-    for k in range(-args.kmax, args.kmax + 1):
-        for l in range(-args.lmax, args.lmax + 1):
-            rows.append([k, l, _fmt(kernel.R(k, l))])
+    rows += [[x, y, _fmt(r)] for x, y, r in zip(k.ravel().tolist(), l.ravel().tolist(),
+                                                _cov(args, k, l).ravel())]
     _write_rows(rows, args.out)
     return 0
 
@@ -240,14 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--beta", type=float, required=True)
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--l", type=int, required=True)
-    ce.add_argument("--method", choices=sorted(_METHOD_NAMES), default="closed")
+    ce.add_argument("--method", choices=sorted(_COV_ROUTES), default="closed",
+                    help=_METHOD_HELP)
     ce.set_defaults(func=_cmd_cov_eval)
     ct = cov_sub.add_parser("table", help="tabulate R over a lag box")
     ct.add_argument("--alpha", type=float, required=True)
     ct.add_argument("--beta", type=float, required=True)
     ct.add_argument("--kmax", type=int, required=True)
     ct.add_argument("--lmax", type=int, required=True)
-    ct.add_argument("--method", choices=sorted(_METHOD_NAMES), default="closed")
+    ct.add_argument("--method", choices=sorted(_COV_ROUTES), default="closed",
+                    help=_METHOD_HELP)
     ct.add_argument("--out", help="CSV output path (stdout when omitted)")
     ct.set_defaults(func=_cmd_cov_table)
 

@@ -29,20 +29,20 @@ level(m + n) + mfac(m) + nfac(n).  Each factor is formed once per value
 r = 0..smax, from the table and the parameters, and gathered onto the grid
 (``_grid_logs``), so a term costs three gathers, two adds and one exp.
 
-The three series routes take integer lags or integer arrays of lags.  A
-block of L lags of one (alpha, beta) is one pass over the shared grid: one
-``oracle_margin`` call, (L x (smax + 1)) factor tables, their (L x grid)
-gathers, and sums along the grid axis.  Every value is bit-identical to
-the one-lag call, which is the L = 1 case of the same code; callers bound L
-so that the temporaries stay small (``harness.verify_cov`` uses blocks of
-at most 8192 terms).
+All four routes take integer lags or integer arrays of lags (broadcast
+together) and return a float for integer lags, an array of the lags' shape
+otherwise.  ``cov_closed`` evaluates each distinct (|k|, |l|, k*l <= 0)
+once.  A series route makes one ``oracle_margin`` call per call and splits
+its lags into blocks (``_in_blocks``); a block of L lags is one pass over
+the shared grid: (L x (smax + 1)) factor tables, their (L x grid) gathers,
+and sums along the grid axis.  Every value is bit-identical to the one-lag
+call, which is the L = 1 case of the same code; the routes bound L so that
+a block holds at most 8192 lag x grid terms.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +53,7 @@ from .model import ModelParams
 __all__ = [
     "sigma_sq", "geom_factors", "d_factor", "cov_closed",
     "cov_f4", "pmf_s", "cov_binrep", "cov_series_oracle",
-    "tail_variance_bound", "oracle_margin", "CovMethod", "CovKernel",
+    "tail_variance_bound", "oracle_margin",
 ]
 
 
@@ -88,6 +88,42 @@ def d_factor(p: ModelParams) -> float:
         return 0.0
     ga, gb = geom_factors(p)
     return ga * gb
+
+
+# ---------------------------------------------------------------------------
+# lag arrays
+
+
+# lag x grid terms per block of a series route: 64 KiB of float64 for each
+# temporary of a block (a single lag may exceed it near q = 0.9)
+_LAG_BLOCK_TERMS = 1 << 13
+
+
+def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Integer lags k, l (scalars or arrays) as two flat int64 arrays of their
+    broadcast size, with the shape to give the results: () for scalars."""
+    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
+    if k.dtype.kind not in "iu" or l.dtype.kind not in "iu":
+        raise TypeError(f"lags must be integers, got {k.dtype} and {l.dtype}")
+    return k.astype(np.int64).ravel(), l.astype(np.int64).ravel(), k.shape
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """Per-lag results in the lags' shape; a float for a scalar lag."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _in_blocks(route, k, l, smax: int):
+    """route(k_block, l_block) on the lags k, l, in consecutive blocks of
+    flat lags of at most _LAG_BLOCK_TERMS lag x grid terms, the grid of
+    levels 0..smax; a block holds one lag when its grid alone is larger.
+    Results are shaped as in ``_shaped``."""
+    k, l, shape = _lag_arrays(k, l)
+    step = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
+    values = np.empty(k.size)
+    for start in range(0, k.size, step):
+        values[start:start + step] = route(k[start:start + step], l[start:start + step])
+    return _shaped(values, shape)
 
 
 def _cov_axis_1d(p: ModelParams, k: int, l: int) -> float:
@@ -153,20 +189,38 @@ def _cov_same_quadrant(p: ModelParams, k: int, l: int) -> float:
     return math.fsum(terms)
 
 
-def cov_closed(p: ModelParams, k: int, l: int) -> float:
+def _cov_closed_at(p: ModelParams, k: int, l: int) -> float:
+    # one lag; reads only |k|, |l| and whether k*l <= 0
+    if p.alpha * p.beta == 0.0:
+        return _cov_axis_1d(p, k, l)
+    if k * l <= 0:
+        return _cov_mixed(p, k, l)
+    return _cov_same_quadrant(p, abs(k), abs(l))
+
+
+def cov_closed(p: ModelParams, k, l):
     """Exact closed-form covariance, any lag.
 
     Mixed quadrant (k*l <= 0) uses the two-factor geometric product; the
     same-sign quadrant reduces, by stationarity, to k, l >= 1 and the finite
     first-passage sum.  When alpha*beta = 0 the field degenerates to
     independent AR(1) lines and the one-dimensional formula applies.
+
+    ``k`` and ``l`` are integers or integer arrays (broadcast together).  A
+    value depends on the lag only through the key (|k|, |l|, k*l <= 0), so
+    each distinct key is evaluated once, by the one-lag formula, and its
+    value is given to every lag with that key.  Two integer lags go to the
+    one-lag formula directly.
     """
     p.require_stationary()
-    if p.alpha * p.beta == 0.0:
-        return _cov_axis_1d(p, k, l)
-    if k * l <= 0:
-        return _cov_mixed(p, k, l)
-    return _cov_same_quadrant(p, abs(k), abs(l))
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (k, l)):
+        return _cov_closed_at(p, int(k), int(l))
+    k, l, shape = _lag_arrays(k, l)
+    keys = np.stack([np.abs(k), np.abs(l), k * l <= 0])
+    _, first, inverse = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    values = np.array([_cov_closed_at(p, int(k[i]), int(l[i])) for i in first],
+                      dtype=np.float64)
+    return _shaped(values[inverse.ravel()], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +285,6 @@ def _xlog(x: np.ndarray, log_base: float) -> np.ndarray:
     if log_base == -math.inf:
         return np.where(x > 0, -math.inf, 0.0)
     return x * log_base
-
-
-def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Integer lags k, l (scalars or arrays) as two flat int64 arrays of their
-    broadcast size, with the shape to give the results: () for scalars."""
-    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
-    if k.dtype.kind not in "iu" or l.dtype.kind not in "iu":
-        raise TypeError(f"lags must be integers, got {k.dtype} and {l.dtype}")
-    return k.astype(np.int64).ravel(), l.astype(np.int64).ravel(), k.shape
-
-
-def _shaped(values: np.ndarray, shape: tuple):
-    """Per-lag results in the lags' shape; a float for a scalar lag."""
-    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 @lru_cache(maxsize=8)
@@ -336,22 +376,25 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     from the shared log-factorial table (see ``_f4_grid_sum``).
 
     ``k`` and ``l`` are integers or integer arrays (broadcast together).
-    A block of lags is one pass over the grid, a (lags x grid) array, with
-    every value bit-identical to its one-lag call; integer lags return a
-    float, arrays an array of their broadcast shape.
+    The lags are split into blocks of at most 8192 lag x grid terms
+    (``_in_blocks``); a block is one pass over the grid, a (lags x grid)
+    array, with every value bit-identical to its one-lag call.  Integer lags
+    return a float, arrays an array of their broadcast shape.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
-    k, l, shape = _lag_arrays(k, l)
-    ka, la = np.abs(k), np.abs(l)
-    mixed = k * l <= 0
     smax = oracle_margin(p.q, tol)
-    f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
-                      np.where(mixed, la + 1, 1)[:, None],
-                      (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
-    prefactor = [a**x * b**y if mix else a**x * b**y * math.comb(x + y, x)
-                 for x, y, mix in zip(ka.tolist(), la.tolist(), mixed.tolist())]
-    return _shaped(np.array(prefactor) * f4, shape)
+
+    def block(k, l):
+        ka, la = np.abs(k), np.abs(l)
+        mixed = k * l <= 0
+        f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
+                          np.where(mixed, la + 1, 1)[:, None],
+                          (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
+        prefactor = [a**x * b**y if mix else a**x * b**y * math.comb(x + y, x)
+                     for x, y, mix in zip(ka.tolist(), la.tolist(), mixed.tolist())]
+        return np.array(prefactor) * f4
+    return _in_blocks(block, k, l, smax)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +467,10 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     wfac(w) = (|l| + 2w) log(1 - nu) - log w! - log (|l|+w)!,
     each formed once per value from the shared log-factorial table.
 
-    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
-    block of lags is one (lags x grid) pass whose segments are summed along
-    the grid axis, bit-identical to one call per lag.  Any lag with
-    k*l < 0 raises WrongQuadrantError.
+    ``k`` and ``l`` are integers or integer arrays, blocked as in
+    ``cov_f4``: a block of lags is one (lags x grid) pass whose segments are
+    summed along the grid axis, bit-identical to one call per lag.  Any lag
+    with k*l < 0 raises WrongQuadrantError.
     """
     p.require_stationary()
     k, l, shape = _lag_arrays(k, l)
@@ -439,24 +482,26 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     q = p.q
     if q == 0.0:
         return _shaped(np.where((k == 0) & (l == 0), 1.0, 0.0), shape)
-    ka, la = np.abs(k), np.abs(l)
     nu = abs(a) / q
-    sign = _sign_of_power(a, ka) * _sign_of_power(b, la)
-    ka, la = ka[:, None], la[:, None]
-    big = ka + la
     margin = oracle_margin(q, tol)
     r = np.arange(margin + 1)
-    lf = _log_factorials(int(np.max(big, initial=0)) + margin)
     log_nu, log_mu = _binomial_logs(nu)
-    # term (u, w) of level i is P(Binomial(i, nu) = u) times
-    # P(Binomial(big + i, 1 - nu) = la + w), whose failures number ka + u:
-    # i! (big + i)! / (u! w! (ka + u)! (la + w)!) nu^(ka + 2u) (1 - nu)^(la + 2w)
-    level = lf[r] + lf[big + r]
-    ufac = _xlog(ka + 2 * r, log_nu) - lf[r] - lf[ka + r]
-    wfac = _xlog(la + 2 * r, log_mu) - lf[r] - lf[la + r]
-    logs = _grid_logs(level, ufac, wfac)
-    pmf = _segment_sums(logs, r + 1)
-    return _shaped(sign * np.sum(q ** (big + 2 * r) * pmf, axis=-1), shape)
+
+    def block(k, l):
+        ka, la = np.abs(k), np.abs(l)
+        sign = _sign_of_power(a, ka) * _sign_of_power(b, la)
+        ka, la = ka[:, None], la[:, None]
+        big = ka + la
+        lf = _log_factorials(int(np.max(big, initial=0)) + margin)
+        # term (u, w) of level i is P(Binomial(i, nu) = u) times
+        # P(Binomial(big + i, 1 - nu) = la + w), whose failures number ka + u:
+        # i! (big + i)! / (u! w! (ka + u)! (la + w)!) nu^(ka + 2u) (1 - nu)^(la + 2w)
+        level = lf[r] + lf[big + r]
+        ufac = _xlog(ka + 2 * r, log_nu) - lf[r] - lf[ka + r]
+        wfac = _xlog(la + 2 * r, log_mu) - lf[r] - lf[la + r]
+        pmf = _segment_sums(_grid_logs(level, ufac, wfac), r + 1)
+        return sign * np.sum(q ** (big + 2 * r) * pmf, axis=-1)
+    return _shaped(_in_blocks(block, k, l, margin), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -517,82 +562,31 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     axis the powers of |a| (|b|) over the factorials of the denominators,
     each formed once per value from the shared log-factorial table.
 
-    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``: a
-    block of lags is one (lags x grid) pass, bit-identical to one call per
-    lag.
+    ``k`` and ``l`` are integers or integer arrays, blocked as in
+    ``cov_f4``: a block of lags is one (lags x grid) pass, bit-identical to
+    one call per lag.
     """
     p.require_stationary()
-    a, b = p.alpha, p.beta
     if margin is None:
         margin = oracle_margin(p.q)
-    k, l, shape = _lag_arrays(k, l)
-    # support (i, j) <= (min(k,0), min(l,0)); substitute i = min(k,0)-u, j = min(l,0)-v
-    kp, lp = np.maximum(k, 0), np.maximum(l, 0)
-    km, lm = np.maximum(-k, 0), np.maximum(-l, 0)
-    # every kept term of a lag carries the same sign pattern
-    sign = _sign_of_power(a, km + kp) * _sign_of_power(b, lm + lp)
-    kp, lp, km, lm = kp[:, None], lp[:, None], km[:, None], lm[:, None]
-    depth0 = km + lm  # depth of the first shared innovation below the origin
+    a, b = p.alpha, p.beta
     r = np.arange(margin + 1)
-    lf = _log_factorials(int(np.max(np.maximum(depth0, kp + lp), initial=0)) + margin)
     log_a = math.log(abs(a)) if a != 0 else -math.inf
     log_b = math.log(abs(b)) if b != 0 else -math.inf
-    # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
-    # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
-    level = lf[depth0 + r] + lf[kp + lp + r]
-    ufac = _xlog(km + kp + 2 * r, log_a) - lf[km + r] - lf[kp + r]
-    vfac = _xlog(lm + lp + 2 * r, log_b) - lf[lm + r] - lf[lp + r]
-    return _shaped(sign * np.sum(np.exp(_grid_logs(level, ufac, vfac)), axis=-1), shape)
 
-
-# ---------------------------------------------------------------------------
-# kernel
-
-
-class CovMethod(enum.Enum):
-    CLOSED_FORM = "closed"
-    APPELL_F4 = "f4"
-    BINOMIAL_REP = "binrep"
-    SERIES_ORACLE = "oracle"
-
-
-@dataclass
-class CovKernel:
-    """Covariance evaluator for fixed parameters, with a lag cache.
-
-    The cache stores each canonical lag once; R[k, l] = R[-k, -l] by
-    stationarity so lags are canonicalised before lookup, and a cached value
-    is always bit-identical to a fresh evaluation.  Safe to share across
-    workers once pre-warmed (reads only), or give each worker its own
-    kernel; evaluation is idempotent so concurrent duplicate inserts are
-    harmless.
-    """
-
-    params: ModelParams
-    method: CovMethod = CovMethod.CLOSED_FORM
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.params.require_stationary()
-
-    def _evaluate(self, k: int, l: int) -> float:
-        if self.method is CovMethod.CLOSED_FORM:
-            return cov_closed(self.params, k, l)
-        if self.method is CovMethod.APPELL_F4:
-            return cov_f4(self.params, k, l)
-        if self.method is CovMethod.BINOMIAL_REP:
-            if k * l < 0:
-                # mixed quadrant is outside this representation; fall back
-                return cov_closed(self.params, k, l)
-            return cov_binrep(self.params, k, l)
-        return cov_series_oracle(self.params, k, l)
-
-    def R(self, k: int, l: int) -> float:
-        if k < 0 or (k == 0 and l < 0):
-            k, l = -k, -l
-        key = (k, l)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._evaluate(k, l)
-            self._cache[key] = hit
-        return hit
+    def block(k, l):
+        # support (i, j) <= (min(k,0), min(l,0)); substitute i = min(k,0)-u, j = min(l,0)-v
+        kp, lp = np.maximum(k, 0), np.maximum(l, 0)
+        km, lm = np.maximum(-k, 0), np.maximum(-l, 0)
+        # every kept term of a lag carries the same sign pattern
+        sign = _sign_of_power(a, km + kp) * _sign_of_power(b, lm + lp)
+        kp, lp, km, lm = kp[:, None], lp[:, None], km[:, None], lm[:, None]
+        depth0 = km + lm  # depth of the first shared innovation below the origin
+        lf = _log_factorials(int(np.max(np.maximum(depth0, kp + lp), initial=0)) + margin)
+        # weight in X[0,0]: C(depth0+u+v, km+u) |a|^(km+u) |b|^(lm+v)
+        # weight in X[k,l]: C(kp+lp+u+v, kp+u)  |a|^(kp+u) |b|^(lp+v)
+        level = lf[depth0 + r] + lf[kp + lp + r]
+        ufac = _xlog(km + kp + 2 * r, log_a) - lf[km + r] - lf[kp + r]
+        vfac = _xlog(lm + lp + 2 * r, log_b) - lf[lm + r] - lf[lp + r]
+        return sign * np.sum(np.exp(_grid_logs(level, ufac, vfac)), axis=-1)
+    return _in_blocks(block, k, l, margin)

@@ -27,9 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-# cov_closed is not called here; perfbench/tracing.py wraps harness.cov_closed by name
 from .covariance import (
-    CovKernel,
     cov_binrep,
     cov_closed,
     cov_f4,
@@ -482,11 +480,6 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 # exact verification suites
 
 
-# lag x grid terms per covariance call of verify_cov: 64 KiB of float64 for
-# each temporary of a block (a single lag may exceed it near q = 0.9)
-_LAG_BLOCK_TERMS = 1 << 13
-
-
 def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
                tol: float = 1e-8) -> dict:
     """Four-way cross-check of the covariance evaluators.
@@ -494,47 +487,39 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     Closed form, Appell F4, binomial representation (its quadrant) and the
     truncated-series oracle must agree within ``tol`` absolutely over the
     parameter grid (restricted to |alpha| + |beta| <= 0.9) and all lags
-    |k|, |l| <= lag_max.  The closed form comes from one ``CovKernel`` per
-    parameter pair, which evaluates each lag pair (k, l), (-k, -l) once
-    (``cov_closed`` reads only |k|, |l| and the sign of k*l, so this is
-    bit-identical to one call per lag).  The three series routes take each
-    parameter pair's lags in blocks of at most _LAG_BLOCK_TERMS lag x grid
-    terms; a block's values equal one call per lag bit for bit.  The
-    oracle's tail target is tol / 100, floored at 1e-16, below the rounding
-    of sigma^2 >= 1.  A ``tol`` that is not positive and finite raises
-    OutOfRangeError, and a NaN value fails the check as an infinite
+    |k|, |l| <= lag_max.  Each route is called once per parameter pair on
+    the whole lag box (binrep on its same-sign lags); the routes bound
+    their own temporaries, and their values equal one call per lag bit for
+    bit.  The worst deviation is reported at its first lag in box order.
+    The oracle's tail target is tol / 100, floored at 1e-16, below the
+    rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite
+    raises OutOfRangeError, and a NaN value fails the check as an infinite
     deviation.
     """
     worst = 0.0
     worst_at = None
     n_points = 0
     lags = np.arange(-lag_max, lag_max + 1)
-    ks, ls = np.repeat(lags, lags.size), np.tile(lags, lags.size)
+    k, l = np.repeat(lags, lags.size), np.tile(lags, lags.size)
+    same = k * l >= 0
     for a in values:
         for b in values:
             if abs(a) + abs(b) > 0.9:
                 continue
             p = ModelParams(a, b)
-            kernel = CovKernel(p)
             # oracle_margin rejects a tol that is not positive and finite
             margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16) if tol > 0 else tol)
-            levels = max(margin, oracle_margin(p.q)) + 1
-            step = max(1, _LAG_BLOCK_TERMS // (levels * (levels + 1) // 2))
-            for start in range(0, ks.size, step):
-                k, l = ks[start:start + step], ls[start:start + step]
-                ref = np.array([kernel.R(int(x), int(y)) for x, y in zip(k, l)])
-                dev = np.maximum(np.abs(cov_f4(p, k, l) - ref),
-                                 np.abs(cov_series_oracle(p, k, l, margin) - ref))
-                same = k * l >= 0
-                if same.any():
-                    dev[same] = np.maximum(
-                        dev[same], np.abs(cov_binrep(p, k[same], l[same]) - ref[same]))
-                # a NaN from any route counts as an infinite deviation
-                dev[np.isnan(dev)] = np.inf
-                i = int(np.argmax(dev))
-                if dev[i] > worst:
-                    worst, worst_at = float(dev[i]), (a, b, int(k[i]), int(l[i]))
-            n_points += ks.size
+            ref = cov_closed(p, k, l)
+            dev = np.maximum(np.abs(cov_f4(p, k, l) - ref),
+                             np.abs(cov_series_oracle(p, k, l, margin) - ref))
+            dev[same] = np.maximum(dev[same],
+                                   np.abs(cov_binrep(p, k[same], l[same]) - ref[same]))
+            # a NaN from any route counts as an infinite deviation
+            dev[np.isnan(dev)] = np.inf
+            i = int(np.argmax(dev))
+            if dev[i] > worst:
+                worst, worst_at = float(dev[i]), (a, b, int(k[i]), int(l[i]))
+            n_points += k.size
     return {"n_points": n_points, "worst_dev": worst, "worst_at": worst_at,
             "tol": tol, "pass": worst <= tol}
 
@@ -606,14 +591,14 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
     """
     if n_probe < 1:
         raise ConfigError(f"n_probe must be at least 1, got {n_probe}")
-    kernel = CovKernel(design.params_at(m))
+    params = design.params_at(m)
     scale = condition_statistic(design, m, 1)
     bound = 2.0 * _prop1_target(design, m).a11
 
     def scaled_R(n: int, s1, t1, s2, t2) -> float:
         dk = math.floor(n * s1) - math.floor(n * s2)
         dl = math.floor(n * t1) - math.floor(n * t2)
-        return scale * kernel.R(dk, dl)
+        return scale * cov_closed(params, dk, dl)
 
     records, ok = [], True
     for s1, t1, s2, t2, on_diag in points:
@@ -629,7 +614,7 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
             rec["pass"] = abs(v2) <= 0.5 * abs(v1)
         ok = ok and rec["pass"]
         records.append(rec)
-    at_zero = scale * kernel.R(0, 0)
+    at_zero = scale * cov_closed(params, 0, 0)
     return {"m": m, "n_probe": n_probe, "bound": bound,
             "value_at_zero_lag": at_zero, "points": records, "pass": ok}
 

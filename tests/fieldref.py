@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spatialar import Field, ModelParams, TriangleWindow
+from spatialar import Field, ModelParams, TriangleWindow, cov_closed
 
 
 def triangle_indices(w: TriangleWindow) -> list[tuple[int, int]]:
@@ -30,6 +30,14 @@ def hull_indices(w: TriangleWindow) -> list[tuple[int, int]]:
         for i in range(w.layer_start(d), w.k + 1):
             out.append((i, d - i))
     return out
+
+
+def hull_covariance(params: ModelParams, w: TriangleWindow) -> np.ndarray:
+    """The stationary covariance matrix of ``hull_indices(w)``, entry (p1, p2)
+    being R[p1 - p2] by ``cov_closed``."""
+    pts = np.array(hull_indices(w), dtype=np.int64).reshape(-1, 2)
+    return cov_closed(params, pts[:, None, 0] - pts[None, :, 0],
+                      pts[:, None, 1] - pts[None, :, 1])
 
 
 def deterministic_field(params: ModelParams, window: TriangleWindow,

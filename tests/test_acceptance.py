@@ -22,7 +22,6 @@ import pytest
 
 from spatialar import (
     BoundaryPoint,
-    CovKernel,
     ExperimentConfig,
     ModelParams,
     NearlyUnstableDesign,
@@ -73,16 +72,15 @@ def test_c01_four_way_oracle_equivalence():
 def test_c02_yule_walker_and_origin_identities():
     t0 = time.perf_counter()
     worst_yw = worst_origin = 0.0
+    lags = np.arange(-21, 21)
+    k, l = lags[1:, None], lags[None, 1:]  # the lags -20..20 of the check
     for a, b in GRID:
-        kern = CovKernel(ModelParams(a, b))
-        for k in range(-20, 21):
-            for l in range(-20, 21):
-                if k >= 1 or l >= 1:
-                    dev = abs(kern.R(k, l) - a * kern.R(k - 1, l)
-                              - b * kern.R(k, l - 1))
-                    worst_yw = max(worst_yw, dev)
+        # r[i, j] = R[lags[i], lags[j]]; lag (0, 0) sits at r[21, 21]
+        r = cov_closed(ModelParams(a, b), lags[:, None], lags[None, :])
+        dev = np.abs(r[1:, 1:] - a * r[:-1, 1:] - b * r[1:, :-1])
+        worst_yw = max(worst_yw, float(np.max(dev[(k >= 1) | (l >= 1)])))
         worst_origin = max(worst_origin, abs(
-            kern.R(0, 0) - a * kern.R(-1, 0) - b * kern.R(0, -1) - 1.0))
+            r[21, 21] - a * r[20, 21] - b * r[21, 20] - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst_yw <= 1e-10 and worst_origin <= 1e-10 and elapsed < 5
     report(2, ok, f"recursion identity worst {worst_yw:.2e}, "
@@ -96,11 +94,11 @@ def test_c03_expected_B_exact_closed_form():
     worst = 0.0
     for a, b in GRID:
         p = ModelParams(a, b)
-        kern = CovKernel(p)
+        r00, r_off = cov_closed(p, [0, -1], [0, 1])
         for s in range(1, 21):
             pts = triangle_indices(TriangleWindow.balanced(s))
-            diag = math.fsum(kern.R(0, 0) for _ in pts)
-            off = math.fsum(kern.R(-1, 1) for _ in pts)
+            diag = math.fsum(r00 for _ in pts)
+            off = math.fsum(r_off for _ in pts)
             eb = expected_B(p, s)
             worst = max(worst, abs(diag - eb.a11), abs(off - eb.a12))
     spot = expected_B(ModelParams(0.25, 0.25), 2)

@@ -44,6 +44,28 @@ class TestCov:
         centre = [r for r in rows if r["k"] == "0" and r["l"] == "0"][0]
         assert float(centre["R"]) > 1.0
 
+    @pytest.mark.parametrize("method", ["closed", "f4", "binrep", "oracle"])
+    def test_table_equals_per_lag_eval(self, capsys, method):
+        # the table is one call on the lag box; each of its rows prints what
+        # cov eval prints at that lag, and binrep takes the mixed lags from
+        # the closed form
+        params = ["--alpha", "0.45", "--beta", "-0.3"]
+
+        def eval_at(k, l, how):
+            code, out, _ = run_cli(capsys, "cov", "eval", *params, "--k", k, "--l", l,
+                                   "--method", how)
+            assert code == 0
+            return out.strip()
+        code, out, _ = run_cli(capsys, "cov", "table", *params, "--kmax", "2",
+                               "--lmax", "3", "--method", method)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 5 * 7
+        for row in rows:
+            assert row["R"] == eval_at(row["k"], row["l"], method)
+            if method == "binrep" and int(row["k"]) * int(row["l"]) < 0:
+                assert row["R"] == eval_at(row["k"], row["l"], "closed")
+
 
 class TestSimEstimate:
     def test_field_roundtrip(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
 from spatialar import (
-    CovKernel,
-    CovMethod,
     ModelParams,
     NonStationaryError,
     WrongQuadrantError,
@@ -21,7 +20,14 @@ from spatialar import (
     pmf_s,
     sigma_sq,
 )
-from spatialar.covariance import _f4_grid_sum, _log_factorials, d_factor, geom_factors
+from spatialar import covariance
+from spatialar.covariance import (
+    _cov_closed_at,
+    _f4_grid_sum,
+    _log_factorials,
+    d_factor,
+    geom_factors,
+)
 
 GRID = [(a, b)
         for a in (-0.45, -0.25, -0.1, 0.1, 0.25, 0.45)
@@ -98,6 +104,16 @@ class TestClosedForm:
             for k in range(-5, 6):
                 for l in range(-5, 6):
                     assert abs(cov_closed(p, k, l)) <= cov_closed(pa, k, l) + 1e-12
+
+    def test_hull_covariance_is_spd(self):
+        # Cholesky must succeed, with no jitter, on every hull matrix
+        from fieldref import hull_covariance
+        from spatialar import TriangleWindow
+
+        for a, b in [(0.45, 0.45), (0.3, -0.55), (-0.6, 0.25)]:
+            for s in (4, 8, 12):
+                np.linalg.cholesky(hull_covariance(ModelParams(a, b),
+                                                   TriangleWindow.balanced(s)))
 
 
 class TestF4:
@@ -188,42 +204,6 @@ class TestFourWaySmoke:
                     ref, abs=1e-9)
                 if k * l >= 0:
                     assert cov_binrep(p, k, l) == pytest.approx(ref, abs=1e-9)
-
-
-class TestKernel:
-    def test_cache_bit_identical(self):
-        kern = CovKernel(ModelParams(0.4, -0.3))
-        first = kern.R(3, 2)
-        assert kern.R(3, 2) == first
-        assert CovKernel(ModelParams(0.4, -0.3)).R(3, 2) == first
-
-    def test_symmetry_canonicalisation(self):
-        kern = CovKernel(ModelParams(0.4, -0.3))
-        assert kern.R(-3, 2) == kern.R(3, -2)
-        assert len(kern._cache) == 1
-
-    def test_all_methods_dispatch(self):
-        p = ModelParams(0.3, 0.4)
-        ref = cov_closed(p, 2, 1)
-        for method in CovMethod:
-            assert CovKernel(p, method).R(2, 1) == pytest.approx(ref, abs=1e-9)
-
-    def test_binrep_kernel_mixed_quadrant_falls_back(self):
-        kern = CovKernel(ModelParams(0.3, 0.4), CovMethod.BINOMIAL_REP)
-        assert kern.R(2, -1) == pytest.approx(cov_closed(kern.params, 2, -1))
-
-    def test_hull_covariance_is_spd(self):
-        # Cholesky must succeed, with no jitter, on every hull matrix
-        from fieldref import hull_indices
-        from spatialar import TriangleWindow
-
-        for a, b in [(0.45, 0.45), (0.3, -0.55), (-0.6, 0.25)]:
-            kern = CovKernel(ModelParams(a, b))
-            for s in (4, 8, 12):
-                pts = hull_indices(TriangleWindow.balanced(s))
-                cov = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
-                                for i1, j1 in pts])
-                np.linalg.cholesky(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +406,8 @@ class TestLagArrays:
     def test_scalar_calls_return_float(self, a, b):
         p = ModelParams(a, b)
         for lag in [(2, 1), (np.int64(2), np.int64(1)), (0, 0)]:
-            for value in (cov_f4(p, *lag), cov_series_oracle(p, *lag), cov_binrep(p, *lag)):
+            for value in (cov_closed(p, *lag), cov_f4(p, *lag), cov_series_oracle(p, *lag),
+                          cov_binrep(p, *lag)):
                 assert type(value) is float
 
     def test_one_mixed_lag_rejects_the_block(self):
@@ -435,8 +416,56 @@ class TestLagArrays:
             cov_binrep(p, [0, 1, 2, 3], [0, 1, -1, 3])
 
     def test_lags_must_be_integers(self):
-        with pytest.raises(TypeError):
-            cov_f4(ModelParams(0.25, 0.45), np.array([1.0, 2.0]), 1)
+        for route in (cov_closed, cov_f4):
+            with pytest.raises(TypeError):
+                route(ModelParams(0.25, 0.45), np.array([1.0, 2.0]), 1)
+
+    @pytest.mark.parametrize("a, b", [(0.4, -0.3), (-0.45, 0.45), (0.0, 0.6),
+                                      (-0.7, 0.0), (0.0, 0.0)])
+    def test_closed_box_equals_one_lag_calls(self, a, b, monkeypatch):
+        # the box holds both axes and both quadrants; each distinct key
+        # (|k|, |l|, k*l <= 0) runs the one-lag formula once, and every lag
+        # gets that formula's value at its own (k, l) bit for bit
+        p = ModelParams(a, b)
+        lags = np.arange(-5, 6)
+        k, l = lags[:, None], lags[None, :]
+        one_lag = np.array([[_cov_closed_at(p, x, y) for y in range(-5, 6)]
+                            for x in range(-5, 6)])
+        calls = []
+
+        def spy(p, k, l):
+            calls.append((abs(k), abs(l), k * l <= 0))
+            return _cov_closed_at(p, k, l)
+        monkeypatch.setattr(covariance, "_cov_closed_at", spy)
+        box = cov_closed(p, k, l)
+        assert len(calls) == len(set(calls)) == 61
+        assert set(calls) == {(abs(x), abs(y), x * y <= 0)
+                              for x in range(-5, 6) for y in range(-5, 6)}
+        assert box.shape == (11, 11)
+        assert np.array_equal(_bits(box), _bits(one_lag))
+        assert np.array_equal(_bits(box), _bits([[cov_closed(p, x, y) for y in range(-5, 6)]
+                                                 for x in range(-5, 6)]))
+
+    @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
+    def test_series_box_equals_one_lag_calls_in_bounded_memory(self, route):
+        # at q = 0.9 one lag's grid exceeds a block, so the routes take one
+        # lag per block: the box costs no more memory than one lag
+        fn = {"f4": cov_f4, "binrep": cov_binrep, "oracle": cov_series_oracle}[route]
+        p = ModelParams(0.45, 0.45)
+        lags = np.arange(-20, 21)
+        k, l = np.meshgrid(lags, lags, indexing="ij")
+        if route == "binrep":
+            k, l = k[k * l >= 0], l[k * l >= 0]
+        fn(p, 20, 20)  # the log-factorial table reaches every lag of the box
+        tracemalloc.start()
+        try:
+            box = fn(p, k, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        one_lag = np.array([fn(p, int(x), int(y)) for x, y in zip(k.ravel(), l.ravel())])
+        assert np.array_equal(_bits(box.ravel()), _bits(one_lag))
 
 
 def test_geom_factor_product_equals_normalised_mixed_lag():

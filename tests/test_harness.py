@@ -14,7 +14,6 @@ from spatialar import (
     BoundaryPoint,
     CaseTag,
     ConfigError,
-    CovKernel,
     ExperimentAbortedError,
     ExperimentConfig,
     FieldSimulator,
@@ -42,8 +41,8 @@ from spatialar import (
     verify_score,
 )
 from spatialar import harness
+from spatialar.covariance import _LAG_BLOCK_TERMS
 from spatialar.harness import (
-    _LAG_BLOCK_TERMS,
     _prop1_target,
     _run_reps,
     _worker_pool,
@@ -441,33 +440,16 @@ class TestVerifySuites:
         ((-0.25, 0.0, 0.1, 0.45), 5, 1e-15),
     ])
     def test_verify_cov_equals_one_lag_calls(self, values, lag_max, tol):
-        # the blocked check reports what one call per lag reports, types
-        # included; the small-q pairs' blocks end mid-way through a row of
-        # the lag box, and the q = 0.9 pairs take one lag per block
+        # the check on whole lag boxes reports what one call per lag
+        # reports, types included; the routes' blocks end mid-way through a
+        # row of the lag box at small q, and hold one lag at q = 0.9
         assert _LAG_BLOCK_TERMS == 1 << 13
         got = verify_cov(values, lag_max, tol)
         assert repr(got) == repr(self._verify_cov_one_lag(values, lag_max, tol))
 
-    def test_verify_cov_evaluates_each_canonical_lag_once(self, monkeypatch):
-        # one CovKernel per parameter pair: R[k, l] = R[-k, -l], so the
-        # closed form runs on 25 of the 49 lags of a pair at lag_max 3
-        calls = []
-
-        def closed(p, k, l):
-            calls.append((p.alpha, p.beta, k, l))
-            return cov_closed(p, k, l)
-        monkeypatch.setattr("spatialar.covariance.cov_closed", closed)
-        values = (-0.45, 0.0, 0.25)
-        r = verify_cov(values, lag_max=3)
-        canonical = {(k, l) for k in range(4) for l in range(-3, 4) if k > 0 or l >= 0}
-        assert len(canonical) == 25 and r["n_points"] == 9 * 49
-        assert len(calls) == len(set(calls)) == 9 * 25
-        assert set(calls) == {(a, b, k, l) for a in values for b in values
-                              for k, l in canonical}
-
     def test_verify_cov_reference_is_per_lag_cov_closed(self, monkeypatch):
         # every route returns per-lag cov_closed, so a zero worst deviation
-        # means that the kernel's reference equals it bit for bit
+        # means that verify_cov's reference equals it bit for bit
         def per_lag(p, k, l, *args):
             return np.array([cov_closed(p, int(x), int(y)) for x, y in zip(k, l)])
         for name in ("cov_f4", "cov_series_oracle", "cov_binrep"):
@@ -558,7 +540,7 @@ def test_suite_scales_match_per_case_expressions(design):
     assert_allclose(scaled_expected_B(design, m, s).to_array(),
                     expected_B(params, s).scale(mean_scale).to_array(), **rel)
     covlim = verify_covlim(design, m, n_probe=50)
-    assert_allclose(covlim["value_at_zero_lag"], info * CovKernel(params).R(0, 0), **rel)
+    assert_allclose(covlim["value_at_zero_lag"], info * cov_closed(params, 0, 0), **rel)
 
     rows = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
                      list(range(reps)))

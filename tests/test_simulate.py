@@ -7,7 +7,6 @@ from numpy.testing import assert_array_equal
 from spatialar import (
     BoundaryPoint,
     ConfigError,
-    CovKernel,
     FieldSimulator,
     InnovationDist,
     MethodUnsupportedError,
@@ -25,7 +24,7 @@ from spatialar import (
 from spatialar.covariance import d_factor
 from spatialar.simulate import _GROUP_LAYERS
 
-from fieldref import deterministic_field, hull_indices
+from fieldref import deterministic_field, hull_covariance, hull_indices
 
 
 class TestTailBound:
@@ -381,9 +380,8 @@ class TestKMSBoundary:
     @pytest.mark.parametrize("s", [1, 2, 16, 64])
     @pytest.mark.parametrize("p", POINTS, ids=str)
     def test_factor_matches_dense_cholesky(self, p, s):
-        kern = CovKernel(p)
         t = np.arange(s + 1)
-        dense = np.array([[kern.R(int(u - v), -int(u - v)) for v in t] for u in t])
+        dense = cov_closed(p, t[:, None] - t[None, :], t[None, :] - t[:, None])
         fac = self.kms_factor(p, s)
         chol = np.linalg.cholesky(dense)
         assert np.max(np.abs(fac - chol)) <= 1e-12 * np.max(np.abs(chol))
@@ -432,11 +430,9 @@ class TestLawCorrectness:
         # the exact Gaussian sampler reproduces every covariance entry
         p = ModelParams(0.3, 0.45)
         w = TriangleWindow.balanced(8)
-        kern = CovKernel(p)
         pts = hull_indices(w)
-        true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
-                         for i1, j1 in pts])
-        se = np.sqrt((kern.R(0, 0) ** 2 + true**2) / 10_000)
+        true = hull_covariance(p, w)
+        se = np.sqrt((cov_closed(p, 0, 0) ** 2 + true**2) / 10_000)
         sim = FieldSimulator(p, w, SimMethod(0))
         flat = np.empty((10_000, len(pts)))
         for r in range(10_000):
@@ -462,10 +458,7 @@ class TestLawCorrectness:
                 unit[d - 1][i] = 1.0
                 cols.append(deterministic_field(p, w, np.zeros(s + 1), unit).values)
         m = np.column_stack([np.concatenate(values) for values in cols])
-        kern = CovKernel(p)
-        pts = hull_indices(w)
-        true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
-                         for i1, j1 in pts])
+        true = hull_covariance(p, w)
         assert np.max(np.abs(m @ m.T - true)) <= 1e-12 * np.max(np.abs(true))
 
     @pytest.mark.parametrize("depth", [1, 5])
@@ -489,10 +482,7 @@ class TestLawCorrectness:
         # draws after layer d do not reach it
         g = np.hstack([np.vstack([lay, np.zeros((len(rows) - len(lay), lay.shape[1]))])
                        for lay in layers])
-        kern = CovKernel(p)
-        pts = hull_indices(w)
-        true = np.array([[kern.R(i1 - i2, j1 - j2) for i2, j2 in pts]
-                         for i1, j1 in pts])
+        true = hull_covariance(p, w)
         assert np.max(np.abs(g.T @ g - true)) <= 1e-12 * np.max(np.abs(true))
 
     def test_non_gaussian_boundary_series_variance(self):
