@@ -29,15 +29,12 @@ level(m + n) + mfac(m) + nfac(n).  Each factor is formed once per value
 r = 0..smax, from the table and the parameters, and gathered onto the grid
 (``_grid_logs``), so a term costs three gathers, two adds and one exp.
 
-All four routes take integer lags or integer arrays of lags (broadcast
-together) and return a float for integer lags, an array of the lags' shape
-otherwise.  ``cov_closed`` evaluates each distinct (|k|, |l|, k*l <= 0)
-once.  A series route makes one ``oracle_margin`` call per call and splits
-its lags into blocks (``_in_blocks``); a block of L lags is one pass over
-the shared grid: (L x (smax + 1)) factor tables, their (L x grid) gathers,
-and sums along the grid axis.  Every value is bit-identical to the one-lag
-call, which is the L = 1 case of the same code; the routes bound L so that
-a block holds at most 8192 lag x grid terms.
+All four routes take integer lags or integer arrays of lags.  A series
+route splits its lags into blocks of L lags, at most 8192 lag x grid terms
+each (``_in_blocks``); a block is one pass over the shared grid: (L x
+(smax + 1)) factor tables, their (L x grid) gathers, and sums along the
+grid axis.  Every value is bit-identical to the one-lag call, which is the
+L = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -88,42 +85,6 @@ def d_factor(p: ModelParams) -> float:
         return 0.0
     ga, gb = geom_factors(p)
     return ga * gb
-
-
-# ---------------------------------------------------------------------------
-# lag arrays
-
-
-# lag x grid terms per block of a series route: 64 KiB of float64 for each
-# temporary of a block (a single lag may exceed it near q = 0.9)
-_LAG_BLOCK_TERMS = 1 << 13
-
-
-def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Integer lags k, l (scalars or arrays) as two flat int64 arrays of their
-    broadcast size, with the shape to give the results: () for scalars."""
-    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
-    if k.dtype.kind not in "iu" or l.dtype.kind not in "iu":
-        raise TypeError(f"lags must be integers, got {k.dtype} and {l.dtype}")
-    return k.astype(np.int64).ravel(), l.astype(np.int64).ravel(), k.shape
-
-
-def _shaped(values: np.ndarray, shape: tuple):
-    """Per-lag results in the lags' shape; a float for a scalar lag."""
-    return float(values[0]) if shape == () else values.reshape(shape)
-
-
-def _in_blocks(route, k, l, smax: int):
-    """route(k_block, l_block) on the lags k, l, in consecutive blocks of
-    flat lags of at most _LAG_BLOCK_TERMS lag x grid terms, the grid of
-    levels 0..smax; a block holds one lag when its grid alone is larger.
-    Results are shaped as in ``_shaped``."""
-    k, l, shape = _lag_arrays(k, l)
-    step = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
-    values = np.empty(k.size)
-    for start in range(0, k.size, step):
-        values[start:start + step] = route(k[start:start + step], l[start:start + step])
-    return _shaped(values, shape)
 
 
 def _cov_axis_1d(p: ModelParams, k: int, l: int) -> float:
@@ -206,11 +167,9 @@ def cov_closed(p: ModelParams, k, l):
     first-passage sum.  When alpha*beta = 0 the field degenerates to
     independent AR(1) lines and the one-dimensional formula applies.
 
-    ``k`` and ``l`` are integers or integer arrays (broadcast together).  A
-    value depends on the lag only through the key (|k|, |l|, k*l <= 0), so
-    each distinct key is evaluated once, by the one-lag formula, and its
-    value is given to every lag with that key.  Two integer lags go to the
-    one-lag formula directly.
+    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  A
+    value depends only on (|k|, |l|, k*l <= 0), so the one-lag formula runs
+    once per distinct key and its value goes to every lag with that key.
     """
     p.require_stationary()
     if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (k, l)):
@@ -285,6 +244,38 @@ def _xlog(x: np.ndarray, log_base: float) -> np.ndarray:
     if log_base == -math.inf:
         return np.where(x > 0, -math.inf, 0.0)
     return x * log_base
+
+
+# lag x grid terms per block of a series route: 64 KiB of float64 for each
+# temporary of a block (a single lag may exceed it near q = 0.9)
+_LAG_BLOCK_TERMS = 1 << 13
+
+
+def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Integer lags k, l (scalars or arrays) as two flat int64 arrays of their
+    broadcast size, with the shape to give the results: () for scalars."""
+    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
+    if k.dtype.kind not in "iu" or l.dtype.kind not in "iu":
+        raise TypeError(f"lags must be integers, got {k.dtype} and {l.dtype}")
+    return k.astype(np.int64).ravel(), l.astype(np.int64).ravel(), k.shape
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """Per-lag results in the lags' shape; a float for a scalar lag."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _in_blocks(route, k, l, smax: int):
+    """route(k_block, l_block) on the lags k, l, in consecutive blocks of
+    flat lags of at most _LAG_BLOCK_TERMS lag x grid terms, the grid of
+    levels 0..smax; a block holds one lag when its grid alone is larger.
+    Results are shaped as in ``_shaped``."""
+    k, l, shape = _lag_arrays(k, l)
+    step = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
+    values = np.empty(k.size)
+    for start in range(0, k.size, step):
+        values[start:start + step] = route(k[start:start + step], l[start:start + step])
+    return _shaped(values, shape)
 
 
 @lru_cache(maxsize=8)
@@ -365,7 +356,10 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     Mixed quadrant: a^|k| b^|l| F4(|k|+1, |l|+1, |k|+1, |l|+1; a^2, b^2).
     Same-sign quadrant: a^|k| b^|l| C(|k|+|l|, |k|)
     F4(|k|+|l|+1, 1, |k|+1, |l|+1; a^2, b^2).   Stationarity keeps the
-    arguments inside the convergence region |a| + |b| < 1.
+    arguments inside the convergence region |a| + |b| < 1.  The prefactor
+    is formed in log space from the shared log-factorial table, with one
+    sign per lag, so lags in the thousands underflow to 0 instead of
+    overflowing.
 
     Both parameterisations match the moving-average weight products term by
     term (prefactor included), so F4 level t contributes at most q^(2t) to
@@ -384,6 +378,7 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     p.require_stationary()
     a, b = p.alpha, p.beta
     smax = oracle_margin(p.q, tol)
+    log_a, log_b = (math.log(abs(x)) if x != 0 else -math.inf for x in (a, b))
 
     def block(k, l):
         ka, la = np.abs(k), np.abs(l)
@@ -391,9 +386,11 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
         f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
                           np.where(mixed, la + 1, 1)[:, None],
                           (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
-        prefactor = [a**x * b**y if mix else a**x * b**y * math.comb(x + y, x)
-                     for x, y, mix in zip(ka.tolist(), la.tolist(), mixed.tolist())]
-        return np.array(prefactor) * f4
+        # log |prefactor|, so that C(|k|+|l|, |k|) never meets a float
+        lf = _log_factorials(int(np.max(ka + la, initial=0)))
+        log_pre = (_xlog(ka, log_a) + _xlog(la, log_b)
+                   + np.where(mixed, 0.0, lf[ka + la] - lf[ka] - lf[la]))
+        return _sign_of_power(a, ka) * _sign_of_power(b, la) * np.exp(log_pre) * f4
     return _in_blocks(block, k, l, smax)
 
 

@@ -139,6 +139,22 @@ class TestF4:
         p2 = ModelParams(0.3, -0.4)
         assert cov_f4(p2, 2, 0) == pytest.approx(cov_closed(p2, 2, 0), abs=1e-10)
 
+    @pytest.mark.parametrize("a, b, k, l, rel", [
+        (0.49, 0.49, 520, 520, 1e-12),
+        (0.45, 0.45, 3000, 3000, 1e-10),
+        (0.45, -0.45, -2000, -1500, 1e-10),
+    ])
+    def test_cov_f4_at_large_same_sign_lags(self, a, b, k, l, rel):
+        # C(|k|+|l|, |k|) is far beyond the float range at these lags; the
+        # prefactor is formed in log space, so the value is the closed form's
+        p = ModelParams(a, b)
+        assert cov_f4(p, k, l) == pytest.approx(cov_closed(p, k, l), rel=rel, abs=0)
+
+    @pytest.mark.parametrize("k", [520, 600])
+    def test_cov_f4_underflows_to_zero(self, k):
+        p = ModelParams(0.2, 0.2)
+        assert cov_f4(p, k, k) == cov_closed(p, k, k) == 0.0
+
 
 class TestBinomialRepresentation:
     def test_pmf_examples(self):
