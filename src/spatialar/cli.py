@@ -44,8 +44,6 @@ def _cov_binrep_or_closed(p: ModelParams, k, l):
 
 _COV_ROUTES = {"closed": cov_closed, "f4": cov_f4, "binrep": _cov_binrep_or_closed,
                "oracle": cov_series_oracle}
-_METHOD_HELP = ("covariance route; binrep covers k*l >= 0 and takes mixed-quadrant "
-                "lags from the closed form")
 
 
 def _fmt(x: float) -> str:
@@ -255,21 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("cov", help="covariance evaluators")
     cov_sub = cov.add_subparsers(dest="subcommand", required=True)
-    ce = cov_sub.add_parser("eval", help="evaluate R[k, l]")
-    ce.add_argument("--alpha", type=float, required=True)
-    ce.add_argument("--beta", type=float, required=True)
+    route = argparse.ArgumentParser(add_help=False)
+    route.add_argument("--alpha", type=float, required=True)
+    route.add_argument("--beta", type=float, required=True)
+    route.add_argument("--method", choices=sorted(_COV_ROUTES), default="closed",
+                       help="binrep covers k*l >= 0 and takes mixed-quadrant lags "
+                            "from the closed form")
+    ce = cov_sub.add_parser("eval", parents=[route], help="evaluate R[k, l]")
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--l", type=int, required=True)
-    ce.add_argument("--method", choices=sorted(_COV_ROUTES), default="closed",
-                    help=_METHOD_HELP)
     ce.set_defaults(func=_cmd_cov_eval)
-    ct = cov_sub.add_parser("table", help="tabulate R over a lag box")
-    ct.add_argument("--alpha", type=float, required=True)
-    ct.add_argument("--beta", type=float, required=True)
+    ct = cov_sub.add_parser("table", parents=[route], help="tabulate R over a lag box")
     ct.add_argument("--kmax", type=int, required=True)
     ct.add_argument("--lmax", type=int, required=True)
-    ct.add_argument("--method", choices=sorted(_COV_ROUTES), default="closed",
-                    help=_METHOD_HELP)
     ct.add_argument("--out", help="CSV output path (stdout when omitted)")
     ct.set_defaults(func=_cmd_cov_table)
 

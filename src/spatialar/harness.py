@@ -158,12 +158,16 @@ class ExperimentConfig:
             design = NearlyUnstableDesign.from_json(obj["design"])
             ladder = [(_integer("ladder m", m), _integer("ladder s", s))
                       for m, s in obj["ladder"]]
+            dist = InnovationDist(obj.get("dist", "gaussian"))
+            # without a method each law samples at its default depth
+            default = ("boundary_cholesky" if dist is InnovationDist.GAUSSIAN
+                       else "boundary_series")
             cfg = cls(
                 design=design,
                 ladder=ladder,
                 reps=_integer("reps", obj["reps"]),
-                dist=InnovationDist(obj.get("dist", "gaussian")),
-                method=SimMethod.parse(obj.get("method", "boundary_cholesky")),
+                dist=dist,
+                method=SimMethod.parse(obj.get("method", default)),
                 master_seed=_integer("seed", obj.get("seed", 0)),
                 tolerances=Tolerances.from_json(obj.get("tolerances")),
                 out_dir=obj.get("out_dir"),

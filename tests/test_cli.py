@@ -27,6 +27,14 @@ class TestCov:
         assert code == 0
         assert float(out) == pytest.approx(0.1506247, abs=1e-6)
 
+    def test_eval_f4_at_a_large_same_sign_lag(self, capsys):
+        # the F4 prefactor C(|k|+|l|, |k|) a^|k| b^|l| underflows to 0 here;
+        # formed as a float it overflowed and ended in a traceback
+        code, out, _ = run_cli(capsys, "cov", "eval", "--alpha", "0.2", "--beta", "0.2",
+                               "--k", "100000", "--l", "100000", "--method", "f4")
+        assert code == 0
+        assert float(out) == 0.0
+
     def test_nonstationary_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cov", "eval", "--alpha", "0.7",
                                "--beta", "0.5", "--k", "0", "--l", "0")
@@ -250,6 +258,26 @@ class TestExperiment:
         r2 = (tmp_path / "o2" / "report.json").read_text()
         assert r1.replace("o1", "odir") == r2.replace("o2", "odir")
         assert code1 == code2
+
+    @pytest.mark.parametrize("dist, method", [("gaussian", "boundary_cholesky"),
+                                              ("rademacher", "boundary_series")])
+    def test_config_without_method_samples_at_the_law_default(self, capsys, tmp_path,
+                                                              monkeypatch, dist, method):
+        # a Gaussian config without a method writes the bytes of one with
+        # boundary_cholesky; any other law runs at its certified series depth
+        monkeypatch.chdir(tmp_path)  # out_dir is part of report.json
+        reports = []
+        for with_method in (False, True):
+            cfg = self.write_config(tmp_path, dist=dist, method=method, out_dir="out")
+            if not with_method:
+                text = json.loads(cfg.read_text())
+                del text["method"]
+                cfg.write_text(json.dumps(text))
+            code, _, err = run_cli(capsys, "experiment", "run", "--config", str(cfg))
+            assert code in (0, 2), err
+            reports.append((tmp_path / "out" / "report.json").read_bytes())
+        assert json.loads(reports[0])["config"]["method"] == method
+        assert reports[0] == reports[1]
 
     def test_failing_tolerance_exits_2_with_report(self, capsys, tmp_path):
         # at this desk size the interior variances sit far above the limit,
