@@ -378,7 +378,8 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     p.require_stationary()
     a, b = p.alpha, p.beta
     smax = oracle_margin(p.q, tol)
-    log_a, log_b = (math.log(abs(x)) if x != 0 else -math.inf for x in (a, b))
+    log_a = math.log(abs(a)) if a != 0 else -math.inf
+    log_b = math.log(abs(b)) if b != 0 else -math.inf
 
     def block(k, l):
         ka, la = np.abs(k), np.abs(l)
@@ -386,7 +387,7 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
         f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
                           np.where(mixed, la + 1, 1)[:, None],
                           (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
-        # log |prefactor|, so that C(|k|+|l|, |k|) never meets a float
+        # log |prefactor|: C(|k|+|l|, |k|) alone overflows a float from |k| = |l| = 520
         lf = _log_factorials(int(np.max(ka + la, initial=0)))
         log_pre = (_xlog(ka, log_a) + _xlog(la, log_b)
                    + np.where(mixed, 0.0, lf[ka + la] - lf[ka] - lf[la]))
@@ -564,9 +565,9 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     one call per lag.
     """
     p.require_stationary()
+    a, b = p.alpha, p.beta
     if margin is None:
         margin = oracle_margin(p.q)
-    a, b = p.alpha, p.beta
     r = np.arange(margin + 1)
     log_a = math.log(abs(a)) if a != 0 else -math.inf
     log_b = math.log(abs(b)) if b != 0 else -math.inf
