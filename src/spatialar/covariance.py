@@ -175,11 +175,13 @@ def cov_closed(p: ModelParams, k, l):
     if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (k, l)):
         return _cov_closed_at(p, int(k), int(l))
     k, l, shape = _lag_arrays(k, l)
-    keys = np.stack([np.abs(k), np.abs(l), k * l <= 0])
-    _, first, inverse = np.unique(keys, axis=1, return_index=True, return_inverse=True)
-    values = np.array([_cov_closed_at(p, int(k[i]), int(l[i])) for i in first],
-                      dtype=np.float64)
-    return _shaped(values[inverse.ravel()], shape)
+    lags = list(zip(k.tolist(), l.tolist()))
+    keys = [(abs(x), abs(y), x * y <= 0) for x, y in lags]
+    values = {}
+    for key, (x, y) in zip(keys, lags):
+        if key not in values:
+            values[key] = _cov_closed_at(p, x, y)
+    return _shaped(np.array([values[key] for key in keys], dtype=np.float64), shape)
 
 
 # ---------------------------------------------------------------------------
