@@ -132,39 +132,41 @@ def _cmd_sim_field(args) -> int:
     fld = sim.sample(RngStream(args.seed, args.rep))
     rows = [["i", "j", "value", "innovation"]]
     rows += [[i, j, _fmt(v), "" if np.isnan(e) else _fmt(e)]
-             for i, j, v, e in fld.iter_rows(with_innovations=True)]
+             for i, j, v, e in fld.iter_rows()]
     _write_rows(rows, args.out)
     return 0
 
 
 def _load_field_csv(path: Path, window: TriangleWindow) -> Field:
-    values = {}
-    innovations = {}
+    """The field on ``window`` from a ``sim field`` CSV; bad input raises ConfigError."""
+    values, innovations = {}, {}
     with path.open() as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            i, j = int(row["i"]), int(row["j"])
-            values[(i, j)] = float(row["value"])
-            eps = row.get("innovation")
-            if eps not in (None, ""):
-                innovations[(i, j)] = float(eps)
-    layers = []
-    for d in range(0, window.s + 1):
+        for row in csv.DictReader(fh):
+            try:
+                point = int(row["i"]), int(row["j"])
+                values[point] = float(row["value"])
+                if row.get("innovation") not in (None, ""):
+                    innovations[point] = float(row["innovation"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: malformed row {row}: {exc}") from None
+
+    def layer(table: dict, what: str, d: int) -> np.ndarray:
         i0 = window.layer_start(d)
-        layers.append(np.array([values[(i0 + p, d - i0 - p)]
-                                for p in range(window.layer_len(d))]))
-    inn = None
-    if innovations:
-        inn = []
-        for d in range(1, window.s + 1):
-            i0 = window.layer_start(d)
-            inn.append(np.array([innovations[(i0 + p, d - i0 - p)]
-                                 for p in range(window.layer_len(d))]))
-    return Field(window, layers, inn)
+        try:
+            return np.array([table[(i, d - i)] for i in range(i0, i0 + window.layer_len(d))])
+        except KeyError as exc:
+            raise ConfigError(f"{path} has no {what} at point {exc.args[0]}") from None
+
+    layers, inn = [], []
+    for d in range(window.s + 1):
+        layers.append(layer(values, "value", d))
+        if innovations and d >= 1:
+            inn.append(layer(innovations, "innovation", d))
+    return Field(window, layers, inn or None)
 
 
 def _cmd_estimate(args) -> int:
-    window = TriangleWindow(args.k, args.l)
+    window = TriangleWindow(args.k, args.l).require_valid()
     fld = _load_field_csv(Path(args.infile), window)
     est = lse(fld, window)
     payload = {
@@ -276,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--beta", type=float, required=True)
     sf.add_argument("--k", type=int, required=True)
     sf.add_argument("--l", type=int, required=True)
-    sf.add_argument("--method", default="boundary_cholesky",
-                    help="boundary_cholesky or boundary_series[:margin]")
+    sf.add_argument("--method", default="boundary_series",
+                    help="boundary_cholesky or boundary_series[:margin]; by "
+                         "default the law's own depth (0 for gaussian)")
     sf.add_argument("--dist", choices=[d.value for d in InnovationDist],
                     default="gaussian")
     sf.add_argument("--seed", type=int, default=0)

@@ -85,7 +85,7 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
-def accumulate(layers, reps: int = 1) -> np.ndarray:
+def accumulate(layers) -> np.ndarray:
     """Per-replication sums (B11, B12, B22, C1, C2, A1, A2) over the triangle.
 
     ``layers`` yields (prev, y, eps) for d = 1 .. s as (R, .) arrays: layer
@@ -98,8 +98,8 @@ def accumulate(layers, reps: int = 1) -> np.ndarray:
     squared terms whose magnitude grows like the near-boundary variance,
     and naive running sums lose digits.  Each reduction is one BLAS dot
     product per row (rows have unit stride), so a row's sums depend on that
-    row alone, never on the batch.  Returns an (R, 7) array; zeros when
-    there are no layers.
+    row alone, never on the batch.  Returns an (R, 7) array, or one row of
+    zeros without layers (s = 0, reached only by a stored field, R = 1).
     """
     parts = []
     norm = None
@@ -116,7 +116,7 @@ def accumulate(layers, reps: int = 1) -> np.ndarray:
         parts.append(part)
         norm = np.vecdot(y, y)
     if not parts:
-        return np.zeros((reps, 7))
+        return np.zeros((1, 7))
     # (layers, 7, R) -> one row of 7 fsums per replication
     by_rep = np.array(parts).transpose(2, 1, 0)
     return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])

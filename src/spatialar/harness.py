@@ -8,11 +8,12 @@ byte; wall-clock timings are therefore kept out of the canonical report and
 written to a sidecar.
 
 A run (``run_clt`` over its whole ladder, or one ``verify_detB`` /
-``verify_score`` call) opens at most one process pool, in ``_worker_pool``,
-and every call of ``_run_reps`` in it reuses the same warm workers.  The
+``verify_score`` call) opens at most one process pool, and only
+``_worker_pool`` decides whether it does; every call of ``_run_reps`` in
+the run reuses its warm workers, or runs in-process without one.  The
 parent imports ``numpy.random`` just before that pool's first fork, so the
-workers inherit it instead of each importing it; a run without a pool
-leaves that import to the first draw.
+workers inherit it; a run without a pool leaves that import to the first
+draw.
 """
 
 from __future__ import annotations
@@ -240,21 +241,15 @@ def _simulate_chunk(payload) -> np.ndarray:
     for start in range(0, len(rep_ids), sim.batch):
         ids = rep_ids[start:start + sim.batch]
         streams = [RngStream(master_seed, rep) for rep in ids]
-        sums = accumulate(sim.sweep(streams), len(ids))
+        sums = accumulate(sim.sweep(streams))
         rows += [_row(rep, row, sim.window) for rep, row in zip(ids, sums)]
     return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
-
-
-def _processes(workers: int, reps: int) -> int:
-    """Processes that a call of ``reps`` replications runs on: ``workers``,
-    or 1 (in-process) below 2 * workers replications."""
-    return workers if reps >= 2 * workers else 1
 
 
 @contextmanager
 def _worker_pool(workers: int, reps: int):
     """The one process pool of a run whose calls have ``reps`` replications
-    each, or None when every call runs in-process (``_processes`` is 1).
+    each; None, for in-process calls, at 1 worker or below 2 * workers reps.
 
     A ``workers`` below 1 raises ConfigError before any replication runs.
     The pool forks its workers on its first task; ``numpy.random`` is
@@ -262,7 +257,7 @@ def _worker_pool(workers: int, reps: int):
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if _processes(workers, reps) == 1:
+    if workers == 1 or reps < 2 * workers:
         yield None
         return
     import numpy.random  # noqa: F401  (loaded lazily by numpy otherwise)
@@ -276,11 +271,11 @@ def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
     and any ``sim.batch``.
 
     ``pool`` is the run's pool of ``workers`` processes from
-    ``_worker_pool``.  The ids are split into ``workers`` contiguous chunks,
-    one task each; without a pool, or below 2 * workers ids, they all run
-    in-process.
+    ``_worker_pool``, which alone decides whether there is one.  With a
+    pool the ids are split into ``workers`` contiguous chunks, one task
+    each; with None they all run in-process.
     """
-    if pool is None or _processes(workers, len(rep_ids)) == 1:
+    if pool is None:
         rows = _simulate_chunk((sim, master_seed, rep_ids))
     else:
         chunks = [[int(r) for r in c]
@@ -379,10 +374,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     aborts the run.
 
     Every rung runs on the one pool of ``workers`` processes that
-    ``_worker_pool`` opens for the whole ladder, or in-process at 1 worker
-    or below 2 * workers replications; each rung's ``timing.json`` record
-    names the processes it ran on as ``workers``.  A ``workers`` below 1
-    raises ConfigError before any replication runs.
+    ``_worker_pool`` opens for the whole ladder, or in-process when it
+    opens none; each rung's ``timing.json`` record names the processes it
+    ran on as ``workers``.  A ``workers`` below 1 raises ConfigError before
+    any replication runs.
     """
     config.validate()
     design = config.design
@@ -390,7 +385,6 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     per_size, raw_all, timing = [], [], []
     passed = True
     with _worker_pool(workers, config.reps) as pool:
-        processes = _processes(workers, config.reps)
         for idx, (m, s) in enumerate(config.ladder):
             t0 = time.perf_counter()
             params = design.params_at(m)
@@ -466,7 +460,7 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             elapsed = time.perf_counter() - t0
             rung = {"m": m, "s": s, "elapsed_s": elapsed,
                     "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch,
-                    "workers": processes}
+                    "workers": workers if pool else 1}
             if config.dist is not InnovationDist.GAUSSIAN:
                 rung["series_margin"] = sim.method.margin
                 rung["series_cumulant_bound"] = cumulant_tail_bound(params,
@@ -545,15 +539,20 @@ def scaled_expected_B(design: NearlyUnstableDesign, m: int, s: int) -> Matrix2:
     return expected_B(design.params_at(m), s).scale(scale)
 
 
-def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]],
-                 final_tol: float = 0.10, m_probe: int = 1 << 20) -> dict:
+# the suites' tolerances are fixed; each report names the one it used
+_PROP1_FINAL_TOL = 0.10
+_COVLIM_HEADROOM = 1e-6
+_MC_REL_TOL = 0.2  # verify_detB and verify_score
+
+
+def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]]) -> dict:
     """Exact (no Monte Carlo) information-mean check along a ladder.
 
-    Deviation is max elementwise |scaled - target| over max |target|; the
-    suite passes iff deviations strictly decrease and the final one is
-    below ``final_tol``.
+    Deviation is max elementwise |scaled - target| over max |target|, the
+    target taken at m = 2^20; the suite passes iff deviations strictly
+    decrease and the final one is below ``_PROP1_FINAL_TOL``.
     """
-    target = _prop1_target(design, m_probe)
+    target = _prop1_target(design, 1 << 20)
     deviations = []
     for m, s in ladder:
         deviations.append(_matrix_rel_dev(scaled_expected_B(design, m, s).to_array(),
@@ -565,12 +564,12 @@ def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]],
         "deviations": deviations,
         "strictly_decreasing": decreasing,
         "final_deviation": deviations[-1],
-        "final_tol": final_tol,
-        "pass": decreasing and deviations[-1] < final_tol,
+        "final_tol": _PROP1_FINAL_TOL,
+        "pass": decreasing and deviations[-1] < _PROP1_FINAL_TOL,
     }
 
 
-_COVLIM_DEFAULT_POINTS = (
+_COVLIM_POINTS = (
     # (s1, t1, s2, t2, on_diagonal)
     (0.3, 0.2, 0.3, 0.2, True),      # equal points: value -> the bound itself
     (0.5, 0.4, 0.3, 0.2, True),      # shifted along the diagonal, same quadrant
@@ -579,12 +578,11 @@ _COVLIM_DEFAULT_POINTS = (
 )
 
 
-def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
-                  points=_COVLIM_DEFAULT_POINTS, headroom: float = 1e-6) -> dict:
+def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int) -> dict:
     """Scaled-covariance bound and exponential-decay surrogate checks.
 
     On-diagonal probe pairs (s1 - s2 = t1 - t2) must respect the limit bound
-    with ``headroom``.  The bound is the limit of the scaled variance
+    with ``_COVLIM_HEADROOM``.  The bound is the limit of the scaled variance
     c sigma^2, c = condition_statistic(design, m, 1).  The scaled E[B] has
     diagonal c sigma^2 n / s^2 with n / s^2 -> 1/2, so the bound is twice
     the diagonal of the scaled information limit ``_prop1_target``: 1/2 in
@@ -605,15 +603,15 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
         return scale * cov_closed(params, dk, dl)
 
     records, ok = [], True
-    for s1, t1, s2, t2, on_diag in points:
+    for s1, t1, s2, t2, on_diag in _COVLIM_POINTS:
         v1 = scaled_R(n_probe, s1, t1, s2, t2)
         v2 = scaled_R(2 * n_probe, s1, t1, s2, t2)
         rec = {"pair": [s1, t1, s2, t2], "on_diagonal": on_diag,
                "value_n": v1, "value_2n": v2}
         if on_diag:
             rec["bound"] = bound
-            rec["pass"] = (abs(v1) <= bound * (1 + headroom)
-                           and abs(v2) <= bound * (1 + headroom))
+            rec["pass"] = (abs(v1) <= bound * (1 + _COVLIM_HEADROOM)
+                           and abs(v2) <= bound * (1 + _COVLIM_HEADROOM))
         else:
             rec["pass"] = abs(v2) <= 0.5 * abs(v1)
         ok = ok and rec["pass"]
@@ -624,12 +622,11 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int,
 
 
 def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
-                master_seed: int = 0, rel_tol: float = 0.2,
-                workers: int = 1) -> dict:
+                master_seed: int = 0, workers: int = 1) -> dict:
     """Monte Carlo mean of the scaled determinant c s^(-4) det B,
     c = condition_statistic(design, m, 1), against its limit T11 / Sigma11:
     the diagonal of the scaled information limit ``_prop1_target`` over
-    that of the error covariance ``limit_law`` (derived there)."""
+    that of the error covariance ``limit_law`` (derived there), to ``_MC_REL_TOL``."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
     rows = _solved_rows(design, m, s, reps, master_seed, workers)
@@ -642,15 +639,14 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
         "std_error": float(scaled.std(ddof=1) / math.sqrt(len(scaled))),
         "target": target,
         "rel_dev": abs(mean - target) / target,
-        "rel_tol": rel_tol,
-        "pass": abs(mean - target) <= rel_tol * target,
+        "rel_tol": _MC_REL_TOL,
+        "pass": abs(mean - target) <= _MC_REL_TOL * target,
     }
 
 
 def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
-                 master_seed: int = 0, rel_tol: float = 0.2,
-                 workers: int = 1) -> dict:
-    """Monte Carlo covariance of the scaled score vector against its limit."""
+                 master_seed: int = 0, workers: int = 1) -> dict:
+    """Monte Carlo scaled score covariance against its limit, to ``_MC_REL_TOL``."""
     rows = _solved_rows(design, m, s, reps, master_seed, workers)
     scores = rows[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
     target = _prop1_target(design, m)
@@ -665,6 +661,6 @@ def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
         "mean": mean.tolist(),
         "mean_within_4se": bool(np.all(np.abs(mean) <= 4 * se)),
         "elementwise_dev": dev,
-        "rel_tol": rel_tol,
-        "pass": dev <= rel_tol,
+        "rel_tol": _MC_REL_TOL,
+        "pass": dev <= _MC_REL_TOL,
     }

@@ -112,20 +112,21 @@ def theta_matrix(theta: float) -> Matrix2:
     return Matrix2.symmetric(0.25, 0.25 * theta)
 
 
-def invert_spd2(m: Matrix2, rel_tol: float = 1e-14) -> Matrix2:
+def invert_spd2(m: Matrix2) -> Matrix2:
+    """adj(M) / det(M); singular when |det| <= 1e-14 max|M|^2."""
     det = m.det()
-    if abs(det) <= rel_tol * max(m.max_abs() ** 2, 1e-300):
+    if abs(det) <= 1e-14 * max(m.max_abs() ** 2, 1e-300):
         raise SingularMatrixError(f"matrix with det {det:g} is not invertible")
     return m.adjugate().scale(1.0 / det)
 
 
-def sqrt_spd2(m: Matrix2, atol: float = 1e-12) -> Matrix2:
+def sqrt_spd2(m: Matrix2) -> Matrix2:
     """Symmetric PSD square root: S = (M + sqrt(det) I) / sqrt(tr + 2 sqrt(det))."""
-    if not m.is_symmetric(atol * max(1.0, m.max_abs())):
+    if not m.is_symmetric(1e-12 * max(1.0, m.max_abs())):
         raise NotSPDError("matrix is not symmetric")
     det, tr = m.det(), m.a11 + m.a22
     scale = max(1.0, m.max_abs())
-    if det < -atol * scale**2 or tr < -atol * scale:
+    if det < -1e-12 * scale**2 or tr < -1e-12 * scale:
         raise NotSPDError(f"matrix with det {det:g}, trace {tr:g} is not PSD")
     root = math.sqrt(max(det, 0.0))
     denom = tr + 2.0 * root

@@ -232,6 +232,12 @@ class TriangleWindow:
         """The harness split k = floor(s/2), l = ceil(s/2)."""
         return cls(s // 2, (s + 1) // 2)
 
+    def require_valid(self) -> "TriangleWindow":
+        if self.k < 0 or self.l < 0 or self.s < 1:
+            raise ConfigError(f"a window needs k, l >= 0 and k + l >= 1, "
+                              f"got k = {self.k}, l = {self.l}")
+        return self
+
     def layer_start(self, d: int) -> int:
         """Smallest i on anti-diagonal d inside the hull staircase."""
         return d - self.l
@@ -285,15 +291,11 @@ class Field:
             worst = max(worst, float(np.max(np.abs(res))) if len(res) else 0.0)
         return worst
 
-    def iter_rows(self, with_innovations: bool = False):
-        """Yield (i, j, value[, innovation]) rows in hull order."""
+    def iter_rows(self):
+        """Yield (i, j, value, innovation) in hull order; NaN where none."""
         for d in range(0, self.window.s + 1):
             i0 = self.window.layer_start(d)
+            has = d >= 1 and self.innovations is not None
             for p in range(self.window.layer_len(d)):
-                i, j = i0 + p, d - (i0 + p)
-                if with_innovations:
-                    has = d >= 1 and self.innovations is not None
-                    eps = self.innovations[d - 1][p] if has else float("nan")
-                    yield i, j, float(self.values[d][p]), float(eps)
-                else:
-                    yield i, j, float(self.values[d][p])
+                eps = self.innovations[d - 1][p] if has else math.nan
+                yield i0 + p, d - i0 - p, float(self.values[d][p]), float(eps)

@@ -250,12 +250,8 @@ class FieldSimulator:
 
     def __init__(self, params: ModelParams, window: TriangleWindow,
                  method: SimMethod = SimMethod(), dist: InnovationDist = InnovationDist.GAUSSIAN):
-        params.require_stationary()
-        if window.k < 0 or window.l < 0 or window.s < 1:
-            raise ConfigError(f"a window needs k, l >= 0 and k + l >= 1, "
-                              f"got k = {window.k}, l = {window.l}")
-        self.params = params
-        self.window = window
+        self.params = params.require_stationary()
+        self.window = window.require_valid()
         self.dist = dist
         # no sampler adds jitter; stays 0.0 because the benchmark in
         # perfbench/ (workloads.py, tracing.py) reads and reports it

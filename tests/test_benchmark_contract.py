@@ -100,3 +100,48 @@ def test_one_traced_pool_span_per_run():
     got = json.loads(proc.stdout)
     assert len(got["spans"]) == 1
     assert got["pools"] == [[got["spans"][0], 2]]
+
+
+_UNTRACED = """
+import json, os, sys
+from pathlib import Path
+sys.path[:0] = [str(Path(sys.argv[1]) / "perfbench"), str(Path(sys.argv[1]) / "src")]
+import workloads
+
+field = workloads.LargeField()
+field.s, field.fields = 16, 2
+cases = {"large_field": field,
+         "clt": workloads.Clt(workloads._INTERIOR, [[16, 16]], reps=100,
+                              dist="gaussian", method="boundary_cholesky"),
+         "oracle": workloads.Oracle()}
+cases["oracle"].lag_max = 1
+got, base = {}, Path.cwd()
+for name, workload in cases.items():
+    # as in perfbench/child.py, each call runs in its own directory
+    workdir = base / name
+    workdir.mkdir()
+    os.chdir(workdir)
+    workload.prepare(name, 7, workdir, 1)
+    workload.timed()
+    out = workload.check()
+    got[name] = {"failed_ops": out.failed_ops, "digests": sorted(out.digests),
+                 "failed_gates": [c["name"] for c in out.checks if not c["ok"]]}
+print(json.dumps(got))
+"""
+
+
+def test_untraced_workloads_run_at_tiny_sizes(tmp_path):
+    # prepare, timed and check of each workload class without the tracer:
+    # this reaches what only the untimed path reads (FieldSimulator's
+    # boundary_jitter, Field.max_recursion_residual, cli.main and
+    # harness.dumps_canonical), at sizes set here rather than in perfbench/
+    proc = subprocess.run([sys.executable, "-c", _UNTRACED, str(ROOT)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {
+        "large_field": {"failed_ops": 0, "digests": ["report.json"], "failed_gates": []},
+        "clt": {"failed_ops": 0, "digests": ["errors_m16_s16.csv", "report.json"],
+                "failed_gates": []},
+        "oracle": {"failed_ops": 0, "digests": ["report.json"], "failed_gates": []},
+    }

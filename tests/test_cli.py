@@ -75,14 +75,25 @@ class TestCov:
                 assert row["R"] == eval_at(row["k"], row["l"], "closed")
 
 
+def sim_field(capsys, path, *extra, window=("12", "12")):
+    """``sim field`` at (0.4, 0.3) on window (k, l), seed 42, into ``path``."""
+    return run_cli(capsys, "sim", "field", "--alpha", "0.4", "--beta", "0.3",
+                   "--k", window[0], "--l", window[1], "--seed", "42",
+                   "--rep", "0", "--out", str(path), *extra)
+
+
 class TestSimEstimate:
-    def test_field_roundtrip(self, capsys, tmp_path):
+    @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
+    def test_field_roundtrip(self, capsys, tmp_path, dist):
+        # without --method every law samples at its own default depth; for
+        # gaussian that is depth 0, the bytes of boundary_cholesky
         field_csv = tmp_path / "field.csv"
-        code, _, _ = run_cli(capsys, "sim", "field", "--alpha", "0.4",
-                             "--beta", "0.3", "--k", "12", "--l", "12",
-                             "--seed", "42", "--rep", "0",
-                             "--out", str(field_csv))
-        assert code == 0
+        code, _, err = sim_field(capsys, field_csv, "--dist", dist)
+        assert code == 0, err
+        if dist == "gaussian":
+            cholesky_csv = tmp_path / "cholesky.csv"
+            sim_field(capsys, cholesky_csv, "--method", "boundary_cholesky")
+            assert field_csv.read_bytes() == cholesky_csv.read_bytes()
         code, out, _ = run_cli(capsys, "estimate", "--in", str(field_csv),
                                "--k", "12", "--l", "12")
         assert code == 0
@@ -90,6 +101,33 @@ class TestSimEstimate:
         assert abs(payload["alpha_hat"] - 0.4) < 0.5
         assert payload["A"] is not None  # innovations present in the CSV
         assert payload["detB"] > 0
+
+    @pytest.mark.parametrize("case", ["value_not_numeric", "hull_point_missing",
+                                      "window_empty"])
+    def test_bad_estimate_input_is_a_one_line_usage_error(self, capsys, tmp_path,
+                                                          case):
+        field_csv = tmp_path / "field.csv"
+        sim_field(capsys, field_csv, window=("3", "3"))
+        lines = field_csv.read_text().splitlines()
+        window = ["--k", "3", "--l", "3"]
+        if case == "value_not_numeric":
+            i, j, _, eps = lines[5].split(",")
+            lines[5] = ",".join([i, j, "abc", eps])
+        elif case == "hull_point_missing":
+            assert lines[1].startswith("-3,3,")
+            del lines[1]
+        else:
+            window = ["--k", "0", "--l", "0"]
+        field_csv.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--in", str(field_csv), *window)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        expected = {"value_not_numeric": "abc", "hull_point_missing": "(-3, 3)",
+                    "window_empty": "k + l >= 1"}[case]
+        assert expected in err
+        if case != "window_empty":
+            assert str(field_csv) in err
 
     def test_same_seed_same_field(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -406,6 +406,18 @@ class TestVerifySuites:
         r = verify_prop1(interior_design(), [(64, 64), (128, 128), (256, 256)])
         assert r["strictly_decreasing"]
 
+    def test_reports_name_their_fixed_tolerances(self):
+        # the suites take no tolerance argument; each report keeps its key
+        prop1 = verify_prop1(interior_design(), [(64, 64), (128, 128)])
+        assert prop1["final_tol"] == 0.10
+        assert prop1["pass"] == (prop1["strictly_decreasing"]
+                                 and prop1["final_deviation"] < 0.10)
+        covlim = verify_covlim(interior_design(), m=10_000_000, n_probe=8000)
+        assert len(covlim["points"]) == 4
+        for suite in (verify_detB, verify_score):
+            r = suite(interior_design(), 64, 16, reps=20, master_seed=3)
+            assert r["rel_tol"] == 0.2
+
     def test_covlim_both_cases(self):
         for design in (interior_design(), boundary_design()):
             r = verify_covlim(design, m=10_000_000, n_probe=8000)
