@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 on success/pass, 2 when an acceptance-style check fails (any
-report is still written), 1 on usage or configuration errors.
+report is still written), 1 on usage or configuration errors, 141 (128 +
+SIGPIPE, nothing printed) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -44,10 +47,6 @@ def _cov_binrep_or_closed(p: ModelParams, k, l):
 
 _COV_ROUTES = {"closed": cov_closed, "f4": cov_f4, "binrep": _cov_binrep_or_closed,
                "oracle": cov_series_oracle}
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _add_design_args(p: argparse.ArgumentParser):
@@ -90,14 +89,10 @@ def _default_ladder(design: NearlyUnstableDesign) -> list[tuple[int, int]]:
 
 def _write_rows(rows: list[list], out: str | None) -> None:
     """CSV rows (header first) to stdout, or to the file ``out`` if given."""
-    if not out:
-        for row in rows:
-            print(",".join(str(v) for v in row))
-        return
-    path = Path(out)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    print(f"wrote {path}")
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if out:
+        print(f"wrote {Path(out)}")
 
 
 def _cov(args, k, l):
@@ -110,7 +105,7 @@ def _cov(args, k, l):
 
 
 def _cmd_cov_eval(args) -> int:
-    print(_fmt(_cov(args, args.k, args.l)))
+    print(harness.format17(_cov(args, args.k, args.l)))
     return 0
 
 
@@ -118,37 +113,40 @@ def _cmd_cov_table(args) -> int:
     k, l = np.meshgrid(np.arange(-args.kmax, args.kmax + 1),
                        np.arange(-args.lmax, args.lmax + 1), indexing="ij")
     rows = [["k", "l", "R"]]
-    rows += [[x, y, _fmt(r)] for x, y, r in zip(k.ravel().tolist(), l.ravel().tolist(),
-                                                _cov(args, k, l).ravel())]
+    rows += zip(k.ravel(), l.ravel(), map(harness.format17, _cov(args, k, l).ravel()))
     _write_rows(rows, args.out)
     return 0
 
 
-def _cmd_sim_field(args) -> int:
-    params = ModelParams(args.alpha, args.beta)
-    window = TriangleWindow(args.k, args.l)
-    sim = FieldSimulator(params, window, SimMethod.parse(args.method),
-                         InnovationDist(args.dist))
-    fld = sim.sample(RngStream(args.seed, args.rep))
+def _field_rows(fld: Field) -> list[list]:
+    """A sampled field as CSV rows, the hull layer by layer; layer 0 has no innovation."""
     rows = [["i", "j", "value", "innovation"]]
-    rows += [[i, j, _fmt(v), "" if np.isnan(e) else _fmt(e)]
-             for i, j, v, e in fld.iter_rows()]
-    _write_rows(rows, args.out)
-    return 0
+    for d, layer in enumerate(fld.values):
+        i0 = fld.window.layer_start(d)
+        eps = map(harness.format17, fld.innovations[d - 1]) if d else [""] * len(layer)
+        rows += [[i0 + p, d - i0 - p, harness.format17(v), e]
+                 for p, (v, e) in enumerate(zip(layer, eps))]
+    return rows
 
 
-def _load_field_csv(path: Path, window: TriangleWindow) -> Field:
-    """The field on ``window`` from a ``sim field`` CSV; bad input raises ConfigError."""
+def _load_field_csv(path: Path) -> Field:
+    """A field CSV's field, on the window its rows span; bad input raises ConfigError."""
     values, innovations = {}, {}
     with path.open() as fh:
         for row in csv.DictReader(fh):
             try:
                 point = int(row["i"]), int(row["j"])
+                if point in values:
+                    raise ConfigError(f"{path} repeats point {point}")
+                if sum(point) < 0:
+                    raise ConfigError(f"{path} has point {point} below layer 0")
                 values[point] = float(row["value"])
                 if row.get("innovation") not in (None, ""):
                     innovations[point] = float(row["innovation"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: malformed row {row}: {exc}") from None
+    window = TriangleWindow(max((i for i, _ in values), default=0),
+                            max((j for _, j in values), default=0)).require_valid()
 
     def layer(table: dict, what: str, d: int) -> np.ndarray:
         i0 = window.layer_start(d)
@@ -165,10 +163,18 @@ def _load_field_csv(path: Path, window: TriangleWindow) -> Field:
     return Field(window, layers, inn or None)
 
 
+def _cmd_sim_field(args) -> int:
+    params = ModelParams(args.alpha, args.beta)
+    window = TriangleWindow(args.k, args.l)
+    sim = FieldSimulator(params, window, SimMethod.parse(args.method),
+                         InnovationDist(args.dist))
+    _write_rows(_field_rows(sim.sample(RngStream(args.seed, args.rep))), args.out)
+    return 0
+
+
 def _cmd_estimate(args) -> int:
-    window = TriangleWindow(args.k, args.l).require_valid()
-    fld = _load_field_csv(Path(args.infile), window)
-    est = lse(fld, window)
+    fld = _load_field_csv(Path(args.infile))
+    est = lse(fld, fld.window)
     payload = {
         "alpha_hat": est.alpha_hat,
         "beta_hat": est.beta_hat,
@@ -189,10 +195,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_limits_describe(args) -> int:
     design = _design_from_args(args)
     law = limit_law(design)
-    if args.ladder:
-        ladder = [_ladder_pair(pair) for pair in args.ladder]
-    else:
-        ladder = _default_ladder(design)
+    ladder = args.ladder or _default_ladder(design)
     payload = {
         "case": law.case_tag.value,
         "singular": law.singular,
@@ -246,8 +249,15 @@ def _cmd_verify(args) -> int:
     return 0 if result["pass"] else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, which ``main`` reports like any bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spatialar",
         description="Stationary planar AR fields: covariances, simulation, "
                     "least squares, and nearly-unstable limit experiments.")
@@ -290,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="least squares estimate from a field CSV")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--k", type=int, required=True)
-    est.add_argument("--l", type=int, required=True)
     est.add_argument("--json", dest="json_out", help="write the JSON here")
     est.set_defaults(func=_cmd_estimate)
 
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim_sub = lim.add_subparsers(dest="subcommand", required=True)
     ld = lim_sub.add_parser("describe", help="print the limit law for a design")
     _add_design_args(ld)
-    ld.add_argument("--ladder", nargs="*", metavar="M:S",
+    ld.add_argument("--ladder", nargs="*", type=_ladder_pair, metavar="M:S",
                     help="ladder entries as m:s pairs")
     ld.set_defaults(func=_cmd_limits_describe)
 
@@ -328,14 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SpatialARError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit goes to devnull, as the signal docs show
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (SpatialARError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

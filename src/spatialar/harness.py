@@ -184,6 +184,11 @@ class ExperimentConfig:
 # canonical serialisation (17 significant digits, reproducible bytes)
 
 
+def format17(x) -> str:
+    """A float at 17 significant digits, enough to read back the same double."""
+    return format(float(x), ".17g")
+
+
 def _canon(obj):
     if isinstance(obj, dict):
         items = ",".join(f"{_canon(str(k))}:{_canon(v)}" for k, v in sorted(obj.items()))
@@ -203,7 +208,7 @@ def _canon(obj):
             return '"nan"'
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
+        return format17(x)
     if isinstance(obj, np.ndarray):
         return _canon(obj.tolist())
     if isinstance(obj, Matrix2):
@@ -358,8 +363,7 @@ class ExperimentReport:
                 writer.writerow(
                     ["rep_id", "alpha_hat", "beta_hat", "scaled_err_a", "scaled_err_b"])
                 for rep_id, ah, bh, ea, eb in rows:
-                    writer.writerow([int(rep_id)] + [format(v, ".17g")
-                                                     for v in (ah, bh, ea, eb)])
+                    writer.writerow([int(rep_id)] + [format17(v) for v in (ah, bh, ea, eb)])
         return report_path
 
 

@@ -290,12 +290,3 @@ class Field:
             res = self.values[d] - a * prev[:-1] - b * prev[1:] - self.innovations[d - 1]
             worst = max(worst, float(np.max(np.abs(res))) if len(res) else 0.0)
         return worst
-
-    def iter_rows(self):
-        """Yield (i, j, value, innovation) in hull order; NaN where none."""
-        for d in range(0, self.window.s + 1):
-            i0 = self.window.layer_start(d)
-            has = d >= 1 and self.innovations is not None
-            for p in range(self.window.layer_len(d)):
-                eps = self.innovations[d - 1][p] if has else math.nan
-                yield i0 + p, d - i0 - p, float(self.values[d][p]), float(eps)

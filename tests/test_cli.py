@@ -1,10 +1,19 @@
 import csv
+import hashlib
 import json
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spatialar import (FieldSimulator, InnovationDist, ModelParams, RngStream,
+                       SimMethod, TriangleWindow)
 from spatialar.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -94,8 +103,7 @@ class TestSimEstimate:
             cholesky_csv = tmp_path / "cholesky.csv"
             sim_field(capsys, cholesky_csv, "--method", "boundary_cholesky")
             assert field_csv.read_bytes() == cholesky_csv.read_bytes()
-        code, out, _ = run_cli(capsys, "estimate", "--in", str(field_csv),
-                               "--k", "12", "--l", "12")
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(field_csv))
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["alpha_hat"] - 0.4) < 0.5
@@ -103,31 +111,81 @@ class TestSimEstimate:
         assert payload["detB"] > 0
 
     @pytest.mark.parametrize("case", ["value_not_numeric", "hull_point_missing",
-                                      "window_empty"])
+                                      "point_repeated", "point_below_layer_0",
+                                      "one_row_at_origin"])
     def test_bad_estimate_input_is_a_one_line_usage_error(self, capsys, tmp_path,
                                                           case):
         field_csv = tmp_path / "field.csv"
         sim_field(capsys, field_csv, window=("3", "3"))
         lines = field_csv.read_text().splitlines()
-        window = ["--k", "3", "--l", "3"]
+        assert lines[1].startswith("-3,3,")
         if case == "value_not_numeric":
             i, j, _, eps = lines[5].split(",")
             lines[5] = ",".join([i, j, "abc", eps])
         elif case == "hull_point_missing":
-            assert lines[1].startswith("-3,3,")
             del lines[1]
+        elif case == "point_repeated":
+            lines.append(lines[5])
+        elif case == "point_below_layer_0":
+            lines.append("-3,2,0.5,")
         else:
-            window = ["--k", "0", "--l", "0"]
+            lines = [lines[0], "0,0,1.5,"]
         field_csv.write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(capsys, "estimate", "--in", str(field_csv), *window)
+        code, out, err = run_cli(capsys, "estimate", "--in", str(field_csv))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
         expected = {"value_not_numeric": "abc", "hull_point_missing": "(-3, 3)",
-                    "window_empty": "k + l >= 1"}[case]
+                    "point_repeated": "repeats point (1, -1)",
+                    "point_below_layer_0": "point (-3, 2) below layer 0",
+                    "one_row_at_origin": "k + l >= 1, got k = 0, l = 0"}[case]
         assert expected in err
-        if case != "window_empty":
+        if case != "one_row_at_origin":
             assert str(field_csv) in err
+
+    # sha256 of the estimate's JSON line for the field of ``sim_field`` at
+    # seed 42, as it read when the window was passed as --k K --l L
+    ESTIMATE_DIGESTS = {
+        ("12", "12", "gaussian"): "de0e3eee0caf46b5992872a4b3d8e899af26c66db1043d8fccd479c52d57a288",
+        ("12", "12", "rademacher"): "8ba44727bd44e75cdacd2b0e53116c5fbd86825772c0cd1aa8b642ea6d03ebd1",
+        ("12", "12", "uniform"): "eadd5e7b26f150d451ecd93226eca6c473da3d89097dfcac8dc43a994fa56f20",
+        ("5", "9", "gaussian"): "0470df09be76dd89be8ba004cd39da01234f726776d9afe0581aeccf037697fa",
+        ("5", "9", "rademacher"): "7ff1db5eb54a0d0e04afa3b3eeed73def688e0649a8cae8e9bfda51b4fd4ccb6",
+        ("5", "9", "uniform"): "8268a884d59d83653f38ef4e3b764edb4fe26e75d1981ef547baa6ad0e3d6788",
+        ("3", "3", "gaussian"): "9dc9c2d5391d2802f2296e121e3da8b08d7f03e138e7e65296c0e41c20f35280",
+    }
+
+    @pytest.mark.parametrize("k, l, dist", sorted(ESTIMATE_DIGESTS))
+    def test_estimate_runs_on_the_window_of_the_file(self, capsys, tmp_path, k, l, dist):
+        # the window comes from the rows, so a 3 x 3 field gives the 3 x 3
+        # estimate; it cannot be read on a sub-triangle by mistake
+        field_csv = tmp_path / "field.csv"
+        sim_field(capsys, field_csv, "--dist", dist, window=(k, l))
+        code, out, err = run_cli(capsys, "estimate", "--in", str(field_csv))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ESTIMATE_DIGESTS[k, l, dist]
+
+    def test_field_csv_rows_enumerate_hull(self, capsys):
+        # header, then the hull layer by layer in increasing i: layer 0 has
+        # no innovation, layer d >= 1 carries the sampler's eps of layer d
+        window = TriangleWindow(2, 1)
+        code, out, _ = run_cli(capsys, "sim", "field", "--alpha", "0.4", "--beta", "0.3",
+                               "--k", "2", "--l", "1", "--seed", "42")
+        assert code == 0
+        header, *rows = list(csv.reader(out.splitlines()))
+        assert header == ["i", "j", "value", "innovation"]
+        assert len(rows) == (window.s + 1) * (window.s + 2) // 2
+        fld = FieldSimulator(ModelParams(0.4, 0.3), window, SimMethod.parse("boundary_series"),
+                             InnovationDist("gaussian")).sample(RngStream(42, 0))
+        assert rows[0][:2] == ["-1", "1"] and float(rows[0][2]) == fld.value(-1, 1)
+        assert [(int(i), int(j)) for i, j, _, _ in rows] == [
+            (i, d - i) for d in range(window.s + 1)
+            for i in range(window.layer_start(d), window.layer_start(d) + window.layer_len(d))]
+        assert [float(r[2]) for r in rows] == np.concatenate(fld.values).tolist()
+        layer0 = window.layer_len(0)
+        assert all(r[3] == "" for r in rows[:layer0])
+        assert rows[layer0][:2] == ["0", "1"]
+        assert [float(r[3]) for r in rows[layer0:]] == np.concatenate(fld.innovations).tolist()
 
     def test_same_seed_same_field(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -136,6 +194,58 @@ class TestSimEstimate:
                     "--k", "6", "--l", "6", "--seed", "7", "--rep", "3",
                     "--out", str(path))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, out_name", [
+    (["sim", "field", "--alpha", "0.4", "--beta", "0.3", "--k", "5", "--l", "4",
+      "--seed", "9", "--dist", "uniform"], "field.csv"),
+    (["cov", "table", "--alpha", "0.4", "--beta", "-0.3", "--kmax", "3", "--lmax", "2"],
+     "table.csv"),
+], ids=["sim_field", "cov_table"])
+def test_stdout_bytes_equal_the_out_file(capsys, tmp_path, argv, out_name):
+    # one CSV writer, "\n"-terminated, for stdout and --out alike
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / out_name
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == f"wrote {path}\n"
+    assert path.read_bytes() == out.encode()
+    assert b"\r" not in path.read_bytes()
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that stops after one line is not a usage error
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spatialar.cli", "sim", "field", "--alpha", "0.4",
+         "--beta", "0.3", "--k", "60", "--l", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout.readline() == b"i,j,value,innovation\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "eval", "--alpha", "0.25", "--beta", "0.25", "--k", "1", "--l", "1", "--bogus"],
+    ["verify", "detb", "--alpha", "0.5", "--beta", "0.5", "--s", "x"],
+    ["sim", "field", "--alpha", "0.4", "--beta", "0.3", "--k", "3"],
+    ["estimate", "--in", "field.csv", "--k", "3", "--l", "3"],
+], ids=["unknown_flag", "bad_integer", "missing_required", "removed_window_flags"])
+def test_argparse_errors_exit_1_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: spatialar") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spatialar")
 
 
 # an unknown kind (the removed kinds included), a margin that is not an

@@ -185,19 +185,3 @@ class TestField:
         assert f.value(-1, 1) == 1.0
         assert f.value(1, -1) == 3.0
         assert f.value(1, 1) == 6.0
-
-    def test_rows_enumerate_hull(self):
-        w = TriangleWindow(2, 1)
-        f = Field(w, [np.arange(4.0), np.arange(3.0), np.arange(2.0),
-                      np.arange(1.0)])
-        rows = list(f.iter_rows())
-        assert len(rows) == (w.s + 1) * (w.s + 2) // 2
-        assert rows[0][:3] == (-1, 1, 0.0)
-        # every row carries an innovation slot, NaN without innovations
-        assert all(len(r) == 4 and math.isnan(r[3]) for r in rows)
-        eps = [np.array([0.5, 1.5, 2.5]), np.array([3.5, 4.5]), np.array([5.5])]
-        rows = list(Field(w, f.values, eps).iter_rows())
-        # layer 0 has no innovation; layer d >= 1 carries eps[d - 1]
-        assert all(math.isnan(r[3]) for r in rows[:4])
-        assert [r[3] for r in rows[4:]] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
-        assert rows[4][:2] == (0, 1)
