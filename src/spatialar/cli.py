@@ -130,8 +130,20 @@ def _field_rows(fld: Field) -> list[list]:
 
 
 def _load_field_csv(path: Path) -> Field:
-    """A field CSV's field, on the window its rows span; bad input raises ConfigError."""
+    """A field CSV's field, on the window its rows span.
+
+    Bad input raises ConfigError naming the file: a malformed row, a
+    repeated point, a point below layer 0, a value or innovation that is
+    not finite, a missing hull point, or a window without a triangle.
+    """
     values, innovations = {}, {}
+
+    def number(row: dict, key: str, point: tuple[int, int]) -> float:
+        x = float(row[key])
+        if not math.isfinite(x):
+            raise ConfigError(f"{path} has {key} {row[key]} at point {point}")
+        return x
+
     with path.open() as fh:
         for row in csv.DictReader(fh):
             try:
@@ -140,9 +152,9 @@ def _load_field_csv(path: Path) -> Field:
                     raise ConfigError(f"{path} repeats point {point}")
                 if sum(point) < 0:
                     raise ConfigError(f"{path} has point {point} below layer 0")
-                values[point] = float(row["value"])
+                values[point] = number(row, "value", point)
                 if row.get("innovation") not in (None, ""):
-                    innovations[point] = float(row["innovation"])
+                    innovations[point] = number(row, "innovation", point)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: malformed row {row}: {exc}") from None
     window = TriangleWindow(max((i for i, _ in values), default=0),

@@ -85,41 +85,53 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
-def accumulate(layers) -> np.ndarray:
+def accumulate(layers, s: int) -> np.ndarray:
     """Per-replication sums (B11, B12, B22, C1, C2, A1, A2) over the triangle.
 
-    ``layers`` yields (prev, y, eps) for d = 1 .. s as (R, .) arrays: layer
-    d - 1, layer d, and layer d's innovations (or None, which leaves A at
-    0).  One pass, six row-wise reductions per layer: with x1 = prev[:-1]
-    and x2 = prev[1:], the shift identities x1.x1 = |prev|^2 - prev[-1]^2
-    and x2.x2 = |prev|^2 - prev[0]^2 reuse the squared norm of the layer
-    below, which is the previous layer's |y|^2.  Per-layer partials are
-    combined with exact (fsum) accumulation: at s >= 128 the sums mix ~1e4
-    squared terms whose magnitude grows like the near-boundary variance,
-    and naive running sums lose digits.  Each reduction is one BLAS dot
-    product per row (rows have unit stride), so a row's sums depend on that
-    row alone, never on the batch.  Returns an (R, 7) array, or one row of
-    zeros without layers (s = 0, reached only by a stored field, R = 1).
+    ``layers`` yields exactly s layers (prev, y, eps), d = 1 .. s, as (R, .)
+    arrays: layer d - 1, layer d, and layer d's innovations, or None, which
+    leaves A at 0.  Every partial goes by ``out=`` into one (s, 7, R) buffer
+    allocated at the first layer, one (7, R) slab per layer, 5 rows deep
+    without innovations; no other array outlives its layer.  With
+    x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
+    products x1.x2, x1.y, x2.y (and x1.eps, x2.eps), and the shift
+    identities x1.x1 = |prev|^2 - prev[-1]^2 and x2.x2 = |prev|^2 - prev[0]^2
+    with |prev|^2 taken from the layer below, which wrote its |y|^2 into
+    this layer's B11 slot.  Per-layer partials are combined with exact
+    (fsum) accumulation: at s >= 128 the sums mix ~1e4 squared terms whose
+    magnitude grows like the near-boundary variance, and naive running sums
+    lose digits.  Each reduction is one BLAS dot product per row (rows have
+    unit stride), so a row's sums depend on that row alone, never on the
+    batch.  Returns an (R, 7) array, or one row of zeros without layers
+    (s = 0, reached only by a stored field, R = 1).
     """
-    parts = []
-    norm = None
-    for prev, y, eps in layers:
-        if norm is None:
-            norm = np.vecdot(prev, prev)
+    buf = None
+    for d, (prev, y, eps) in enumerate(layers):
+        if buf is None:
+            buf = np.empty((s, 5 if eps is None else 7, len(y)))
+            np.vecdot(prev, prev, out=buf[0, 0])
+        part = buf[d]
         x1, x2 = prev[:, :-1], prev[:, 1:]
-        part = [norm - prev[:, -1] ** 2, np.vecdot(x1, x2),
-                norm - prev[:, 0] ** 2, np.vecdot(x1, y), np.vecdot(x2, y)]
-        if eps is None:
-            part += [np.zeros(len(y))] * 2
-        else:
-            part += [np.vecdot(x1, eps), np.vecdot(x2, eps)]
-        parts.append(part)
-        norm = np.vecdot(y, y)
-    if not parts:
+        # part[0] holds |prev|^2 until B11 overwrites it
+        np.subtract(part[0], np.square(prev[:, 0]), out=part[2])
+        np.subtract(part[0], np.square(prev[:, -1]), out=part[0])
+        np.vecdot(x1, x2, out=part[1])
+        np.vecdot(x1, y, out=part[3])
+        np.vecdot(x2, y, out=part[4])
+        if eps is not None:
+            np.vecdot(x1, eps, out=part[5])
+            np.vecdot(x2, eps, out=part[6])
+        if d + 1 < s:
+            np.vecdot(y, y, out=buf[d + 1, 0])
+    if buf is None:
         return np.zeros((1, 7))
-    # (layers, 7, R) -> one row of 7 fsums per replication
-    by_rep = np.array(parts).transpose(2, 1, 0)
-    return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])
+    if d + 1 != s:
+        raise ValueError(f"accumulate was told of {s} layers but given {d + 1}")
+    sums = np.zeros((buf.shape[2], 7))
+    for r, row in enumerate(sums):
+        row[:buf.shape[1]] = [math.fsum(buf[:, c, r].tolist())
+                              for c in range(buf.shape[1])]
+    return sums
 
 
 def solve(sums, w: TriangleWindow, with_score: bool = True) -> EstimateResult:
@@ -143,7 +155,8 @@ def solve(sums, w: TriangleWindow, with_score: bool = True) -> EstimateResult:
 
 
 def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray:
-    """``accumulate`` on a stored field, as a batch of one."""
+    """``accumulate`` on a stored field, as a batch of one, over the window's
+    s layers; the innovations are passed only ``with_score``."""
     if field.window != w:
         raise MissingValuesError("field was built on a different window")
     if with_score and not field.has_innovations():
@@ -152,7 +165,7 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
     layers = ((v[d - 1][None], v[d][None],
                field.innovations[d - 1][None] if with_score else None)
               for d in range(1, w.s + 1))
-    return accumulate(layers)[0]
+    return accumulate(layers, w.s)[0]
 
 
 def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarray]:

@@ -225,13 +225,14 @@ def dumps_canonical(obj) -> str:
 # replication engine
 
 
-def _row(rep: int, sums, window: TriangleWindow) -> tuple:
+def _row(rep: int, sums, window: TriangleWindow, score: bool) -> tuple:
     """One replication's result row from its accumulated sums."""
     try:
-        est = solve(sums, window)
+        est = solve(sums, window, score)
     except SingularDesignError:
         return (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
-    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, est.score[0], est.score[1])
+    a1, a2 = est.score if score else (math.nan, math.nan)
+    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, a1, a2)
 
 
 def _simulate_chunk(payload) -> np.ndarray:
@@ -239,15 +240,20 @@ def _simulate_chunk(payload) -> np.ndarray:
 
     Runs ``sim.batch`` replications per sweep and reduces each layer as it
     is made, without storing fields; a row is bit-identical to
-    ``lse(sim.sample(RngStream(master_seed, rep)))``.
+    ``lse(sim.sample(RngStream(master_seed, rep)))``.  Only ``score`` rows
+    (those of ``verify_score``) pass the innovations to ``accumulate`` and
+    carry the score; ``run_clt`` and ``verify_detB`` read neither score
+    column, and their rows hold NaN there.
     """
-    sim, master_seed, rep_ids = payload
+    sim, master_seed, rep_ids, score = payload
     rows = []
     for start in range(0, len(rep_ids), sim.batch):
         ids = rep_ids[start:start + sim.batch]
-        streams = [RngStream(master_seed, rep) for rep in ids]
-        sums = accumulate(sim.sweep(streams))
-        rows += [_row(rep, row, sim.window) for rep, row in zip(ids, sums)]
+        layers = sim.sweep([RngStream(master_seed, rep) for rep in ids])
+        if not score:
+            layers = ((prev, y, None) for prev, y, _ in layers)
+        sums = accumulate(layers, sim.window.s)
+        rows += [_row(rep, row, sim.window, score) for rep, row in zip(ids, sums)]
     return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
 
 
@@ -271,9 +277,11 @@ def _worker_pool(workers: int, reps: int):
 
 
 def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
-              workers: int = 1, pool: ProcessPoolExecutor | None = None) -> np.ndarray:
+              workers: int = 1, pool: ProcessPoolExecutor | None = None,
+              score: bool = False) -> np.ndarray:
     """Result rows of ``rep_ids`` in id order; identical for any worker count
-    and any ``sim.batch``.
+    and any ``sim.batch``.  The score columns are NaN unless ``score``
+    (see ``_simulate_chunk``).
 
     ``pool`` is the run's pool of ``workers`` processes from
     ``_worker_pool``, which alone decides whether there is one.  With a
@@ -281,28 +289,29 @@ def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
     each; with None they all run in-process.
     """
     if pool is None:
-        rows = _simulate_chunk((sim, master_seed, rep_ids))
+        rows = _simulate_chunk((sim, master_seed, rep_ids, score))
     else:
         chunks = [[int(r) for r in c]
                   for c in np.array_split(rep_ids, workers) if len(c)]
         parts = list(pool.map(_simulate_chunk,
-                              [(sim, master_seed, c) for c in chunks]))
+                              [(sim, master_seed, c, score) for c in chunks]))
         rows = np.concatenate(parts, axis=0)
     # ordered reduction: aggregate strictly by replication id, not arrival
     return rows[np.argsort(rows[:, 0], kind="stable")]
 
 
 def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
-                 master_seed: int, workers: int) -> np.ndarray:
+                 master_seed: int, workers: int, score: bool) -> np.ndarray:
     """Rows of the solved replications 0 .. reps-1 of the Gaussian sampler at
-    params_at(m) on the balanced window with sum s."""
+    params_at(m) on the balanced window with sum s; the score columns are
+    NaN unless ``score``."""
     if reps < 1:
         raise ConfigError("reps must be positive")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
     with _worker_pool(workers, reps) as pool:
         sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
-        rows = _run_reps(sim, master_seed, list(range(reps)), workers, pool)
+        rows = _run_reps(sim, master_seed, list(range(reps)), workers, pool, score)
     return rows[rows[:, 3] == 1.0]
 
 
@@ -633,7 +642,7 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     that of the error covariance ``limit_law`` (derived there), to ``_MC_REL_TOL``."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
-    rows = _solved_rows(design, m, s, reps, master_seed, workers)
+    rows = _solved_rows(design, m, s, reps, master_seed, workers, score=False)
     scaled = rows[:, 4] * (condition_statistic(design, m, 1) * s**-4.0)
     target = _prop1_target(design, m).a11 / limit_law(design).covariance.a11
     mean = float(scaled.mean())
@@ -651,7 +660,7 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
 def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int = 0, workers: int = 1) -> dict:
     """Monte Carlo scaled score covariance against its limit, to ``_MC_REL_TOL``."""
-    rows = _solved_rows(design, m, s, reps, master_seed, workers)
+    rows = _solved_rows(design, m, s, reps, master_seed, workers, score=True)
     scores = rows[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
     target = _prop1_target(design, m)
     cov = _sample_cov(scores)

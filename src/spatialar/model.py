@@ -265,12 +265,14 @@ class Field:
         s = self.window.s
         if len(self.values) != s + 1:
             raise ValueError(f"expected {s + 1} value layers, got {len(self.values)}")
-        for d, layer in enumerate(self.values):
-            if len(layer) != self.window.layer_len(d):
-                raise ValueError(f"layer {d} has length {len(layer)}, "
-                                 f"expected {self.window.layer_len(d)}")
         if self.innovations is not None and len(self.innovations) != s:
             raise ValueError(f"expected {s} innovation layers")
+        for what, layers, first in (("layer", self.values, 0),
+                                    ("innovation layer", self.innovations, 1)):
+            for d, layer in enumerate(layers or [], first):
+                if len(layer) != self.window.layer_len(d):
+                    raise ValueError(f"{what} {d} has length {len(layer)}, "
+                                     f"expected {self.window.layer_len(d)}")
 
     def value(self, i: int, j: int) -> float:
         d = i + j

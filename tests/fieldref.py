@@ -1,4 +1,7 @@
-"""Reference index sets and the deterministic recursion, used only by tests."""
+"""Reference index sets, the deterministic recursion and the list-of-partials
+layer reduction, used only by tests."""
+
+import math
 
 import numpy as np
 
@@ -61,3 +64,31 @@ def deterministic_field(params: ModelParams, window: TriangleWindow,
         prev = a * prev[:-1] + b * prev[1:] + innovations[d - 1]
         values.append(prev)
     return Field(w, values, innovations, params)
+
+
+def accumulate_by_lists(layers) -> np.ndarray:
+    """The layer reduction of ``estimate.accumulate`` as a list of fresh
+    partials per layer, stacked once and summed by fsum: the reference that
+    the in-place buffer must match bit for bit.
+
+    Same arguments and result as ``accumulate``, without the layer count.
+    """
+    parts = []
+    norm = None
+    for prev, y, eps in layers:
+        if norm is None:
+            norm = np.vecdot(prev, prev)
+        x1, x2 = prev[:, :-1], prev[:, 1:]
+        part = [norm - prev[:, -1] ** 2, np.vecdot(x1, x2),
+                norm - prev[:, 0] ** 2, np.vecdot(x1, y), np.vecdot(x2, y)]
+        if eps is None:
+            part += [np.zeros(len(y))] * 2
+        else:
+            part += [np.vecdot(x1, eps), np.vecdot(x2, eps)]
+        parts.append(part)
+        norm = np.vecdot(y, y)
+    if not parts:
+        return np.zeros((1, 7))
+    # (layers, 7, R) -> one row of 7 fsums per replication
+    by_rep = np.array(parts).transpose(2, 1, 0)
+    return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])

@@ -143,6 +143,25 @@ class TestSimEstimate:
         if case != "one_row_at_origin":
             assert str(field_csv) in err
 
+    @pytest.mark.parametrize("column, point", [("value", (0, 0)), ("innovation", (1, 1))],
+                             ids=["value_at_0_0", "innovation_at_1_1"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_estimate_input_is_a_one_line_usage_error(self, capsys, tmp_path,
+                                                                 column, point, text):
+        field_csv = tmp_path / "field.csv"
+        sim_field(capsys, field_csv, window=("3", "3"))
+        rows = list(csv.DictReader(field_csv.read_text().splitlines()))
+        row = next(r for r in rows if (int(r["i"]), int(r["j"])) == point)
+        row[column] = text
+        with field_csv.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        code, out, err = run_cli(capsys, "estimate", "--in", str(field_csv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{field_csv} has {column} {text} at point {point}" in err
+
     # sha256 of the estimate's JSON line for the field of ``sim_field`` at
     # seed 42, as it read when the window was passed as --k K --l L
     ESTIMATE_DIGESTS = {

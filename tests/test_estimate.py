@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from numpy.testing import assert_allclose
 from spatialar import (
     Field,
     FieldSimulator,
+    InnovationDist,
     Matrix2,
     MissingInnovationsError,
     ModelParams,
     RngStream,
+    SimMethod,
     SingularDesignError,
     TriangleWindow,
     lse,
     normal_equations,
     score_vector,
 )
+from spatialar.estimate import accumulate
 
-from fieldref import deterministic_field
+from fieldref import accumulate_by_lists, deterministic_field
 
 
 def three_point_field(x1x2_pairs, y=0.0):
@@ -161,6 +165,48 @@ class TestLSE:
                 norms.append(math.hypot(est.alpha_hat - 0.3, est.beta_hat - 0.4))
             errs[s] = float(np.median(norms))
         assert errs[64] < errs[16]
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize("dist", [InnovationDist.GAUSSIAN, InnovationDist.RADEMACHER])
+    @pytest.mark.parametrize("reps", [1, 5])
+    @pytest.mark.parametrize("with_eps", [True, False], ids=["eps", "no_eps"])
+    def test_buffer_equals_the_list_reference_bit_for_bit(self, dist, reps, with_eps):
+        for s in range(1, 41):
+            sim = FieldSimulator(ModelParams(0.45, 0.45), TriangleWindow.balanced(s),
+                                 SimMethod(None), dist)
+            layers = list(sim.sweep([RngStream(31, r) for r in range(reps)]))
+            if not with_eps:
+                layers = [(prev, y, None) for prev, y, _ in layers]
+            got, ref = accumulate(iter(layers), s), accumulate_by_lists(iter(layers))
+            assert got.shape == ref.shape == (reps, 7)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), s
+
+    def test_no_layers_give_one_row_of_zeros(self):
+        got, ref = accumulate(iter([]), 0), accumulate_by_lists(iter([]))
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got.shape == (1, 7)
+
+    def test_layer_count_is_checked(self):
+        sim = FieldSimulator(ModelParams(0.3, 0.4), TriangleWindow(2, 2))
+        layers = list(sim.sweep([RngStream(1, 0)]))
+        with pytest.raises(ValueError, match="told of 5 layers but given 4"):
+            accumulate(iter(layers[:4]), 5)
+
+    def test_lse_on_a_stored_field_allocates_little(self):
+        # s = 512 as one batch of R = 1: the list-of-partials reduction
+        # (fieldref) peaks at 653 KiB on this field, the in-place buffer of
+        # 512 x 7 floats at 50 KiB
+        w = TriangleWindow.balanced(512)
+        fld = FieldSimulator(ModelParams(0.49, 0.49), w).sample(RngStream(8, 0))
+        lse(fld, w)
+        tracemalloc.start()
+        try:
+            lse(fld, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 1024
 
 
 class TestScore:

@@ -263,7 +263,8 @@ class TestBatchedEngine:
             sim.batch = batch
             for workers in (1, 2):
                 with _worker_pool(workers, len(rep_ids)) as pool:
-                    runs.append(_run_reps(sim, seed, rep_ids, workers, pool))
+                    runs.append(_run_reps(sim, seed, rep_ids, workers, pool,
+                                          score=True))
         assert len({rows.tobytes() for rows in runs}) == 1
         # each row is the public single-field path, bit for bit
         expected = []
@@ -272,6 +273,20 @@ class TestBatchedEngine:
             expected.append([rep, est.alpha_hat, est.beta_hat, 1.0, est.detB,
                              est.score[0], est.score[1]])
         assert runs[0].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_without_score_match_the_scored_rows(self, workers):
+        # run_clt and verify_detB pass no innovations: the estimates and detB
+        # keep their bits and both score columns are NaN
+        params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
+        sim = FieldSimulator(params, window)
+        sim.batch = 7
+        rep_ids = list(range(5, 25))
+        with _worker_pool(workers, len(rep_ids)) as pool:
+            scored = _run_reps(sim, seed, rep_ids, workers, pool, score=True)
+            plain = _run_reps(sim, seed, rep_ids, workers, pool)
+        assert plain[:, :5].tobytes() == scored[:, :5].tobytes()
+        assert np.isnan(plain[:, 5:]).all() and np.isfinite(scored[:, 5:]).all()
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -555,7 +570,7 @@ def test_suite_scales_match_per_case_expressions(design):
     assert_allclose(covlim["value_at_zero_lag"], info * cov_closed(params, 0, 0), **rel)
 
     rows = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
-                     list(range(reps)))
+                     list(range(reps)), score=True)
     rows = rows[rows[:, 3] == 1.0]
     score = verify_score(design, m, s, reps, master_seed=seed)
     assert score["target"] == _prop1_target(design, m)

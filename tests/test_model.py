@@ -178,6 +178,13 @@ class TestField:
         with pytest.raises(ValueError):
             Field(w, [np.zeros(3), np.zeros(3), np.zeros(1)])
 
+    def test_innovation_layer_shapes_checked(self):
+        w = TriangleWindow(1, 1)
+        with pytest.raises(ValueError, match="innovation layer 1 has length 5, expected 2"):
+            Field(w, [np.ones(3), np.ones(2), np.ones(1)], [np.ones(5), np.ones(1)])
+        with pytest.raises(ValueError, match="innovation layer 2 has length 2, expected 1"):
+            Field(w, [np.ones(3), np.ones(2), np.ones(1)], [np.ones(2), np.ones(2)])
+
     def test_value_lookup(self):
         w = TriangleWindow(1, 1)
         f = Field(w, [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]),
