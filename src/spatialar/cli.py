@@ -90,7 +90,7 @@ def _default_ladder(design: NearlyUnstableDesign) -> list[tuple[int, int]]:
 def _write_rows(rows: list[list], out: str | None) -> None:
     """CSV rows (header first) to stdout, or to the file ``out`` if given."""
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        harness.write_csv_rows(fh, rows)
     if out:
         print(f"wrote {Path(out)}")
 

@@ -172,8 +172,6 @@ def cov_closed(p: ModelParams, k, l):
     once per distinct key and its value goes to every lag with that key.
     """
     p.require_stationary()
-    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (k, l)):
-        return _cov_closed_at(p, int(k), int(l))
     k, l, shape = _lag_arrays(k, l)
     lags = list(zip(k.tolist(), l.tolist()))
     keys = [(abs(x), abs(y), x * y <= 0) for x, y in lags]
@@ -267,17 +265,16 @@ def _shaped(values: np.ndarray, shape: tuple):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _in_blocks(route, k, l, smax: int):
-    """route(k_block, l_block) on the lags k, l, in consecutive blocks of
-    flat lags of at most _LAG_BLOCK_TERMS lag x grid terms, the grid of
-    levels 0..smax; a block holds one lag when its grid alone is larger.
-    Results are shaped as in ``_shaped``."""
-    k, l, shape = _lag_arrays(k, l)
+def _in_blocks(route, k: np.ndarray, l: np.ndarray, smax: int) -> np.ndarray:
+    """route(k_block, l_block) on the flat lags k, l of ``_lag_arrays``, in
+    consecutive blocks of at most _LAG_BLOCK_TERMS lag x grid terms, the
+    grid of levels 0..smax; a block holds one lag when its grid alone is
+    larger.  Returns the flat values, for ``_shaped``."""
     step = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
     values = np.empty(k.size)
     for start in range(0, k.size, step):
         values[start:start + step] = route(k[start:start + step], l[start:start + step])
-    return _shaped(values, shape)
+    return values
 
 
 @lru_cache(maxsize=8)
@@ -394,7 +391,8 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
         log_pre = (_xlog(ka, log_a) + _xlog(la, log_b)
                    + np.where(mixed, 0.0, lf[ka + la] - lf[ka] - lf[la]))
         return _sign_of_power(a, ka) * _sign_of_power(b, la) * np.exp(log_pre) * f4
-    return _in_blocks(block, k, l, smax)
+    k, l, shape = _lag_arrays(k, l)
+    return _shaped(_in_blocks(block, k, l, smax), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -589,4 +587,5 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
         ufac = _xlog(km + kp + 2 * r, log_a) - lf[km + r] - lf[kp + r]
         vfac = _xlog(lm + lp + 2 * r, log_b) - lf[lm + r] - lf[lp + r]
         return sign * np.sum(np.exp(_grid_logs(level, ufac, vfac)), axis=-1)
-    return _in_blocks(block, k, l, margin)
+    k, l, shape = _lag_arrays(k, l)
+    return _shaped(_in_blocks(block, k, l, margin), shape)

@@ -8,9 +8,10 @@ x1 = X[i-1, j], x2 = X[i, j-1], y = X[i, j], summed over the triangle.
 The solve goes through the adjugate, theta = adj(B) C / det(B), so that
 det(B) and adj(B) C stay first-class observables for the limit experiments.
 
-One reduction kernel serves every caller: ``accumulate`` reduces a batch of
-R replications layer by layer, and ``lse``, ``normal_equations`` and
-``score_vector`` are its R = 1 case on a stored field.  A replication's
+One reduction kernel and one solve serve every caller: ``accumulate``
+reduces a batch of R replications layer by layer, ``solve`` turns the
+batch's sums into estimates, and ``lse``, ``normal_equations`` and
+``score_vector`` are their R = 1 case on a stored field.  A replication's
 sums depend only on its own rows, so they are bit-identical for any R.
 """
 
@@ -54,10 +55,6 @@ class Matrix2:
     def adjugate(self) -> "Matrix2":
         return Matrix2(self.a22, -self.a12, -self.a21, self.a11)
 
-    def matvec(self, v) -> np.ndarray:
-        return np.array([self.a11 * v[0] + self.a12 * v[1],
-                         self.a21 * v[0] + self.a22 * v[1]])
-
     def scale(self, c: float) -> "Matrix2":
         return Matrix2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
 
@@ -86,11 +83,11 @@ class EstimateResult:
 
 
 def accumulate(layers, s: int) -> np.ndarray:
-    """Per-replication sums (B11, B12, B22, C1, C2, A1, A2) over the triangle.
+    """Per-replication sums (B11, B12, B22, C1, C2[, A1, A2]) over the triangle.
 
     ``layers`` yields exactly s layers (prev, y, eps), d = 1 .. s, as (R, .)
     arrays: layer d - 1, layer d, and layer d's innovations, or None, which
-    leaves A at 0.  Every partial goes by ``out=`` into one (s, 7, R) buffer
+    leaves A out.  Every partial goes by ``out=`` into one (s, 7, R) buffer
     allocated at the first layer, one (7, R) slab per layer, 5 rows deep
     without innovations; no other array outlives its layer.  With
     x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
@@ -102,8 +99,8 @@ def accumulate(layers, s: int) -> np.ndarray:
     magnitude grows like the near-boundary variance, and naive running sums
     lose digits.  Each reduction is one BLAS dot product per row (rows have
     unit stride), so a row's sums depend on that row alone, never on the
-    batch.  Returns an (R, 7) array, or one row of zeros without layers
-    (s = 0, reached only by a stored field, R = 1).
+    batch.  Returns an (R, 7) array, (R, 5) without innovations, or one row
+    of 7 zeros without layers (s = 0, reached only by a stored field, R = 1).
     """
     buf = None
     for d, (prev, y, eps) in enumerate(layers):
@@ -127,31 +124,27 @@ def accumulate(layers, s: int) -> np.ndarray:
         return np.zeros((1, 7))
     if d + 1 != s:
         raise ValueError(f"accumulate was told of {s} layers but given {d + 1}")
-    sums = np.zeros((buf.shape[2], 7))
-    for r, row in enumerate(sums):
-        row[:buf.shape[1]] = [math.fsum(buf[:, c, r].tolist())
-                              for c in range(buf.shape[1])]
-    return sums
+    return np.array([[math.fsum(buf[:, c, r].tolist()) for c in range(buf.shape[1])]
+                     for r in range(buf.shape[2])])
 
 
-def solve(sums, w: TriangleWindow, with_score: bool = True) -> EstimateResult:
-    """Least squares estimate from one replication's ``accumulate`` row.
+def solve(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares estimates (theta, det B, ok) of every row of ``sums``.
 
-    Raises SingularDesign when |det B| <= 1e-12 (B11 B22 + B12^2); the
-    threshold is relative to B's own scale because field magnitudes blow up
-    near the unstable boundary.
+    ``sums`` is an ``accumulate`` result, (R, 5) or (R, 7).  Per row,
+    theta = adj(B) C / det B is (B22 C1 - B12 C2, B11 C2 - B12 C1) / det B,
+    an (R, 2) array.  A row is singular, ``ok`` False and its theta NaN,
+    when |det B| <= 1e-12 (B11 B22 + B12^2); the threshold is relative to
+    B's own scale because field magnitudes blow up near the unstable
+    boundary.  A row's results depend on that row alone.
     """
-    b11, b12, b22, c1, c2, a1, a2 = (float(v) for v in sums)
-    bmat = Matrix2(b11, b12, b12, b22)
-    cvec = np.array([c1, c2])
-    det = bmat.det()
-    if abs(det) <= _SINGULAR_REL * (bmat.a11 * bmat.a22 + bmat.a12 ** 2):
-        raise SingularDesignError(
-            f"normal equations singular on window ({w.k}, {w.l}): det = {det:g}"
-        )
-    theta = bmat.adjugate().matvec(cvec) / det
-    score = np.array([a1, a2]) if with_score else None
-    return EstimateResult(float(theta[0]), float(theta[1]), bmat, cvec, det, score)
+    b11, b12, b22, c1, c2 = sums[:, :5].T
+    det = b11 * b22 - b12 * b12
+    ok = np.abs(det) > _SINGULAR_REL * (b11 * b22 + b12 ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.column_stack([b22 * c1 - b12 * c2, b11 * c2 - b12 * c1]) / det[:, None]
+    theta[~ok] = np.nan
+    return theta, det, ok
 
 
 def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray:
@@ -176,18 +169,26 @@ def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarr
     with |prev|^2 carried over from the layer below.  The per-layer partials
     are combined with math.fsum (see ``accumulate``).
     """
-    b11, b12, b22, c1, c2, _, _ = _field_sums(field, w, with_score=False).tolist()
+    b11, b12, b22, c1, c2 = _field_sums(field, w, with_score=False)[:5].tolist()
     return Matrix2(b11, b12, b12, b22), np.array([c1, c2])
 
 
 def lse(field: Field, w: TriangleWindow) -> EstimateResult:
-    """Least squares estimate via the adjugate solve (see ``solve``).
+    """Least squares estimate: ``solve`` on the field's sums, a batch of one.
 
     B, C and, when the field retains innovations, the score come from one
-    pass over the field.
+    pass over the field.  A singular B raises SingularDesignError.
     """
     with_score = field.has_innovations()
-    return solve(_field_sums(field, w, with_score), w, with_score)
+    sums = _field_sums(field, w, with_score)
+    (theta,), (det,), (ok,) = solve(sums[None])
+    if not ok:
+        raise SingularDesignError(
+            f"normal equations singular on window ({w.k}, {w.l}): det = {det:g}"
+        )
+    b11, b12, b22, c1, c2 = sums[:5].tolist()
+    return EstimateResult(float(theta[0]), float(theta[1]), Matrix2(b11, b12, b12, b22),
+                          np.array([c1, c2]), float(det), sums[5:7] if with_score else None)
 
 
 def score_vector(field: Field, w: TriangleWindow) -> np.ndarray:

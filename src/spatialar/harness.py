@@ -2,9 +2,10 @@
 
 Replications are embarrassingly parallel: each one reads its own SFC64
 stream keyed by a SeedSequence spawn key, so results depend only on
-(master_seed, replication id) and aggregation is an ordered reduction over
-replication ids.  The number of workers must not change a single output
-byte; wall-clock timings are therefore kept out of the canonical report and
+(master_seed, replication id).  A pooled call splits its ids into contiguous
+chunks and takes their sums back in submission order, so every result is in
+id order.  The number of workers must not change a single output byte;
+wall-clock timings are therefore kept out of the canonical report and
 written to a sidecar.
 
 A run (``run_clt`` over its whole ladder, or one ``verify_detB`` /
@@ -35,7 +36,7 @@ from .covariance import (
     cov_series_oracle,
     oracle_margin,
 )
-from .errors import ConfigError, ExperimentAbortedError, SingularDesignError
+from .errors import ConfigError, ExperimentAbortedError
 # lse is not called here; perfbench/tracing.py wraps harness.lse by name
 from .estimate import Matrix2, accumulate, lse, solve
 from .limits import (
@@ -221,40 +222,34 @@ def dumps_canonical(obj) -> str:
     return _canon(obj)
 
 
+def write_csv_rows(fh, rows) -> None:
+    """CSV rows to an open text file, every line ended by a bare newline."""
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # replication engine
 
 
-def _row(rep: int, sums, window: TriangleWindow, score: bool) -> tuple:
-    """One replication's result row from its accumulated sums."""
-    try:
-        est = solve(sums, window, score)
-    except SingularDesignError:
-        return (rep, math.nan, math.nan, 0.0, math.nan, math.nan, math.nan)
-    a1, a2 = est.score if score else (math.nan, math.nan)
-    return (rep, est.alpha_hat, est.beta_hat, 1.0, est.detB, a1, a2)
-
-
 def _simulate_chunk(payload) -> np.ndarray:
-    """Worker body: rows (rep_id, alpha_hat, beta_hat, ok, detB, score1, score2).
+    """Worker body: the ``accumulate`` sums of ``rep_ids``, in their order.
 
     Runs ``sim.batch`` replications per sweep and reduces each layer as it
-    is made, without storing fields; a row is bit-identical to
-    ``lse(sim.sample(RngStream(master_seed, rep)))``.  Only ``score`` rows
-    (those of ``verify_score``) pass the innovations to ``accumulate`` and
-    carry the score; ``run_clt`` and ``verify_detB`` read neither score
-    column, and their rows hold NaN there.
+    is made, without storing fields; ``solve`` of a row is bit-identical to
+    ``lse(sim.sample(RngStream(master_seed, rep)))``.  Only ``score`` chunks
+    (those of ``verify_score``) pass the innovations to ``accumulate``, and
+    their rows carry the score in columns 5 and 6; ``run_clt`` and
+    ``verify_detB`` read no score, and their rows are 5 wide.
     """
     sim, master_seed, rep_ids, score = payload
-    rows = []
+    parts = []
     for start in range(0, len(rep_ids), sim.batch):
         ids = rep_ids[start:start + sim.batch]
         layers = sim.sweep([RngStream(master_seed, rep) for rep in ids])
         if not score:
             layers = ((prev, y, None) for prev, y, _ in layers)
-        sums = accumulate(layers, sim.window.s)
-        rows += [_row(rep, row, sim.window, score) for rep, row in zip(ids, sums)]
-    return np.array(rows, dtype=np.float64).reshape(len(rep_ids), 7)
+        parts.append(accumulate(layers, sim.window.s))
+    return np.concatenate(parts)
 
 
 @contextmanager
@@ -279,40 +274,37 @@ def _worker_pool(workers: int, reps: int):
 def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
               workers: int = 1, pool: ProcessPoolExecutor | None = None,
               score: bool = False) -> np.ndarray:
-    """Result rows of ``rep_ids`` in id order; identical for any worker count
-    and any ``sim.batch``.  The score columns are NaN unless ``score``
-    (see ``_simulate_chunk``).
+    """The ``accumulate`` sums of ``rep_ids`` in their order, (R, 7) with
+    ``score`` and (R, 5) without (see ``_simulate_chunk``); identical for any
+    worker count and any ``sim.batch``.
 
     ``pool`` is the run's pool of ``workers`` processes from
     ``_worker_pool``, which alone decides whether there is one.  With a
     pool the ids are split into ``workers`` contiguous chunks, one task
-    each; with None they all run in-process.
+    each, and ``pool.map`` returns their sums in submission order; with
+    None they all run in-process.
     """
     if pool is None:
-        rows = _simulate_chunk((sim, master_seed, rep_ids, score))
-    else:
-        chunks = [[int(r) for r in c]
-                  for c in np.array_split(rep_ids, workers) if len(c)]
-        parts = list(pool.map(_simulate_chunk,
-                              [(sim, master_seed, c, score) for c in chunks]))
-        rows = np.concatenate(parts, axis=0)
-    # ordered reduction: aggregate strictly by replication id, not arrival
-    return rows[np.argsort(rows[:, 0], kind="stable")]
+        return _simulate_chunk((sim, master_seed, rep_ids, score))
+    chunks = [c.tolist() for c in np.array_split(rep_ids, workers) if len(c)]
+    return np.concatenate(list(pool.map(_simulate_chunk,
+                                        [(sim, master_seed, c, score) for c in chunks])))
 
 
 def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
-                 master_seed: int, workers: int, score: bool) -> np.ndarray:
-    """Rows of the solved replications 0 .. reps-1 of the Gaussian sampler at
-    params_at(m) on the balanced window with sum s; the score columns are
-    NaN unless ``score``."""
+                 master_seed: int, workers: int, score: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The sums and det B of the non-singular replications among 0 .. reps-1
+    of the Gaussian sampler at params_at(m) on the balanced window with sum
+    s; the sums carry the score only with ``score``."""
     if reps < 1:
         raise ConfigError("reps must be positive")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
     with _worker_pool(workers, reps) as pool:
         sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
-        rows = _run_reps(sim, master_seed, list(range(reps)), workers, pool, score)
-    return rows[rows[:, 3] == 1.0]
+        sums = _run_reps(sim, master_seed, list(range(reps)), workers, pool, score)
+    _, det, ok = solve(sums)
+    return sums[ok], det[ok]
 
 
 def _ks_normal(x: np.ndarray) -> float:
@@ -365,14 +357,11 @@ class ExperimentReport:
         report_path.write_text(dumps_canonical(self.to_canonical_dict()) + "\n")
         (out / "timing.json").write_text(dumps_canonical(
             {"schema": "spatialar-timing-v1", "per_size": self.timing}) + "\n")
+        header = ["rep_id", "alpha_hat", "beta_hat", "scaled_err_a", "scaled_err_b"]
         for (m, s), rows in zip(self.config.ladder, self.raw):
-            path = out / f"errors_m{m}_s{s}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["rep_id", "alpha_hat", "beta_hat", "scaled_err_a", "scaled_err_b"])
-                for rep_id, ah, bh, ea, eb in rows:
-                    writer.writerow([int(rep_id)] + [format17(v) for v in (ah, bh, ea, eb)])
+            with (out / f"errors_m{m}_s{s}.csv").open("w", newline="") as fh:
+                write_csv_rows(fh, [header] + [[int(rep_id)] + [format17(v) for v in values]
+                                               for rep_id, *values in rows])
         return report_path
 
 
@@ -404,15 +393,14 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
                                  config.dist)
             rep_ids = [idx * config.reps + r for r in range(config.reps)]
-            rows = _run_reps(sim, config.master_seed, rep_ids, workers, pool)
-            ok = rows[:, 3] == 1.0
-            n_singular = int(len(rows) - np.sum(ok))
+            theta, _, ok = solve(_run_reps(sim, config.master_seed, rep_ids,
+                                           workers, pool))
+            n_singular = int(len(ok) - np.sum(ok))
             if n_singular > 0.01 * config.reps:
                 raise ExperimentAbortedError(
                     f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
-            hats = rows[ok, 1:3]
             rate = law.rate(m, s)
-            errors = rate * (hats - [params.alpha, params.beta])
+            errors = rate * (theta[ok] - [params.alpha, params.beta])
             cov = _sample_cov(errors)
             mean = errors.mean(axis=0)
             proj_sum = (errors[:, 0] + errors[:, 1]) / _SQRT2
@@ -466,10 +454,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                 if idx == len(config.ladder) - 1:
                     passed = entry_pass
             per_size.append(record)
-            scaled_rows = np.column_stack([rows[:, 0], rows[:, 1], rows[:, 2],
-                                           rate * (rows[:, 1] - params.alpha),
-                                           rate * (rows[:, 2] - params.beta)])
-            raw_all.append(scaled_rows)
+            raw_all.append(np.column_stack([rep_ids, theta[:, 0], theta[:, 1],
+                                            rate * (theta[:, 0] - params.alpha),
+                                            rate * (theta[:, 1] - params.beta)]))
             elapsed = time.perf_counter() - t0
             rung = {"m": m, "s": s, "elapsed_s": elapsed,
                     "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch,
@@ -642,12 +629,12 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     that of the error covariance ``limit_law`` (derived there), to ``_MC_REL_TOL``."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
-    rows = _solved_rows(design, m, s, reps, master_seed, workers, score=False)
-    scaled = rows[:, 4] * (condition_statistic(design, m, 1) * s**-4.0)
+    _, det = _solved_rows(design, m, s, reps, master_seed, workers, score=False)
+    scaled = det * (condition_statistic(design, m, 1) * s**-4.0)
     target = _prop1_target(design, m).a11 / limit_law(design).covariance.a11
     mean = float(scaled.mean())
     return {
-        "m": m, "s": s, "reps": len(rows),
+        "m": m, "s": s, "reps": len(det),
         "scaled_mean": mean,
         "std_error": float(scaled.std(ddof=1) / math.sqrt(len(scaled))),
         "target": target,
@@ -660,15 +647,15 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
 def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int = 0, workers: int = 1) -> dict:
     """Monte Carlo scaled score covariance against its limit, to ``_MC_REL_TOL``."""
-    rows = _solved_rows(design, m, s, reps, master_seed, workers, score=True)
-    scores = rows[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
+    sums, _ = _solved_rows(design, m, s, reps, master_seed, workers, score=True)
+    scores = sums[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
     target = _prop1_target(design, m)
     cov = _sample_cov(scores)
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(len(scores))
     dev = _matrix_rel_dev(cov, target)
     return {
-        "m": m, "s": s, "reps": len(rows),
+        "m": m, "s": s, "reps": len(sums),
         "scaled_cov": cov.tolist(),
         "target": target,
         "mean": mean.tolist(),

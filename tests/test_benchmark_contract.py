@@ -110,21 +110,28 @@ import workloads
 
 field = workloads.LargeField()
 field.s, field.fields = 16, 2
-cases = {"large_field": field,
-         "clt": workloads.Clt(workloads._INTERIOR, [[16, 16]], reps=100,
-                              dist="gaussian", method="boundary_cholesky"),
-         "oracle": workloads.Oracle()}
-cases["oracle"].lag_max = 1
+oracle = workloads.Oracle()
+oracle.lag_max = 1
+boundary = lambda: workloads.Clt(workloads._BOUNDARY, [[16, 64]], reps=100,
+                                 dist="rademacher", method="boundary_series")
+# (case, seed name, workload, workers): the two boundary cases share their
+# seed, so their outputs must be the same bytes
+cases = [("large_field", "large_field", field, 1),
+         ("clt", "clt", workloads.Clt(workloads._INTERIOR, [[16, 16]], reps=100,
+                                      dist="gaussian", method="boundary_cholesky"), 1),
+         ("clt_boundary_1w", "clt_boundary", boundary(), 1),
+         ("clt_boundary_2w", "clt_boundary", boundary(), 2),
+         ("oracle", "oracle", oracle, 1)]
 got, base = {}, Path.cwd()
-for name, workload in cases.items():
+for name, seed_name, workload, workers in cases:
     # as in perfbench/child.py, each call runs in its own directory
     workdir = base / name
     workdir.mkdir()
     os.chdir(workdir)
-    workload.prepare(name, 7, workdir, 1)
+    workload.prepare(seed_name, 7, workdir, workers)
     workload.timed()
     out = workload.check()
-    got[name] = {"failed_ops": out.failed_ops, "digests": sorted(out.digests),
+    got[name] = {"failed_ops": out.failed_ops, "digests": out.digests,
                  "failed_gates": [c["name"] for c in out.checks if not c["ok"]]}
 print(json.dumps(got))
 """
@@ -134,14 +141,21 @@ def test_untraced_workloads_run_at_tiny_sizes(tmp_path):
     # prepare, timed and check of each workload class without the tracer:
     # this reaches what only the untimed path reads (FieldSimulator's
     # boundary_jitter, Field.max_recursion_residual, cli.main and
-    # harness.dumps_canonical), at sizes set here rather than in perfbench/
+    # harness.dumps_canonical), at sizes set here rather than in perfbench/.
+    # The pooled workload's class runs at 1 and at 2 workers on one seed:
+    # its pool returns the chunks' sums in submission order, so the outputs
+    # must not differ by a byte
     proc = subprocess.run([sys.executable, "-c", _UNTRACED, str(ROOT)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {
-        "large_field": {"failed_ops": 0, "digests": ["report.json"], "failed_gates": []},
-        "clt": {"failed_ops": 0, "digests": ["errors_m16_s16.csv", "report.json"],
-                "failed_gates": []},
-        "oracle": {"failed_ops": 0, "digests": ["report.json"], "failed_gates": []},
+    assert {name: sorted(case["digests"]) for name, case in got.items()} == {
+        "large_field": ["report.json"],
+        "clt": ["errors_m16_s16.csv", "report.json"],
+        "clt_boundary_1w": ["errors_m16_s64.csv", "report.json"],
+        "clt_boundary_2w": ["errors_m16_s64.csv", "report.json"],
+        "oracle": ["report.json"],
     }
+    assert all(case["failed_ops"] == 0 and case["failed_gates"] == []
+               for case in got.values()), got
+    assert got["clt_boundary_1w"]["digests"] == got["clt_boundary_2w"]["digests"]

@@ -56,7 +56,8 @@ class TestCov:
                              "--beta", "0.3", "--kmax", "2", "--lmax", "2",
                              "--out", str(out_file))
         assert code == 0
-        rows = list(csv.DictReader(out_file.open()))
+        with out_file.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 25
         centre = [r for r in rows if r["k"] == "0" and r["l"] == "0"][0]
         assert float(centre["R"]) > 1.0

@@ -22,7 +22,7 @@ from spatialar import (
     normal_equations,
     score_vector,
 )
-from spatialar.estimate import accumulate
+from spatialar.estimate import accumulate, solve
 
 from fieldref import accumulate_by_lists, deterministic_field
 
@@ -103,7 +103,7 @@ class TestLSE:
     def test_hand_solve(self):
         b = Matrix2(6, 3, 3, 6)
         c = np.array([-0.5, 0.5])
-        theta = b.adjugate().matvec(c) / b.det()
+        theta = b.adjugate().to_array() @ c / b.det()
         assert_allclose(theta, [-1.0 / 6.0, 1.0 / 6.0])
         assert b.det() == 27
 
@@ -121,7 +121,8 @@ class TestLSE:
     def test_single_point_window_singular(self):
         w = TriangleWindow(1, 0)
         f = deterministic_field(ModelParams(0.3, 0.2), w, [1.0, 2.0])
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError,
+                           match=r"normal equations singular on window \(1, 0\): det = 0$"):
             lse(f, w)
 
     def test_scale_invariance(self):
@@ -150,7 +151,7 @@ class TestLSE:
         w = TriangleWindow.balanced(20)
         f = FieldSimulator(p, w).sample(RngStream(8, 3))
         est = lse(f, w)
-        resid = est.B.matvec([est.alpha_hat, est.beta_hat]) - est.cross
+        resid = est.B.to_array() @ [est.alpha_hat, est.beta_hat] - est.cross
         assert np.max(np.abs(resid)) <= 1e-9 * max(np.max(np.abs(est.cross)), 1.0)
 
     def test_consistency_trend(self):
@@ -179,7 +180,9 @@ class TestAccumulate:
             if not with_eps:
                 layers = [(prev, y, None) for prev, y, _ in layers]
             got, ref = accumulate(iter(layers), s), accumulate_by_lists(iter(layers))
-            assert got.shape == ref.shape == (reps, 7)
+            # without innovations the sums stop at C: the reference's first 5 columns
+            ref = ref if with_eps else ref[:, :5]
+            assert got.shape == ref.shape == (reps, 7 if with_eps else 5)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), s
 
     def test_no_layers_give_one_row_of_zeros(self):
@@ -209,6 +212,36 @@ class TestAccumulate:
         assert peak < 192 * 1024
 
 
+class TestSolve:
+    def test_singular_rows_are_nan_and_regular_rows_match_lse(self):
+        # a batch mixing all-zero sums and a B with det exactly 0 (B12^2 =
+        # B11 B22) with the sums of sampled fields, whose rows must solve to
+        # lse on the same field bit for bit
+        p = ModelParams(0.45, 0.4)
+        w = TriangleWindow.balanced(24)
+        sim = FieldSimulator(p, w)
+        fields = [sim.sample(RngStream(19, r)) for r in range(3)]
+        layers = sim.sweep([RngStream(19, r) for r in range(3)])
+        sampled = accumulate(((prev, y, None) for prev, y, _ in layers), w.s)
+        zero, flat = np.zeros(5), np.array([4.0, 6.0, 9.0, 1.0, 2.0])
+        sums = np.array([sampled[0], zero, sampled[1], flat, sampled[2]])
+        theta, det, ok = solve(sums)
+        assert theta.shape == (5, 2) and det.shape == ok.shape == (5,)
+        assert ok.tolist() == [True, False, True, False, True]
+        assert np.isnan(theta[~ok]).all() and det[1] == det[3] == 0.0
+        for row, fld in zip((0, 2, 4), fields):
+            est = lse(fld, w)
+            got = [theta[row, 0], theta[row, 1], det[row]]
+            assert np.array(got).tobytes() == np.array(
+                [est.alpha_hat, est.beta_hat, est.detB]).tobytes()
+
+    def test_score_columns_do_not_change_the_solve(self):
+        sums = np.array([[6.0, 3.0, 6.0, -0.5, 0.5, 7.0, -7.0]])
+        theta, det, ok = solve(sums)
+        assert np.array_equal(theta, solve(sums[:, :5])[0])
+        assert_allclose(theta, [[-1.0 / 6.0, 1.0 / 6.0]]) and det[0] == 27 and ok[0]
+
+
 class TestScore:
     def test_zero_innovations(self):
         p = ModelParams(0.3, 0.5)
@@ -229,7 +262,7 @@ class TestScore:
         f = FieldSimulator(p, w).sample(RngStream(14, 2))
         b, c = normal_equations(f, w)
         a = score_vector(f, w)
-        assert_allclose(a, c - b.matvec([p.alpha, p.beta]),
+        assert_allclose(a, c - b.to_array() @ [p.alpha, p.beta],
                         rtol=1e-10, atol=1e-9)
 
     def test_score_mean_zero(self):

@@ -49,6 +49,7 @@ from spatialar.harness import (
     dumps_canonical,
     scaled_expected_B,
 )
+from spatialar.estimate import solve
 from spatialar.limits import expected_B, limit_law
 
 
@@ -142,11 +143,12 @@ class TestRunCLT:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_null_pipeline_is_exactly_zero(self, monkeypatch):
-        # every replication estimates the true (alpha, beta): each aggregate
-        # of the scaled errors must vanish exactly
+        # every replication estimates the true (alpha, beta): with B = I and
+        # C = (alpha, beta) each aggregate of the scaled errors must vanish
+        # exactly
         def exact_reps(sim, master_seed, rep_ids, workers=1, pool=None):
-            return np.array([[r, sim.params.alpha, sim.params.beta, 1.0, 0.0, 0.0, 0.0]
-                             for r in rep_ids])
+            return np.array([[1.0, 0.0, 1.0, sim.params.alpha, sim.params.beta]
+                             for _ in rep_ids])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
         rep = run_clt(small_config())
         rec = rep.per_size[0]
@@ -203,6 +205,16 @@ class TestRunCLT:
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
         assert header == "rep_id,alpha_hat,beta_hat,scaled_err_a,scaled_err_b"
+
+    def test_errors_csv_lines_end_in_a_bare_newline(self, tmp_path):
+        # the package's one CSV dialect, as in sim field and cov table
+        run_clt(small_config(ladder=[(16, 16), (20, 20)], out_dir=str(tmp_path / "out")))
+        paths = sorted((tmp_path / "out").glob("errors_*.csv"))
+        assert [path.name for path in paths] == ["errors_m16_s16.csv", "errors_m20_s20.csv"]
+        for path in paths:
+            data = path.read_bytes()
+            assert b"\r" not in data
+            assert data.endswith(b"\n") and data.count(b"\n") == 1 + 100
 
     @pytest.mark.parametrize("margin", [None, 40])
     def test_series_timing_reports_margin_and_tail_bound(self, tmp_path, margin):
@@ -265,19 +277,22 @@ class TestBatchedEngine:
                 with _worker_pool(workers, len(rep_ids)) as pool:
                     runs.append(_run_reps(sim, seed, rep_ids, workers, pool,
                                           score=True))
-        assert len({rows.tobytes() for rows in runs}) == 1
-        # each row is the public single-field path, bit for bit
+        assert len({sums.tobytes() for sums in runs}) == 1
+        assert runs[0].shape == (len(rep_ids), 7)
+        # solve of each row is the public single-field path, bit for bit
+        theta, det, ok = solve(runs[0])
         expected = []
         for rep in rep_ids:
             est = lse(sim.sample(RngStream(seed, rep)), window)
-            expected.append([rep, est.alpha_hat, est.beta_hat, 1.0, est.detB,
+            expected.append([est.alpha_hat, est.beta_hat, est.detB,
                              est.score[0], est.score[1]])
-        assert runs[0].tobytes() == np.array(expected).tobytes()
+        got = np.column_stack([theta, det, runs[0][:, 5:7]])
+        assert ok.all() and got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_without_score_match_the_scored_rows(self, workers):
-        # run_clt and verify_detB pass no innovations: the estimates and detB
-        # keep their bits and both score columns are NaN
+        # run_clt and verify_detB pass no innovations: B and C keep their
+        # bits and the score columns are left out
         params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
         sim = FieldSimulator(params, window)
         sim.batch = 7
@@ -285,8 +300,9 @@ class TestBatchedEngine:
         with _worker_pool(workers, len(rep_ids)) as pool:
             scored = _run_reps(sim, seed, rep_ids, workers, pool, score=True)
             plain = _run_reps(sim, seed, rep_ids, workers, pool)
-        assert plain[:, :5].tobytes() == scored[:, :5].tobytes()
-        assert np.isnan(plain[:, 5:]).all() and np.isfinite(scored[:, 5:]).all()
+        assert plain.shape == (len(rep_ids), 5) and scored.shape == (len(rep_ids), 7)
+        assert plain.tobytes() == scored[:, :5].tobytes()
+        assert np.isfinite(scored[:, 5:]).all()
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -390,11 +406,11 @@ class TestWorkerPool:
         run_reps, live = harness._run_reps, []
 
         def singular_at_rung_2(sim, master_seed, rep_ids, workers=1, pool=None):
-            rows = run_reps(sim, master_seed, rep_ids, workers, pool)
+            sums = run_reps(sim, master_seed, rep_ids, workers, pool)
             live.append(pool is not None)
             if len(live) == 2:
-                rows[:, 3] = 0.0
-            return rows
+                sums[:] = 0.0  # det B = 0: every replication is singular
+            return sums
         monkeypatch.setattr(harness, "_run_reps", singular_at_rung_2)
 
         def hung(signum, frame):
@@ -569,13 +585,13 @@ def test_suite_scales_match_per_case_expressions(design):
     covlim = verify_covlim(design, m, n_probe=50)
     assert_allclose(covlim["value_at_zero_lag"], info * cov_closed(params, 0, 0), **rel)
 
-    rows = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
+    sums = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
                      list(range(reps)), score=True)
-    rows = rows[rows[:, 3] == 1.0]
+    _, det, ok = solve(sums)
     score = verify_score(design, m, s, reps, master_seed=seed)
     assert score["target"] == _prop1_target(design, m)
-    assert_allclose(score["scaled_cov"], np.cov(rows[:, 5:7] * score_scale, rowvar=False),
+    assert_allclose(score["scaled_cov"], np.cov(sums[ok, 5:7] * score_scale, rowvar=False),
                     **rel)
     if design.case_tag is CaseTag.INTERIOR:
         detb = verify_detB(design, m, s, reps, master_seed=seed)
-        assert_allclose(detb["scaled_mean"], np.mean(rows[:, 4] * det_scale), **rel)
+        assert_allclose(detb["scaled_mean"], np.mean(det[ok] * det_scale), **rel)
