@@ -82,6 +82,12 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
+# accumulate's buffer slots, and the order that puts them back as
+# (B11, B12, B22, C1, C2, A1, A2)
+_B22, _B11, _B12, _C1, _C2, _A1, _A2 = range(7)
+_SUMS_ORDER = (_B11, _B12, _B22, _C1, _C2, _A1, _A2)
+
+
 def accumulate(layers, s: int) -> np.ndarray:
     """Per-replication sums (B11, B12, B22, C1, C2[, A1, A2]) over the triangle.
 
@@ -89,42 +95,45 @@ def accumulate(layers, s: int) -> np.ndarray:
     arrays: layer d - 1, layer d, and layer d's innovations, or None, which
     leaves A out.  Every partial goes by ``out=`` into one (s, 7, R) buffer
     allocated at the first layer, one (7, R) slab per layer, 5 rows deep
-    without innovations; no other array outlives its layer.  With
-    x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
+    without innovations; its slots are B22, B11, B12, C1, C2[, A1, A2], and
+    the columns are put back in the order above when the sums are returned.
+    With x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
     products x1.x2, x1.y, x2.y (and x1.eps, x2.eps), and the shift
-    identities x1.x1 = |prev|^2 - prev[-1]^2 and x2.x2 = |prev|^2 - prev[0]^2
-    with |prev|^2 taken from the layer below, which wrote its |y|^2 into
-    this layer's B11 slot.  Per-layer partials are combined with exact
-    (fsum) accumulation: at s >= 128 the sums mix ~1e4 squared terms whose
-    magnitude grows like the near-boundary variance, and naive running sums
-    lose digits.  Each reduction is one BLAS dot product per row (rows have
-    unit stride), so a row's sums depend on that row alone, never on the
-    batch.  Returns an (R, 7) array, (R, 5) without innovations, or one row
-    of 7 zeros without layers (s = 0, reached only by a stored field, R = 1).
+    identities x2.x2 = |prev|^2 - prev[0]^2 and x1.x1 = |prev|^2 - prev[-1]^2
+    as one subtraction into the two adjacent slots B22, B11.  |prev|^2 is
+    carried in one (R,) vector: the layer below wrote its |y|^2 there.  No
+    other array outlives its layer.  Per-layer partials are combined with
+    exact (fsum) accumulation: at s >= 128 the sums mix ~1e4 squared terms
+    whose magnitude grows like the near-boundary variance, and naive running
+    sums lose digits.  Each reduction is one BLAS dot product per row (rows
+    have unit stride), so a row's sums depend on that row alone, never on
+    the batch.  Returns an (R, 7) array, (R, 5) without innovations, or one
+    row of 7 zeros without layers (s = 0, reached only by a stored field,
+    R = 1).
     """
     buf = None
     for d, (prev, y, eps) in enumerate(layers):
         if buf is None:
             buf = np.empty((s, 5 if eps is None else 7, len(y)))
-            np.vecdot(prev, prev, out=buf[0, 0])
+            norm = np.vecdot(prev, prev)
         part = buf[d]
         x1, x2 = prev[:, :-1], prev[:, 1:]
-        # part[0] holds |prev|^2 until B11 overwrites it
-        np.subtract(part[0], np.square(prev[:, 0]), out=part[2])
-        np.subtract(part[0], np.square(prev[:, -1]), out=part[0])
-        np.vecdot(x1, x2, out=part[1])
-        np.vecdot(x1, y, out=part[3])
-        np.vecdot(x2, y, out=part[4])
+        # prev[0]^2 and prev[-1]^2 as (R, 2), subtracted into B22 and B11
+        ends = np.square(prev[:, ::prev.shape[1] - 1])
+        np.subtract(norm, ends.T, out=part[_B22:_B11 + 1])
+        np.vecdot(x1, x2, out=part[_B12])
+        np.vecdot(x1, y, out=part[_C1])
+        np.vecdot(x2, y, out=part[_C2])
         if eps is not None:
-            np.vecdot(x1, eps, out=part[5])
-            np.vecdot(x2, eps, out=part[6])
+            np.vecdot(x1, eps, out=part[_A1])
+            np.vecdot(x2, eps, out=part[_A2])
         if d + 1 < s:
-            np.vecdot(y, y, out=buf[d + 1, 0])
+            np.vecdot(y, y, out=norm)
     if buf is None:
         return np.zeros((1, 7))
     if d + 1 != s:
         raise ValueError(f"accumulate was told of {s} layers but given {d + 1}")
-    return np.array([[math.fsum(buf[:, c, r].tolist()) for c in range(buf.shape[1])]
+    return np.array([[math.fsum(buf[:, c, r].tolist()) for c in _SUMS_ORDER[:buf.shape[1]]]
                      for r in range(buf.shape[2])])
 
 

@@ -373,7 +373,11 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     the limit-law rate.  Boundary designs additionally record the
     square-root-normalised errors (whose limit covariance is the identity).
     Singular replications are dropped and counted; more than 1% of them
-    aborts the run.
+    aborts the run.  An interior rung passes when the error variance along
+    the limit's direction w = (1, -sign(alpha beta)) / sqrt(2) ("diff" when
+    alpha beta > 0, "sum" when it is < 0) is within ``cov_rel_tol`` of the
+    limit, and the variance along the other, null, direction is at most
+    ``zero_var_ceiling``.
 
     Every rung runs on the one pool of ``workers`` processes that
     ``_worker_pool`` opens for the whole ladder, or in-process when it
@@ -429,14 +433,17 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             entry_pass = None
             if law.case_tag is CaseTag.INTERIOR:
                 lim = law.covariance
-                lim_diff = (lim.a11 + lim.a22 - 2 * lim.a12) / 2.0
                 record["limit_cov"] = lim
                 record["limit_proj"] = {"sum": (lim.a11 + lim.a22 + 2 * lim.a12) / 2.0,
-                                        "diff": lim_diff}
+                                        "diff": (lim.a11 + lim.a22 - 2 * lim.a12) / 2.0}
+                # the limit is 4|ab| w w' with w = (1, -sign(ab))/sqrt(2): the
+                # diff direction when alpha*beta > 0, the sum direction when it
+                # is < 0; the other direction u is its null direction
+                w, u = ("diff", "sum") if lim.a12 < 0 else ("sum", "diff")
+                lim_w = record["limit_proj"][w]
                 tol = config.tolerances
-                entry_pass = (abs(record["proj_var"]["diff"] - lim_diff)
-                              <= tol.cov_rel_tol * lim_diff
-                              and record["proj_var"]["sum"] <= tol.zero_var_ceiling)
+                entry_pass = (abs(record["proj_var"][w] - lim_w) <= tol.cov_rel_tol * lim_w
+                              and record["proj_var"][u] <= tol.zero_var_ceiling)
             else:
                 half = sqrt_spd2(_prop1_target(design, m))
                 norm_err = errors @ half.to_array().T

@@ -254,6 +254,9 @@ class Field:
     ``values[d]`` holds layer d (d = 0 .. s); entry p corresponds to
     i = d - l + p.  ``innovations[d - 1]`` (d = 1 .. s), when present, holds
     the eps draws for the triangle layers in the same position convention.
+    Construction checks the number of layers and the length s - d + 1 of
+    each, and raises ValueError naming the first layer that is off.
+    ``value`` reads one point of the hull {i + j >= 0, i <= k, j <= l}.
     """
 
     window: TriangleWindow
@@ -269,14 +272,22 @@ class Field:
             raise ValueError(f"expected {s} innovation layers")
         for what, layers, first in (("layer", self.values, 0),
                                     ("innovation layer", self.innovations, 1)):
-            for d, layer in enumerate(layers or [], first):
+            # layer d has s - d + 1 points: one comparison of all lengths,
+            # and a search for the first bad layer only when it fails
+            if layers is None or list(map(len, layers)) == list(range(s + 1 - first, 0, -1)):
+                continue
+            for d, layer in enumerate(layers, first):
                 if len(layer) != self.window.layer_len(d):
                     raise ValueError(f"{what} {d} has length {len(layer)}, "
                                      f"expected {self.window.layer_len(d)}")
 
     def value(self, i: int, j: int) -> float:
+        """X(i, j); IndexError for a point outside the hull."""
+        w = self.window
         d = i + j
-        return float(self.values[d][i - self.window.layer_start(d)])
+        if d < 0 or i > w.k or j > w.l:
+            raise IndexError(f"point ({i}, {j}) is outside the hull of window ({w.k}, {w.l})")
+        return float(self.values[d][i - w.layer_start(d)])
 
     def has_innovations(self) -> bool:
         return self.innovations is not None

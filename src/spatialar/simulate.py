@@ -313,13 +313,28 @@ class FieldSimulator:
         return y
 
     def _colour(self, z: np.ndarray) -> np.ndarray:
-        # an anti-diagonal layer from its standard normals: the O(width)
-        # Cholesky factor of the AR(1) anti-diagonal covariance
+        """An anti-diagonal layer from its (R, width) standard normals: the
+        O(width) Cholesky factor of the AR(1) anti-diagonal covariance,
+        x_0 = sig z_0 and x_t = D x_(t-1) + sig sqrt(1 - D^2) z_t.
+
+        The recursion runs along the layer, one point at a time for the
+        whole batch.  A batch of one row runs it as a loop over Python
+        floats instead: the same multiply and add per point, so the same
+        bits, without two ufunc calls on a one-element column per point
+        (about 2.8 us a point, 11 ms a layer at s = 4096).
+        """
         d, sig, step = self._ar1
         x = step * z
         x[:, 0] = sig * z[:, 0]
-        for t in range(1, x.shape[1]):
-            x[:, t] += d * x[:, t - 1]
+        if len(x) == 1:
+            row = x[0].tolist()
+            prev = row[0]
+            for t in range(1, len(row)):
+                prev = row[t] = row[t] + d * prev
+            x[0] = row
+        else:
+            for t in range(1, x.shape[1]):
+                x[:, t] += d * x[:, t - 1]
         return x
 
     def sweep(self, streams: list[RngStream]):

@@ -39,7 +39,13 @@ from spatialar import (
     verify_prop1,
     verify_score,
 )
-from spatialar.harness import dumps_canonical
+from spatialar.covariance import d_factor
+from spatialar.harness import (
+    _matrix_rel_dev,
+    _prop1_target,
+    dumps_canonical,
+    scaled_expected_B,
+)
 
 from fieldref import triangle_indices
 
@@ -115,8 +121,8 @@ def test_c03_expected_B_exact_closed_form():
     strict=True,
     reason="the scaled-mean off-diagonal is D_m = (1-x)/(1+x) with "
     "x = sigma^-2 ~ 2/sqrt(m): its deviation from the limit 1 is ~22% at "
-    "m = 256 and reaches 10% only near m = 1600; exact computation, "
-    "no Monte Carlo noise involved")
+    "m = 256 (0.2173) and falls below 10% only at m = s = 1415 (0.0944 at "
+    "1600); exact computation, no Monte Carlo noise involved")
 def test_c04a_prop1_interior_final_deviation():
     t0 = time.perf_counter()
     r = verify_prop1(INTERIOR, [(64, 64), (128, 128), (256, 256)])
@@ -128,6 +134,18 @@ def test_c04a_prop1_interior_final_deviation():
     assert r["strictly_decreasing"]
     assert r["final_deviation"] < 0.10
     assert elapsed < 10.0
+
+
+def test_c04a_reason_prop1_deviation_falls_below_10pct_at_1415():
+    # exact: verify_prop1's deviation falls strictly with m = s, reads
+    # 0.2173 at 256 and 0.0944 at 1600 (to 5e-5), and first falls below
+    # its 0.10 tolerance at m = s = 1415
+    r = verify_prop1(INTERIOR, [(m, m) for m in range(256, 1601)])
+    devs = dict(zip(range(256, 1601), r["deviations"]))
+    assert r["strictly_decreasing"]
+    assert devs[256] == pytest.approx(0.2173, abs=5e-5)
+    assert devs[1414] >= 0.10 > devs[1415]
+    assert devs[1600] == pytest.approx(0.0944, abs=5e-5)
 
 
 def test_c04b_prop1_boundary():
@@ -202,9 +220,10 @@ def test_c07_determinant_monte_carlo():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the scaled score covariance equals the scaled E[B] exactly; its "
-    "off-diagonal at m = s = 128 is 0.2506 = 0.3536 x D_m with "
-    "D_m = 0.7006, i.e. 29% below the limit; within 20% needs m >~ 650")
+    reason="the scaled score covariance equals the scaled E[B] exactly; at "
+    "m = s = 128 its off-diagonal is 0.2506 = 0.3577 x D_m, the scaled "
+    "diagonal 0.3577 times D_m = 0.7006, i.e. 29% below the limit 0.3536; "
+    "this exact first-order deviation falls below 20% only at m = s = 310")
 def test_c08_score_monte_carlo():
     t0 = time.perf_counter()
     r = verify_score(INTERIOR, 128, 128, reps=1000, master_seed=801)
@@ -213,6 +232,33 @@ def test_c08_score_monte_carlo():
                          f"from 0.3536 x ones (tol 20%)", elapsed)
     assert r["pass"], r
     assert elapsed < 120.0
+
+
+def test_c08_reason_scaled_E_B_at_128():
+    # exact: at m = s = 128 the scaled E[B] (= the scaled score covariance)
+    # has diagonal 0.3577 and off-diagonal 0.2506 = 0.3577 x D_m with
+    # D_m = 0.7006, to 5e-5; the limit's 0.3536 x D_m would be 0.2477
+    p = INTERIOR.params_at(128)
+    eb = scaled_expected_B(INTERIOR, 128, 128)
+    d_m = d_factor(p)
+    assert eb.a11 == pytest.approx(0.3577, abs=5e-5)
+    assert eb.a12 == pytest.approx(0.2506, abs=5e-5)
+    assert d_m == pytest.approx(0.7006, abs=5e-5)
+    assert abs(eb.a12 - eb.a11 * d_m) <= 1e-15
+    assert _prop1_target(INTERIOR, 128).a11 * d_m == pytest.approx(0.2477, abs=5e-5)
+
+
+def test_c08_reason_first_order_deviation_falls_below_20pct_at_310():
+    # exact: verify_score's metric evaluated on the scaled E[B] falls
+    # strictly with m = s, reads 0.291 at 128 (to 5e-4) and first falls
+    # below its 0.20 tolerance at m = s = 310
+    def dev(m):
+        return _matrix_rel_dev(scaled_expected_B(INTERIOR, m, m).to_array(),
+                               _prop1_target(INTERIOR, m))
+    devs = [dev(m) for m in range(128, 311)]
+    assert all(b < a for a, b in zip(devs, devs[1:]))
+    assert devs[0] == pytest.approx(0.291, abs=5e-4)
+    assert devs[-2] >= 0.20 > devs[-1]
 
 
 def test_c09_property_suites():

@@ -169,7 +169,7 @@ class TestLSE:
 
 
 class TestAccumulate:
-    @pytest.mark.parametrize("dist", [InnovationDist.GAUSSIAN, InnovationDist.RADEMACHER])
+    @pytest.mark.parametrize("dist", list(InnovationDist))
     @pytest.mark.parametrize("reps", [1, 5])
     @pytest.mark.parametrize("with_eps", [True, False], ids=["eps", "no_eps"])
     def test_buffer_equals_the_list_reference_bit_for_bit(self, dist, reps, with_eps):

@@ -24,6 +24,7 @@ from spatialar import (
     Schedule,
     SimMethod,
     OutOfRangeError,
+    Tolerances,
     TriangleWindow,
     cov_binrep,
     cov_closed,
@@ -171,6 +172,27 @@ class TestRunCLT:
         v1, v2 = (r["proj_var"] for r in rep.per_size)
         assert v2["sum"] < v1["sum"]
         assert 0.2 < v2["diff"] / v1["diff"] < 5.0
+
+    def test_negative_product_interior_check_reads_the_sum_direction(self):
+        # at alpha*beta < 0 the limit 4|ab| w w' lies along w = (1, 1)/sqrt(2):
+        # var(sum) is compared with the limit 1.0 to cov_rel_tol, and
+        # var(diff), the null direction, is bounded by zero_var_ceiling.
+        # Tolerances 1% either side of each measured deviation flip the pass
+        design = NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, -0.5),
+                                      Schedule.constant(1.0), Schedule.constant(-1.0))
+
+        def run(tol):
+            return run_clt(small_config(design=design, ladder=[(64, 64)], reps=200,
+                                        master_seed=5, tolerances=tol)).per_size[0]
+
+        rec = run(Tolerances())
+        pv, lim = rec["proj_var"], rec["limit_proj"]
+        assert lim["sum"] == pytest.approx(1.0) and lim["diff"] == 0.0
+        dev_sum = abs(pv["sum"] - lim["sum"]) / lim["sum"]
+        assert 0.0 < dev_sum < 0.5 and 0.0 < pv["diff"] < 0.5
+        assert run(Tolerances(1.01 * dev_sum, 1.01 * pv["diff"]))["pass"]
+        assert not run(Tolerances(0.99 * dev_sum, 1.01 * pv["diff"]))["pass"]
+        assert not run(Tolerances(1.01 * dev_sum, 0.99 * pv["diff"]))["pass"]
 
     def test_boundary_records(self):
         cfg = ExperimentConfig(boundary_design(), [(16, 64)], reps=150,

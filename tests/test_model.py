@@ -192,3 +192,40 @@ class TestField:
         assert f.value(-1, 1) == 1.0
         assert f.value(1, -1) == 3.0
         assert f.value(1, 1) == 6.0
+
+    def test_value_outside_the_hull_is_an_index_error(self):
+        # the hull of (1, 1) is i + j >= 0, i <= 1, j <= 1; one valid point
+        # on each edge, then points beyond each edge
+        w = TriangleWindow(1, 1)
+        f = Field(w, [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]),
+                      np.array([6.0])])
+        assert (f.value(0, 0), f.value(1, 0), f.value(0, 1)) == (2.0, 5.0, 4.0)
+        for i, j in ((-2, 1), (0, 2), (2, -1), (-1, 0), (2, 2)):
+            with pytest.raises(IndexError, match=rf"^point \({i}, {j}\) is outside "
+                                                 r"the hull of window \(1, 1\)$"):
+                f.value(i, j)
+
+    def test_every_bad_layer_is_named(self):
+        # window (2, 2): value layers of 5, 4, 3, 2, 1 points and innovation
+        # layers of 4, 3, 2, 1; the first bad layer is the one named
+        w = TriangleWindow(2, 2)
+        values = [np.ones(n) for n in (5, 4, 3, 2, 1)]
+        eps = [np.ones(n) for n in (4, 3, 2, 1)]
+        Field(w, values, eps)
+        cases = [
+            (values[:2] + [np.ones(4)] + values[3:], eps,
+             "^layer 2 has length 4, expected 3$"),
+            (values[:4] + [np.ones(2)], eps, "^layer 4 has length 2, expected 1$"),
+            ([values[0], np.ones(3), values[2], np.ones(1), values[4]], eps,
+             "^layer 1 has length 3, expected 4$"),
+            (values, eps[:1] + [np.ones(2)] + eps[2:],
+             "^innovation layer 2 has length 2, expected 3$"),
+            (values, eps[:3] + [np.ones(0)], "^innovation layer 4 has length 0, expected 1$"),
+            (values[:4], eps, "^expected 5 value layers, got 4$"),
+            (values + [np.ones(1)], eps, "^expected 5 value layers, got 6$"),
+            (values, eps[:3], "^expected 4 innovation layers$"),
+            (values, eps + [np.ones(1)], "^expected 4 innovation layers$"),
+        ]
+        for vals, innov, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Field(w, vals, innov)

@@ -160,6 +160,25 @@ class TestSimulate:
                          np.concatenate(f.innovations).tobytes()))
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_sample_is_its_row_of_a_batched_sweep(self, dist):
+        # sample colours its deep layer (s + 1 + M points) as a batch of one
+        # row, by a loop over floats; a batch of 3 rows colours it column by
+        # column.  On a wide window every layer of each row matches bit for
+        # bit, at depth 0 for Gaussian innovations and at the law's default
+        # depth otherwise
+        w = TriangleWindow.balanced(301)
+        sim = FieldSimulator(ModelParams(0.45, 0.4), w, SimMethod(None), dist)
+        streams = [RngStream(12, r) for r in range(3)]
+        layers = list(sim.sweep(streams))
+        assert (sim.method.margin == 0) == (dist is InnovationDist.GAUSSIAN)
+        for r, stream in enumerate(streams):
+            f = sim.sample(stream)
+            rows = [layers[0][0][r]] + [y[r] for _, y, _ in layers]
+            assert np.concatenate(f.values).tobytes() == np.concatenate(rows).tobytes()
+            assert (np.concatenate(f.innovations).tobytes()
+                    == np.concatenate([eps[r] for _, _, eps in layers]).tobytes())
+
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
         w = TriangleWindow.balanced(24)
