@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,9 +273,12 @@ class Field:
             raise ValueError(f"expected {s} innovation layers")
         for what, layers, first in (("layer", self.values, 0),
                                     ("innovation layer", self.innovations, 1)):
-            # layer d has s - d + 1 points: one comparison of all lengths,
-            # and a search for the first bad layer only when it fails
-            if layers is None or list(map(len, layers)) == list(range(s + 1 - first, 0, -1)):
+            # layer d has s - d + 1 points: one pass compares every length
+            # with the descending range, without building either as a list
+            # while the whole field is held, and the first bad layer is
+            # searched for only when that pass fails
+            if layers is None or all(map(operator.eq, map(len, layers),
+                                         range(s + 1 - first, 0, -1))):
                 continue
             for d, layer in enumerate(layers, first):
                 if len(layer) != self.window.layer_len(d):

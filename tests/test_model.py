@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestField:
             with pytest.raises(IndexError, match=rf"^point \({i}, {j}\) is outside "
                                                  r"the hull of window \(1, 1\)$"):
                 f.value(i, j)
+
+    def test_checking_a_large_field_allocates_little(self):
+        # the field is at its largest when it is built, so the length check
+        # must not hold its s + 1 lengths as a list: at s = 2048 such lists
+        # take 140 KiB; the lazy comparison reads under 1 KiB in a plain
+        # interpreter and 17 KiB under pytest
+        w = TriangleWindow.balanced(2048)
+        values = [np.zeros(n) for n in range(w.s + 1, 0, -1)]
+        Field(w, values, values[1:])
+        tracemalloc.start()
+        try:
+            Field(w, values, values[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
 
     def test_every_bad_layer_is_named(self):
         # window (2, 2): value layers of 5, 4, 3, 2, 1 points and innovation
