@@ -34,7 +34,6 @@ from .errors import (
 )
 from .estimate import (
     EstimateResult,
-    Matrix2,
     lse,
     normal_equations,
     score_vector,

@@ -26,57 +26,25 @@ from .errors import MissingInnovationsError, MissingValuesError, SingularDesignE
 from .model import Field, TriangleWindow
 
 __all__ = [
-    "Matrix2", "EstimateResult", "accumulate", "solve",
-    "normal_equations", "lse", "score_vector",
+    "EstimateResult", "accumulate", "solve", "normal_equations", "lse", "score_vector",
 ]
 
 _SINGULAR_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class Matrix2:
-    """Plain 2x2 matrix of floats."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    @classmethod
-    def symmetric(cls, diag: float, off: float) -> "Matrix2":
-        return cls(diag, off, off, diag)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def adjugate(self) -> "Matrix2":
-        return Matrix2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def scale(self, c: float) -> "Matrix2":
-        return Matrix2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
-
-    def is_symmetric(self, atol: float = 0.0) -> bool:
-        return abs(self.a12 - self.a21) <= atol
-
-    def max_abs(self) -> float:
-        return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     """LSE output with its normal-equation components.
 
-    ``cross`` is the right-hand side C; ``score``, present when the field
+    ``B`` is the symmetric design matrix as a (2, 2) float array, ``cross``
+    the right-hand side C as a (2,) array; ``score``, present when the field
     retains innovations, is A = sum (x1 eps, x2 eps) and satisfies
     A = C - B (alpha, beta)' for the generating parameters.
     """
 
     alpha_hat: float
     beta_hat: float
-    B: Matrix2
+    B: np.ndarray
     cross: np.ndarray
     detB: float
     score: np.ndarray | None = None
@@ -93,10 +61,11 @@ def accumulate(layers, s: int) -> np.ndarray:
 
     ``layers`` yields exactly s layers (prev, y, eps), d = 1 .. s, as (R, .)
     arrays: layer d - 1, layer d, and layer d's innovations, or None, which
-    leaves A out.  Every partial goes by ``out=`` into one (s, 7, R) buffer
-    allocated at the first layer, one (7, R) slab per layer, 5 rows deep
-    without innovations; its slots are B22, B11, B12, C1, C2[, A1, A2], and
-    the columns are put back in the order above when the sums are returned.
+    leaves A out; fewer or more than s layers raise ValueError.  Every
+    partial goes by ``out=`` into one (s, 7, R) buffer allocated at the
+    first layer, one (7, R) slab per layer, 5 rows deep without innovations;
+    its slots are B22, B11, B12, C1, C2[, A1, A2], and the columns are put
+    back in the order above when the sums are returned.
     With x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
     products x1.x2, x1.y, x2.y (and x1.eps, x2.eps), and the shift
     identities x2.x2 = |prev|^2 - prev[0]^2 and x1.x1 = |prev|^2 - prev[-1]^2
@@ -113,6 +82,8 @@ def accumulate(layers, s: int) -> np.ndarray:
     """
     buf = None
     for d, (prev, y, eps) in enumerate(layers):
+        if d == s:
+            raise ValueError(f"accumulate was told of {s} layers but given more")
         if buf is None:
             buf = np.empty((s, 5 if eps is None else 7, len(y)))
             norm = np.vecdot(prev, prev)
@@ -170,8 +141,9 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
     return accumulate(layers, w.s)[0]
 
 
-def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarray]:
-    """Accumulate B and C over the triangle in one pass.
+def normal_equations(field: Field, w: TriangleWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate B, a (2, 2) array, and C, a (2,) array, over the triangle
+    in one pass.
 
     Per layer it reduces |y|^2, x1.x2, x1.y and x2.y; x1.x1 and x2.x2 come
     from the shift identities |prev|^2 - prev[-1]^2 and |prev|^2 - prev[0]^2,
@@ -179,7 +151,7 @@ def normal_equations(field: Field, w: TriangleWindow) -> tuple[Matrix2, np.ndarr
     are combined with math.fsum (see ``accumulate``).
     """
     b11, b12, b22, c1, c2 = _field_sums(field, w, with_score=False)[:5].tolist()
-    return Matrix2(b11, b12, b12, b22), np.array([c1, c2])
+    return np.array([[b11, b12], [b12, b22]]), np.array([c1, c2])
 
 
 def lse(field: Field, w: TriangleWindow) -> EstimateResult:
@@ -196,7 +168,7 @@ def lse(field: Field, w: TriangleWindow) -> EstimateResult:
             f"normal equations singular on window ({w.k}, {w.l}): det = {det:g}"
         )
     b11, b12, b22, c1, c2 = sums[:5].tolist()
-    return EstimateResult(float(theta[0]), float(theta[1]), Matrix2(b11, b12, b12, b22),
+    return EstimateResult(float(theta[0]), float(theta[1]), np.array([[b11, b12], [b12, b22]]),
                           np.array([c1, c2]), float(det), sums[5:7] if with_score else None)
 
 

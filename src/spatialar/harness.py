@@ -38,7 +38,7 @@ from .covariance import (
 )
 from .errors import ConfigError, ExperimentAbortedError
 # lse is not called here; perfbench/tracing.py wraps harness.lse by name
-from .estimate import Matrix2, accumulate, lse, solve
+from .estimate import accumulate, lse, solve
 from .limits import (
     condition_statistic,
     expected_B,
@@ -212,8 +212,6 @@ def _canon(obj):
         return format17(x)
     if isinstance(obj, np.ndarray):
         return _canon(obj.tolist())
-    if isinstance(obj, Matrix2):
-        return _canon([[obj.a11, obj.a12], [obj.a21, obj.a22]])
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
@@ -323,9 +321,8 @@ def _sample_cov(rows: np.ndarray) -> np.ndarray:
     return centred.T @ centred / (len(rows) - 1)
 
 
-def _matrix_rel_dev(emp: np.ndarray, target: Matrix2) -> float:
-    t = target.to_array()
-    return float(np.max(np.abs(emp - t)) / np.max(np.abs(t)))
+def _matrix_rel_dev(emp: np.ndarray, target: np.ndarray) -> float:
+    return float(np.max(np.abs(emp - target)) / np.max(np.abs(target)))
 
 
 @dataclass
@@ -432,28 +429,28 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
             entry_pass = None
             if law.case_tag is CaseTag.INTERIOR:
-                lim = law.covariance
-                record["limit_cov"] = lim
-                record["limit_proj"] = {"sum": (lim.a11 + lim.a22 + 2 * lim.a12) / 2.0,
-                                        "diff": (lim.a11 + lim.a22 - 2 * lim.a12) / 2.0}
+                (l11, l12), (_, l22) = law.covariance.tolist()
+                record["limit_cov"] = law.covariance
+                record["limit_proj"] = {"sum": (l11 + l22 + 2 * l12) / 2.0,
+                                        "diff": (l11 + l22 - 2 * l12) / 2.0}
                 # the limit is 4|ab| w w' with w = (1, -sign(ab))/sqrt(2): the
                 # diff direction when alpha*beta > 0, the sum direction when it
                 # is < 0; the other direction u is its null direction
-                w, u = ("diff", "sum") if lim.a12 < 0 else ("sum", "diff")
+                w, u = ("diff", "sum") if l12 < 0 else ("sum", "diff")
                 lim_w = record["limit_proj"][w]
                 tol = config.tolerances
                 entry_pass = (abs(record["proj_var"][w] - lim_w) <= tol.cov_rel_tol * lim_w
                               and record["proj_var"][u] <= tol.zero_var_ceiling)
             else:
                 half = sqrt_spd2(_prop1_target(design, m))
-                norm_err = errors @ half.to_array().T
+                norm_err = errors @ half.T
                 record["omega_n"] = omega_n(design.boundary, design.gamma(m),
                                             design.delta(m))
                 record["normalized_cov"] = _sample_cov(norm_err).tolist()
                 if law.covariance is not None:
                     record["limit_cov"] = law.covariance
                     record["elementwise_dev"] = _matrix_rel_dev(cov, law.covariance)
-                    tgt = law.covariance.to_array()
+                    tgt = law.covariance
                     entry_pass = bool(np.all(
                         np.abs(cov - tgt) <= config.tolerances.cov_rel_tol * np.abs(tgt)))
             if entry_pass is not None:
@@ -529,21 +526,20 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
             "tol": tol, "pass": worst <= tol}
 
 
-def _prop1_target(design: NearlyUnstableDesign, m_probe: int) -> Matrix2:
+def _prop1_target(design: NearlyUnstableDesign, m_probe: int) -> np.ndarray:
     """Limit of the scaled information mean and of the scaled score covariance:
     Psi / sqrt(32|a||b|) (interior) or Theta(theta(omega_m)) (boundary)."""
     bp = design.boundary
     if design.case_tag is CaseTag.INTERIOR:
         c = (32.0 * abs(bp.alpha) * abs(bp.beta)) ** -0.5
-        return psi_matrix(bp).scale(c)
+        return psi_matrix(bp) * c
     omega = omega_n(bp, design.gamma(m_probe), design.delta(m_probe))
     return theta_matrix(theta_scalar(bp, omega))
 
 
-def scaled_expected_B(design: NearlyUnstableDesign, m: int, s: int) -> Matrix2:
+def scaled_expected_B(design: NearlyUnstableDesign, m: int, s: int) -> np.ndarray:
     """The Prop-1 scaling applied to the exact E[B] at (m, s)."""
-    scale = condition_statistic(design, m, 1) * s**-2.0
-    return expected_B(design.params_at(m), s).scale(scale)
+    return expected_B(design.params_at(m), s) * (condition_statistic(design, m, 1) * s**-2.0)
 
 
 # the suites' tolerances are fixed; each report names the one it used
@@ -560,10 +556,7 @@ def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]]) ->
     decrease and the final one is below ``_PROP1_FINAL_TOL``.
     """
     target = _prop1_target(design, 1 << 20)
-    deviations = []
-    for m, s in ladder:
-        deviations.append(_matrix_rel_dev(scaled_expected_B(design, m, s).to_array(),
-                                          target))
+    deviations = [_matrix_rel_dev(scaled_expected_B(design, m, s), target) for m, s in ladder]
     decreasing = all(b < a for a, b in zip(deviations, deviations[1:]))
     return {
         "ladder": [[m, s] for m, s in ladder],
@@ -602,7 +595,7 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int) -> dict:
         raise ConfigError(f"n_probe must be at least 1, got {n_probe}")
     params = design.params_at(m)
     scale = condition_statistic(design, m, 1)
-    bound = 2.0 * _prop1_target(design, m).a11
+    bound = 2.0 * float(_prop1_target(design, m)[0, 0])
 
     def scaled_R(n: int, s1, t1, s2, t2) -> float:
         dk = math.floor(n * s1) - math.floor(n * s2)
@@ -638,7 +631,7 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
         raise ConfigError("the determinant limit is an interior-case statement")
     _, det = _solved_rows(design, m, s, reps, master_seed, workers, score=False)
     scaled = det * (condition_statistic(design, m, 1) * s**-4.0)
-    target = _prop1_target(design, m).a11 / limit_law(design).covariance.a11
+    target = float(_prop1_target(design, m)[0, 0] / limit_law(design).covariance[0, 0])
     mean = float(scaled.mean())
     return {
         "m": m, "s": s, "reps": len(det),

@@ -13,6 +13,10 @@ Two regimes, split on the boundary point (|alpha| + |beta| = 1):
 Also here: the exact mean of the normal-equation matrix (closed form), the
 divergence statistics the asymptotics condition on, and the 2x2 SPD
 inverse / square-root helpers used to normalise boundary-case errors.
+Every 2x2 matrix here is a (2, 2) float array; determinants and adjugates
+are formed by the explicit formulas det = a11 a22 - a12 a21 and
+adj = [[a22, -a12], [-a21, a11]], not by ``np.linalg``, so the bits of the
+reported matrices are fixed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .covariance import d_factor, sigma_sq
 from .errors import (
@@ -29,7 +35,6 @@ from .errors import (
     RateUndefinedError,
     SingularMatrixError,
 )
-from .estimate import Matrix2
 from .model import BoundaryPoint, CaseTag, ModelParams, NearlyUnstableDesign
 
 __all__ = [
@@ -45,14 +50,28 @@ def _sign(x: float) -> int:
     return 0 if x == 0 else (1 if x > 0 else -1)
 
 
-def psi_matrix(bp: BoundaryPoint) -> Matrix2:
+def _symmetric(diag: float, off: float) -> np.ndarray:
+    return np.array([[diag, off], [off, diag]])
+
+
+def _det(m: np.ndarray) -> float:
+    (a11, a12), (a21, a22) = m.tolist()
+    return a11 * a22 - a12 * a21
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    (a11, a12), (a21, a22) = m.tolist()
+    return np.array([[a22, -a12], [-a21, a11]])
+
+
+def psi_matrix(bp: BoundaryPoint) -> np.ndarray:
     """Psi = [[1, sign(ab)], [sign(ab), 1]]; diagonal when alpha*beta = 0."""
     s = _sign(bp.alpha * bp.beta)
-    return Matrix2.symmetric(1.0, float(s))
+    return _symmetric(1.0, float(s))
 
 
-def psi_adjugate(bp: BoundaryPoint) -> Matrix2:
-    return psi_matrix(bp).adjugate()
+def psi_adjugate(bp: BoundaryPoint) -> np.ndarray:
+    return _adjugate(psi_matrix(bp))
 
 
 def omega_n(bp: BoundaryPoint, gamma_m: float, delta_m: float) -> float:
@@ -105,47 +124,51 @@ def theta_scalar(bp: BoundaryPoint, omega: float) -> float:
     return -s * math.copysign(1.0, omega) / (abs(omega) + math.sqrt(omega * omega - 1.0))
 
 
-def theta_matrix(theta: float) -> Matrix2:
+def theta_matrix(theta: float) -> np.ndarray:
     """Theta = (1/4) [[1, theta], [theta, 1]]; singular exactly at |theta| = 1."""
     if abs(theta) > 1.0:
         raise OutOfRangeError(f"|theta| = {abs(theta)} > 1")
-    return Matrix2.symmetric(0.25, 0.25 * theta)
+    return _symmetric(0.25, 0.25 * theta)
 
 
-def invert_spd2(m: Matrix2) -> Matrix2:
-    """adj(M) / det(M); singular when |det| <= 1e-14 max|M|^2."""
-    det = m.det()
-    if abs(det) <= 1e-14 * max(m.max_abs() ** 2, 1e-300):
+def invert_spd2(m: np.ndarray) -> np.ndarray:
+    """adj(M) / det(M), as adj(M) times 1 / det(M); singular when
+    |det| <= 1e-14 max|M|^2."""
+    det = _det(m)
+    if abs(det) <= 1e-14 * max(float(np.abs(m).max()) ** 2, 1e-300):
         raise SingularMatrixError(f"matrix with det {det:g} is not invertible")
-    return m.adjugate().scale(1.0 / det)
+    return _adjugate(m) * (1.0 / det)
 
 
-def sqrt_spd2(m: Matrix2) -> Matrix2:
+def sqrt_spd2(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root: S = (M + sqrt(det) I) / sqrt(tr + 2 sqrt(det))."""
-    if not m.is_symmetric(1e-12 * max(1.0, m.max_abs())):
+    (a11, a12), (a21, a22) = m.tolist()
+    scale = max(1.0, float(np.abs(m).max()))
+    if abs(a12 - a21) > 1e-12 * scale:
         raise NotSPDError("matrix is not symmetric")
-    det, tr = m.det(), m.a11 + m.a22
-    scale = max(1.0, m.max_abs())
+    det, tr = _det(m), a11 + a22
     if det < -1e-12 * scale**2 or tr < -1e-12 * scale:
         raise NotSPDError(f"matrix with det {det:g}, trace {tr:g} is not PSD")
     root = math.sqrt(max(det, 0.0))
     denom = tr + 2.0 * root
     if denom <= 0.0:
-        return Matrix2.symmetric(0.0, 0.0)
-    return Matrix2(m.a11 + root, m.a12, m.a21, m.a22 + root).scale(1.0 / math.sqrt(denom))
+        return np.zeros((2, 2))
+    # the off-diagonal is kept as it is: adding 0.0 would turn -0.0 into 0.0
+    return np.array([[a11 + root, a12], [a21, a22 + root]]) * (1.0 / math.sqrt(denom))
 
 
 @dataclass(frozen=True)
 class LimitLaw:
     """Scaling rate and limit covariance for one design.
 
-    ``covariance`` is None exactly when only the normalised (square-root
-    standardised) form of the limit exists (boundary case with |omega| = 1).
+    ``covariance`` is a (2, 2) float array, or None exactly when only the
+    normalised (square-root standardised) form of the limit exists
+    (boundary case with |omega| = 1).
     """
 
     case_tag: CaseTag
     rate: Callable[[int, int], float]
-    covariance: Matrix2 | None
+    covariance: np.ndarray | None
     singular: bool
     omega: float | None = None
     omega_settled: bool | None = None
@@ -180,7 +203,7 @@ def limit_law(design: NearlyUnstableDesign, m_probe: int = 4096) -> LimitLaw:
     """
     bp = design.boundary
     if design.case_tag is CaseTag.INTERIOR:
-        cov = psi_adjugate(bp).scale(2.0 * abs(bp.alpha) * abs(bp.beta))
+        cov = psi_adjugate(bp) * (2.0 * abs(bp.alpha) * abs(bp.beta))
         return LimitLaw(CaseTag.INTERIOR, lambda m, s: float(s), cov, singular=True)
 
     g, d = design.gamma(m_probe), design.delta(m_probe)
@@ -215,8 +238,8 @@ def condition_statistic(design: NearlyUnstableDesign, m: int, s: int) -> float:
     return s * abs(g * g - d * d) ** 0.5 / m
 
 
-def expected_B(p: ModelParams, s: int) -> Matrix2:
-    """Exact mean of the normal-equation matrix on a window with sum s.
+def expected_B(p: ModelParams, s: int) -> np.ndarray:
+    """Exact mean of the normal-equation matrix on a window with sum s, (2, 2).
 
     Stationarity collapses the sum over the triangle:
     E[B] = (s(s+1)/2) sigma^2 [[1, D], [D, 1]] with D the product of the two
@@ -227,4 +250,4 @@ def expected_B(p: ModelParams, s: int) -> Matrix2:
     p.require_stationary()
     n = s * (s + 1) / 2.0
     s2 = sigma_sq(p)
-    return Matrix2.symmetric(n * s2, n * s2 * d_factor(p))
+    return _symmetric(n * s2, n * s2 * d_factor(p))

@@ -28,6 +28,7 @@ from spatialar import (
     Schedule,
     Tolerances,
     TriangleWindow,
+    condition_statistic,
     cov_closed,
     expected_B,
     pmf_s,
@@ -106,9 +107,9 @@ def test_c03_expected_B_exact_closed_form():
             diag = math.fsum(r00 for _ in pts)
             off = math.fsum(r_off for _ in pts)
             eb = expected_B(p, s)
-            worst = max(worst, abs(diag - eb.a11), abs(off - eb.a12))
+            worst = max(worst, abs(diag - eb[0, 0]), abs(off - eb[0, 1]))
     spot = expected_B(ModelParams(0.25, 0.25), 2)
-    spot_dev = max(abs(spot.a11 - 3.4641016), abs(spot.a12 - 0.2487113))
+    spot_dev = max(abs(spot[0, 0] - 3.4641016), abs(spot[0, 1] - 0.2487113))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and spot_dev <= 1e-6 and elapsed < 5
     report(3, ok, f"brute-force vs closed form worst {worst:.2e} (tol 1e-8), "
@@ -185,6 +186,22 @@ def test_c05_interior_clt_monte_carlo():
     assert elapsed < 120.0
 
 
+def test_c05_reason_first_order_sum_variance_falls_below_ceiling_at_1754():
+    # exact: the first-order var(sum) s^2 / u'E[B]u, u = (1, 1)/sqrt(2),
+    # falls strictly with m = s, reads 0.2055 at 128 (to 5e-5) and first
+    # falls below c05's 0.05 ceiling at m = s = 1754 (0.050007 at 1753 and
+    # 0.049992 at 1754, to 5e-7)
+    def var_sum(m):
+        (b11, b12), (_, b22) = expected_B(INTERIOR.params_at(m), m).tolist()
+        return m * m / ((b11 + b22 + 2.0 * b12) / 2.0)
+    v = [var_sum(m) for m in range(128, 1755)]
+    assert all(b < a for a, b in zip(v, v[1:]))
+    assert v[0] == pytest.approx(0.2055, abs=5e-5)
+    assert v[-2] == pytest.approx(0.050007, abs=5e-7)
+    assert v[-1] == pytest.approx(0.049992, abs=5e-7)
+    assert v[-2] >= 0.05 > v[-1]
+
+
 def test_c06_boundary_clt_monte_carlo():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(BOUNDARY, [(32, 181)], reps=500, master_seed=601,
@@ -218,6 +235,24 @@ def test_c07_determinant_monte_carlo():
     assert elapsed < 60.0
 
 
+def test_c07_reason_first_order_determinant_enters_window_at_262():
+    # exact: the first-order scaled determinant c s^-4 det E[B] rises
+    # strictly with m = s, reads 0.4720 at 64 against verify_detB's target
+    # 0.7071 (to 5e-5), and first enters the 20% window, i.e. reaches
+    # 0.8 x 0.7071, at m = s = 262 (0.56552 at 261 and 0.56574 at 262, to 5e-6)
+    def scaled_det(m):
+        (b11, b12), (b21, b22) = expected_B(INTERIOR.params_at(m), m).tolist()
+        return condition_statistic(INTERIOR, m, 1) * m**-4.0 * (b11 * b22 - b12 * b21)
+    d = [scaled_det(m) for m in range(64, 263)]
+    target = verify_detB(INTERIOR, 64, 64, reps=2)["target"]
+    assert all(a < b for a, b in zip(d, d[1:]))
+    assert d[0] == pytest.approx(0.4720, abs=5e-5)
+    assert target == pytest.approx(0.7071, abs=5e-5)
+    assert d[-2] == pytest.approx(0.56552, abs=5e-6)
+    assert d[-1] == pytest.approx(0.56574, abs=5e-6)
+    assert d[-2] < 0.8 * target <= d[-1]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the scaled score covariance equals the scaled E[B] exactly; at "
@@ -241,11 +276,11 @@ def test_c08_reason_scaled_E_B_at_128():
     p = INTERIOR.params_at(128)
     eb = scaled_expected_B(INTERIOR, 128, 128)
     d_m = d_factor(p)
-    assert eb.a11 == pytest.approx(0.3577, abs=5e-5)
-    assert eb.a12 == pytest.approx(0.2506, abs=5e-5)
+    assert eb[0, 0] == pytest.approx(0.3577, abs=5e-5)
+    assert eb[0, 1] == pytest.approx(0.2506, abs=5e-5)
     assert d_m == pytest.approx(0.7006, abs=5e-5)
-    assert abs(eb.a12 - eb.a11 * d_m) <= 1e-15
-    assert _prop1_target(INTERIOR, 128).a11 * d_m == pytest.approx(0.2477, abs=5e-5)
+    assert abs(eb[0, 1] - eb[0, 0] * d_m) <= 1e-15
+    assert _prop1_target(INTERIOR, 128)[0, 0] * d_m == pytest.approx(0.2477, abs=5e-5)
 
 
 def test_c08_reason_first_order_deviation_falls_below_20pct_at_310():
@@ -253,7 +288,7 @@ def test_c08_reason_first_order_deviation_falls_below_20pct_at_310():
     # strictly with m = s, reads 0.291 at 128 (to 5e-4) and first falls
     # below its 0.20 tolerance at m = s = 310
     def dev(m):
-        return _matrix_rel_dev(scaled_expected_B(INTERIOR, m, m).to_array(),
+        return _matrix_rel_dev(scaled_expected_B(INTERIOR, m, m),
                                _prop1_target(INTERIOR, m))
     devs = [dev(m) for m in range(128, 311)]
     assert all(b < a for a, b in zip(devs, devs[1:]))

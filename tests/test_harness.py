@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spatialar import (
     BoundaryPoint,
@@ -576,9 +576,9 @@ class TestVerifySuites:
 
 def test_scaled_expected_B_limits():
     # closed-form sanity for the two scalings used by the verifiers
-    assert scaled_expected_B(interior_design(), 4096, 4096).a11 == pytest.approx(
+    assert scaled_expected_B(interior_design(), 4096, 4096)[0, 0] == pytest.approx(
         (32 * 0.25) ** -0.5, rel=0.02)
-    assert scaled_expected_B(boundary_design(), 4096, 4096 * 2).a11 == pytest.approx(
+    assert scaled_expected_B(boundary_design(), 4096, 4096 * 2)[0, 0] == pytest.approx(
         0.25, rel=0.01)
 
 
@@ -602,8 +602,8 @@ def test_suite_scales_match_per_case_expressions(design):
     params = design.params_at(m)
     rel = dict(rtol=1e-14, atol=0)
 
-    assert_allclose(scaled_expected_B(design, m, s).to_array(),
-                    expected_B(params, s).scale(mean_scale).to_array(), **rel)
+    assert_allclose(scaled_expected_B(design, m, s),
+                    expected_B(params, s) * mean_scale, **rel)
     covlim = verify_covlim(design, m, n_probe=50)
     assert_allclose(covlim["value_at_zero_lag"], info * cov_closed(params, 0, 0), **rel)
 
@@ -611,7 +611,7 @@ def test_suite_scales_match_per_case_expressions(design):
                      list(range(reps)), score=True)
     _, det, ok = solve(sums)
     score = verify_score(design, m, s, reps, master_seed=seed)
-    assert score["target"] == _prop1_target(design, m)
+    assert_array_equal(score["target"], _prop1_target(design, m))
     assert_allclose(score["scaled_cov"], np.cov(sums[ok, 5:7] * score_scale, rowvar=False),
                     **rel)
     if design.case_tag is CaseTag.INTERIOR:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spatialar import (
     BoundaryPoint,
     CaseTag,
     IndeterminateOmegaError,
-    Matrix2,
     ModelParams,
     NearlyUnstableDesign,
     OutOfRangeError,
@@ -34,7 +33,7 @@ from spatialar import (
 )
 from spatialar.covariance import d_factor
 from spatialar.harness import scaled_expected_B
-from spatialar.limits import omega_limit
+from spatialar.limits import _adjugate, _det, omega_limit
 from spatialar.model import ScheduleKind
 
 THETA_REF = -(2.0 - math.sqrt(3.0))  # = -0.2679491924...
@@ -50,22 +49,61 @@ def boundary_design(gamma=2.0, delta=1.0):
                                 Schedule.constant(gamma), Schedule.constant(delta))
 
 
+class TestTwoByTwoAlgebra:
+    """det and adjugate of a (2, 2) array by the explicit formulas."""
+
+    def test_adjugate_and_det_examples(self):
+        b = np.array([[6.0, 3.0], [3.0, 6.0]])
+        assert_array_equal(_adjugate(b), [[6, -3], [-3, 6]])
+        assert _det(b) == 27
+        identity = np.eye(2)
+        assert_array_equal(_adjugate(identity), identity)
+        assert _det(identity) == 1
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert_array_equal(_adjugate(m), [[4, -2], [-3, 1]])
+        assert _det(m) == -2
+
+    @given(st.lists(st.floats(-100, 100), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_b_times_adjugate_is_det_identity(self, entries):
+        b = np.reshape(entries, (2, 2))
+        prod = b @ _adjugate(b)
+        expected = _det(b) * np.eye(2)
+        scale = max(1.0, np.abs(b).max() ** 2)
+        assert np.max(np.abs(prod - expected)) <= 4 * np.finfo(float).eps * scale
+
+    def test_signed_zeros_survive(self):
+        # at theta = 0 the boundary limit 16 adj(Theta) has -0.0 off the
+        # diagonal, and report.json prints it; the square root keeps a -0.0
+        # off-diagonal too
+        assert np.signbit(invert_spd2(theta_matrix(0.0))).tolist() == [[False, True],
+                                                                        [True, False]]
+        root = sqrt_spd2(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+        assert np.signbit(root).tolist() == [[False, True], [True, False]]
+
+    def test_inverse_multiplies_by_the_reciprocal_of_det(self):
+        # at theta = 0.3, adj / det and adj * (1 / det) differ in the last bit
+        t = theta_matrix(0.3)
+        assert_array_equal(invert_spd2(t), _adjugate(t) * (1.0 / _det(t)))
+        assert not np.array_equal(invert_spd2(t), _adjugate(t) / _det(t))
+
+
 class TestPsi:
     def test_positive_product(self):
         bp = BoundaryPoint.from_pair(0.5, 0.5)
-        assert psi_matrix(bp) == Matrix2(1, 1, 1, 1)
-        assert psi_adjugate(bp) == Matrix2(1, -1, -1, 1)
+        assert_array_equal(psi_matrix(bp), [[1, 1], [1, 1]])
+        assert_array_equal(psi_adjugate(bp), [[1, -1], [-1, 1]])
 
     def test_negative_product(self):
         bp = BoundaryPoint.from_pair(0.5, -0.5)
-        assert psi_matrix(bp) == Matrix2(1, -1, -1, 1)
+        assert_array_equal(psi_matrix(bp), [[1, -1], [-1, 1]])
 
     def test_singular_and_adjugate_consistency(self):
         for pair in [(0.5, 0.5), (0.3, -0.7), (1.0, 0.0)]:
             psi = psi_matrix(BoundaryPoint.from_pair(*pair))
-            assert psi_adjugate(BoundaryPoint.from_pair(*pair)) == psi.adjugate()
+            assert_array_equal(psi_adjugate(BoundaryPoint.from_pair(*pair)), _adjugate(psi))
             if 0 < abs(pair[0]) < 1:
-                assert psi.det() == 0.0
+                assert _det(psi) == 0.0
 
 
 class TestOmega:
@@ -110,12 +148,12 @@ class TestTheta:
 
     def test_theta_matrix_and_inverse(self):
         inv = invert_spd2(theta_matrix(THETA_REF))
-        assert_allclose(inv.to_array(),
+        assert_allclose(inv,
                         [[4.3094011, 1.1547005], [1.1547005, 4.3094011]],
                         atol=1e-7)
-        assert invert_spd2(theta_matrix(0.0)).to_array() == pytest.approx(
+        assert invert_spd2(theta_matrix(0.0)) == pytest.approx(
             (4.0 * np.eye(2)))
-        assert sqrt_spd2(theta_matrix(0.0)).to_array() == pytest.approx(
+        assert sqrt_spd2(theta_matrix(0.0)) == pytest.approx(
             0.5 * np.eye(2))
 
     def test_singular_at_unit_theta(self):
@@ -128,12 +166,12 @@ class TestTheta:
     @settings(max_examples=50, deadline=None)
     def test_inverse_and_sqrt_identities(self, theta):
         t = theta_matrix(theta)
-        prod = t.to_array() @ invert_spd2(t).to_array()
+        prod = t @ invert_spd2(t)
         assert_allclose(prod, np.eye(2), atol=1e-12)
         root = sqrt_spd2(t)
-        assert root.is_symmetric(1e-15)
-        assert_allclose(root.to_array() @ root.to_array(), t.to_array(), atol=1e-12)
-        assert root.a11 >= 0.0 and root.det() >= -1e-15
+        assert abs(root[0, 1] - root[1, 0]) <= 1e-15
+        assert_allclose(root @ root, t, atol=1e-12)
+        assert root[0, 0] >= 0.0 and _det(root) >= -1e-15
 
 
 class TestLimitLaw:
@@ -142,7 +180,7 @@ class TestLimitLaw:
         assert law.case_tag is CaseTag.INTERIOR
         assert law.singular
         assert law.rate(16, 64) == 64.0
-        assert_allclose(law.covariance.to_array(),
+        assert_allclose(law.covariance,
                         0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_boundary(self):
@@ -152,7 +190,7 @@ class TestLimitLaw:
         assert law.theta == pytest.approx(THETA_REF, abs=1e-7)
         assert law.rate(16, 64) == pytest.approx(64 * 4 * 3**-0.25, rel=1e-12)
         assert law.rate(16, 64) == pytest.approx(194.51794, abs=1e-4)
-        assert_allclose(law.covariance.to_array(),
+        assert_allclose(law.covariance,
                         [[4.3094011, 1.1547005], [1.1547005, 4.3094011]],
                         atol=1e-7)
 
@@ -177,7 +215,7 @@ class TestLimitLaw:
         assert law.omega > 1
         # far along the road to omega = infinity, theta is already tiny
         assert abs(law.theta) < 0.01
-        assert law.covariance.a11 == pytest.approx(4.0, rel=1e-3)
+        assert law.covariance[0, 0] == pytest.approx(4.0, rel=1e-3)
 
 
 class TestConditionStatistic:
@@ -198,7 +236,7 @@ class TestConditionStatistic:
 class TestExpectedB:
     def test_spot_value(self):
         eb = expected_B(ModelParams(0.25, 0.25), 2)
-        assert_allclose(eb.to_array(),
+        assert_allclose(eb,
                         [[3.4641016, 0.2487113], [0.2487113, 3.4641016]],
                         atol=1e-7)
 
@@ -207,12 +245,12 @@ class TestExpectedB:
             p = ModelParams(a, b)
             eb = expected_B(p, 5)
             n = 15.0
-            assert eb.a12 == pytest.approx(n * cov_closed(p, 1, -1), rel=1e-10)
-            assert eb.a11 == pytest.approx(n * sigma_sq(p), rel=1e-12)
+            assert eb[0, 1] == pytest.approx(n * cov_closed(p, 1, -1), rel=1e-10)
+            assert eb[0, 0] == pytest.approx(n * sigma_sq(p), rel=1e-12)
 
     def test_white_field(self):
         eb = expected_B(ModelParams(0.0, 0.0), 7)
-        assert_allclose(eb.to_array(), 28.0 * np.eye(2))
+        assert_allclose(eb, 28.0 * np.eye(2))
 
     def test_brute_force_summation_matches(self):
         from fieldref import triangle_indices
@@ -225,8 +263,8 @@ class TestExpectedB:
             diag = sum(r00 for _ in pts)
             off = sum(r_off for _ in pts)
             eb = expected_B(p, s)
-            assert eb.a11 == pytest.approx(diag, rel=1e-12)
-            assert eb.a12 == pytest.approx(off, rel=1e-12)
+            assert eb[0, 0] == pytest.approx(diag, rel=1e-12)
+            assert eb[0, 1] == pytest.approx(off, rel=1e-12)
 
 
 class TestScaledInformationTrends:
@@ -237,13 +275,13 @@ class TestScaledInformationTrends:
         devs = []
         for m in (32, 128, 512):
             eb = expected_B(design.params_at(m), 4)
-            devs.append(abs(eb.a12 / eb.a11 - theta))
+            devs.append(abs(eb[0, 1] / eb[0, 0] - theta))
         assert devs[2] < devs[1] < devs[0]
 
     def test_interior_scaled_mean_trend(self):
         design = interior_design()
         target = (32 * 0.25) ** -0.5 * np.ones((2, 2))
-        devs = [np.max(np.abs(scaled_expected_B(design, m, m).to_array() - target))
+        devs = [np.max(np.abs(scaled_expected_B(design, m, m) - target))
                 for m in (64, 256)]
         assert devs[1] < devs[0]
 
@@ -259,7 +297,7 @@ class TestScaledInformationTrends:
         for m in (128, 4096, 65536, 1 << 20):
             p = design.params_at(m)
             eb = expected_B(p, m)
-            scaled.append(m * m / ((eb.a11 + eb.a22 - 2.0 * eb.a12) / 2.0))
+            scaled.append(m * m / ((eb[0, 0] + eb[1, 1] - 2.0 * eb[0, 1]) / 2.0))
             product.append(2.0 * ab * sigma_sq(p) * (1.0 - d_factor(p)))
         assert scaled == pytest.approx([1.167, 1.031, 1.008, 1.002], abs=5e-4)
         assert all(b < a for a, b in zip(scaled, scaled[1:]))
@@ -267,7 +305,7 @@ class TestScaledInformationTrends:
         assert product == pytest.approx([0.850, 0.970, 0.992, 0.998], abs=5e-4)
         assert all(a < b < 1.0 for a, b in zip(product, product[1:]))
         lim = limit_law(design).covariance
-        assert (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0 == pytest.approx(4.0 * ab)
+        assert (lim[0, 0] + lim[1, 1] - 2.0 * lim[0, 1]) / 2.0 == pytest.approx(4.0 * ab)
 
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.25, 0.75), (0.6, 0.4)])
     def test_interior_limit_constants_match_exact_moments(self, pair):
@@ -282,7 +320,7 @@ class TestScaledInformationTrends:
                                       Schedule.constant(1.0), Schedule.constant(1.0))
         ab = pair[0] * pair[1]
         lim = limit_law(design).covariance
-        w_limit = (lim.a11 + lim.a22 - 2.0 * lim.a12) / 2.0
+        w_limit = (lim[0, 0] + lim[1, 1] - 2.0 * lim[0, 1]) / 2.0
         det_target = verify_detB(design, 128, 16, reps=2)["target"]
         bound = verify_covlim(design, 1 << 20, 8000)["bound"]
         assert w_limit == pytest.approx(4.0 * ab, rel=1e-15)
@@ -295,8 +333,8 @@ class TestScaledInformationTrends:
             p = design.params_at(m)
             eb = expected_B(p, m)
             c = condition_statistic(design, m, 1)
-            w_var.append(m * m / ((eb.a11 + eb.a22 - 2.0 * eb.a12) / 2.0))
-            det.append(c * m**-4.0 * eb.det())
+            w_var.append(m * m / ((eb[0, 0] + eb[1, 1] - 2.0 * eb[0, 1]) / 2.0))
+            det.append(c * m**-4.0 * _det(eb))
             scaled_var.append(c * sigma_sq(p))
         assert all(b < a for a, b in zip(w_var, w_var[1:]))
         assert abs(w_var[-1] / w_limit - 1.0) <= 0.005
@@ -310,8 +348,8 @@ class TestScaledInformationTrends:
 
     def test_boundary_scaled_mean_trend(self):
         design = boundary_design()
-        target = theta_matrix(THETA_REF).to_array()
+        target = theta_matrix(THETA_REF)
         devs = [np.max(np.abs(
-            scaled_expected_B(design, m, math.ceil(m**1.25)).to_array() - target))
+            scaled_expected_B(design, m, math.ceil(m**1.25)) - target))
             for m in (16, 64)]
         assert devs[1] < devs[0]

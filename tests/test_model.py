@@ -242,7 +242,21 @@ class TestField:
             (values + [np.ones(1)], eps, "^expected 5 value layers, got 6$"),
             (values, eps[:3], "^expected 4 innovation layers$"),
             (values, eps + [np.ones(1)], "^expected 4 innovation layers$"),
+            # a layer that is not 1-D is named with its shape, whatever its
+            # length: with two axes it would reach lse and die on a broadcast
+            (values[:1] + [np.ones((4, 1))] + values[2:], eps,
+             r"^layer 1 has shape \(4, 1\), expected \(4,\)$"),
+            (values[:1] + [np.ones((1, 4))] + values[2:], eps,
+             r"^layer 1 has shape \(1, 4\), expected \(4,\)$"),
+            (values[:4] + [np.float64(1.0)], eps, r"^layer 4 has shape \(\), expected \(1,\)$"),
+            (values, eps[:2] + [np.ones((2, 3))] + eps[3:],
+             r"^innovation layer 3 has shape \(2, 3\), expected \(2,\)$"),
+            # the first bad layer is named, whichever way it is off
+            (values[:1] + [np.ones(3), np.ones((3, 1))] + values[3:], eps,
+             "^layer 1 has length 3, expected 4$"),
         ]
         for vals, innov, message in cases:
             with pytest.raises(ValueError, match=message):
                 Field(w, vals, innov)
+        with pytest.raises(ValueError, match=r"^layer 0 has shape \(3, 2\), expected \(3,\)$"):
+            Field(TriangleWindow(1, 1), [np.ones((3, 2)), np.ones((2, 2)), np.ones((1, 2))])
