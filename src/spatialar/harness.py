@@ -2,19 +2,20 @@
 
 Replications are embarrassingly parallel: each one reads its own SFC64
 stream keyed by a SeedSequence spawn key, so results depend only on
-(master_seed, replication id).  A pooled call splits its ids into contiguous
+(master_seed, replication id).  A call splits its ids into contiguous
 chunks and takes their sums back in submission order, so every result is in
 id order.  The number of workers must not change a single output byte;
 wall-clock timings are therefore kept out of the canonical report and
 written to a sidecar.
 
 A run (``run_clt`` over its whole ladder, or one ``verify_detB`` /
-``verify_score`` call) opens at most one process pool, and only
-``_worker_pool`` decides whether it does; every call of ``_run_reps`` in
-the run reuses its warm workers, or runs in-process without one.  The
-parent imports ``numpy.random`` just before that pool's first fork, so the
-workers inherit it; a run without a pool leaves that import to the first
-draw.
+``verify_score`` call) gets one runner from ``_worker_pool``, which alone
+decides whether the run opens a process pool: ``(pool.map, workers)`` of
+that one pool, whose warm workers every call of ``_run_reps`` in the run
+reuses, or ``(map, 1)``, the parent itself.  An in-process call is thus the
+pooled call with one chunk.  The parent imports ``numpy.random`` just
+before the pool's first fork, so the workers inherit it; a run without a
+pool leaves that import to the first draw.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -94,13 +96,11 @@ class Tolerances:
                 "zero_var_ceiling": self.zero_var_ceiling}
 
     @classmethod
-    def from_json(cls, obj: dict | None) -> "Tolerances":
-        if obj is None:
-            return cls()
+    def from_json(cls, obj: dict) -> "Tolerances":
         if not isinstance(obj, dict):
             raise ConfigError(f"tolerances must be an object, got {obj!r}")
-        return cls(_real("cov_rel_tol", obj.get("cov_rel_tol", 0.3)),
-                   _real("zero_var_ceiling", obj.get("zero_var_ceiling", 0.05)))
+        # absent keys keep the field defaults; an unknown one is a TypeError
+        return cls(**{k: _real(k, v) for k, v in obj.items()})
 
 
 def _integer(name: str, value) -> int:
@@ -117,10 +117,16 @@ class ExperimentConfig:
     ladder: list[tuple[int, int]]
     reps: int
     dist: InnovationDist = InnovationDist.GAUSSIAN
-    method: SimMethod = SimMethod()
+    method: SimMethod | None = None
     master_seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
     out_dir: str | None = None
+
+    def __post_init__(self):
+        # without a method each law samples at its default depth, spelled
+        # boundary_cholesky for Gaussian innovations, boundary_series otherwise
+        if self.method is None:
+            self.method = SimMethod(0 if self.dist is InnovationDist.GAUSSIAN else None)
 
     def validate(self) -> "ExperimentConfig":
         if not self.ladder:
@@ -157,24 +163,22 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         try:
-            design = NearlyUnstableDesign.from_json(obj["design"])
-            ladder = [(_integer("ladder m", m), _integer("ladder s", s))
-                      for m, s in obj["ladder"]]
-            dist = InnovationDist(obj.get("dist", "gaussian"))
-            # without a method each law samples at its default depth
-            default = ("boundary_cholesky" if dist is InnovationDist.GAUSSIAN
-                       else "boundary_series")
+            unknown = sorted(obj.keys() - {"design", "ladder", "reps", "dist",
+                                           "method", "seed", "tolerances", "out_dir"})
+            if unknown:
+                raise ConfigError(f"unknown config keys: {unknown}")
             cfg = cls(
-                design=design,
-                ladder=ladder,
+                design=NearlyUnstableDesign.from_json(obj["design"]),
+                ladder=[(_integer("ladder m", m), _integer("ladder s", s))
+                        for m, s in obj["ladder"]],
                 reps=_integer("reps", obj["reps"]),
-                dist=dist,
-                method=SimMethod.parse(obj.get("method", default)),
-                master_seed=_integer("seed", obj.get("seed", 0)),
-                tolerances=Tolerances.from_json(obj.get("tolerances")),
-                out_dir=obj.get("out_dir"),
+                dist=InnovationDist(obj.get("dist", cls.dist)),
+                method=SimMethod.parse(obj["method"]) if "method" in obj else None,
+                master_seed=_integer("seed", obj.get("seed", cls.master_seed)),
+                tolerances=Tolerances.from_json(obj.get("tolerances", {})),
+                out_dir=obj.get("out_dir", cls.out_dir),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
         if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
@@ -190,12 +194,14 @@ def format17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _canon(obj):
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON with every float at 17 significant digits."""
     if isinstance(obj, dict):
-        items = ",".join(f"{_canon(str(k))}:{_canon(v)}" for k, v in sorted(obj.items()))
+        items = ",".join(f"{dumps_canonical(str(k))}:{dumps_canonical(v)}"
+                         for k, v in sorted(obj.items()))
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -211,13 +217,8 @@ def _canon(obj):
             return '"inf"' if x > 0 else '"-inf"'
         return format17(x)
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
+        return dumps_canonical(obj.tolist())
     raise TypeError(f"cannot serialise {type(obj)!r}")
-
-
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON with every float at 17 significant digits."""
-    return _canon(obj)
 
 
 def write_csv_rows(fh, rows) -> None:
@@ -229,8 +230,10 @@ def write_csv_rows(fh, rows) -> None:
 # replication engine
 
 
-def _simulate_chunk(payload) -> np.ndarray:
-    """Worker body: the ``accumulate`` sums of ``rep_ids``, in their order.
+def _simulate_chunk(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
+                    score: bool) -> np.ndarray:
+    """One chunk, mapped by the runner in a worker or in-process: the
+    ``accumulate`` sums of ``rep_ids``, in their order.
 
     Runs ``sim.batch`` replications per sweep and reduces each layer as it
     is made, without storing fields; ``solve`` of a row is bit-identical to
@@ -239,7 +242,6 @@ def _simulate_chunk(payload) -> np.ndarray:
     their rows carry the score in columns 5 and 6; ``run_clt`` and
     ``verify_detB`` read no score, and their rows are 5 wide.
     """
-    sim, master_seed, rep_ids, score = payload
     parts = []
     for start in range(0, len(rep_ids), sim.batch):
         ids = rep_ids[start:start + sim.batch]
@@ -252,8 +254,10 @@ def _simulate_chunk(payload) -> np.ndarray:
 
 @contextmanager
 def _worker_pool(workers: int, reps: int):
-    """The one process pool of a run whose calls have ``reps`` replications
-    each; None, for in-process calls, at 1 worker or below 2 * workers reps.
+    """The runner of a run whose calls have ``reps`` replications each: a
+    map and the number of processes it runs on.  That is ``(map, 1)``, the
+    parent itself, at 1 worker or below 2 * workers reps, and otherwise
+    ``(pool.map, workers)`` of the run's one process pool.
 
     A ``workers`` below 1 raises ConfigError before any replication runs.
     The pool forks its workers on its first task; ``numpy.random`` is
@@ -262,31 +266,28 @@ def _worker_pool(workers: int, reps: int):
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if workers == 1 or reps < 2 * workers:
-        yield None
+        yield map, 1
         return
     import numpy.random  # noqa: F401  (loaded lazily by numpy otherwise)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        yield pool.map, workers
 
 
 def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
-              workers: int = 1, pool: ProcessPoolExecutor | None = None,
-              score: bool = False) -> np.ndarray:
+              runner=(map, 1), score: bool = False) -> np.ndarray:
     """The ``accumulate`` sums of ``rep_ids`` in their order, (R, 7) with
     ``score`` and (R, 5) without (see ``_simulate_chunk``); identical for any
-    worker count and any ``sim.batch``.
+    runner and any ``sim.batch``.
 
-    ``pool`` is the run's pool of ``workers`` processes from
-    ``_worker_pool``, which alone decides whether there is one.  With a
-    pool the ids are split into ``workers`` contiguous chunks, one task
-    each, and ``pool.map`` returns their sums in submission order; with
-    None they all run in-process.
+    ``runner`` is a ``(map, n)`` pair from ``_worker_pool``, the parent's
+    own ``map`` by default.  The ids are split into n contiguous chunks, one
+    ``_simulate_chunk`` each, and the map returns their sums in submission
+    order.
     """
-    if pool is None:
-        return _simulate_chunk((sim, master_seed, rep_ids, score))
-    chunks = [c.tolist() for c in np.array_split(rep_ids, workers) if len(c)]
-    return np.concatenate(list(pool.map(_simulate_chunk,
-                                        [(sim, master_seed, c, score) for c in chunks])))
+    mapper, n = runner
+    chunks = [c.tolist() for c in np.array_split(rep_ids, n) if len(c)]
+    return np.concatenate(list(mapper(_simulate_chunk, repeat(sim), repeat(master_seed),
+                                      chunks, repeat(score))))
 
 
 def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
@@ -298,9 +299,9 @@ def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
         raise ConfigError("reps must be positive")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
-    with _worker_pool(workers, reps) as pool:
+    with _worker_pool(workers, reps) as runner:
         sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
-        sums = _run_reps(sim, master_seed, list(range(reps)), workers, pool, score)
+        sums = _run_reps(sim, master_seed, list(range(reps)), runner, score)
     _, det, ok = solve(sums)
     return sums[ok], det[ok]
 
@@ -376,10 +377,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     limit, and the variance along the other, null, direction is at most
     ``zero_var_ceiling``.
 
-    Every rung runs on the one pool of ``workers`` processes that
-    ``_worker_pool`` opens for the whole ladder, or in-process when it
-    opens none; each rung's ``timing.json`` record names the processes it
-    ran on as ``workers``.  A ``workers`` below 1 raises ConfigError before
+    Every rung runs on the one runner that ``_worker_pool`` gives the whole
+    ladder, a pool of ``workers`` processes or the parent alone; each
+    rung's ``timing.json`` record names the runner's process count as
+    ``workers``.  A ``workers`` below 1 raises ConfigError before
     any replication runs.
     """
     config.validate()
@@ -387,21 +388,21 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     law = limit_law(design, m_probe=max(m for m, _ in config.ladder))
     per_size, raw_all, timing = [], [], []
     passed = True
-    with _worker_pool(workers, config.reps) as pool:
+    with _worker_pool(workers, config.reps) as runner:
         for idx, (m, s) in enumerate(config.ladder):
             t0 = time.perf_counter()
             params = design.params_at(m)
             sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
                                  config.dist)
             rep_ids = [idx * config.reps + r for r in range(config.reps)]
-            theta, _, ok = solve(_run_reps(sim, config.master_seed, rep_ids,
-                                           workers, pool))
+            theta, _, ok = solve(_run_reps(sim, config.master_seed, rep_ids, runner))
             n_singular = int(len(ok) - np.sum(ok))
             if n_singular > 0.01 * config.reps:
                 raise ExperimentAbortedError(
                     f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
             rate = law.rate(m, s)
-            errors = rate * (theta[ok] - [params.alpha, params.beta])
+            scaled = rate * (theta - [params.alpha, params.beta])
+            errors = scaled[ok]
             cov = _sample_cov(errors)
             mean = errors.mean(axis=0)
             proj_sum = (errors[:, 0] + errors[:, 1]) / _SQRT2
@@ -458,13 +459,11 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                 if idx == len(config.ladder) - 1:
                     passed = entry_pass
             per_size.append(record)
-            raw_all.append(np.column_stack([rep_ids, theta[:, 0], theta[:, 1],
-                                            rate * (theta[:, 0] - params.alpha),
-                                            rate * (theta[:, 1] - params.beta)]))
+            raw_all.append(np.column_stack([rep_ids, theta, scaled]))
             elapsed = time.perf_counter() - t0
             rung = {"m": m, "s": s, "elapsed_s": elapsed,
                     "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch,
-                    "workers": workers if pool else 1}
+                    "workers": runner[1]}
             if config.dist is not InnovationDist.GAUSSIAN:
                 rung["series_margin"] = sim.method.margin
                 rung["series_cumulant_bound"] = cumulant_tail_bound(params,

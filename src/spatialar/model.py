@@ -142,8 +142,9 @@ class Schedule:
             return cls.constant(float(obj))
         if not isinstance(obj, dict):
             raise ConfigError(f"a schedule is a number or an object, got {obj!r}")
-        kind = ScheduleKind(obj.get("kind", "const"))
-        return cls(kind, _real("c", obj.get("c", 1.0)), _real("p", obj.get("p", 0.0)))
+        # absent keys keep the field defaults; an unknown one is a TypeError
+        return cls(**{k: ScheduleKind(v) if k == "kind" else _real(k, v)
+                      for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -199,6 +200,9 @@ class NearlyUnstableDesign:
     @classmethod
     def from_json(cls, obj: dict) -> "NearlyUnstableDesign":
         try:
+            unknown = sorted(obj.keys() - {"alpha", "beta", "gamma", "delta", "case"})
+            if unknown:
+                raise ConfigError(f"unknown design keys: {unknown}")
             bp = BoundaryPoint.from_pair(_real("alpha", obj["alpha"]),
                                          _real("beta", obj["beta"]))
             design = cls(
@@ -208,7 +212,7 @@ class NearlyUnstableDesign:
             )
             declared = obj.get("case")
             declared_tag = None if declared is None else CaseTag(declared)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed design: {exc}") from exc
         if declared_tag is not None and declared_tag is not design.case_tag:
             raise ConfigError(

@@ -117,15 +117,15 @@ def _unpack_signs(packed: np.ndarray, start: int, out: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SimMethod:
     """Sampling depth ``margin``: layer -margin is drawn coloured, and the
-    innovation law drives every layer above it.  None resolves to the
-    default depth of the law (see ``FieldSimulator``).
+    innovation law drives every layer above it.  None, the default, resolves
+    to the default depth of the law (see ``FieldSimulator``).
 
     Its config strings are ``boundary_cholesky`` (depth 0) and
     ``boundary_series[:margin]`` (depth margin, or None without it).  A
     margin that is not a non-negative integer raises ConfigError.
     """
 
-    margin: int | None = 0
+    margin: int | None = None
 
     def __post_init__(self):
         if self.margin is None:
@@ -221,7 +221,7 @@ class FieldSimulator:
     The sampler draws layer -M (M = ``method.margin``, the depth) as
     standard normals, colours it with the AR(1) factor of the KMS
     anti-diagonal covariance, and runs the recursion up from there with
-    ``dist``'s innovations.  A depth of None resolves here: to 0 for
+    ``dist``'s innovations.  The default depth None resolves here: to 0 for
     Gaussian innovations, where the coloured layer 0 is exact, and for any
     other law to the smallest M >= 2 whose fourth-cumulant certificate
     ``cumulant_tail_bound`` is at most 1e-12.  Depth 0 with a non-Gaussian law

@@ -505,11 +505,19 @@ class TestExperiment:
         {"design": {"alpha": True, "beta": False, "gamma": 2.0, "delta": 1.0}},
         # boundary_cholesky is exact in law only for Gaussian innovations
         {"dist": "rademacher"},
+        # a misspelt key is rejected, not run at the default of the key meant
+        {"sead": 7},
+        {"tolerances": {"cov_rel_tol": 0.3, "zero_var_ceilng": 0.01}},
+        {"design": {"alpha": 0.5, "beta": 0.5, "gamma": 1.0, "gama": 2.0,
+                    "delta": 1.0}},
+        {"design": {"alpha": 0.5, "beta": 0.5,
+                    "gamma": {"kind": "power", "c": 1.0, "pp": 0.5}, "delta": 1.0}},
     ], ids=["tolerances", "out_dir", "schedule_string", "schedule_list",
             "ladder_fraction", "reps_fraction", "seed_fraction", "seed_bool",
             "schedule_bool", "schedule_c_bool", "schedule_p_bool",
             "cov_rel_tol_bool", "zero_var_ceiling_bool", "boundary_bool",
-            "cholesky_rademacher"])
+            "cholesky_rademacher", "config_typo", "tolerances_typo",
+            "design_typo", "schedule_typo"])
     def test_malformed_field_exits_1_before_running(self, capsys, tmp_path,
                                                     monkeypatch, overrides):
         def no_run(*args, **kwargs):

@@ -147,7 +147,7 @@ class TestRunCLT:
         # every replication estimates the true (alpha, beta): with B = I and
         # C = (alpha, beta) each aggregate of the scaled errors must vanish
         # exactly
-        def exact_reps(sim, master_seed, rep_ids, workers=1, pool=None):
+        def exact_reps(sim, master_seed, rep_ids, runner=(map, 1)):
             return np.array([[1.0, 0.0, 1.0, sim.params.alpha, sim.params.beta]
                              for _ in rep_ids])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
@@ -296,9 +296,8 @@ class TestBatchedEngine:
         for batch in (1, 7, 64):
             sim.batch = batch
             for workers in (1, 2):
-                with _worker_pool(workers, len(rep_ids)) as pool:
-                    runs.append(_run_reps(sim, seed, rep_ids, workers, pool,
-                                          score=True))
+                with _worker_pool(workers, len(rep_ids)) as runner:
+                    runs.append(_run_reps(sim, seed, rep_ids, runner, score=True))
         assert len({sums.tobytes() for sums in runs}) == 1
         assert runs[0].shape == (len(rep_ids), 7)
         # solve of each row is the public single-field path, bit for bit
@@ -311,6 +310,20 @@ class TestBatchedEngine:
         got = np.column_stack([theta, det, runs[0][:, 5:7]])
         assert ok.all() and got.tobytes() == np.array(expected).tobytes()
 
+    def test_ids_split_into_one_contiguous_chunk_per_process(self):
+        # a runner's map gets n chunks in id order, and its sums are those of
+        # the in-process run of one chunk
+        sim = FieldSimulator(ModelParams(0.45, 0.4), TriangleWindow.balanced(8))
+        chunks = []
+
+        def spy_map(fn, *iterables):
+            calls = list(zip(*iterables))
+            chunks.extend(rep_ids for _, _, rep_ids, _ in calls)
+            return [fn(*args) for args in calls]
+        sums = _run_reps(sim, 3, list(range(10)), (spy_map, 3))
+        assert chunks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert sums.tobytes() == _run_reps(sim, 3, list(range(10))).tobytes()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_without_score_match_the_scored_rows(self, workers):
         # run_clt and verify_detB pass no innovations: B and C keep their
@@ -319,9 +332,9 @@ class TestBatchedEngine:
         sim = FieldSimulator(params, window)
         sim.batch = 7
         rep_ids = list(range(5, 25))
-        with _worker_pool(workers, len(rep_ids)) as pool:
-            scored = _run_reps(sim, seed, rep_ids, workers, pool, score=True)
-            plain = _run_reps(sim, seed, rep_ids, workers, pool)
+        with _worker_pool(workers, len(rep_ids)) as runner:
+            scored = _run_reps(sim, seed, rep_ids, runner, score=True)
+            plain = _run_reps(sim, seed, rep_ids, runner)
         assert plain.shape == (len(rep_ids), 5) and scored.shape == (len(rep_ids), 7)
         assert plain.tobytes() == scored[:, :5].tobytes()
         assert np.isfinite(scored[:, 5:]).all()
@@ -427,9 +440,9 @@ class TestWorkerPool:
         entered, started = pools
         run_reps, live = harness._run_reps, []
 
-        def singular_at_rung_2(sim, master_seed, rep_ids, workers=1, pool=None):
-            sums = run_reps(sim, master_seed, rep_ids, workers, pool)
-            live.append(pool is not None)
+        def singular_at_rung_2(sim, master_seed, rep_ids, runner=(map, 1)):
+            sums = run_reps(sim, master_seed, rep_ids, runner)
+            live.append(runner[0] is not map)
             if len(live) == 2:
                 sums[:] = 0.0  # det B = 0: every replication is singular
             return sums

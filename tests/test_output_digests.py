@@ -12,7 +12,14 @@ import hashlib
 
 import pytest
 
-from spatialar import BoundaryPoint, ExperimentConfig, NearlyUnstableDesign, Schedule, run_clt
+from spatialar import (
+    BoundaryPoint,
+    ExperimentConfig,
+    InnovationDist,
+    NearlyUnstableDesign,
+    Schedule,
+    run_clt,
+)
 from spatialar.cli import main
 
 INTERIOR = ("--alpha", "0.5", "--beta", "0.5")
@@ -80,3 +87,30 @@ def test_run_clt_output_bytes(tmp_path, monkeypatch, name):
                              master_seed=11, out_dir="out"))
     got = {(name, f): _sha((tmp_path / "out" / f).read_bytes()) for f in CLT_FILES}
     assert got == {key: CLT_DIGESTS[key] for key in got}
+
+
+# Rademacher innovations without a method: a config built in Python samples
+# at the law's own depth, as the same config read from JSON does, so both
+# write the same bytes (pinned from the JSON-built run)
+RADEMACHER_DIGESTS = {
+    "report.json": "3631a1c55263c0181224bb2a8fef0609cbbf907cd41e15efdf4ee51e021d3142",
+    "errors_m16_s64.csv": "c689da97138cb7fc4442d4a333e0a3fbe67ee76dcd8be25af8aa06de3a3009af",
+    "errors_m32_s181.csv": "27a9dd28c60b7f9b0f5d3d68b781335e0991294894ee0e0c79ea564dd4c07031",
+}
+
+
+@pytest.mark.parametrize("built", ["python", "json"])
+def test_default_depth_run_bytes(tmp_path, monkeypatch, built):
+    monkeypatch.chdir(tmp_path)
+    if built == "python":
+        config = ExperimentConfig(CLT_DESIGNS["boundary"], [(16, 64), (32, 181)], reps=100,
+                                  dist=InnovationDist.RADEMACHER, master_seed=11,
+                                  out_dir="out")
+    else:
+        config = ExperimentConfig.from_json({
+            "design": {"alpha": 1.0, "beta": 0.0, "gamma": 2.0, "delta": 1.0},
+            "ladder": [[16, 64], [32, 181]], "reps": 100, "dist": "rademacher",
+            "seed": 11, "out_dir": "out"})
+    run_clt(config)
+    got = {f: _sha((tmp_path / "out" / f).read_bytes()) for f in CLT_FILES}
+    assert got == RADEMACHER_DIGESTS

@@ -55,6 +55,17 @@ class TestSimMethod:
         assert method.describe() == text
         assert SimMethod.parse("boundary_series:0") == SimMethod(0)
 
+    def test_default_is_the_law_depth(self):
+        assert SimMethod().margin is None
+
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_sampler_without_method_samples_at_the_law_depth(self, dist):
+        # as a JSON config without a method and sim field without --method do
+        p, w = ModelParams(0.45, 0.4), TriangleWindow.balanced(16)
+        by_text = FieldSimulator(p, w, SimMethod.parse("boundary_series"), dist)
+        assert FieldSimulator(p, w, dist=dist).method == by_text.method
+        assert (by_text.method.margin == 0) == (dist is InnovationDist.GAUSSIAN)
+
 
 class TestDraws:
     def test_innovation_moments(self):
