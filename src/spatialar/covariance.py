@@ -58,10 +58,13 @@ def sigma_sq(p: ModelParams) -> float:
     """Stationary variance R[0, 0].
 
     ((1+a+b)(1+a-b)(1-a+b)(1-a-b))**(-1/2); always >= 1 on the stable region.
+    The factors are multiplied in the pairs ((1+a+b)(1-a-b)) ((1+a-b)(1-a+b)):
+    a sign change of alpha or beta swaps the pairs or the factors within
+    them, so the value is exactly the same at (+-alpha, +-beta).
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
-    prod = (1 + a + b) * (1 + a - b) * (1 - a + b) * (1 - a - b)
+    prod = ((1 + a + b) * (1 - a - b)) * ((1 + a - b) * (1 - a + b))
     return prod**-0.5
 
 

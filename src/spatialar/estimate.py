@@ -8,11 +8,14 @@ x1 = X[i-1, j], x2 = X[i, j-1], y = X[i, j], summed over the triangle.
 The solve goes through the adjugate, theta = adj(B) C / det(B), so that
 det(B) and adj(B) C stay first-class observables for the limit experiments.
 
-One reduction kernel and one solve serve every caller: ``accumulate``
-reduces a batch of R replications layer by layer, ``solve`` turns the
-batch's sums into estimates, and ``lse``, ``normal_equations`` and
-``score_vector`` are their R = 1 case on a stored field.  A replication's
-sums depend only on its own rows, so they are bit-identical for any R.
+Two layer loops share one slot order, one BLAS dot per product and one
+exact-sum finisher.  ``accumulate`` reduces a batch of R replications, a
+row per replication, and ``solve`` turns the batch's sums into estimates.
+``lse``, ``normal_equations`` and ``score_vector`` reduce a stored field on
+its 1-D layers, with ``ndarray.dot`` where ``accumulate`` calls
+``np.vecdot``: both run numpy's float64 dot, the same BLAS ddot on the same
+memory, so a field's sums are bit-identical to a one-row ``accumulate`` and,
+as a replication's sums depend only on its own rows, to its row in any batch.
 """
 
 from __future__ import annotations
@@ -50,10 +53,18 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
-# accumulate's buffer slots, and the order that puts them back as
+# the per-layer partials' slots, and the order that puts them back as
 # (B11, B12, B22, C1, C2, A1, A2)
 _B22, _B11, _B12, _C1, _C2, _A1, _A2 = range(7)
 _SUMS_ORDER = (_B11, _B12, _B22, _C1, _C2, _A1, _A2)
+
+
+def _fsums(parts: np.ndarray) -> list[float]:
+    """The sums (B11, B12, B22, C1, C2[, A1, A2]) of an (s, 5|7) array of
+    per-layer partials in slot order, each column by ``math.fsum``: at
+    s >= 128 the sums mix ~1e4 squared terms whose magnitude grows like the
+    near-boundary variance, and naive running sums lose digits."""
+    return [math.fsum(parts[:, c].tolist()) for c in _SUMS_ORDER[:parts.shape[1]]]
 
 
 def accumulate(layers, s: int) -> np.ndarray:
@@ -71,14 +82,11 @@ def accumulate(layers, s: int) -> np.ndarray:
     identities x2.x2 = |prev|^2 - prev[0]^2 and x1.x1 = |prev|^2 - prev[-1]^2
     as one subtraction into the two adjacent slots B22, B11.  |prev|^2 is
     carried in one (R,) vector: the layer below wrote its |y|^2 there.  No
-    other array outlives its layer.  Per-layer partials are combined with
-    exact (fsum) accumulation: at s >= 128 the sums mix ~1e4 squared terms
-    whose magnitude grows like the near-boundary variance, and naive running
-    sums lose digits.  Each reduction is one BLAS dot product per row (rows
-    have unit stride), so a row's sums depend on that row alone, never on
-    the batch.  Returns an (R, 7) array, (R, 5) without innovations, or one
-    row of 7 zeros without layers (s = 0, reached only by a stored field,
-    R = 1).
+    other array outlives its layer.  Each replication's (s, 5|7) partials
+    are combined by ``_fsums``.  Each reduction is one BLAS dot product per
+    row (rows have unit stride), so a row's sums depend on that row alone,
+    never on the batch.  Returns an (R, 7) array, (R, 5) without
+    innovations, or one row of 7 zeros without layers (s = 0).
     """
     buf = None
     for d, (prev, y, eps) in enumerate(layers):
@@ -104,8 +112,7 @@ def accumulate(layers, s: int) -> np.ndarray:
         return np.zeros((1, 7))
     if d + 1 != s:
         raise ValueError(f"accumulate was told of {s} layers but given {d + 1}")
-    return np.array([[math.fsum(buf[:, c, r].tolist()) for c in _SUMS_ORDER[:buf.shape[1]]]
-                     for r in range(buf.shape[2])])
+    return np.array([_fsums(buf[:, :, r]) for r in range(buf.shape[2])])
 
 
 def solve(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,37 +135,63 @@ def solve(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray:
-    """``accumulate`` on a stored field, as a batch of one, over the window's
-    s layers; the innovations are passed only ``with_score``."""
+    """The sums (B11, B12, B22, C1, C2[, A1, A2]) of a stored field over the
+    window's s layers, bit-identical to a one-row ``accumulate``.
+
+    One loop over the field's 1-D layers does per layer what ``accumulate``
+    does per row: ``ndarray.dot`` takes x1.x2, x1.y and x2.y, and x1.eps and
+    x2.eps ``with_score``; |y|^2 is carried forward as the next |prev|^2;
+    the shift identities subtract prev[0]^2 and prev[-1]^2 on float64
+    scalars.  Each layer writes one row of an (s, 5|7) buffer in
+    ``accumulate``'s slot order, and ``_fsums`` sums its columns.  Returns
+    7 values with the score and 5 without; s = 0 gives zeros.
+    """
     if field.window != w:
         raise MissingValuesError("field was built on a different window")
     if with_score and not field.has_innovations():
         raise MissingInnovationsError("field does not carry innovations")
-    v = field.values
-    layers = ((v[d - 1][None], v[d][None],
-               field.innovations[d - 1][None] if with_score else None)
-              for d in range(1, w.s + 1))
-    return accumulate(layers, w.s)[0]
+    v, eps = field.values, field.innovations if with_score else None
+    buf = np.empty((w.s, 7 if with_score else 5))
+    prev = v[0]
+    norm = prev.dot(prev)
+    for d in range(w.s):
+        y = v[d + 1]
+        x1, x2 = prev[:-1], prev[1:]
+        first, last = prev[0], prev[-1]
+        row = buf[d]
+        row[_B22] = norm - first * first
+        row[_B11] = norm - last * last
+        row[_B12] = x1.dot(x2)
+        row[_C1] = x1.dot(y)
+        row[_C2] = x2.dot(y)
+        if eps is not None:
+            row[_A1] = x1.dot(eps[d])
+            row[_A2] = x2.dot(eps[d])
+        norm = y.dot(y)
+        prev = y
+    return np.array(_fsums(buf))
 
 
 def normal_equations(field: Field, w: TriangleWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate B, a (2, 2) array, and C, a (2,) array, over the triangle
-    in one pass.
+    """B, a (2, 2) array, and C, a (2,) array, summed over the triangle in
+    one pass over the field's layers by ``_field_sums``.
 
     Per layer it reduces |y|^2, x1.x2, x1.y and x2.y; x1.x1 and x2.x2 come
     from the shift identities |prev|^2 - prev[-1]^2 and |prev|^2 - prev[0]^2,
     with |prev|^2 carried over from the layer below.  The per-layer partials
-    are combined with math.fsum (see ``accumulate``).
+    are combined with math.fsum.
     """
-    b11, b12, b22, c1, c2 = _field_sums(field, w, with_score=False)[:5].tolist()
+    b11, b12, b22, c1, c2 = _field_sums(field, w, with_score=False).tolist()
     return np.array([[b11, b12], [b12, b22]]), np.array([c1, c2])
 
 
 def lse(field: Field, w: TriangleWindow) -> EstimateResult:
-    """Least squares estimate: ``solve`` on the field's sums, a batch of one.
+    """Least squares estimate: ``solve`` on the field's sums as a one-row batch.
 
     B, C and, when the field retains innovations, the score come from one
-    pass over the field.  A singular B raises SingularDesignError.
+    pass over the field's 1-D layers (``_field_sums``), bit-identical to the
+    field's row in any ``accumulate`` batch.  A singular B raises
+    SingularDesignError.
     """
     with_score = field.has_innovations()
     sums = _field_sums(field, w, with_score)

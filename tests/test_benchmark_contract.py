@@ -159,3 +159,42 @@ def test_untraced_workloads_run_at_tiny_sizes(tmp_path):
     assert all(case["failed_ops"] == 0 and case["failed_gates"] == []
                for case in got.values()), got
     assert got["clt_boundary_1w"]["digests"] == got["clt_boundary_2w"]["digests"]
+
+
+_LARGE_FIELD = """
+import json, os, sys
+from pathlib import Path
+sys.path[:0] = [str(Path(sys.argv[1]) / "perfbench"), str(Path(sys.argv[1]) / "src")]
+import workloads
+
+got, base = {}, Path.cwd()
+for s in (16, 64, 513):
+    workdir = base / f"s{s}"
+    workdir.mkdir()
+    os.chdir(workdir)
+    field = workloads.LargeField()
+    field.s, field.fields = s, 2
+    field.prepare("large_field", 7, workdir, 1)
+    field.timed()
+    out = field.check()
+    got[s] = {"failed_ops": out.failed_ops, "report": out.digests["report.json"]}
+print(json.dumps(got))
+"""
+
+
+def test_large_field_report_bytes_are_pinned(tmp_path):
+    # large_field runs sample + lse on one stored field at a time, so its
+    # report.json carries the bytes of the stored-field reduction: two
+    # fields at seed 7, at two even sizes and one odd
+    proc = subprocess.run([sys.executable, "-c", _LARGE_FIELD, str(ROOT)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {
+        "16": {"failed_ops": 0, "report":
+               "ad04437caaa3545e7272aecd5d8020a585f7a0617bc32389aead3bf1c2813c9a"},
+        "64": {"failed_ops": 0, "report":
+               "1c30a2ba21ce20865ffb978f5a92cc496200f73609445d674c0c8f402f19d8b1"},
+        "513": {"failed_ops": 0, "report":
+                "acc7e7276a3cf60204dae6a5a5c0ef939ca0818b7bd6ef51dde8d75cc95c8e7c"},
+    }

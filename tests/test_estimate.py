@@ -21,7 +21,7 @@ from spatialar import (
     normal_equations,
     score_vector,
 )
-from spatialar.estimate import accumulate, solve
+from spatialar.estimate import _field_sums, accumulate, solve
 from spatialar.limits import _adjugate, _det
 
 from fieldref import accumulate_by_lists, deterministic_field
@@ -177,20 +177,75 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="^accumulate was told of 3 layers but given more$"):
             accumulate(iter(layers), 3)
 
+    @pytest.mark.parametrize("dist", list(InnovationDist))
+    @pytest.mark.parametrize("with_eps", [True, False], ids=["eps", "no_eps"])
+    def test_field_sums_equal_a_one_row_accumulate_bit_for_bit(self, dist, with_eps):
+        # the stored-field loop against accumulate on the same layers as
+        # (1, n) rows; normal_equations and score_vector are its columns
+        for s in [*range(1, 41), 512]:
+            w = TriangleWindow.balanced(s)
+            fld = FieldSimulator(ModelParams(0.45, 0.45), w, SimMethod(None),
+                                 dist).sample(RngStream(37, s))
+            got = _field_sums(fld, w, with_eps)
+            ref = accumulate(one_row_layers(fld, with_eps), s)[0]
+            assert got.shape == ref.shape == (7 if with_eps else 5,)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), s
+            b, c = normal_equations(fld, w)
+            b11, b12, b22, c1, c2 = ref[:5]
+            assert np.array([[b11, b12], [b12, b22], [c1, c2]]).tobytes() == np.vstack(
+                [b, c]).tobytes(), s
+            if with_eps:
+                assert score_vector(fld, w).tobytes() == ref[5:].tobytes(), s
+
+    def test_field_sums_on_strided_layers_equal_accumulate(self):
+        # float64 layers that are views with stride 2: the dot products run
+        # BLAS on the strided memory in both loops
+        w = TriangleWindow.balanced(64)
+        fld = FieldSimulator(ModelParams(0.45, 0.4), w).sample(RngStream(38, 0))
+
+        def strided(layer):
+            big = np.zeros(2 * len(layer))
+            big[::2] = layer
+            return big[::2]
+
+        views = Field(w, [strided(v) for v in fld.values], [strided(e) for e in fld.innovations])
+        assert not views.values[1].flags.c_contiguous
+        for with_eps in (True, False):
+            got = _field_sums(views, w, with_eps)
+            ref = accumulate(one_row_layers(views, with_eps), w.s)[0]
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_lse_on_a_stored_field_allocates_little(self):
         # s = 512 as one batch of R = 1: the list-of-partials reduction
         # (fieldref) peaks at 653 KiB on this field, the in-place buffer of
-        # 512 x 7 floats at 50 KiB
-        w = TriangleWindow.balanced(512)
-        fld = FieldSimulator(ModelParams(0.49, 0.49), w).sample(RngStream(8, 0))
+        # 512 x 7 floats at 45 KiB
+        assert lse_peak(512) < 192 * 1024
+
+    def test_lse_allocation_grows_by_the_buffer_alone(self):
+        # s = 2048: the (s, 7) buffer and one column's floats at a time
+        # peak near 177 KiB; collecting the partials in Python lists of
+        # floats peaks near 461 KiB
+        assert lse_peak(2048) < 256 * 1024
+
+
+def one_row_layers(fld: Field, with_eps: bool):
+    """A stored field's (prev, y, eps) layers as ``accumulate``'s (1, n) rows."""
+    v = fld.values
+    return ((v[d - 1][None], v[d][None], fld.innovations[d - 1][None] if with_eps else None)
+            for d in range(1, fld.window.s + 1))
+
+
+def lse_peak(s: int) -> int:
+    """tracemalloc's peak over one ``lse`` on a sampled field at s."""
+    w = TriangleWindow.balanced(s)
+    fld = FieldSimulator(ModelParams(0.49, 0.49), w).sample(RngStream(8, 0))
+    lse(fld, w)
+    tracemalloc.start()
+    try:
         lse(fld, w)
-        tracemalloc.start()
-        try:
-            lse(fld, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 192 * 1024
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSolve:

@@ -15,9 +15,9 @@ The series routes (F4, the binomial representation, the oracle), the
 recursion and ``lse`` keep the identities bit for bit at any stable
 parameters.  The closed form and the colouring read sigma^2 and D, whose
 four-factor product sigma^-4 = (1+a+b)(1+a-b)(1-a+b)(1-a-b) is multiplied
-in a different order once beta changes sign; they keep the identities bit
-for bit where that product rounds the same both ways (the tidy parameters
-below), and to rounding elsewhere.
+as two pairs that a sign change of alpha or beta only swaps, so they keep
+the identities bit for bit too, also where a left-to-right product rounds
+differently at beta and -beta (the untidy parameters below).
 """
 
 import numpy as np
@@ -47,9 +47,10 @@ from fieldref import deterministic_field
 LAGS = np.arange(-5, 6)
 K, L = np.repeat(LAGS, LAGS.size), np.tile(LAGS, LAGS.size)  # the 11 x 11 lag box
 SAME = K * L >= 0
-# sigma^-4 rounds the same with beta and -beta at these
+# a left-to-right product of sigma^-4's four factors rounds the same with
+# beta and -beta at these
 TIDY = [(0.3, 0.45), (0.45, 0.2)]
-# and differently at these; the series routes do not read sigma^2
+# and differently at these
 UNTIDY = [(-0.6, 0.1429), (-0.5629, -0.2941), (-0.5629, 0.0555)]
 
 
@@ -57,13 +58,26 @@ def parity(n):
     return np.where(np.asarray(n) % 2, -1.0, 1.0)
 
 
-def test_the_untidy_parameters_round_sigma_differently():
-    # what makes the closed form and the colouring exact only at TIDY
-    for a, b in TIDY:
-        assert sigma_sq(ModelParams(a, -b)) == sigma_sq(ModelParams(a, b))
-        assert d_factor(ModelParams(a, -b)) == -d_factor(ModelParams(a, b))
+def left_to_right_sigma_sq(a, b):
+    return ((1 + a + b) * (1 + a - b) * (1 - a + b) * (1 - a - b)) ** -0.5
+
+
+def test_sigma_and_d_flip_exactly_with_either_sign():
+    # sigma^2 is the same and D flips at (+-alpha, +-beta), at the untidy
+    # parameters, where the left-to-right product does not, and at random
+    # stable pairs
     for a, b in UNTIDY:
-        assert sigma_sq(ModelParams(a, -b)) != sigma_sq(ModelParams(a, b))
+        assert left_to_right_sigma_sq(a, -b) != left_to_right_sigma_sq(a, b)
+    rng = np.random.default_rng(24)
+    pairs = rng.uniform(-1, 1, (4000, 2))
+    pairs = pairs[np.abs(pairs).sum(axis=1) < 1].tolist()
+    assert len(pairs) > 1500
+    for a, b in TIDY + UNTIDY + pairs:
+        sig, d = sigma_sq(ModelParams(a, b)), d_factor(ModelParams(a, b))
+        for fa, fb in ((1, -1), (-1, 1), (-1, -1)):
+            flipped = ModelParams(fa * a, fb * b)
+            assert sigma_sq(flipped) == sig
+            assert d_factor(flipped) == fa * fb * d
 
 
 @pytest.mark.parametrize("a, b", TIDY + UNTIDY)
@@ -85,20 +99,13 @@ def test_binrep_flips_with_the_lag_parity(a, b):
     assert_array_equal(got, parity(k + l) * cov_binrep(ModelParams(a, b), k, l))
 
 
-@pytest.mark.parametrize("a, b", TIDY)
+@pytest.mark.parametrize("a, b", TIDY + UNTIDY)
 def test_closed_form_flips_with_the_column_parity(a, b):
     got = cov_closed(ModelParams(a, -b), K, L)
     assert_array_equal(got, parity(L) * cov_closed(ModelParams(a, b), K, L))
 
 
-@pytest.mark.parametrize("a, b", UNTIDY)
-def test_closed_form_flips_to_rounding_elsewhere(a, b):
-    ref = cov_closed(ModelParams(a, b), K, L)
-    dev = np.abs(cov_closed(ModelParams(a, -b), K, L) - parity(L) * ref)
-    assert 0.0 < dev.max() <= 1e-14 * sigma_sq(ModelParams(a, b))
-
-
-@pytest.mark.parametrize("a, b", TIDY)
+@pytest.mark.parametrize("a, b", TIDY + UNTIDY)
 @pytest.mark.parametrize("rows", [1, 3])
 def test_colouring_flips_with_the_point_parity(a, b, rows):
     # the layer's point t has j = l - t, so sigma_j is (-1)^t up to one sign
