@@ -8,14 +8,14 @@ x1 = X[i-1, j], x2 = X[i, j-1], y = X[i, j], summed over the triangle.
 The solve goes through the adjugate, theta = adj(B) C / det(B), so that
 det(B) and adj(B) C stay first-class observables for the limit experiments.
 
-Two layer loops share one slot order, one BLAS dot per product and one
-exact-sum finisher.  ``accumulate`` reduces a batch of R replications, a
-row per replication, and ``solve`` turns the batch's sums into estimates.
-``lse``, ``normal_equations`` and ``score_vector`` reduce a stored field on
-its 1-D layers, with ``ndarray.dot`` where ``accumulate`` calls
-``np.vecdot``: both run numpy's float64 dot, the same BLAS ddot on the same
-memory, so a field's sums are bit-identical to a one-row ``accumulate`` and,
-as a replication's sums depend only on its own rows, to its row in any batch.
+Two layer loops write their partials in the order of their sums, with one
+BLAS dot per product, and share one exact-sum finisher.  ``accumulate``
+reduces a batch of R replications, a row per replication, and ``solve``
+turns the batch's sums into estimates.  ``lse``, ``normal_equations`` and
+``score_vector`` reduce a stored field on its 1-D layers, with
+``ndarray.dot`` where ``accumulate`` calls ``np.vecdot``: both run numpy's
+float64 dot, the same BLAS ddot on the same memory, so a field's sums are
+bit-identical to a one-row ``accumulate`` and to its row in any batch.
 """
 
 from __future__ import annotations
@@ -53,65 +53,63 @@ class EstimateResult:
     score: np.ndarray | None = None
 
 
-# the per-layer partials' slots, and the order that puts them back as
-# (B11, B12, B22, C1, C2, A1, A2)
-_B22, _B11, _B12, _C1, _C2, _A1, _A2 = range(7)
-_SUMS_ORDER = (_B11, _B12, _B22, _C1, _C2, _A1, _A2)
+# the per-layer partials' slots, which are also the order of the sums
+_B11, _B12, _B22, _C1, _C2, _A1, _A2 = range(7)
 
 
 def _fsums(parts: np.ndarray) -> list[float]:
     """The sums (B11, B12, B22, C1, C2[, A1, A2]) of an (s, 5|7) array of
-    per-layer partials in slot order, each column by ``math.fsum``: at
+    per-layer partials, one column's floats at a time by ``math.fsum``: at
     s >= 128 the sums mix ~1e4 squared terms whose magnitude grows like the
     near-boundary variance, and naive running sums lose digits."""
-    return [math.fsum(parts[:, c].tolist()) for c in _SUMS_ORDER[:parts.shape[1]]]
+    return [math.fsum(col.tolist()) for col in parts.T]
 
 
-def accumulate(layers, s: int) -> np.ndarray:
+def accumulate(layers) -> np.ndarray:
     """Per-replication sums (B11, B12, B22, C1, C2[, A1, A2]) over the triangle.
 
-    ``layers`` yields exactly s layers (prev, y, eps), d = 1 .. s, as (R, .)
+    ``layers`` yields the layers (prev, y, eps), d = 1 .. s, as (R, .)
     arrays: layer d - 1, layer d, and layer d's innovations, or None, which
-    leaves A out; fewer or more than s layers raise ValueError.  Every
-    partial goes by ``out=`` into one (s, 7, R) buffer allocated at the
-    first layer, one (7, R) slab per layer, 5 rows deep without innovations;
-    its slots are B22, B11, B12, C1, C2[, A1, A2], and the columns are put
-    back in the order above when the sums are returned.
+    leaves A out; the first prev, layer 0, has s + 1 points.  No layers,
+    fewer than s or one past the apex raise ValueError.  Every partial goes
+    by ``out=`` into one (s, 7, R) buffer allocated at the first layer, one
+    (7, R) slab per layer in the order of the sums, 5 rows deep without A.
     With x1 = prev[:-1] and x2 = prev[1:], a layer takes the row-wise dot
     products x1.x2, x1.y, x2.y (and x1.eps, x2.eps), and the shift
     identities x2.x2 = |prev|^2 - prev[0]^2 and x1.x1 = |prev|^2 - prev[-1]^2
-    as one subtraction into the two adjacent slots B22, B11.  |prev|^2 is
-    carried in one (R,) vector: the layer below wrote its |y|^2 there.  No
-    other array outlives its layer.  Each replication's (s, 5|7) partials
-    are combined by ``_fsums``.  Each reduction is one BLAS dot product per
-    row (rows have unit stride), so a row's sums depend on that row alone,
-    never on the batch.  Returns an (R, 7) array, (R, 5) without
-    innovations, or one row of 7 zeros without layers (s = 0).
+    as one subtraction into the slots B22, B11 of a stride -2 view.
+    |prev|^2 is carried in one (R,) vector: the layer below wrote its |y|^2
+    there.  No other array outlives its layer.  Each replication's (s, 5|7)
+    partials are combined by ``_fsums``.  Each reduction is one BLAS dot
+    product per row (rows have unit stride), so a row's sums depend on that
+    row alone, never on the batch.  Returns an (R, 7) array, (R, 5) without
+    innovations.
     """
-    buf = None
-    for d, (prev, y, eps) in enumerate(layers):
-        if d == s:
-            raise ValueError(f"accumulate was told of {s} layers but given more")
-        if buf is None:
+    s = d = 0
+    for d, (prev, y, eps) in enumerate(layers, 1):
+        if d == 1:
+            s = prev.shape[1] - 1
             buf = np.empty((s, 5 if eps is None else 7, len(y)))
             norm = np.vecdot(prev, prev)
-        part = buf[d]
+        if d > s:
+            raise ValueError(f"accumulate was given more than the {s} layers "
+                             f"that layer 0's {s + 1} points fix")
+        part = buf[d - 1]
         x1, x2 = prev[:, :-1], prev[:, 1:]
         # prev[0]^2 and prev[-1]^2 as (R, 2), subtracted into B22 and B11
         ends = np.square(prev[:, ::prev.shape[1] - 1])
-        np.subtract(norm, ends.T, out=part[_B22:_B11 + 1])
+        np.subtract(norm, ends.T, out=part[_B22::-2])
         np.vecdot(x1, x2, out=part[_B12])
         np.vecdot(x1, y, out=part[_C1])
         np.vecdot(x2, y, out=part[_C2])
         if eps is not None:
             np.vecdot(x1, eps, out=part[_A1])
             np.vecdot(x2, eps, out=part[_A2])
-        if d + 1 < s:
+        if d < s:
             np.vecdot(y, y, out=norm)
-    if buf is None:
-        return np.zeros((1, 7))
-    if d + 1 != s:
-        raise ValueError(f"accumulate was told of {s} layers but given {d + 1}")
+    if d == 0 or d < s:
+        raise ValueError(f"accumulate was given {d} layers, not the s >= 1 "
+                         "that layer 0's s + 1 points fix")
     return np.array([_fsums(buf[:, :, r]) for r in range(buf.shape[2])])
 
 
@@ -142,9 +140,9 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
     does per row: ``ndarray.dot`` takes x1.x2, x1.y and x2.y, and x1.eps and
     x2.eps ``with_score``; |y|^2 is carried forward as the next |prev|^2;
     the shift identities subtract prev[0]^2 and prev[-1]^2 on float64
-    scalars.  Each layer writes one row of an (s, 5|7) buffer in
-    ``accumulate``'s slot order, and ``_fsums`` sums its columns.  Returns
-    7 values with the score and 5 without; s = 0 gives zeros.
+    scalars.  Each layer writes one row of an (s, 5|7) buffer in the order
+    of the sums, and ``_fsums`` sums its columns.  Returns 7 values with
+    the score and 5 without; s = 0 gives zeros.
     """
     if field.window != w:
         raise MissingValuesError("field was built on a different window")
@@ -159,9 +157,9 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
         x1, x2 = prev[:-1], prev[1:]
         first, last = prev[0], prev[-1]
         row = buf[d]
-        row[_B22] = norm - first * first
         row[_B11] = norm - last * last
         row[_B12] = x1.dot(x2)
+        row[_B22] = norm - first * first
         row[_C1] = x1.dot(y)
         row[_C2] = x2.dot(y)
         if eps is not None:
@@ -170,6 +168,12 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
         norm = y.dot(y)
         prev = y
     return np.array(_fsums(buf))
+
+
+def _b_and_c(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B, the symmetric (2, 2) array, and C, a (2,) array, of a row of sums."""
+    b11, b12, b22, c1, c2 = sums[:5].tolist()
+    return np.array([[b11, b12], [b12, b22]]), np.array([c1, c2])
 
 
 def normal_equations(field: Field, w: TriangleWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +185,7 @@ def normal_equations(field: Field, w: TriangleWindow) -> tuple[np.ndarray, np.nd
     with |prev|^2 carried over from the layer below.  The per-layer partials
     are combined with math.fsum.
     """
-    b11, b12, b22, c1, c2 = _field_sums(field, w, with_score=False).tolist()
-    return np.array([[b11, b12], [b12, b22]]), np.array([c1, c2])
+    return _b_and_c(_field_sums(field, w, with_score=False))
 
 
 def lse(field: Field, w: TriangleWindow) -> EstimateResult:
@@ -200,9 +203,8 @@ def lse(field: Field, w: TriangleWindow) -> EstimateResult:
         raise SingularDesignError(
             f"normal equations singular on window ({w.k}, {w.l}): det = {det:g}"
         )
-    b11, b12, b22, c1, c2 = sums[:5].tolist()
-    return EstimateResult(float(theta[0]), float(theta[1]), np.array([[b11, b12], [b12, b22]]),
-                          np.array([c1, c2]), float(det), sums[5:7] if with_score else None)
+    return EstimateResult(float(theta[0]), float(theta[1]), *_b_and_c(sums), float(det),
+                          sums[5:7] if with_score else None)
 
 
 def score_vector(field: Field, w: TriangleWindow) -> np.ndarray:

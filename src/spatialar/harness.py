@@ -38,7 +38,7 @@ from .covariance import (
     cov_series_oracle,
     oracle_margin,
 )
-from .errors import ConfigError, ExperimentAbortedError
+from .errors import ConfigError, ExperimentAbortedError, OutOfRangeError
 # lse is not called here; perfbench/tracing.py wraps harness.lse by name
 from .estimate import accumulate, lse, solve
 from .limits import (
@@ -236,7 +236,8 @@ def _simulate_chunk(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
     ``accumulate`` sums of ``rep_ids``, in their order.
 
     Runs ``sim.batch`` replications per sweep and reduces each layer as it
-    is made, without storing fields; ``solve`` of a row is bit-identical to
+    is made, without storing fields; ``accumulate`` reads s from the width
+    of the sweep's layer 0.  ``solve`` of a row is bit-identical to
     ``lse(sim.sample(RngStream(master_seed, rep)))``.  Only ``score`` chunks
     (those of ``verify_score``) pass the innovations to ``accumulate``, and
     their rows carry the score in columns 5 and 6; ``run_clt`` and
@@ -248,7 +249,7 @@ def _simulate_chunk(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
         layers = sim.sweep([RngStream(master_seed, rep) for rep in ids])
         if not score:
             layers = ((prev, y, None) for prev, y, _ in layers)
-        parts.append(accumulate(layers, sim.window.s))
+        parts.append(accumulate(layers))
     return np.concatenate(parts)
 
 
@@ -294,9 +295,10 @@ def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int, workers: int, score: bool) -> tuple[np.ndarray, np.ndarray]:
     """The sums and det B of the non-singular replications among 0 .. reps-1
     of the Gaussian sampler at params_at(m) on the balanced window with sum
-    s; the sums carry the score only with ``score``."""
-    if reps < 1:
-        raise ConfigError("reps must be positive")
+    s; the sums carry the score only with ``score``.  Below 2 reps, which
+    leave no sample variance, it raises ConfigError."""
+    if reps < 2:
+        raise ConfigError(f"reps must be at least 2, got {reps}")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
     with _worker_pool(workers, reps) as runner:
@@ -494,9 +496,11 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     bit.  The worst deviation is reported at its first lag in box order.
     The oracle's tail target is tol / 100, floored at 1e-16, below the
     rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite
-    raises OutOfRangeError, and a NaN value fails the check as an infinite
-    deviation.
+    raises OutOfRangeError before any pair runs.  A NaN value fails the
+    check as an infinite deviation; a grid without a stable pair fails it.
     """
+    if not 0.0 < tol < math.inf:
+        raise OutOfRangeError(f"truncation tolerance must be positive and finite, got {tol}")
     worst = 0.0
     worst_at = None
     n_points = 0
@@ -508,8 +512,7 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
             if abs(a) + abs(b) > 0.9:
                 continue
             p = ModelParams(a, b)
-            # oracle_margin rejects a tol that is not positive and finite
-            margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16) if tol > 0 else tol)
+            margin = oracle_margin(p.q, max(tol * 1e-2, 1e-16))
             ref = cov_closed(p, k, l)
             dev = np.maximum(np.abs(cov_f4(p, k, l) - ref),
                              np.abs(cov_series_oracle(p, k, l, margin) - ref))
@@ -522,7 +525,7 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
                 worst, worst_at = float(dev[i]), (a, b, int(k[i]), int(l[i]))
             n_points += k.size
     return {"n_points": n_points, "worst_dev": worst, "worst_at": worst_at,
-            "tol": tol, "pass": worst <= tol}
+            "tol": tol, "pass": n_points > 0 and worst <= tol}
 
 
 def _prop1_target(design: NearlyUnstableDesign, m_probe: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,9 +258,9 @@ class Field:
     ``values[d]`` holds layer d (d = 0 .. s); entry p corresponds to
     i = d - l + p.  ``innovations[d - 1]`` (d = 1 .. s), when present, holds
     the eps draws for the triangle layers in the same position convention.
-    Construction checks the number of layers and that layer d is 1-D with
-    s - d + 1 points, and raises ValueError naming the first layer that is
-    off, with its shape when it is not 1-D and its length when it is.
+    Construction checks the number of layers and, in one loop, that layer d
+    is 1-D with s - d + 1 points, and raises ValueError at the first layer
+    that is off, with its shape when it is not 1-D and its length when it is.
     ``value`` reads one point of the hull {i + j >= 0, i <= k, j <= l}.
     """
 
@@ -278,15 +277,10 @@ class Field:
             raise ValueError(f"expected {s} innovation layers")
         for what, layers, first in (("layer", self.values, 0),
                                     ("innovation layer", self.innovations, 1)):
-            # layer d has shape (s - d + 1,): one pass compares every shape
-            # with the descending range's 1-tuples, without building either
-            # as a list while the whole field is held, and the first bad
-            # layer is searched for only when that pass fails
-            if layers is None or all(map(operator.eq, map(np.shape, layers),
-                                         zip(range(s + 1 - first, 0, -1)))):
+            if layers is None:
                 continue
             for d, layer in enumerate(layers, first):
-                n = self.window.layer_len(d)
+                n = s + 1 - d
                 if np.ndim(layer) != 1:
                     raise ValueError(f"{what} {d} has shape {np.shape(layer)}, "
                                      f"expected ({n},)")

@@ -71,7 +71,7 @@ def accumulate_by_lists(layers) -> np.ndarray:
     partials per layer, stacked once and summed by fsum: the reference that
     the in-place buffer must match bit for bit.
 
-    Same arguments and result as ``accumulate``, without the layer count.
+    Same argument and result as ``accumulate``, given its s >= 1 layers.
     """
     parts = []
     norm = None
@@ -87,8 +87,6 @@ def accumulate_by_lists(layers) -> np.ndarray:
             part += [np.vecdot(x1, eps), np.vecdot(x2, eps)]
         parts.append(part)
         norm = np.vecdot(y, y)
-    if not parts:
-        return np.zeros((1, 7))
     # (layers, 7, R) -> one row of 7 fsums per replication
     by_rep = np.array(parts).transpose(2, 1, 0)
     return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])

@@ -198,3 +198,30 @@ def test_large_field_report_bytes_are_pinned(tmp_path):
         "513": {"failed_ops": 0, "report":
                 "acc7e7276a3cf60204dae6a5a5c0ef939ca0818b7bd6ef51dde8d75cc95c8e7c"},
     }
+
+
+_ORACLE = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [str(Path(sys.argv[1]) / "perfbench"), str(Path(sys.argv[1]) / "src")]
+import workloads
+
+oracle = workloads.Oracle()
+oracle.prepare("oracle", 7, Path.cwd(), 1)
+oracle.timed()
+out = oracle.check()
+print(json.dumps({"ops": out.ops, "failed_ops": out.failed_ops,
+                  "report": out.digests["report.json"]}))
+"""
+
+
+def test_oracle_report_bytes_are_pinned(tmp_path):
+    # oracle runs verify_cov on its default grid to lag 3, so its
+    # report.json carries the bytes of the four covariance evaluators
+    proc = subprocess.run([sys.executable, "-c", _ORACLE, str(ROOT)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "ops": 1764, "failed_ops": 0,
+        "report": "c84fcc5702dd99b7d56927f3ff4a6dcd92f5acb4670186b61bc0e563e52ea82e",
+    }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,17 @@ class TestLimitsAndVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["detb", "score"])
+    def test_verify_one_rep_exits_1_without_warnings(self, capsys, what):
+        # one replication has no sample variance: the suites reject it
+        # before any replication runs, rather than report NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", what, "--alpha", "0.5",
+                                     "--beta", "0.5", "--s", "8", "--reps", "1")
+        assert code == 1 and out == "" and caught == []
+        assert err == "error: reps must be at least 2, got 1\n"
 
     @pytest.mark.parametrize("what", ["detb", "score"])
     def test_verify_bad_worker_count_exits_1(self, capsys, monkeypatch, what):

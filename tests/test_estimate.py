@@ -157,25 +157,32 @@ class TestAccumulate:
             layers = list(sim.sweep([RngStream(31, r) for r in range(reps)]))
             if not with_eps:
                 layers = [(prev, y, None) for prev, y, _ in layers]
-            got, ref = accumulate(iter(layers), s), accumulate_by_lists(iter(layers))
+            got, ref = accumulate(iter(layers)), accumulate_by_lists(iter(layers))
             # without innovations the sums stop at C: the reference's first 5 columns
             ref = ref if with_eps else ref[:, :5]
             assert got.shape == ref.shape == (reps, 7 if with_eps else 5)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), s
 
-    def test_no_layers_give_one_row_of_zeros(self):
-        got, ref = accumulate(iter([]), 0), accumulate_by_lists(iter([]))
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-        assert got.shape == (1, 7)
+    def test_no_layers_raise(self):
+        with pytest.raises(ValueError, match="^accumulate was given 0 layers, not the s >= 1"):
+            accumulate(iter([]))
 
     def test_layer_count_is_checked(self):
+        # layer 0 of T(2, 2) has 5 points, so s = 4
         sim = FieldSimulator(ModelParams(0.3, 0.4), TriangleWindow(2, 2))
         layers = list(sim.sweep([RngStream(1, 0)]))
-        with pytest.raises(ValueError, match="told of 5 layers but given 4"):
-            accumulate(iter(layers[:4]), 5)
-        # the fourth layer has no slot when s = 3
-        with pytest.raises(ValueError, match="^accumulate was told of 3 layers but given more$"):
-            accumulate(iter(layers), 3)
+        assert accumulate(iter(layers)).shape == (1, 7)
+        with pytest.raises(ValueError, match="^accumulate was given 3 layers, not the s >= 1"):
+            accumulate(iter(layers[:3]))
+        # past the apex: the next prev is layer 4's one point
+        apex = layers[-1][1]
+        past = (apex, apex[:, 1:], None)
+        with pytest.raises(ValueError, match="^accumulate was given more than the 4 layers "
+                                             "that layer 0's 5 points fix$"):
+            accumulate(iter([*layers, past]))
+        # a first layer of one point leaves no layer below the apex
+        with pytest.raises(ValueError, match="more than the 0 layers"):
+            accumulate(iter([past]))
 
     @pytest.mark.parametrize("dist", list(InnovationDist))
     @pytest.mark.parametrize("with_eps", [True, False], ids=["eps", "no_eps"])
@@ -187,7 +194,7 @@ class TestAccumulate:
             fld = FieldSimulator(ModelParams(0.45, 0.45), w, SimMethod(None),
                                  dist).sample(RngStream(37, s))
             got = _field_sums(fld, w, with_eps)
-            ref = accumulate(one_row_layers(fld, with_eps), s)[0]
+            ref = accumulate(one_row_layers(fld, with_eps))[0]
             assert got.shape == ref.shape == (7 if with_eps else 5,)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), s
             b, c = normal_equations(fld, w)
@@ -212,7 +219,7 @@ class TestAccumulate:
         assert not views.values[1].flags.c_contiguous
         for with_eps in (True, False):
             got = _field_sums(views, w, with_eps)
-            ref = accumulate(one_row_layers(views, with_eps), w.s)[0]
+            ref = accumulate(one_row_layers(views, with_eps))[0]
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_lse_on_a_stored_field_allocates_little(self):
@@ -258,7 +265,7 @@ class TestSolve:
         sim = FieldSimulator(p, w)
         fields = [sim.sample(RngStream(19, r)) for r in range(3)]
         layers = sim.sweep([RngStream(19, r) for r in range(3)])
-        sampled = accumulate(((prev, y, None) for prev, y, _ in layers), w.s)
+        sampled = accumulate((prev, y, None) for prev, y, _ in layers)
         zero, flat = np.zeros(5), np.array([4.0, 6.0, 9.0, 1.0, 2.0])
         sums = np.array([sampled[0], zero, sampled[1], flat, sampled[2]])
         theta, det, ok = solve(sums)

@@ -549,6 +549,18 @@ class TestVerifySuites:
         with pytest.raises(OutOfRangeError):
             verify_cov(lag_max=1, tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_verify_cov_rejects_bad_tolerance_without_a_stable_pair(self, tol):
+        # the tolerance is checked before the grid, so a grid whose every
+        # pair is skipped rejects it too
+        with pytest.raises(OutOfRangeError,
+                           match="^truncation tolerance must be positive and finite"):
+            verify_cov((0.5, 0.6), lag_max=1, tol=tol)
+
+    def test_verify_cov_without_a_stable_pair_fails(self):
+        r = verify_cov((0.5, 0.6), lag_max=1)
+        assert r["n_points"] == 0 and r["worst_at"] is None and not r["pass"]
+
     def test_verify_cov_floors_the_oracle_target(self, monkeypatch):
         # the oracle's tail target tol / 100 is floored at 1e-16, so a tol
         # far below rounding runs the 1e-16 margin and fails

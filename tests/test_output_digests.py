@@ -1,8 +1,8 @@
 """Golden sha256 digests of the canonical outputs.
 
 The limit-law description, the four exact and Monte Carlo verify reports,
-and a small ``run_clt``'s ``report.json`` and error CSVs are pinned byte for
-byte, as ``ESTIMATE_DIGESTS`` in ``test_cli.py`` pins ``spatialar
+a covariance table by each of the four methods, and a small ``run_clt``'s
+``report.json`` and error CSVs are pinned byte for byte, as ``ESTIMATE_DIGESTS`` in ``test_cli.py`` pins ``spatialar
 estimate``.  A refactor that claims to move no output byte must leave every
 digest here as it is.  ``timing.json`` holds wall-clock times and is not
 pinned.
@@ -29,6 +29,8 @@ BOUNDARY = ("--alpha", "1", "--beta", "0", "--gamma-c", "2")
 # 16 adj(Theta), carries -0.0 off the diagonal
 BOUNDARY_THETA0 = ("--alpha", "1", "--beta", "0", "--gamma-c", "2", "--delta-c", "0")
 MC = ("--s", "32", "--reps", "100")
+# one lag box through each covariance method
+COV_TABLE = ("--alpha", "0.3", "--beta", "-0.45", "--kmax", "3", "--lmax", "3", "--method")
 
 CLI_DIGESTS = {
     ("limits", "describe", *INTERIOR): "ea69d9f5efacc2ecc6468b9041d9c0ebe9e95fd52e03811fdf997d9a22d59346",
@@ -43,6 +45,10 @@ CLI_DIGESTS = {
     ("verify", "detb", *NEGATIVE, *MC): "aadc5c5a3b4431b3d4a68905cea5b868ec210780769dbb428ddf39a6e8d6a53d",
     ("verify", "score", *INTERIOR, *MC): "dd4cd620679e2f65491d30cda87707d8176a1d0a540d7a1ed51411bbd3772b29",
     ("verify", "score", *BOUNDARY, "--m", "64", *MC): "549f0923549e7b23ccee566fa8ced447ac3a61dd4d688aca6f14521aaa095dd3",
+    ("cov", "table", *COV_TABLE, "closed"): "ae80ee21255df9632d33a8b43b5c4fa73dd0bda0edbecef72919d1ffa980d0af",
+    ("cov", "table", *COV_TABLE, "f4"): "b449edbb3893b4f4404958a35aab40182dd18253d90aa416ced0f111b33b38be",
+    ("cov", "table", *COV_TABLE, "binrep"): "99617f903ee6598e8ae51f15e4da8878cc269c9839980e66f1052f17ab5a63fe",
+    ("cov", "table", *COV_TABLE, "oracle"): "56cb4d50193dac25b7d3e1c2f9b91e3ae9e8c475afd36d65c18c9dc45ec71721",
 }
 
 
