@@ -79,7 +79,9 @@ def accumulate(layers) -> np.ndarray:
     identities x2.x2 = |prev|^2 - prev[0]^2 and x1.x1 = |prev|^2 - prev[-1]^2
     as one subtraction into the slots B22, B11 of a stride -2 view.
     |prev|^2 is carried in one (R,) vector: the layer below wrote its |y|^2
-    there.  No other array outlives its layer.  Each replication's (s, 5|7)
+    there.  No other array outlives its layer, and each layer is read
+    before the next is asked for, so the layers may be the reused buffers
+    of ``FieldSimulator.sweep``.  Each replication's (s, 5|7)
     partials are combined by ``_fsums``.  Each reduction is one BLAS dot
     product per row (rows have unit stride), so a row's sums depend on that
     row alone, never on the batch.  Returns an (R, 7) array, (R, 5) without

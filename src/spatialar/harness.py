@@ -463,8 +463,11 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             per_size.append(record)
             raw_all.append(np.column_stack([rep_ids, theta, scaled]))
             elapsed = time.perf_counter() - t0
+            # the largest batch a chunk ran: the first of _run_reps's chunks
+            # is the longest
+            chunk = -(-config.reps // runner[1])
             rung = {"m": m, "s": s, "elapsed_s": elapsed,
-                    "reps_per_s": config.reps / elapsed, "batch_reps": sim.batch,
+                    "reps_per_s": config.reps / elapsed, "batch_reps": min(sim.batch, chunk),
                     "workers": runner[1]}
             if config.dist is not InnovationDist.GAUSSIAN:
                 rung["series_margin"] = sim.method.margin

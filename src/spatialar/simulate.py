@@ -34,8 +34,11 @@ empty at depth 0) and the triangle, and each span is one draw of its whole
 length split into layers (``FieldSimulator._layers``), so neither the batch
 size nor the number of layers made at once changes a value.  Rademacher
 signs take one generator call per replication and span: the span's bytes
-are held packed, at one bit per sign, and unpacked for the whole batch a
-group of layers at a time.
+are held packed, at one bit per sign, and unpacked for the whole batch one
+layer at a time.  The sweep writes every layer of a batch into buffers
+allocated once for the batch, so a layer it yields is valid only until it
+advances; ``FieldSimulator.sample``, whose field holds every layer, gives
+each layer an array of its own.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ __all__ = [
     "FieldSimulator",
 ]
 
-_GROUP_LAYERS = 8         # innovation layers made as one float64 block
-_BATCH_FLOATS = 1 << 17   # float64 (1 MiB) in one draw group of a whole batch
+_GROUP_LAYERS = 8         # normal or uniform innovation layers drawn as one block
+_BATCH_FLOATS = 1 << 17   # float64 (1 MiB) of a batch's widest layers: see FieldSimulator
 _MASK64 = (1 << 64) - 1
 _CUMULANT_TOL = 1e-12     # fourth-cumulant tail of the default depth, in units of kappa4
 
@@ -228,16 +231,21 @@ class FieldSimulator:
     raises MethodUnsupportedError, since its boundary would be all Gaussian.
     Set-up holds only what is replication-invariant (the AR(1) colouring
     coefficients, the resolved depth and the batch size) and is cheap (the
-    default depth is a bisection over O(M)-term certificates), so
-    ``sample`` is a pure function of the stream and replications may run
-    concurrently in any order.  A draw costs O(M * (s + M)) for the layers
-    below the triangle plus O(s^2) for the triangle.
+    default depth is a bisection over O(M)-term certificates); no buffer
+    outlives a sweep.  So ``sample`` is a pure function of the stream and
+    replications may run concurrently in any order.  A draw costs
+    O(M * (s + M)) for the layers below the triangle plus O(s^2) for the
+    triangle.
 
-    ``batch`` is the number of replications to sweep together: one draw
-    group of the batch (_GROUP_LAYERS layers of the widest drawn layer per
-    replication, s + 1 + M points) stays within 1 MiB of float64.
-    Rademacher signs add the packed bytes of a whole span, 1/64 of its
-    float64 size.
+    ``batch`` is the number of replications to sweep together, the most
+    whose layers of the widest width (s + 1 + M points, the deep layer)
+    fit in 1 MiB of float64, counted per law.  Normals and uniforms are
+    drawn row by row, a group of _GROUP_LAYERS layers per call, so that
+    each call is spread over several layers: one draw group of the batch
+    stays within the budget.  Rademacher signs are unpacked for the whole
+    batch one layer at a time, so the three layers one step touches (prev,
+    eps and y) stay within it, and the batch is 8/3 as large; the packed
+    bytes of a whole span, 1/64 of its float64 size, come on top.
 
     Draw layout (fixed per depth and law, part of the determinism
     contract): every number comes from the replication's ``RngStream``.
@@ -267,9 +275,11 @@ class FieldSimulator:
         d = d_factor(params)
         sig = math.sqrt(sigma_sq(params))
         self._ar1 = (d, sig, sig * math.sqrt(1.0 - d * d))
-        self.batch = max(1, _BATCH_FLOATS // (_GROUP_LAYERS * window.layer_len(-depth)))
+        per_row = 3 if dist is InnovationDist.RADEMACHER else _GROUP_LAYERS
+        self.batch = max(1, _BATCH_FLOATS // (per_row * window.layer_len(-depth)))
 
-    def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
+    def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int,
+                keep: bool):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
 
         Every random number of a replication but the deep layer's normals
@@ -281,41 +291,59 @@ class FieldSimulator:
         split into the layers.  Rademacher signs take one generator call per
         row for the whole span: its ceil(N / 8) bytes are held packed, 1/64
         of the span's float64 size, and unpacked for the whole batch one
-        group at a time.  Normals and uniforms are drawn row by row per
-        group, and continue the stream across groups.  The float64 layers
-        are made in groups of _GROUP_LAYERS, which bounds their memory and
-        does not change the values.
+        layer at a time.  Normals and uniforms are drawn row by row, a group
+        of _GROUP_LAYERS layers per call, continuing the stream across
+        groups, so that each call is spread over several layers.  Neither
+        group size changes a value.  With ``keep`` each group is a new
+        array; otherwise every group is written into the front of one flat
+        buffer allocated for the span, and a layer is valid only until the
+        next group is drawn.
         """
         lens = [self.window.layer_len(d) for d in range(lowest, highest + 1)]
-        packed = None
+        rows, packed, size = len(gens), None, _GROUP_LAYERS
         if self.dist is InnovationDist.RADEMACHER:
-            packed = np.stack([_sign_bytes(gen, sum(lens)) for gen in gens])
+            total = sum(lens)
+            packed = np.empty((rows, (total + 7) // 8), np.uint8)
+            for row, gen in zip(packed, gens):
+                row[:] = _sign_bytes(gen, total)
+            size = 1
+        groups = [lens[k:k + size] for k in range(0, len(lens), size)]
+        if not keep:
+            flat = np.empty(rows * max(map(sum, groups), default=0))
+        d = lowest
         start = 0
-        for k in range(0, len(lens), _GROUP_LAYERS):
-            group = lens[k:k + _GROUP_LAYERS]
-            block = np.empty((len(gens), sum(group)))
+        for group in groups:
+            n = sum(group)
+            block = np.empty((rows, n)) if keep else flat[:rows * n].reshape(rows, n)
             if packed is None:
                 for row, gen in zip(block, gens):
-                    self.dist.draw(gen, len(row), out=row)
+                    self.dist.draw(gen, n, out=row)
             else:
                 _unpack_signs(packed, start, block)
-            start += block.shape[1]
+            start += n
             pos = 0
-            for d, n in enumerate(group, lowest + k):
-                yield d, block[:, pos:pos + n]
-                pos += n
+            for width in group:
+                yield d, block[:, pos:pos + width]
+                d, pos = d + 1, pos + width
 
-    def _step(self, prev: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        # one layer of the recursion for every row of the batch
-        y = self.params.alpha * prev[:, :-1]
-        y += self.params.beta * prev[:, 1:]
+    def _step(self, prev: np.ndarray, eps: np.ndarray, y: np.ndarray | None = None,
+              t: np.ndarray | None = None) -> np.ndarray:
+        """One layer of the recursion for every row of the batch:
+        y = alpha x1 + beta x2 + eps, x1 = prev[:, :-1] and x2 = prev[:, 1:].
+
+        y receives the layer and t the product beta x2; both are (R, w)
+        arrays, w one less than prev's width, or None for new ones.
+        """
+        y = np.multiply(prev[:, :-1], self.params.alpha, out=y)
+        y += np.multiply(prev[:, 1:], self.params.beta, out=t)
         y += eps
         return y
 
     def _colour(self, z: np.ndarray) -> np.ndarray:
-        """An anti-diagonal layer from its (R, width) standard normals: the
-        O(width) Cholesky factor of the AR(1) anti-diagonal covariance,
-        x_0 = sig z_0 and x_t = D x_(t-1) + sig sqrt(1 - D^2) z_t.
+        """An anti-diagonal layer from its (R, width) standard normals,
+        coloured in place and returned: the O(width) Cholesky factor of the
+        AR(1) anti-diagonal covariance, x_0 = sig z_0 and
+        x_t = D x_(t-1) + sig sqrt(1 - D^2) z_t.
 
         The recursion runs along the layer, one point at a time for the
         whole batch.  A batch of one row runs it as a loop over Python
@@ -324,8 +352,9 @@ class FieldSimulator:
         (about 2.8 us a point, 11 ms a layer at s = 4096).
         """
         d, sig, step = self._ar1
-        x = step * z
-        x[:, 0] = sig * z[:, 0]
+        first = sig * z[:, 0]
+        x = np.multiply(z, step, out=z)
+        x[:, 0] = first
         if len(x) == 1:
             row = x[0].tolist()
             prev = row[0]
@@ -345,25 +374,54 @@ class FieldSimulator:
         streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
         in the same order: the deep layer's normals, the boundary span, then
         the triangle span (see ``_layers``).  The first yielded prev is the
-        boundary.  The yielded arrays are not modified afterwards.
+        boundary.
+
+        The sweep writes every layer into buffers allocated once per batch,
+        so the yielded arrays are valid only until the sweep advances: copy
+        a layer to keep it.
+        """
+        return self._sweep(streams, keep=False)
+
+    def _sweep(self, streams: list[RngStream], keep: bool):
+        """``sweep``, with every layer in an array of its own when ``keep``.
+
+        Without ``keep`` the batch allocates four float64 buffers: two that
+        take the layers in turn (the first also takes the deep layer's
+        normals, coloured in place), one for beta x2 and one flat draw
+        buffer per span (see ``_layers``).  Each layer is a C-contiguous
+        (R, w) reshape of the front of its buffer, so its rows have unit
+        stride.
         """
         gens = [stream.generator() for stream in streams]
-        depth = self.method.margin
-        deep = np.empty((len(gens), self.window.layer_len(-depth)))
+        rows, depth = len(gens), self.method.margin
+        width = self.window.layer_len(-depth)
+        if keep:
+            deep = np.empty((rows, width))
+        else:
+            held, free = np.empty(rows * width), np.empty(rows * width)
+            scratch = np.empty(rows * (width - 1))
+            deep = held.reshape(rows, width)
         for row, gen in zip(deep, gens):
             gen.standard_normal(out=row)
         prev = self._colour(deep)
-        layers = itertools.chain(self._layers(gens, 1 - depth, 0),
-                                 self._layers(gens, 1, self.window.s))
+        layers = itertools.chain(self._layers(gens, 1 - depth, 0, keep),
+                                 self._layers(gens, 1, self.window.s, keep))
         for d, eps in layers:
-            y = self._step(prev, eps)
+            if keep:
+                y = self._step(prev, eps)
+            else:
+                n = rows * eps.shape[1]
+                y = self._step(prev, eps, free[:n].reshape(eps.shape),
+                               scratch[:n].reshape(eps.shape))
+                held, free = free, held
             if d >= 1:
                 yield prev, y, eps
             prev = y
 
     def sample(self, stream: RngStream) -> Field:
-        """One field realisation: the R = 1 case of ``sweep``."""
-        prevs, ys, eps = zip(*self.sweep([stream]))
+        """One field realisation: the R = 1 case of ``sweep``, with every
+        layer in an array of its own, since the field holds them."""
+        prevs, ys, eps = zip(*self._sweep([stream], keep=True))
         values = [prevs[0][0]] + [y[0] for y in ys]
         return Field(self.window, values, [e[0] for e in eps], self.params)
 

@@ -90,3 +90,9 @@ def accumulate_by_lists(layers) -> np.ndarray:
     # (layers, 7, R) -> one row of 7 fsums per replication
     by_rep = np.array(parts).transpose(2, 1, 0)
     return np.array([[math.fsum(col) for col in rep.tolist()] for rep in by_rep])
+
+
+def kept_layers(sweep) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (prev, y, eps) of ``sweep``, copied as it is yielded: the
+    sweep writes its layers into buffers it reuses."""
+    return [tuple(a.copy() for a in layer) for layer in sweep]

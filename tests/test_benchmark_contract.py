@@ -62,8 +62,8 @@ def test_sweep_draws_are_traced_as_rng_spans():
     # normals and uniforms take one span for the boundary group (the 3
     # layers above -3; none at depth 0) and one per group of 8 triangle
     # layers (s = 10).  Signs take one span for the boundary and one for the
-    # triangle, however long the spans are: at s = 40 and depth 30 they span
-    # 4 and 5 groups
+    # triangle, however long the spans are: at s = 40 and depth 30 they are
+    # unpacked over 30 and 40 layers
     proc = subprocess.run([sys.executable, "-c", _SWEEP], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,7 @@ from spatialar import (
 from spatialar.estimate import _field_sums, accumulate, solve
 from spatialar.limits import _adjugate, _det
 
-from fieldref import accumulate_by_lists, deterministic_field
+from fieldref import accumulate_by_lists, deterministic_field, kept_layers
 
 
 def three_point_field(x1x2_pairs, y=0.0):
@@ -154,7 +154,7 @@ class TestAccumulate:
         for s in range(1, 41):
             sim = FieldSimulator(ModelParams(0.45, 0.45), TriangleWindow.balanced(s),
                                  SimMethod(None), dist)
-            layers = list(sim.sweep([RngStream(31, r) for r in range(reps)]))
+            layers = kept_layers(sim.sweep([RngStream(31, r) for r in range(reps)]))
             if not with_eps:
                 layers = [(prev, y, None) for prev, y, _ in layers]
             got, ref = accumulate(iter(layers)), accumulate_by_lists(iter(layers))
@@ -170,7 +170,7 @@ class TestAccumulate:
     def test_layer_count_is_checked(self):
         # layer 0 of T(2, 2) has 5 points, so s = 4
         sim = FieldSimulator(ModelParams(0.3, 0.4), TriangleWindow(2, 2))
-        layers = list(sim.sweep([RngStream(1, 0)]))
+        layers = kept_layers(sim.sweep([RngStream(1, 0)]))
         assert accumulate(iter(layers)).shape == (1, 7)
         with pytest.raises(ValueError, match="^accumulate was given 3 layers, not the s >= 1"):
             accumulate(iter(layers[:3]))

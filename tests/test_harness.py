@@ -209,24 +209,37 @@ class TestRunCLT:
         assert rec["threshold"] == pytest.approx(1.63 / math.sqrt(400))
         assert 0.0 < rec["d_diff"] < 1.0 and 0.0 < rec["d_sum"] < 1.0
 
-    def test_report_files(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_files(self, tmp_path, workers):
         cfg = small_config(out_dir=str(tmp_path / "out"))
-        run_clt(cfg)
+        run_clt(cfg, workers=workers)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["schema"] == "spatialar-report-v1"
         assert report["per_size"][0]["reps_used"] == 100
         timing = json.loads((tmp_path / "out" / "timing.json").read_text())
         assert len(timing["per_size"]) == 1
         rung = timing["per_size"][0]
+        # the batch is capped at 963 rows, so each chunk of 100 // workers
+        # replications runs as one batch
         sim = FieldSimulator(cfg.design.params_at(16), TriangleWindow.balanced(16))
-        assert rung["batch_reps"] == sim.batch
+        assert sim.batch == 963
+        assert rung["batch_reps"] == 100 // workers
         assert rung["reps_per_s"] == pytest.approx(100 / rung["elapsed_s"])
-        assert rung["workers"] == 1
+        assert rung["workers"] == workers
         assert "series_margin" not in rung and "series_cumulant_bound" not in rung
         assert "omega_settled" not in rung
         with open(tmp_path / "out" / "errors_m16_s16.csv") as fh:
             header = fh.readline().strip()
         assert header == "rep_id,alpha_hat,beta_hat,scaled_err_a,scaled_err_b"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_reps_is_capped_by_the_sampler_batch(self, tmp_path, monkeypatch, workers):
+        # a cap of 30 rows runs the chunks of 100 and 50 in batches of at
+        # most 30
+        monkeypatch.setattr("spatialar.simulate._BATCH_FLOATS", 30 * 8 * 17)
+        run_clt(small_config(out_dir=str(tmp_path / "out")), workers=workers)
+        timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert timing["per_size"][0]["batch_reps"] == 30
 
     def test_errors_csv_lines_end_in_a_bare_newline(self, tmp_path):
         # the package's one CSV dialect, as in sim field and cov table

@@ -105,8 +105,9 @@ RADEMACHER_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("built", ["python", "json"])
-def test_default_depth_run_bytes(tmp_path, monkeypatch, built):
+def test_default_depth_run_bytes(tmp_path, monkeypatch, built, workers):
     monkeypatch.chdir(tmp_path)
     if built == "python":
         config = ExperimentConfig(CLT_DESIGNS["boundary"], [(16, 64), (32, 181)], reps=100,
@@ -117,6 +118,6 @@ def test_default_depth_run_bytes(tmp_path, monkeypatch, built):
             "design": {"alpha": 1.0, "beta": 0.0, "gamma": 2.0, "delta": 1.0},
             "ladder": [[16, 64], [32, 181]], "reps": 100, "dist": "rademacher",
             "seed": 11, "out_dir": "out"})
-    run_clt(config)
+    run_clt(config, workers=workers)
     got = {f: _sha((tmp_path / "out" / f).read_bytes()) for f in CLT_FILES}
     assert got == RADEMACHER_DIGESTS

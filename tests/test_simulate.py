@@ -24,7 +24,7 @@ from spatialar import (
 from spatialar.covariance import d_factor
 from spatialar.simulate import _GROUP_LAYERS
 
-from fieldref import deterministic_field, hull_covariance, hull_indices
+from fieldref import deterministic_field, hull_covariance, hull_indices, kept_layers
 
 
 class TestTailBound:
@@ -181,7 +181,7 @@ class TestSimulate:
         w = TriangleWindow.balanced(301)
         sim = FieldSimulator(ModelParams(0.45, 0.4), w, SimMethod(None), dist)
         streams = [RngStream(12, r) for r in range(3)]
-        layers = list(sim.sweep(streams))
+        layers = kept_layers(sim.sweep(streams))
         assert (sim.method.margin == 0) == (dist is InnovationDist.GAUSSIAN)
         for r, stream in enumerate(streams):
             f = sim.sample(stream)
@@ -189,6 +189,32 @@ class TestSimulate:
             assert np.concatenate(f.values).tobytes() == np.concatenate(rows).tobytes()
             assert (np.concatenate(f.innovations).tobytes()
                     == np.concatenate([eps[r] for _, _, eps in layers]).tobytes())
+
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_sweep_reuses_its_layer_buffers(self, dist):
+        # a batched sweep writes layer d + 2 where layer d was; every layer
+        # is C-contiguous, so accumulate's rows keep unit stride
+        sim = FieldSimulator(ModelParams(0.45, 0.4), TriangleWindow.balanced(21),
+                             SimMethod(None), dist)
+        ys = [y for _, y, _ in sim.sweep([RngStream(5, r) for r in range(3)])]
+        assert len(ys) == 21 and all(y.flags.c_contiguous for y in ys)
+        for d in range(len(ys) - 2):
+            assert np.shares_memory(ys[d], ys[d + 2]), d
+
+    @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
+    def test_sampled_fields_own_their_layers(self, dist):
+        # a field holds its layers: no two layers of one sample, and no
+        # layers of two samples, share memory, and a later sample leaves
+        # the first one's values as they were
+        sim = FieldSimulator(ModelParams(0.45, 0.4), TriangleWindow.balanced(21),
+                             SimMethod(None), dist)
+        first = sim.sample(RngStream(5, 0))
+        before = np.concatenate(first.values + first.innovations).tobytes()
+        second = sim.sample(RngStream(5, 1))
+        assert np.concatenate(first.values + first.innovations).tobytes() == before
+        layers = [*first.values, *first.innovations, *second.values, *second.innovations]
+        for i, layer in enumerate(layers):
+            assert not any(np.shares_memory(layer, other) for other in layers[i + 1:]), i
 
     def test_recursion_residual_boundary_cholesky(self):
         p = ModelParams(0.45, -0.35)
@@ -294,17 +320,24 @@ class TestSeriesBoundary:
             assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [64, 181])
-    @pytest.mark.parametrize("margin", [0, 50, None])
-    def test_batch_draw_group_within_budget(self, s, margin):
+    @pytest.mark.parametrize("margin, dist", [
+        (0, InnovationDist.GAUSSIAN),  # depth 0 is Gaussian only
+        *[(margin, dist) for margin in (50, None)
+          for dist in (InnovationDist.RADEMACHER, InnovationDist.UNIFORM_UNIT_VAR)],
+    ], ids=lambda v: v.value if isinstance(v, InnovationDist) else f"depth{v}")
+    def test_batch_draw_group_within_budget(self, s, margin, dist):
+        # a batch is the most rows whose layers of the widest width fit in
+        # 1 MiB of float64: the three one step touches (prev, eps and y)
+        # for signs, unpacked a layer at a time, and a draw group of
+        # _GROUP_LAYERS for normals and uniforms
         design = NearlyUnstableDesign(BoundaryPoint.from_pair(1.0, 0.0),
                                       Schedule.constant(2.0), Schedule.constant(1.0))
         p = design.params_at(32)
-        # depth 0 is Gaussian only
-        dist = InnovationDist.GAUSSIAN if margin == 0 else InnovationDist.RADEMACHER
         sim = FieldSimulator(p, TriangleWindow.balanced(s), SimMethod(margin),
                              dist)
         width = s + 1 + sim.method.margin
-        assert sim.batch * _GROUP_LAYERS * width * 8 <= 1 << 20
+        layers = 3 if dist is InnovationDist.RADEMACHER else _GROUP_LAYERS
+        assert sim.batch * layers * width * 8 <= 1 << 20 < (sim.batch + 1) * layers * width * 8
 
 
 # fourth cumulants E[x^4] - 3 of the unit-variance laws: a sign has
