@@ -366,8 +366,11 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     Both parameterisations match the moving-average weight products term by
     term (prefactor included), so F4 level t contributes at most q^(2t) to
     the covariance and truncating at level S leaves an absolute error of at
-    most q^(2(S+1))/(1-q^2), ``tail_variance_bound(q, S)``.  Each F4 sum is
-    one pass over the level grid: the log of term (m, n) is
+    most q^(2(S+1))/(1-q^2), ``tail_variance_bound(q, S)``.  That accuracy
+    is absolute only: where R is far below the bound, at large lags, its
+    relative error grows (1.34e-4 at (-0.3, 0.6), lag (1200, 1000), where R
+    is about 3.6e-192); so do ``cov_binrep``'s and ``cov_series_oracle``'s.
+    Each F4 sum is one pass over the level grid: the log of term (m, n) is
     level(m + n) + mfac(m) + nfac(n), each factor formed once per value
     from the shared log-factorial table (see ``_f4_grid_sum``).
 
@@ -459,7 +462,8 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     sign(a)^|k| sign(b)^|l| * sum_i q^(|k|+|l|+2i) P(S(i, |k|+|l|+i) = |l|+i)
     with q = |a| + |b| and nu = |a|/q; the i-sum keeps i = 0..M with
     M = ``oracle_margin(q, tol)``, the truncation rule of the other series
-    routes, so its tail is below ``tol``.  The convolution for level i
+    routes, so its tail is below ``tol`` in absolute terms only (see
+    ``cov_f4`` on relative accuracy at large lags).  The convolution for level i
     runs over u = 0..i, so the whole sum is one pass over the level grid
     (u, w = i - u), one segment per i.  The log of the product of the two
     binomial pmfs is level(i) + ufac(u) + wfac(w), with
@@ -557,7 +561,8 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     ``margin`` + 1 anti-diagonal levels of that support.  Level t contributes
     at most q^(2t) (product of the two binomial-theorem norms), so the
     truncation error is bounded by q^(2(margin+1))/(1-q^2),
-    ``tail_variance_bound(q, margin)``.  Deliberately ignorant of every
+    ``tail_variance_bound(q, margin)``, an absolute bound (see ``cov_f4`` on
+    relative accuracy at large lags).  Deliberately ignorant of every
     closed form.  The log of the weight product at (u, v) is
     level(u + v) + ufac(u) + vfac(v): the two binomial numerators, and per
     axis the powers of |a| (|b|) over the factorials of the denominators,

@@ -16,6 +16,10 @@ reuses, or ``(map, 1)``, the parent itself.  An in-process call is thus the
 pooled call with one chunk.  The parent imports ``numpy.random`` just
 before the pool's first fork, so the workers inherit it; a run without a
 pool leaves that import to the first draw.
+
+Each (m, s) of the three is one ``_rung``: it builds the sampler, runs
+``_run_reps`` and ``solve``, and applies one singular rule, so more than 1%
+singular replications abort the run and the rest are left out and counted.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +90,17 @@ class Tolerances:
 
     cov_rel_tol bounds the relative deviation of empirical (co)variances
     from their theoretical limits; zero_var_ceiling bounds the variance of
-    projections whose limit is zero (the singular direction).
+    projections whose limit is zero (the singular direction).  A value that
+    is not positive and finite raises ConfigError.
     """
 
     cov_rel_tol: float = 0.3
     zero_var_ceiling: float = 0.05
+
+    def __post_init__(self):
+        for name, value in self.to_json().items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     def to_json(self) -> dict:
         return {"cov_rel_tol": self.cov_rel_tol,
@@ -203,8 +214,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return encode_basestring(obj)
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, (int, np.integer)):
@@ -291,21 +301,26 @@ def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
                                       chunks, repeat(score))))
 
 
-def _solved_rows(design: NearlyUnstableDesign, m: int, s: int, reps: int,
-                 master_seed: int, workers: int, score: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The sums and det B of the non-singular replications among 0 .. reps-1
-    of the Gaussian sampler at params_at(m) on the balanced window with sum
-    s; the sums carry the score only with ``score``.  Below 2 reps, which
-    leave no sample variance, it raises ConfigError."""
-    if reps < 2:
-        raise ConfigError(f"reps must be at least 2, got {reps}")
+def _rung(design: NearlyUnstableDesign, m: int, s: int, rep_ids: list[int],
+          master_seed: int, runner, method: SimMethod = SimMethod(0),
+          dist: InnovationDist = InnovationDist.GAUSSIAN, score: bool = False):
+    """The one Monte Carlo path of ``run_clt`` and the verify suites: (sim, sums,
+    theta, det B, ok) of ``rep_ids`` on ``runner``, sampled at params_at(m) on the
+    balanced window with sum s, under one rule: at most 1% of rows singular."""
+    if len(rep_ids) < 2:
+        raise ConfigError(f"reps must be at least 2, got {len(rep_ids)}")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
-    with _worker_pool(workers, reps) as runner:
-        sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s))
-        sums = _run_reps(sim, master_seed, list(range(reps)), runner, score)
-    _, det, ok = solve(sums)
-    return sums[ok], det[ok]
+    if master_seed < 0:
+        raise ConfigError("master_seed must be a nonnegative integer")
+    sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s), method, dist)
+    sums = _run_reps(sim, master_seed, rep_ids, runner, score)
+    theta, det, ok = solve(sums)
+    n_singular = int(len(ok) - np.sum(ok))
+    if n_singular > 0.01 * len(ok):
+        raise ExperimentAbortedError(
+            f"{n_singular}/{len(ok)} singular replications at (m={m}, s={s})")
+    return sim, sums, theta, det, ok
 
 
 def _ks_normal(x: np.ndarray) -> float:
@@ -393,17 +408,11 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     with _worker_pool(workers, config.reps) as runner:
         for idx, (m, s) in enumerate(config.ladder):
             t0 = time.perf_counter()
-            params = design.params_at(m)
-            sim = FieldSimulator(params, TriangleWindow.balanced(s), config.method,
-                                 config.dist)
             rep_ids = [idx * config.reps + r for r in range(config.reps)]
-            theta, _, ok = solve(_run_reps(sim, config.master_seed, rep_ids, runner))
-            n_singular = int(len(ok) - np.sum(ok))
-            if n_singular > 0.01 * config.reps:
-                raise ExperimentAbortedError(
-                    f"{n_singular}/{config.reps} singular replications at (m={m}, s={s})")
+            sim, _, theta, _, ok = _rung(design, m, s, rep_ids, config.master_seed,
+                                         runner, config.method, config.dist)
             rate = law.rate(m, s)
-            scaled = rate * (theta - [params.alpha, params.beta])
+            scaled = rate * (theta - [sim.params.alpha, sim.params.beta])
             errors = scaled[ok]
             cov = _sample_cov(errors)
             mean = errors.mean(axis=0)
@@ -413,10 +422,10 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             record = {
                 "m": m,
                 "s": s,
-                "reps_used": int(np.sum(ok)),
-                "singular_reps": n_singular,
+                "reps_used": len(errors),
+                "singular_reps": config.reps - len(errors),
                 "rate": rate,
-                "theta_true": [params.alpha, params.beta],
+                "theta_true": [sim.params.alpha, sim.params.beta],
                 "condition_statistic": condition_statistic(design, m, s),
                 "scaled_mean": mean.tolist(),
                 "scaled_cov": cov.tolist(),
@@ -471,7 +480,7 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
                     "workers": runner[1]}
             if config.dist is not InnovationDist.GAUSSIAN:
                 rung["series_margin"] = sim.method.margin
-                rung["series_cumulant_bound"] = cumulant_tail_bound(params,
+                rung["series_cumulant_bound"] = cumulant_tail_bound(sim.params,
                                                                     sim.method.margin)
             if law.case_tag is not CaseTag.INTERIOR:
                 rung["omega_settled"] = law.omega_settled
@@ -634,12 +643,13 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     that of the error covariance ``limit_law`` (derived there), to ``_MC_REL_TOL``."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
-    _, det = _solved_rows(design, m, s, reps, master_seed, workers, score=False)
-    scaled = det * (condition_statistic(design, m, 1) * s**-4.0)
+    with _worker_pool(workers, reps) as runner:
+        *_, det, ok = _rung(design, m, s, list(range(reps)), master_seed, runner)
+    scaled = det[ok] * (condition_statistic(design, m, 1) * s**-4.0)
     target = float(_prop1_target(design, m)[0, 0] / limit_law(design).covariance[0, 0])
     mean = float(scaled.mean())
     return {
-        "m": m, "s": s, "reps": len(det),
+        "m": m, "s": s, "reps": len(scaled),
         "scaled_mean": mean,
         "std_error": float(scaled.std(ddof=1) / math.sqrt(len(scaled))),
         "target": target,
@@ -652,15 +662,17 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
 def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int = 0, workers: int = 1) -> dict:
     """Monte Carlo scaled score covariance against its limit, to ``_MC_REL_TOL``."""
-    sums, _ = _solved_rows(design, m, s, reps, master_seed, workers, score=True)
-    scores = sums[:, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
+    with _worker_pool(workers, reps) as runner:
+        _, sums, _, _, ok = _rung(design, m, s, list(range(reps)), master_seed, runner,
+                                  score=True)
+    scores = sums[ok, 5:7] * (math.sqrt(condition_statistic(design, m, 1)) / s)
     target = _prop1_target(design, m)
     cov = _sample_cov(scores)
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(len(scores))
     dev = _matrix_rel_dev(cov, target)
     return {
-        "m": m, "s": s, "reps": len(sums),
+        "m": m, "s": s, "reps": len(scores),
         "scaled_cov": cov.tolist(),
         "target": target,
         "mean": mean.tolist(),

@@ -408,6 +408,18 @@ class TestLimitsAndVerify:
         assert err == "error: workers must be at least 1, got -1\n"
 
 
+    @pytest.mark.parametrize("what", ["detb", "score"])
+    def test_verify_negative_seed_exits_1(self, capsys, monkeypatch, what):
+        # RngStream reduces seeds mod 2^64, so -1 would run as 2^64 - 1
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a negative seed")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        code, out, err = run_cli(capsys, "verify", what, "--alpha", "0.5",
+                                 "--beta", "0.5", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: master_seed must be a nonnegative integer\n"
+
+
 class TestExperiment:
     @staticmethod
     def write_config(tmp_path, **overrides):
@@ -480,6 +492,48 @@ class TestExperiment:
                                  "--workers", workers)
         assert code == 1 and out == ""
         assert err == f"error: workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_control_characters_in_out_dir(self, capsys, tmp_path):
+        # out_dir is part of report.json, which must still parse
+        out = tmp_path / "a\tb\nc"
+        cfg = self.write_config(tmp_path)
+        code, _, err = run_cli(capsys, "experiment", "run", "--config", str(cfg),
+                               "--out", str(out))
+        assert code in (0, 2), err
+        assert json.loads((out / "report.json").read_text())["config"]["out_dir"] == str(out)
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["--seed", "-1"], {}),
+        ([], {"seed": -1}),
+    ], ids=["option", "config"])
+    def test_negative_seed_exits_1_before_running(self, capsys, tmp_path, monkeypatch,
+                                                  argv, overrides):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a negative seed")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        cfg = self.write_config(tmp_path, out_dir=str(tmp_path / "out"), **overrides)
+        code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg), *argv)
+        assert code == 1 and out == ""
+        assert err == "error: master_seed must be a nonnegative integer\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tolerances", [
+        {"cov_rel_tol": float("nan")},
+        {"cov_rel_tol": -0.3},
+        {"zero_var_ceiling": float("inf")},
+    ], ids=["nan", "negative", "infinite"])
+    def test_tolerance_not_positive_and_finite_exits_1(self, capsys, tmp_path,
+                                                       monkeypatch, tolerances):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a bad tolerance")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        cfg = self.write_config(tmp_path, out_dir=str(tmp_path / "out"),
+                                tolerances=tolerances)
+        code, out, err = run_cli(capsys, "experiment", "run", "--config", str(cfg))
+        (name, value), = tolerances.items()
+        assert code == 1 and out == ""
+        assert err == f"error: {name} must be positive and finite, got {value}\n"
         assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exits_1(self, capsys, tmp_path):

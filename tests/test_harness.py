@@ -111,6 +111,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"design": {}})
 
+    @pytest.mark.parametrize("value", [math.nan, -0.3, 0.0, math.inf])
+    @pytest.mark.parametrize("name", ["cov_rel_tol", "zero_var_ceiling"])
+    def test_tolerance_must_be_positive_and_finite(self, name, value):
+        # NaN or a negative value could never pass, and inf passes any data
+        message = f"{name} must be positive and finite, got {value}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            Tolerances(**{name: value})
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            Tolerances.from_json({name: value})
+
+    def test_negative_seed_rejected_before_any_replication(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a negative seed")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        for run in (lambda: run_clt(small_config(master_seed=-1)),
+                    lambda: verify_detB(interior_design(), 100, 12, 10, master_seed=-1),
+                    lambda: verify_score(interior_design(), 100, 12, 10, master_seed=-1)):
+            with pytest.raises(ConfigError,
+                               match="^master_seed must be a nonnegative integer$"):
+                run()
+
 
 class TestCanonicalJson:
     def test_seventeen_digit_floats(self):
@@ -123,6 +144,15 @@ class TestCanonicalJson:
 
     def test_sorted_keys(self):
         assert dumps_canonical({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+    @pytest.mark.parametrize("text", ["out", "a\\b", 'q"x', "café", "a\tb\nc", "\x00\x1f"])
+    def test_strings_round_trip(self, text):
+        # control characters are escaped; any other string keeps the bytes
+        # of escaping only the backslash and the quote
+        assert json.loads(dumps_canonical({"k": text})) == {"k": text}
+        if text.isprintable():
+            escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+            assert dumps_canonical(text) == f'"{escaped}"'
 
 
 class TestRunCLT:
@@ -147,7 +177,7 @@ class TestRunCLT:
         # every replication estimates the true (alpha, beta): with B = I and
         # C = (alpha, beta) each aggregate of the scaled errors must vanish
         # exactly
-        def exact_reps(sim, master_seed, rep_ids, runner=(map, 1)):
+        def exact_reps(sim, master_seed, rep_ids, runner=(map, 1), score=False):
             return np.array([[1.0, 0.0, 1.0, sim.params.alpha, sim.params.beta]
                              for _ in rep_ids])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
@@ -453,8 +483,8 @@ class TestWorkerPool:
         entered, started = pools
         run_reps, live = harness._run_reps, []
 
-        def singular_at_rung_2(sim, master_seed, rep_ids, runner=(map, 1)):
-            sums = run_reps(sim, master_seed, rep_ids, runner)
+        def singular_at_rung_2(sim, master_seed, rep_ids, runner=(map, 1), score=False):
+            sums = run_reps(sim, master_seed, rep_ids, runner, score)
             live.append(runner[0] is not map)
             if len(live) == 2:
                 sums[:] = 0.0  # det B = 0: every replication is singular
@@ -591,6 +621,39 @@ class TestVerifySuites:
         assert r["target"] == pytest.approx(2.0 * 2.0**-1.5)
         assert 0.2 < r["scaled_mean"] < 1.0
         assert r["std_error"] < 0.02
+
+    @pytest.mark.parametrize("suite", [verify_detB, verify_score])
+    def test_over_one_percent_singular_aborts(self, monkeypatch, suite):
+        # run_clt's rule: 2 of 100 rows singular abort the suite, naming (m, s)
+        run_reps = harness._run_reps
+
+        def two_singular(*args):
+            sums = run_reps(*args)
+            sums[3:5] = 0.0  # det B = 0
+            return sums
+        monkeypatch.setattr(harness, "_run_reps", two_singular)
+        with pytest.raises(ExperimentAbortedError,
+                           match=r"^2/100 singular replications at \(m=100, s=12\)$"):
+            suite(interior_design(), 100, 12, reps=100)
+
+    @pytest.mark.parametrize("suite", [verify_detB, verify_score])
+    def test_one_percent_singular_is_left_out(self, monkeypatch, suite):
+        # 1 of 100 rows singular: the report is that of the other 99 rows
+        run_reps = harness._run_reps
+
+        def one_singular(*args):
+            sums = run_reps(*args)
+            sums[3] = 0.0
+            return sums
+
+        def one_missing(*args):
+            return np.delete(run_reps(*args), 3, axis=0)
+        reports = []
+        for stand_in in (one_singular, one_missing):
+            monkeypatch.setattr(harness, "_run_reps", stand_in)
+            reports.append(dumps_canonical(suite(interior_design(), 100, 12, reps=100)))
+        assert json.loads(reports[0])["reps"] == 99
+        assert reports[0] == reports[1]
 
     def test_detb_interior_only(self):
         with pytest.raises(ConfigError):

@@ -64,6 +64,19 @@ def test_cli_output_bytes(capsys, argv):
     assert _sha(out.encode()) == CLI_DIGESTS[argv]
 
 
+MC_VERIFY = [argv for argv in CLI_DIGESTS if argv[1] in ("detb", "score")]
+
+
+@pytest.mark.parametrize("argv", MC_VERIFY, ids=" ".join)
+def test_verify_output_bytes_at_two_workers(capsys, argv):
+    # a pool of 2 splits the replications into two chunks, and the report
+    # keeps its bytes
+    code = main([*argv, "--workers", "2"])
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    assert _sha(out.encode()) == CLI_DIGESTS[argv]
+
+
 CLT_DESIGNS = {
     "interior": NearlyUnstableDesign(BoundaryPoint.from_pair(0.5, 0.5),
                                      Schedule.constant(1.0), Schedule.constant(1.0)),
