@@ -110,6 +110,9 @@ def _cmd_cov_eval(args) -> int:
 
 
 def _cmd_cov_table(args) -> int:
+    for name, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
+        if value < 0:
+            raise ConfigError(f"{name} must be at least 0, got {value}")
     k, l = np.meshgrid(np.arange(-args.kmax, args.kmax + 1),
                        np.arange(-args.lmax, args.lmax + 1), indexing="ij")
     rows = [["k", "l", "R"]]

@@ -9,7 +9,10 @@ The solve goes through the adjugate, theta = adj(B) C / det(B), so that
 det(B) and adj(B) C stay first-class observables for the limit experiments.
 
 Two layer loops write their partials in the order of their sums, with one
-BLAS dot per product, and share one exact-sum finisher.  ``accumulate``
+BLAS dot per product, and share one exact-sum finisher, ``_exact_sums``:
+it sums the partials over the layers to the correctly rounded value that
+``math.fsum`` gives, by a certified TwoSum pass over whole slabs of columns
+with ``math.fsum`` as the fallback.  ``accumulate``
 reduces a batch of R replications, a row per replication, and ``solve``
 turns the batch's sums into estimates.  ``lse``, ``normal_equations`` and
 ``score_vector`` reduce a stored field on its 1-D layers, with
@@ -57,12 +60,104 @@ class EstimateResult:
 _B11, _B12, _B22, _C1, _C2, _A1, _A2 = range(7)
 
 
-def _fsums(parts: np.ndarray) -> list[float]:
-    """The sums (B11, B12, B22, C1, C2[, A1, A2]) of an (s, 5|7) array of
-    per-layer partials, one column's floats at a time by ``math.fsum``: at
-    s >= 128 the sums mix ~1e4 squared terms whose magnitude grows like the
-    near-boundary variance, and naive running sums lose digits."""
-    return [math.fsum(col.tolist()) for col in parts.T]
+_U = 2.0 ** -53             # unit roundoff of float64
+_SAFE_SUM = 2.0 ** 1000     # sum |x| below this: no partial sum of a column overflows
+_SLAB_FLOATS = 1 << 14      # columns are finished about this many partials at a time
+
+
+def _exact_sums(parts: np.ndarray) -> np.ndarray:
+    """The correctly rounded sums along axis 0 of a partials buffer: the
+    (s, 5|7, R) buffer of ``accumulate`` gives (R, 5|7), the (s, 5|7)
+    buffer of ``_field_sums`` gives (5|7,).
+
+    Each sum is the value ``math.fsum`` returns for its column: at s >= 128
+    the sums mix ~1e4 squared terms whose magnitude grows like the
+    near-boundary variance, and naive running sums lose digits.  Slabs of
+    whole columns, about ``_SLAB_FLOATS`` partials each, go through
+    ``_certified_sums`` under ``np.errstate``.  A column it leaves
+    uncertified is summed by ``math.fsum`` from the untouched buffer, in
+    the order of the output, so it gives fsum's value or raises fsum's
+    exception.
+    """
+    s = parts.shape[0]
+    cols = parts.reshape(s, math.prod(parts.shape[1:]))
+    sums, ok = np.empty(cols.shape[1]), np.zeros(cols.shape[1], bool)
+    width = max(1, _SLAB_FLOATS // max(s, 1))
+    with np.errstate(all="ignore"):
+        for j in range(0, cols.shape[1] if s else 0, width):
+            _certified_sums(cols[:, j:j + width], sums[j:j + width], ok[j:j + width])
+    out = np.ascontiguousarray(sums.reshape(parts.shape[1:]).T)
+    for idx in map(tuple, np.argwhere(~ok.reshape(parts.shape[1:]).T)):
+        out[idx] = math.fsum(parts[(slice(None),) + idx[::-1]].tolist())
+    return out
+
+
+def _certified_sums(x: np.ndarray, sums: np.ndarray, ok: np.ndarray) -> None:
+    """Sum the columns of x, (s, c) with s >= 1, into ``sums``, and mark in
+    ``ok`` the columns whose sum is certified correctly rounded.
+
+    Knuth's TwoSum pairs the first and the last half of the rows, level by
+    level, and splits each pair's exact sum into a float and an error, so
+    that a column's sum is exactly hi plus its error terms.  The first
+    level leaves x intact: its sums go to a half-size array, and its two
+    error parts, a - a' and b - b', to a second one in turn.  Later levels
+    alternate between the two, with the rows they pair as scratch.  lo and
+    mag are the plain sums of the error terms, at most 3s/2 of them, and of
+    their absolute values, and r = fl(hi + lo) with rounding error e2.  Any
+    order of summing n terms is off by at most about (n - 1) u times the
+    sum of their absolute values, so the column's sum lies within
+    |e2| + (3s/2 + 2) u 1.01 mag of r, and below half the smaller of the
+    two spacings of floats at |r| it rounds to r.  r = 0 has no float below
+    it, and a NaN or infinite value turns the bound into NaN, so neither is
+    certified; nor is a column whose |x|, summed on the first level, reach
+    2^1000, where fsum's partials may overflow.
+    """
+    s, c = x.shape
+    lo, mag = np.zeros(c), np.zeros(c)
+
+    def fold(err):
+        np.add(lo, np.add.reduce(err), out=lo)
+        np.add(mag, np.add.reduce(np.abs(err, out=err)), out=mag)
+
+    cur, m, abs_sum = x, s, np.abs(x[0])
+    if s > 1:
+        h, n = s // 2, s - s // 2
+        one, two = np.empty((n, c)), np.empty((n, c))
+        a, b, total, t = x[:h], x[n:], one[:h], two[:h]
+        abs_sum = np.add.reduce(np.abs(a, out=t)) + np.add.reduce(np.abs(b, out=t))
+        np.add(a, b, out=total)
+        np.subtract(total, b, out=t)          # a'
+        fold(np.subtract(a, t, out=t))        # a - a'
+        np.subtract(total, b, out=t)          # a' again
+        np.subtract(total, t, out=t)          # b'
+        fold(np.subtract(b, t, out=t))        # b - b'
+        if s % 2:
+            one[h] = x[h]
+            abs_sum += np.abs(x[h])
+        cur, other, m = one, two, n
+    while m > 1:
+        h = m // 2
+        a, b, total, t = cur[:h], cur[m - h:m], other[:h], other[h:2 * h]
+        np.add(a, b, out=total)
+        np.subtract(total, b, out=t)          # a'
+        np.subtract(a, t, out=a)              # a - a'
+        np.subtract(total, t, out=t)          # b'
+        np.subtract(b, t, out=b)              # b - b'
+        fold(np.add(a, b, out=a))             # the pair's error, exactly
+        if m % 2:
+            other[h] = cur[h]
+        cur, other, m = other, cur, m - h
+    hi = cur[0]
+    r = np.add(hi, lo, out=sums)
+    lo_part = r - hi
+    e2 = (hi - (r - lo_part)) + (lo - lo_part)
+    mag *= (s + s // 2 + 2) * _U * 1.01
+    mag += np.abs(e2)
+    # the float below |r| > 0, one step down its bit pattern, is never
+    # farther than the one above; below 0 that step reads NaN
+    ar = np.abs(r)
+    np.less(mag, 0.5 * (ar - (ar.view(np.int64) - 1).view(np.float64)), out=ok)
+    ok &= abs_sum < _SAFE_SUM
 
 
 def accumulate(layers) -> np.ndarray:
@@ -81,11 +176,11 @@ def accumulate(layers) -> np.ndarray:
     |prev|^2 is carried in one (R,) vector: the layer below wrote its |y|^2
     there.  No other array outlives its layer, and each layer is read
     before the next is asked for, so the layers may be the reused buffers
-    of ``FieldSimulator.sweep``.  Each replication's (s, 5|7)
-    partials are combined by ``_fsums``.  Each reduction is one BLAS dot
+    of ``FieldSimulator.sweep``.  ``_exact_sums`` sums the buffer over the
+    layers, each column correctly rounded.  Each reduction is one BLAS dot
     product per row (rows have unit stride), so a row's sums depend on that
     row alone, never on the batch.  Returns an (R, 7) array, (R, 5) without
-    innovations.
+    innovations; a batch of R = 0 gives (0, 7) or (0, 5).
     """
     s = d = 0
     for d, (prev, y, eps) in enumerate(layers, 1):
@@ -112,7 +207,9 @@ def accumulate(layers) -> np.ndarray:
     if d == 0 or d < s:
         raise ValueError(f"accumulate was given {d} layers, not the s >= 1 "
                          "that layer 0's s + 1 points fix")
-    return np.array([_fsums(buf[:, :, r]) for r in range(buf.shape[2])])
+    # the last layers may hold the sweep's buffers: free them before the sums
+    del prev, y, eps, x1, x2
+    return _exact_sums(buf)
 
 
 def solve(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,8 +240,8 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
     x2.eps ``with_score``; |y|^2 is carried forward as the next |prev|^2;
     the shift identities subtract prev[0]^2 and prev[-1]^2 on float64
     scalars.  Each layer writes one row of an (s, 5|7) buffer in the order
-    of the sums, and ``_fsums`` sums its columns.  Returns 7 values with
-    the score and 5 without; s = 0 gives zeros.
+    of the sums, and ``_exact_sums`` sums its columns.  Returns 7 values
+    with the score and 5 without; s = 0 gives zeros.
     """
     if field.window != w:
         raise MissingValuesError("field was built on a different window")
@@ -169,7 +266,7 @@ def _field_sums(field: Field, w: TriangleWindow, with_score: bool) -> np.ndarray
             row[_A2] = x2.dot(eps[d])
         norm = y.dot(y)
         prev = y
-    return np.array(_fsums(buf))
+    return _exact_sums(buf)
 
 
 def _b_and_c(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +282,7 @@ def normal_equations(field: Field, w: TriangleWindow) -> tuple[np.ndarray, np.nd
     Per layer it reduces |y|^2, x1.x2, x1.y and x2.y; x1.x1 and x2.x2 come
     from the shift identities |prev|^2 - prev[-1]^2 and |prev|^2 - prev[0]^2,
     with |prev|^2 carried over from the layer below.  The per-layer partials
-    are combined with math.fsum.
+    are summed by ``_exact_sums``, correctly rounded.
     """
     return _b_and_c(_field_sums(field, w, with_score=False))
 

@@ -63,6 +63,19 @@ class TestCov:
         centre = [r for r in rows if r["k"] == "0" and r["l"] == "0"][0]
         assert float(centre["R"]) > 1.0
 
+    @pytest.mark.parametrize("option", ["--kmax", "--lmax"])
+    def test_table_rejects_a_negative_size(self, capsys, tmp_path, option):
+        # a negative bound used to write a header-only CSV and exit 0
+        out_file = tmp_path / "table.csv"
+        sizes = {"--kmax": "2", "--lmax": "2", option: "-1"}
+        code, out, err = run_cli(capsys, "cov", "table", "--alpha", "0.25",
+                                 "--beta", "0.25", *(a for kv in sizes.items() for a in kv),
+                                 "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} must be at least 0, got -1\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("method", ["closed", "f4", "binrep", "oracle"])
     def test_table_equals_per_lag_eval(self, capsys, method):
         # the table is one call on the lag box; each of its rows prints what

@@ -1,5 +1,8 @@
 import math
+import sys
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from spatialar import (
     normal_equations,
     score_vector,
 )
-from spatialar.estimate import _field_sums, accumulate, solve
+from spatialar import estimate
+from spatialar.estimate import _exact_sums, _field_sums, accumulate, solve
 from spatialar.limits import _adjugate, _det
 
 from fieldref import accumulate_by_lists, deterministic_field, kept_layers
@@ -184,6 +188,16 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="more than the 0 layers"):
             accumulate(iter([past]))
 
+    def test_an_empty_batch_gives_no_rows(self):
+        # a sweep of no streams yields (0, .) layers; the sums used to come
+        # back as shape (0,), on which solve raised IndexError
+        sim = FieldSimulator(ModelParams(0.3, 0.4), TriangleWindow.balanced(6))
+        assert accumulate(sim.sweep([])).shape == (0, 7)
+        sums = accumulate((prev, y, None) for prev, y, _ in sim.sweep([]))
+        assert sums.shape == (0, 5)
+        theta, det, ok = solve(sums)
+        assert (theta.shape, det.shape, ok.shape) == ((0, 2), (0,), (0,))
+
     @pytest.mark.parametrize("dist", list(InnovationDist))
     @pytest.mark.parametrize("with_eps", [True, False], ids=["eps", "no_eps"])
     def test_field_sums_equal_a_one_row_accumulate_bit_for_bit(self, dist, with_eps):
@@ -253,6 +267,136 @@ def lse_peak(s: int) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fsum_outcome(parts: np.ndarray):
+    """``math.fsum`` of each column of a partials buffer in the finisher's
+    output layout, or the first exception it raises in output order."""
+    try:
+        if parts.ndim == 2:
+            return np.array([math.fsum(col.tolist()) for col in parts.T])
+        return np.array([[math.fsum(parts[:, k, r].tolist()) for k in range(parts.shape[1])]
+                         for r in range(parts.shape[2])]).reshape(parts.shape[2], parts.shape[1])
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+def finisher_outcome(parts: np.ndarray):
+    """``_exact_sums`` of the buffer, or the exception it raises, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _exact_sums(parts)
+        except (ValueError, OverflowError) as exc:
+            return exc
+
+
+def assert_same_outcome(parts: np.ndarray) -> None:
+    got, ref = finisher_outcome(parts), fsum_outcome(parts)
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and got.args == ref.args
+    else:
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+
+# floats of every binade, subnormals and signed zeros included, and the
+# values that make exact half-ulp ties next to 1.0
+_PARTIALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1000)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -106,
+                     2.0 ** -1074, 2.0 ** -1022]),
+)
+
+
+class TestExactSums:
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(st.integers(0, 3), st.integers(4, 33), st.sampled_from([64, 65])),
+           shape=st.sampled_from([(1,), (3,), (2, 3)]), data=st.data(),
+           mirror=st.booleans(), slab=st.sampled_from([1, 4, 1 << 14]))
+    def test_equals_fsum_bit_for_bit(self, s, shape, data, mirror, slab):
+        # mirror appends the negated partials in another order: heavy
+        # cancellation whose sum is the few partials after them; a slab
+        # of one partial finishes a column at a time
+        n = math.prod(shape)
+        flat = np.array(data.draw(st.lists(_PARTIALS, min_size=s * n, max_size=s * n)),
+                        dtype=float).reshape(s, n)
+        if mirror:
+            perm = data.draw(st.permutations(range(s)))
+            tail = np.array(data.draw(st.lists(_PARTIALS, min_size=n, max_size=n)))
+            flat = np.vstack([flat, -flat[list(perm)], tail[None]])
+        with mock.patch.object(estimate, "_SLAB_FLOATS", slab):
+            assert_same_outcome(flat.reshape(flat.shape[0], *shape))
+
+    def test_sampled_partials_need_no_fsum(self):
+        # a clt-sized batch of B, C and score partials is certified whole
+        sim = FieldSimulator(ModelParams(0.49, 0.49), TriangleWindow.balanced(128))
+        streams = [RngStream(3, r) for r in range(8)]
+        with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            got = accumulate(sim.sweep(streams))
+        assert fsum.call_count == 0
+        ref = accumulate_by_lists(kept_layers(sim.sweep(streams)))
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 8])
+    def test_an_uncertain_column_falls_back_to_fsum(self, rows):
+        # 1 + 2^-54 sits a quarter ulp above 1.0, and 1 + 2^-53 (+ 2^-106)
+        # on or just past a tie: the bound cannot tell either from a tie,
+        # so those two columns go to fsum and the half-integers do not
+        parts = np.zeros((rows, 3))
+        parts[:2, 0] = [1.0, 2.0 ** -54]
+        parts[:, 1] = np.arange(rows) + 0.5
+        parts[:, 2] = [1.0, 2.0 ** -53, 2.0 ** -106, *[0.0] * (rows - 3)][:rows]
+        with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+            got = _exact_sums(parts)
+        assert fsum.call_count == 2
+        assert got.tolist() == [1.0, rows * rows / 2, 1.0 + 2.0 ** -52 if rows > 2 else 1.0]
+        assert_same_outcome(parts)
+
+    @pytest.mark.parametrize("column", [
+        [1.0, math.nan, 2.0],
+        [1.0, math.inf, -3.0],
+        [-math.inf, 1.0, -math.inf],
+        [math.inf, 1.0, -math.inf],
+        [1e308, 1e308, -1e308],
+        [2.0 ** 1000, -(2.0 ** 1000), 1.0],
+        [1e300, 0.0, sys.float_info.max, -1e300, 0.0],
+    ], ids=["nan", "inf", "minus_inf", "inf_minus_inf", "overflow", "near_overflow",
+            "overflow_at_the_middle_row"])
+    def test_non_finite_and_overflowing_columns_match_fsum(self, column):
+        # fsum's value (nan, inf) or its exception (ValueError for inf -
+        # inf, OverflowError for an intermediate overflow), with no
+        # RuntimeWarning; the batch's other columns are unaffected.  The
+        # last column pairs 1e300 with -1e300 and leaves max in the middle,
+        # where fsum overflows on 1e300 + max
+        parts = np.column_stack([0.5 ** np.arange(1, len(column) + 1), column])
+        assert_same_outcome(parts)
+        assert_same_outcome(np.stack([parts, parts[:, ::-1]], axis=2))
+
+    def test_the_first_failing_column_in_output_order_raises(self):
+        # (R, K) output order: replication 0's overflow comes before
+        # replication 1's inf - inf, although its column is later in memory
+        parts = np.zeros((3, 2, 2))
+        parts[:, 1, 0] = [1e308, 1e308, -1e308]
+        parts[:, 0, 1] = [math.inf, 1.0, -math.inf]
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            _exact_sums(parts)
+        assert_same_outcome(parts)
+
+    def test_temporaries_stay_below_half_the_buffer(self):
+        # a clt_interior batch, s = 256 and R = 63: the finisher's own peak
+        # allocation, output included, against the (256, 5, 63) buffer
+        parts = np.random.default_rng(5).standard_normal((256, 5, 63)) ** 2
+        _exact_sums(parts)
+        tracemalloc.start()
+        try:
+            _exact_sums(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parts.nbytes // 2
 
 
 class TestSolve:
