@@ -30,11 +30,15 @@ r = 0..smax, from the table and the parameters, and gathered onto the grid
 (``_grid_logs``), so a term costs three gathers, two adds and one exp.
 
 All four routes take integer lags or integer arrays of lags.  A series
-route splits its lags into blocks of L lags, at most 8192 lag x grid terms
-each (``_in_blocks``); a block is one pass over the shared grid: (L x
-(smax + 1)) factor tables, their (L x grid) gathers, and sums along the
-grid axis.  Every value is bit-identical to the one-lag call, which is the
-L = 1 case of the same code.
+route runs in two steps over two sizes of block (``_in_blocks``).  Its
+table step builds, for a table block of L lags, at most 8192 / (smax + 1)
+of them, the (L x (smax + 1)) level and axis factor tables and each lag's
+prefactor.  Its grid pass then runs over the rows of those tables in grid
+blocks of at most 8192 lag x grid terms (one lag when its grid alone is
+larger): their gathers onto the shared grid, exp, and sums along the grid
+axis.  So a lag's setup costs one table row even where its grid fills a
+grid block.  Every value is bit-identical to the one-lag call, which is the
+one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -249,8 +253,9 @@ def _xlog(x: np.ndarray, log_base: float) -> np.ndarray:
     return x * log_base
 
 
-# lag x grid terms per block of a series route: 64 KiB of float64 for each
-# temporary of a block (a single lag may exceed it near q = 0.9)
+# lag x grid terms per grid block of a series route, and table entries per
+# factor table of a table block: 64 KiB of float64 for each temporary (a
+# single lag's grid may exceed it near q = 0.9)
 _LAG_BLOCK_TERMS = 1 << 13
 
 
@@ -268,15 +273,25 @@ def _shaped(values: np.ndarray, shape: tuple):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _in_blocks(route, k: np.ndarray, l: np.ndarray, smax: int) -> np.ndarray:
-    """route(k_block, l_block) on the flat lags k, l of ``_lag_arrays``, in
-    consecutive blocks of at most _LAG_BLOCK_TERMS lag x grid terms, the
-    grid of levels 0..smax; a block holds one lag when its grid alone is
-    larger.  Returns the flat values, for ``_shaped``."""
-    step = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
+def _in_blocks(tables, grid_pass, k: np.ndarray, l: np.ndarray, smax: int) -> np.ndarray:
+    """A series route's values at the flat lags k, l of ``_lag_arrays``.
+
+    ``tables(k_block, l_block)`` is the route's table step for a table block
+    of at most _LAG_BLOCK_TERMS // (smax + 1) consecutive lags: a tuple of
+    arrays with one row per lag, its (L, smax + 1) factor tables and its
+    per-lag prefactors.  ``grid_pass`` maps the same rows of each of those
+    arrays, a grid block of at most _LAG_BLOCK_TERMS lag x grid terms over
+    the levels 0..smax (one lag when its grid alone is larger), to their
+    values.  Returns the flat values, for ``_shaped``.
+    """
+    per_table = max(1, _LAG_BLOCK_TERMS // (smax + 1))
+    per_grid = max(1, _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2))
     values = np.empty(k.size)
-    for start in range(0, k.size, step):
-        values[start:start + step] = route(k[start:start + step], l[start:start + step])
+    for start in range(0, k.size, per_table):
+        block = tables(k[start:start + per_table], l[start:start + per_table])
+        out = values[start:start + per_table]
+        for row in range(0, out.size, per_grid):
+            out[row:row + per_grid] = grid_pass(*(t[row:row + per_grid] for t in block))
     return values
 
 
@@ -285,15 +300,14 @@ def _level_grid(smax: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs (m, n) with m + n <= smax, flattened level by level.
 
     Level t = m + n fills entries t(t+1)/2 .. t(t+1)/2 + t with m = 0..t, so
-    a per-level sum is one segment of a ``reduceat``.  Returns the read-only
-    arrays (m, n).
+    a per-level sum is one segment of a ``reduceat``.  Returns the arrays
+    (m, n), which callers must not write to.  They stay writeable because
+    ``np.take`` copies a read-only index array on every call, one more
+    grid-sized temporary per gather.
     """
     t = np.repeat(np.arange(smax + 1), np.arange(1, smax + 2))
     m = np.arange(t.size) - t * (t + 1) // 2
-    grid = (m, t - m)
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
+    return m, t - m
 
 
 def _grid_logs(level: np.ndarray, ufac: np.ndarray, vfac: np.ndarray) -> np.ndarray:
@@ -319,6 +333,32 @@ def _grid_logs(level: np.ndarray, ufac: np.ndarray, vfac: np.ndarray) -> np.ndar
 # Appell F4 route
 
 
+def _f4_tables(a, b, c, d, x: float, y: float, smax: int, lf: np.ndarray):
+    """F4's table step: the factor tables level, mfac, nfac of
+    ``_f4_grid_sum`` over r = 0..smax, from a log-factorial table ``lf``
+    that reaches max(a, b, c, d) - 1 + smax."""
+    r = np.arange(smax + 1)
+    # a zero argument leaves only the m = 0 (n = 0) terms
+    log_x = math.log(abs(x)) if x != 0 else -math.inf
+    log_y = math.log(abs(y)) if y != 0 else -math.inf
+    level = lf[a - 1 + r] - lf[a - 1] + lf[b - 1 + r] - lf[b - 1]
+    mfac = _xlog(r, log_x) - (lf[c - 1 + r] - lf[c - 1]) - lf[r]
+    nfac = _xlog(r, log_y) - (lf[d - 1 + r] - lf[d - 1]) - lf[r]
+    return level, mfac, nfac
+
+
+def _f4_grid_pass(level, mfac, nfac, x: float, y: float):
+    """F4's grid pass: the signed terms exp(level + mfac + nfac) of the
+    grid, summed along the grid axis."""
+    terms = np.exp(_grid_logs(level, mfac, nfac))
+    m, n = _level_grid(level.shape[-1] - 1)
+    if x < 0:
+        terms = np.where(m % 2 == 1, -terms, terms)
+    if y < 0:
+        terms = np.where(n % 2 == 1, -terms, terms)
+    return np.sum(terms, axis=-1)
+
+
 def _f4_grid_sum(a, b, c, d, x: float, y: float, smax: int):
     """Appell F4(a, b; c, d; x, y) = sum_{m,n} (a)_{m+n} (b)_{m+n} /
     ((c)_m (d)_n m! n!) x^m y^n, summed over the levels m + n <= smax.
@@ -332,24 +372,12 @@ def _f4_grid_sum(a, b, c, d, x: float, y: float, smax: int):
     The log of |term (m, n)| is level(m + n) + mfac(m) + nfac(n), with
     level(t) = log((a)_t (b)_t), mfac(m) = m log|x| - log((c)_m) - log m!
     and nfac(n) likewise in d and y; each factor is formed once per value
-    r = 0..smax and gathered onto the grid, so a term costs three gathers,
-    two adds and one exp.
+    r = 0..smax (``_f4_tables``) and gathered onto the grid
+    (``_f4_grid_pass``), so a term costs three gathers, two adds and one
+    exp.  This is the table step and the grid pass on one block of rows.
     """
-    r = np.arange(smax + 1)
     lf = _log_factorials(int(max(np.max(v, initial=1) for v in (a, b, c, d))) - 1 + smax)
-    # a zero argument leaves only the m = 0 (n = 0) terms
-    log_x = math.log(abs(x)) if x != 0 else -math.inf
-    log_y = math.log(abs(y)) if y != 0 else -math.inf
-    level = lf[a - 1 + r] - lf[a - 1] + lf[b - 1 + r] - lf[b - 1]
-    mfac = _xlog(r, log_x) - (lf[c - 1 + r] - lf[c - 1]) - lf[r]
-    nfac = _xlog(r, log_y) - (lf[d - 1 + r] - lf[d - 1]) - lf[r]
-    terms = np.exp(_grid_logs(level, mfac, nfac))
-    m, n = _level_grid(smax)
-    if x < 0:
-        terms = np.where(m % 2 == 1, -terms, terms)
-    if y < 0:
-        terms = np.where(n % 2 == 1, -terms, terms)
-    return np.sum(terms, axis=-1)
+    return _f4_grid_pass(*_f4_tables(a, b, c, d, x, y, smax, lf), x, y)
 
 
 def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
@@ -375,10 +403,11 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     from the shared log-factorial table (see ``_f4_grid_sum``).
 
     ``k`` and ``l`` are integers or integer arrays (broadcast together).
-    The lags are split into blocks of at most 8192 lag x grid terms
-    (``_in_blocks``); a block is one pass over the grid, a (lags x grid)
-    array, with every value bit-identical to its one-lag call.  Integer lags
-    return a float, arrays an array of their broadcast shape.
+    The table step builds the F4 tables and the signed prefactor of a table
+    block of lags; the grid pass sums a grid block of at most 8192 lag x
+    grid terms along the grid axis (``_in_blocks``).  Every value is
+    bit-identical to its one-lag call.  Integer lags return a float, arrays
+    an array of their broadcast shape.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
@@ -386,19 +415,24 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     log_a = math.log(abs(a)) if a != 0 else -math.inf
     log_b = math.log(abs(b)) if b != 0 else -math.inf
 
-    def block(k, l):
+    def tables(k, l):
         ka, la = np.abs(k), np.abs(l)
         mixed = k * l <= 0
-        f4 = _f4_grid_sum(np.where(mixed, ka + 1, ka + la + 1)[:, None],
-                          np.where(mixed, la + 1, 1)[:, None],
-                          (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax)
+        # every F4 parameter is at most |k| + |l| + 1
+        lf = _log_factorials(int(np.max(ka + la, initial=0)) + smax)
         # log |prefactor|: C(|k|+|l|, |k|) alone overflows a float from |k| = |l| = 520
-        lf = _log_factorials(int(np.max(ka + la, initial=0)))
         log_pre = (_xlog(ka, log_a) + _xlog(la, log_b)
                    + np.where(mixed, 0.0, lf[ka + la] - lf[ka] - lf[la]))
-        return _sign_of_power(a, ka) * _sign_of_power(b, la) * np.exp(log_pre) * f4
+        pre = _sign_of_power(a, ka) * _sign_of_power(b, la) * np.exp(log_pre)
+        return (*_f4_tables(np.where(mixed, ka + 1, ka + la + 1)[:, None],
+                            np.where(mixed, la + 1, 1)[:, None],
+                            (ka + 1)[:, None], (la + 1)[:, None], a * a, b * b, smax, lf),
+                pre)
+
+    def grid_pass(level, mfac, nfac, pre):
+        return pre * _f4_grid_pass(level, mfac, nfac, a * a, b * b)
     k, l, shape = _lag_arrays(k, l)
-    return _shaped(_in_blocks(block, k, l, smax), shape)
+    return _shaped(_in_blocks(tables, grid_pass, k, l, smax), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +456,16 @@ def _segment_sums(logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     along the last axis; leading axes (one row per lag) are independent.
 
     Each segment is summed in log space, shifted by its peak term, and any
-    rounding residue is clamped at 0.
+    rounding residue is clamped at 0.  The shifted terms are formed in the
+    buffer of the repeated shifts, so there is one temporary the size of
+    ``logs``.
     """
     starts = np.cumsum(sizes) - sizes
     peak = np.maximum.reduceat(logs, starts, axis=-1)
     shift = np.where(peak == -np.inf, 0.0, peak)
-    body = np.add.reduceat(np.exp(logs - np.repeat(shift, sizes, axis=-1)), starts,
-                           axis=-1)
-    return np.maximum(0.0, np.exp(peak) * body)
+    terms = np.repeat(shift, sizes, axis=-1)
+    np.exp(np.subtract(logs, terms, out=terms), out=terms)
+    return np.maximum(0.0, np.exp(peak) * np.add.reduceat(terms, starts, axis=-1))
 
 
 def pmf_s(n: int, m: int, nu: float, j: int) -> float:
@@ -473,9 +509,10 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     each formed once per value from the shared log-factorial table.
 
     ``k`` and ``l`` are integers or integer arrays, blocked as in
-    ``cov_f4``: a block of lags is one (lags x grid) pass whose segments are
-    summed along the grid axis, bit-identical to one call per lag.  Any lag
-    with k*l < 0 raises WrongQuadrantError.
+    ``cov_f4``: the table step builds a table block's three factor tables,
+    its (lags x (M + 1)) weights q^(|k|+|l|+2i) and its signs, and the grid
+    pass sums each grid block's segments along the grid axis, bit-identical
+    to one call per lag.  Any lag with k*l < 0 raises WrongQuadrantError.
     """
     p.require_stationary()
     k, l, shape = _lag_arrays(k, l)
@@ -492,7 +529,7 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     r = np.arange(margin + 1)
     log_nu, log_mu = _binomial_logs(nu)
 
-    def block(k, l):
+    def tables(k, l):
         ka, la = np.abs(k), np.abs(l)
         sign = _sign_of_power(a, ka) * _sign_of_power(b, la)
         ka, la = ka[:, None], la[:, None]
@@ -504,9 +541,12 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
         level = lf[r] + lf[big + r]
         ufac = _xlog(ka + 2 * r, log_nu) - lf[r] - lf[ka + r]
         wfac = _xlog(la + 2 * r, log_mu) - lf[r] - lf[la + r]
+        return level, ufac, wfac, q ** (big + 2 * r), sign
+
+    def grid_pass(level, ufac, wfac, weight, sign):
         pmf = _segment_sums(_grid_logs(level, ufac, wfac), r + 1)
-        return sign * np.sum(q ** (big + 2 * r) * pmf, axis=-1)
-    return _shaped(_in_blocks(block, k, l, margin), shape)
+        return sign * np.sum(weight * pmf, axis=-1)
+    return _shaped(_in_blocks(tables, grid_pass, k, l, margin), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +609,22 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     each formed once per value from the shared log-factorial table.
 
     ``k`` and ``l`` are integers or integer arrays, blocked as in
-    ``cov_f4``: a block of lags is one (lags x grid) pass, bit-identical to
-    one call per lag.
+    ``cov_f4``: the table step builds a table block's three factor tables
+    and signs, and the grid pass sums each grid block along the grid axis,
+    bit-identical to one call per lag.  A ``margin`` that is not a
+    non-negative integer raises OutOfRangeError before any lag runs.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
     if margin is None:
         margin = oracle_margin(p.q)
+    elif isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:
+        raise OutOfRangeError(f"series margin must be a non-negative integer, got {margin!r}")
     r = np.arange(margin + 1)
     log_a = math.log(abs(a)) if a != 0 else -math.inf
     log_b = math.log(abs(b)) if b != 0 else -math.inf
 
-    def block(k, l):
+    def tables(k, l):
         # support (i, j) <= (min(k,0), min(l,0)); substitute i = min(k,0)-u, j = min(l,0)-v
         kp, lp = np.maximum(k, 0), np.maximum(l, 0)
         km, lm = np.maximum(-k, 0), np.maximum(-l, 0)
@@ -594,6 +638,9 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
         level = lf[depth0 + r] + lf[kp + lp + r]
         ufac = _xlog(km + kp + 2 * r, log_a) - lf[km + r] - lf[kp + r]
         vfac = _xlog(lm + lp + 2 * r, log_b) - lf[lm + r] - lf[lp + r]
+        return level, ufac, vfac, sign
+
+    def grid_pass(level, ufac, vfac, sign):
         return sign * np.sum(np.exp(_grid_logs(level, ufac, vfac)), axis=-1)
     k, l, shape = _lag_arrays(k, l)
-    return _shaped(_in_blocks(block, k, l, margin), shape)
+    return _shaped(_in_blocks(tables, grid_pass, k, l, margin), shape)

@@ -507,12 +507,15 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     their own temporaries, and their values equal one call per lag bit for
     bit.  The worst deviation is reported at its first lag in box order.
     The oracle's tail target is tol / 100, floored at 1e-16, below the
-    rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite
-    raises OutOfRangeError before any pair runs.  A NaN value fails the
-    check as an infinite deviation; a grid without a stable pair fails it.
+    rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite,
+    or a ``lag_max`` that is not a non-negative integer, raises
+    OutOfRangeError before any pair runs.  A NaN value fails the check as
+    an infinite deviation; a grid without a stable pair fails it.
     """
     if not 0.0 < tol < math.inf:
         raise OutOfRangeError(f"truncation tolerance must be positive and finite, got {tol}")
+    if isinstance(lag_max, bool) or not isinstance(lag_max, (int, np.integer)) or lag_max < 0:
+        raise OutOfRangeError(f"lag_max must be a non-negative integer, got {lag_max!r}")
     worst = 0.0
     worst_at = None
     n_points = 0

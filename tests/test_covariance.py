@@ -11,6 +11,7 @@ from scipy.special import gammaln
 from spatialar import (
     ModelParams,
     NonStationaryError,
+    OutOfRangeError,
     WrongQuadrantError,
     cov_binrep,
     cov_closed,
@@ -22,6 +23,7 @@ from spatialar import (
 )
 from spatialar import covariance
 from spatialar.covariance import (
+    _LAG_BLOCK_TERMS,
     _cov_closed_at,
     _f4_grid_sum,
     _log_factorials,
@@ -205,6 +207,23 @@ class TestSeriesOracle:
     def test_oracle_margin_monotone(self):
         assert oracle_margin(0.5, 1e-12) < oracle_margin(0.9, 1e-12)
 
+    @pytest.mark.parametrize("margin", [-1, -5, 2.5, 3.0, True, False, "3", np.float64(2)])
+    def test_margin_must_be_a_non_negative_integer(self, margin, monkeypatch):
+        # rejected before any lag runs: no log-factorial table is asked for
+        calls = []
+        monkeypatch.setattr(covariance, "_log_factorials",
+                            lambda n: calls.append(n) or _log_factorials(n))
+        with pytest.raises(OutOfRangeError, match="non-negative integer"):
+            cov_series_oracle(ModelParams(0.3, 0.2), 1, 1, margin)
+        assert calls == []
+
+    def test_integer_margins_are_accepted(self):
+        p = ModelParams(0.3, 0.2)
+        # margin 0 keeps level 0 alone: the product of the lag's two lead weights
+        assert cov_series_oracle(p, 1, 1, 0) == pytest.approx(0.3 * 0.2 * 2, rel=1e-14)
+        assert cov_series_oracle(p, 0, 0, 0) == 1.0
+        assert cov_series_oracle(p, 2, -1, np.int64(7)) == cov_series_oracle(p, 2, -1, 7)
+
 
 class TestFourWaySmoke:
     # the full acceptance grid lives in test_acceptance; these are fast probes
@@ -387,9 +406,23 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+SERIES_ROUTES = {"f4": cov_f4, "binrep": cov_binrep, "oracle": cov_series_oracle}
+
+
+def _series_box(route, lag_max):
+    # the flat lag box |k|, |l| <= lag_max; binrep takes each k with the sign
+    # of l, so that its box keeps every lag in its own quadrant
+    lags = np.arange(-lag_max, lag_max + 1)
+    k, l = np.repeat(lags, lags.size), np.tile(lags, lags.size)
+    if route == "binrep":
+        k = np.where(l < 0, -1, 1) * np.abs(k)
+    return k, l
+
+
 class TestLagArrays:
-    """A block of lags is one pass over a route's level grid, and every
-    value equals its one-lag call bit for bit."""
+    """A series route builds its tables once per table block of lags and
+    sums them in grid blocks, and every value equals its one-lag call bit
+    for bit."""
 
     @staticmethod
     def routes(p):
@@ -482,6 +515,51 @@ class TestLagArrays:
         assert peak < 1 << 20
         one_lag = np.array([fn(p, int(x), int(y)) for x, y in zip(k.ravel(), l.ravel())])
         assert np.array_equal(_bits(box.ravel()), _bits(one_lag))
+
+    @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
+    @pytest.mark.parametrize("a, b, smax, per_table, per_grid", [(0.1, 0.1, 8, 910, 182),
+                                                                (-0.15, 0.1, 9, 819, 148)])
+    def test_box_spanning_table_blocks_equals_one_lag_calls_in_bounded_memory(
+            self, route, a, b, smax, per_table, per_grid):
+        # at small q a table block holds hundreds of lags, so the 41 x 41
+        # box spans two or three table blocks, each of many grid blocks; at
+        # q = 0.25 a table block ends 79 rows into a grid block
+        fn = SERIES_ROUTES[route]
+        p = ModelParams(a, b)
+        assert oracle_margin(p.q) == smax
+        assert _LAG_BLOCK_TERMS // (smax + 1) == per_table
+        assert _LAG_BLOCK_TERMS // ((smax + 1) * (smax + 2) // 2) == per_grid
+        k, l = _series_box(route, 20)
+        assert k.size == 1681
+        fn(p, 20, 20)  # the log-factorial table reaches every lag of the box
+        tracemalloc.start()
+        try:
+            box = fn(p, k, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        one_lag = np.array([fn(p, int(x), int(y)) for x, y in zip(k.ravel(), l.ravel())])
+        assert np.array_equal(_bits(box.ravel()), _bits(one_lag))
+
+    @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
+    @pytest.mark.parametrize("a, b, lag_max, blocks", [(0.45, 0.45, 3, 1), (0.1, 0.1, 20, 2),
+                                                       (-0.15, 0.1, 20, 3)])
+    def test_tables_are_built_once_per_table_block(self, route, a, b, lag_max, blocks,
+                                                   monkeypatch):
+        # each table step asks for the log-factorial table once; at q = 0.9
+        # a table block holds 58 lags (smax 139), so the 7 x 7 box, whose
+        # grids fill one grid block each, is one table block
+        fn = SERIES_ROUTES[route]
+        p = ModelParams(a, b)
+        k, l = _series_box(route, lag_max)
+        per_table = _LAG_BLOCK_TERMS // (oracle_margin(p.q) + 1)
+        assert -(-k.size // per_table) == blocks
+        calls = []
+        monkeypatch.setattr(covariance, "_log_factorials",
+                            lambda n: calls.append(n) or _log_factorials(n))
+        fn(p, k, l)
+        assert len(calls) == blocks
 
 
 def test_geom_factor_product_equals_normalised_mixed_lag():

@@ -562,8 +562,9 @@ class TestVerifySuites:
     ])
     def test_verify_cov_equals_one_lag_calls(self, values, lag_max, tol):
         # the check on whole lag boxes reports what one call per lag
-        # reports, types included; the routes' blocks end mid-way through a
-        # row of the lag box at small q, and hold one lag at q = 0.9
+        # reports, types included; the routes' grid blocks end mid-way
+        # through a row of the lag box at small q, and hold one lag at
+        # q = 0.9, where one table block holds the whole box
         assert _LAG_BLOCK_TERMS == 1 << 13
         got = verify_cov(values, lag_max, tol)
         assert repr(got) == repr(self._verify_cov_one_lag(values, lag_max, tol))
@@ -599,6 +600,20 @@ class TestVerifySuites:
         with pytest.raises(OutOfRangeError,
                            match="^truncation tolerance must be positive and finite"):
             verify_cov((0.5, 0.6), lag_max=1, tol=tol)
+
+    @pytest.mark.parametrize("lag_max", [-1, True, 2.5, 3.0, "3"])
+    def test_verify_cov_rejects_a_lag_max_that_is_not_a_non_negative_integer(
+            self, lag_max, monkeypatch):
+        calls = []
+        monkeypatch.setattr("spatialar.harness.cov_closed",
+                            lambda *args: calls.append(args) or cov_closed(*args))
+        with pytest.raises(OutOfRangeError, match="lag_max must be a non-negative integer"):
+            verify_cov((0.1, 0.2), lag_max=lag_max)
+        assert calls == []
+
+    def test_verify_cov_at_lag_max_zero_checks_the_variances(self):
+        r = verify_cov((0.1, 0.2), lag_max=np.int64(0))
+        assert r["n_points"] == 4 and r["pass"]
 
     def test_verify_cov_without_a_stable_pair_fails(self):
         r = verify_cov((0.5, 0.6), lag_max=1)
