@@ -179,6 +179,10 @@ def _load_field_csv(path: Path) -> Field:
 
 
 def _cmd_sim_field(args) -> int:
+    # RngStream reduces both modulo 2^64, so -1 would sample stream 2^64 - 1
+    for name, value in (("master_seed", args.seed), ("rep", args.rep)):
+        if value < 0:
+            raise ConfigError(f"{name} must be a nonnegative integer")
     params = ModelParams(args.alpha, args.beta)
     window = TriangleWindow(args.k, args.l)
     sim = FieldSimulator(params, window, SimMethod.parse(args.method),

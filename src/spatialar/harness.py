@@ -509,8 +509,10 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     The oracle's tail target is tol / 100, floored at 1e-16, below the
     rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite,
     or a ``lag_max`` that is not a non-negative integer, raises
-    OutOfRangeError before any pair runs.  A NaN value fails the check as
-    an infinite deviation; a grid without a stable pair fails it.
+    OutOfRangeError before any pair runs.  A NaN that a route returns fails
+    the check as an infinite deviation; a NaN in ``values`` raises
+    NonStationaryError from ``oracle_margin``.  A grid without a stable pair
+    fails the check.
     """
     if not 0.0 < tol < math.inf:
         raise OutOfRangeError(f"truncation tolerance must be positive and finite, got {tol}")

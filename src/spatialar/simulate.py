@@ -35,10 +35,10 @@ length split into layers (``FieldSimulator._layers``), so neither the batch
 size nor the number of layers made at once changes a value.  Rademacher
 signs take one generator call per replication and span: the span's bytes
 are held packed, at one bit per sign, and unpacked for the whole batch one
-layer at a time.  The sweep writes every layer of a batch into buffers
-allocated once for the batch, so a layer it yields is valid only until it
-advances; ``FieldSimulator.sample``, whose field holds every layer, gives
-each layer an array of its own.
+layer at a time.  There is one sweep path: it writes every layer of a
+batch into buffers allocated once for the batch, so a layer it yields is
+valid only until it advances.  ``FieldSimulator.sample`` is row 0 of a
+one-row sweep, copied layer by layer, because its field holds every layer.
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ class FieldSimulator:
     Set-up holds only what is replication-invariant (the AR(1) colouring
     coefficients, the resolved depth and the batch size) and is cheap (the
     default depth is a bisection over O(M)-term certificates); no buffer
-    outlives a sweep.  So ``sample`` is a pure function of the stream and
+    outlives a sweep.  ``sweep`` is the one sampling path and ``sample`` is
+    its one-row case, so ``sample`` is a pure function of the stream and
     replications may run concurrently in any order.  A draw costs
     O(M * (s + M)) for the layers below the triangle plus O(s^2) for the
     triangle.
@@ -278,8 +279,7 @@ class FieldSimulator:
         per_row = 3 if dist is InnovationDist.RADEMACHER else _GROUP_LAYERS
         self.batch = max(1, _BATCH_FLOATS // (per_row * window.layer_len(-depth)))
 
-    def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int,
-                keep: bool):
+    def _layers(self, gens: list[np.random.Generator], lowest: int, highest: int):
         """Yield (d, eps) for layers d = lowest .. highest in ascending order.
 
         Every random number of a replication but the deep layer's normals
@@ -294,10 +294,9 @@ class FieldSimulator:
         layer at a time.  Normals and uniforms are drawn row by row, a group
         of _GROUP_LAYERS layers per call, continuing the stream across
         groups, so that each call is spread over several layers.  Neither
-        group size changes a value.  With ``keep`` each group is a new
-        array; otherwise every group is written into the front of one flat
-        buffer allocated for the span, and a layer is valid only until the
-        next group is drawn.
+        group size changes a value.  Every group is written into the front
+        of one flat buffer allocated for the span, so a layer is valid only
+        until the next group is drawn.
         """
         lens = [self.window.layer_len(d) for d in range(lowest, highest + 1)]
         rows, packed, size = len(gens), None, _GROUP_LAYERS
@@ -308,13 +307,12 @@ class FieldSimulator:
                 row[:] = _sign_bytes(gen, total)
             size = 1
         groups = [lens[k:k + size] for k in range(0, len(lens), size)]
-        if not keep:
-            flat = np.empty(rows * max(map(sum, groups), default=0))
+        flat = np.empty(rows * max(map(sum, groups), default=0))
         d = lowest
         start = 0
         for group in groups:
             n = sum(group)
-            block = np.empty((rows, n)) if keep else flat[:rows * n].reshape(rows, n)
+            block = flat[:rows * n].reshape(rows, n)
             if packed is None:
                 for row, gen in zip(block, gens):
                     self.dist.draw(gen, n, out=row)
@@ -326,15 +324,15 @@ class FieldSimulator:
                 yield d, block[:, pos:pos + width]
                 d, pos = d + 1, pos + width
 
-    def _step(self, prev: np.ndarray, eps: np.ndarray, y: np.ndarray | None = None,
-              t: np.ndarray | None = None) -> np.ndarray:
+    def _step(self, prev: np.ndarray, eps: np.ndarray, y: np.ndarray,
+              t: np.ndarray) -> np.ndarray:
         """One layer of the recursion for every row of the batch:
         y = alpha x1 + beta x2 + eps, x1 = prev[:, :-1] and x2 = prev[:, 1:].
 
         y receives the layer and t the product beta x2; both are (R, w)
-        arrays, w one less than prev's width, or None for new ones.
+        arrays, w one less than prev's width.
         """
-        y = np.multiply(prev[:, :-1], self.params.alpha, out=y)
+        np.multiply(prev[:, :-1], self.params.alpha, out=y)
         y += np.multiply(prev[:, 1:], self.params.beta, out=t)
         y += eps
         return y
@@ -372,56 +370,46 @@ class FieldSimulator:
         Yields (prev, y, eps) for d = 1 .. s: layer d - 1, layer d and the
         innovations of layer d, each an (R, .) array whose row r belongs to
         streams[r].  Row r draws exactly what ``sample(streams[r])`` draws,
-        in the same order: the deep layer's normals, the boundary span, then
-        the triangle span (see ``_layers``).  The first yielded prev is the
-        boundary.
+        in the same order, since ``sample`` is this sweep with one row: the
+        deep layer's normals, the boundary span, then the triangle span (see
+        ``_layers``).  The first yielded prev is the boundary.
 
-        The sweep writes every layer into buffers allocated once per batch,
-        so the yielded arrays are valid only until the sweep advances: copy
-        a layer to keep it.
-        """
-        return self._sweep(streams, keep=False)
-
-    def _sweep(self, streams: list[RngStream], keep: bool):
-        """``sweep``, with every layer in an array of its own when ``keep``.
-
-        Without ``keep`` the batch allocates four float64 buffers: two that
-        take the layers in turn (the first also takes the deep layer's
-        normals, coloured in place), one for beta x2 and one flat draw
-        buffer per span (see ``_layers``).  Each layer is a C-contiguous
-        (R, w) reshape of the front of its buffer, so its rows have unit
-        stride.
+        This is the sampler's one sweep.  The batch allocates four float64
+        buffers: two that take the layers in turn (the first also takes the
+        deep layer's normals, coloured in place), one for beta x2 and one
+        flat draw buffer per span (see ``_layers``).  Each layer is a
+        C-contiguous (R, w) reshape of the front of its buffer, so its rows
+        have unit stride.  The yielded arrays are valid only until the sweep
+        advances: copy a layer to keep it.
         """
         gens = [stream.generator() for stream in streams]
         rows, depth = len(gens), self.method.margin
         width = self.window.layer_len(-depth)
-        if keep:
-            deep = np.empty((rows, width))
-        else:
-            held, free = np.empty(rows * width), np.empty(rows * width)
-            scratch = np.empty(rows * (width - 1))
-            deep = held.reshape(rows, width)
+        held, free = np.empty(rows * width), np.empty(rows * width)
+        scratch = np.empty(rows * (width - 1))
+        deep = held.reshape(rows, width)
         for row, gen in zip(deep, gens):
             gen.standard_normal(out=row)
         prev = self._colour(deep)
-        layers = itertools.chain(self._layers(gens, 1 - depth, 0, keep),
-                                 self._layers(gens, 1, self.window.s, keep))
+        layers = itertools.chain(self._layers(gens, 1 - depth, 0),
+                                 self._layers(gens, 1, self.window.s))
         for d, eps in layers:
-            if keep:
-                y = self._step(prev, eps)
-            else:
-                n = rows * eps.shape[1]
-                y = self._step(prev, eps, free[:n].reshape(eps.shape),
-                               scratch[:n].reshape(eps.shape))
-                held, free = free, held
+            n = rows * eps.shape[1]
+            y = self._step(prev, eps, free[:n].reshape(eps.shape),
+                           scratch[:n].reshape(eps.shape))
+            held, free = free, held
             if d >= 1:
                 yield prev, y, eps
             prev = y
 
     def sample(self, stream: RngStream) -> Field:
-        """One field realisation: the R = 1 case of ``sweep``, with every
-        layer in an array of its own, since the field holds them."""
-        prevs, ys, eps = zip(*self._sweep([stream], keep=True))
-        values = [prevs[0][0]] + [y[0] for y in ys]
-        return Field(self.window, values, [e[0] for e in eps], self.params)
-
+        """One field realisation: row 0 of a one-row ``sweep``, copied layer
+        by layer, since the field holds every layer and the sweep reuses its
+        buffers."""
+        values, innovations = [], []
+        for prev, y, eps in self.sweep([stream]):
+            if not values:
+                values.append(prev[0].copy())
+            values.append(y[0].copy())
+            innovations.append(eps[0].copy())
+        return Field(self.window, values, innovations, self.params)

@@ -221,6 +221,20 @@ class TestSimEstimate:
         assert rows[layer0][:2] == ["0", "1"]
         assert [float(r[3]) for r in rows[layer0:]] == np.concatenate(fld.innovations).tolist()
 
+    @pytest.mark.parametrize("option, name", [("--seed", "master_seed"), ("--rep", "rep")])
+    def test_negative_seed_or_rep_exits_1_before_sampling(self, capsys, tmp_path,
+                                                           monkeypatch, option, name):
+        # RngStream reduces both modulo 2^64, so -1 would sample stream 2^64 - 1
+        def no_sampler(*args, **kwargs):
+            raise AssertionError("a sampler was built with a negative seed")
+        monkeypatch.setattr("spatialar.cli.FieldSimulator", no_sampler)
+        path = tmp_path / "field.csv"
+        code, out, err = run_cli(capsys, "sim", "field", "--alpha", "0.4", "--beta", "0.3",
+                                 "--k", "3", "--l", "3", option, "-1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {name} must be a nonnegative integer\n"
+        assert not path.exists()
+
     def test_same_seed_same_field(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (f1, f2):

@@ -20,6 +20,7 @@ from spatialar import (
     InnovationDist,
     ModelParams,
     NearlyUnstableDesign,
+    NonStationaryError,
     RngStream,
     Schedule,
     SimMethod,
@@ -97,8 +98,6 @@ class TestConfigValidation:
             small_config(ladder=[(64, 64), (64, 32)]).validate()
 
     def test_index_too_small_rejected(self):
-        from spatialar import NonStationaryError
-
         with pytest.raises(NonStationaryError):
             small_config(ladder=[(1, 16)]).validate()
 
@@ -587,6 +586,9 @@ class TestVerifySuites:
         r = verify_cov((0.1, 0.25), lag_max=2)
         assert r["worst_dev"] == math.inf and r["worst_at"] == (0.1, 0.1, 1, -1)
         assert not r["pass"]
+        # a NaN parameter has no stationary law: the oracle's margin rejects it
+        with pytest.raises(NonStationaryError, match="got nan"):
+            verify_cov((math.nan, 0.1), lag_max=2)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_verify_cov_rejects_bad_tolerance(self, tol):

@@ -161,14 +161,16 @@ class TestSimulate:
     def test_group_size_does_not_change_the_draws(self, monkeypatch, method, dist):
         # _GROUP_LAYERS bounds memory only: at s = 21 and depth 20 the 20
         # boundary layers and 21 triangle layers span several groups at
-        # every size but 50
+        # every size but 50, for one sample and for a batch of 3 rows
         sim = FieldSimulator(ModelParams(0.4, 0.3), TriangleWindow.balanced(21), method, dist)
         outputs = set()
         for group in (1, 3, 8, 50):
             monkeypatch.setattr("spatialar.simulate._GROUP_LAYERS", group)
             f = sim.sample(RngStream(4, 2))
+            batch = kept_layers(sim.sweep([RngStream(4, r) for r in range(3)]))
             outputs.add((np.concatenate(f.values).tobytes(),
-                         np.concatenate(f.innovations).tobytes()))
+                         np.concatenate(f.innovations).tobytes(),
+                         b"".join(a.tobytes() for layer in batch for a in layer)))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("dist", list(InnovationDist), ids=lambda d: d.value)
@@ -283,6 +285,12 @@ def _boundary_reference(p, w, depth, dist, gen):
     return y
 
 
+def _step(sim, rows):
+    # the sampler's own _step with no innovations, into new arrays
+    y = np.empty((len(rows), rows.shape[1] - 1))
+    return sim._step(rows, 0.0, y, np.empty_like(y))
+
+
 def _boundary_map(sim):
     # the boundary is linear in the deep layer's normals and the boundary
     # span's innovations: push every unit draw through the sampler's own
@@ -294,7 +302,7 @@ def _boundary_map(sim):
     rows = sim._colour(np.eye(w.layer_len(-depth)))
     normals = len(rows)
     for d in range(1 - depth, 1):
-        rows = np.vstack([sim._step(rows, 0.0), np.eye(w.layer_len(d))])
+        rows = np.vstack([_step(sim, rows), np.eye(w.layer_len(d))])
     return rows, normals
 
 
@@ -540,7 +548,7 @@ class TestLawCorrectness:
         rows, _ = _boundary_map(sim)
         layers = [rows]
         for d in range(1, s + 1):
-            rows = np.vstack([sim._step(rows, 0.0), np.eye(w.layer_len(d))])
+            rows = np.vstack([_step(sim, rows), np.eye(w.layer_len(d))])
             layers.append(rows)
         # draws after layer d do not reach it
         g = np.hstack([np.vstack([lay, np.zeros((len(rows) - len(lay), lay.shape[1]))])
