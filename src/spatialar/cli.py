@@ -179,15 +179,12 @@ def _load_field_csv(path: Path) -> Field:
 
 
 def _cmd_sim_field(args) -> int:
-    # RngStream reduces both modulo 2^64, so -1 would sample stream 2^64 - 1
-    for name, value in (("master_seed", args.seed), ("rep", args.rep)):
-        if value < 0:
-            raise ConfigError(f"{name} must be a nonnegative integer")
+    stream = RngStream(args.seed, args.rep)
     params = ModelParams(args.alpha, args.beta)
     window = TriangleWindow(args.k, args.l)
     sim = FieldSimulator(params, window, SimMethod.parse(args.method),
                          InnovationDist(args.dist))
-    _write_rows(_field_rows(sim.sample(RngStream(args.seed, args.rep))), args.out)
+    _write_rows(_field_rows(sim.sample(stream)), args.out)
     return 0
 
 

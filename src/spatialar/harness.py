@@ -2,11 +2,11 @@
 
 Replications are embarrassingly parallel: each one reads its own SFC64
 stream keyed by a SeedSequence spawn key, so results depend only on
-(master_seed, replication id).  A call splits its ids into contiguous
-chunks and takes their sums back in submission order, so every result is in
-id order.  The number of workers must not change a single output byte;
-wall-clock timings are therefore kept out of the canonical report and
-written to a sidecar.
+(master_seed, replication id).  A call builds every replication's stream
+in the parent, splits them into contiguous chunks and takes their sums back
+in submission order, so every result is in id order.  The number of
+workers must not change a single output byte; wall-clock timings are
+therefore kept out of the canonical report and written to a sidecar.
 
 A run (``run_clt`` over its whole ladder, or one ``verify_detB`` /
 ``verify_score`` call) gets one runner from ``_worker_pool``, which alone
@@ -61,6 +61,7 @@ from .model import (
     ModelParams,
     NearlyUnstableDesign,
     TriangleWindow,
+    _integer,
     _real,
 )
 from .simulate import (
@@ -114,14 +115,6 @@ class Tolerances:
         return cls(**{k: _real(k, v) for k, v in obj.items()})
 
 
-def _integer(name: str, value) -> int:
-    """A config integer; a boolean or a number with a fractional part is
-    rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class ExperimentConfig:
     design: NearlyUnstableDesign
@@ -145,8 +138,6 @@ class ExperimentConfig:
         if self.reps < 100:
             raise ConfigError(
                 f"statistical acceptance needs reps >= 100, got {self.reps}")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be a nonnegative integer")
         stats = []
         for m, s in self.ladder:
             if m < 1 or s < 2:
@@ -240,23 +231,22 @@ def write_csv_rows(fh, rows) -> None:
 # replication engine
 
 
-def _simulate_chunk(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
+def _simulate_chunk(sim: FieldSimulator, streams: list[RngStream],
                     score: bool) -> np.ndarray:
     """One chunk, mapped by the runner in a worker or in-process: the
-    ``accumulate`` sums of ``rep_ids``, in their order.
+    ``accumulate`` sums of the replications of ``streams``, in their order.
 
     Runs ``sim.batch`` replications per sweep and reduces each layer as it
     is made, without storing fields; ``accumulate`` reads s from the width
     of the sweep's layer 0.  ``solve`` of a row is bit-identical to
-    ``lse(sim.sample(RngStream(master_seed, rep)))``.  Only ``score`` chunks
-    (those of ``verify_score``) pass the innovations to ``accumulate``, and
-    their rows carry the score in columns 5 and 6; ``run_clt`` and
-    ``verify_detB`` read no score, and their rows are 5 wide.
+    ``lse(sim.sample(stream))``.  Only ``score`` chunks (those of
+    ``verify_score``) pass the innovations to ``accumulate``, and their rows
+    carry the score in columns 5 and 6; ``run_clt`` and ``verify_detB`` read
+    no score, and their rows are 5 wide.
     """
     parts = []
-    for start in range(0, len(rep_ids), sim.batch):
-        ids = rep_ids[start:start + sim.batch]
-        layers = sim.sweep([RngStream(master_seed, rep) for rep in ids])
+    for start in range(0, len(streams), sim.batch):
+        layers = sim.sweep(streams[start:start + sim.batch])
         if not score:
             layers = ((prev, y, None) for prev, y, _ in layers)
         parts.append(accumulate(layers))
@@ -284,21 +274,21 @@ def _worker_pool(workers: int, reps: int):
         yield pool.map, workers
 
 
-def _run_reps(sim: FieldSimulator, master_seed: int, rep_ids: list[int],
+def _run_reps(sim: FieldSimulator, streams: list[RngStream],
               runner=(map, 1), score: bool = False) -> np.ndarray:
-    """The ``accumulate`` sums of ``rep_ids`` in their order, (R, 7) with
-    ``score`` and (R, 5) without (see ``_simulate_chunk``); identical for any
-    runner and any ``sim.batch``.
+    """The ``accumulate`` sums of the replications of ``streams`` in their
+    order, (R, 7) with ``score`` and (R, 5) without (see
+    ``_simulate_chunk``); identical for any runner and any ``sim.batch``.
 
     ``runner`` is a ``(map, n)`` pair from ``_worker_pool``, the parent's
-    own ``map`` by default.  The ids are split into n contiguous chunks, one
-    ``_simulate_chunk`` each, and the map returns their sums in submission
-    order.
+    own ``map`` by default.  The streams are split into n contiguous chunks,
+    one ``_simulate_chunk`` each, and the map returns their sums in
+    submission order.
     """
     mapper, n = runner
-    chunks = [c.tolist() for c in np.array_split(rep_ids, n) if len(c)]
-    return np.concatenate(list(mapper(_simulate_chunk, repeat(sim), repeat(master_seed),
-                                      chunks, repeat(score))))
+    chunks = [list(c) for c in np.array_split(np.array(streams, dtype=object), n) if len(c)]
+    return np.concatenate(list(mapper(_simulate_chunk, repeat(sim), chunks,
+                                      repeat(score))))
 
 
 def _rung(design: NearlyUnstableDesign, m: int, s: int, rep_ids: list[int],
@@ -306,15 +296,17 @@ def _rung(design: NearlyUnstableDesign, m: int, s: int, rep_ids: list[int],
           dist: InnovationDist = InnovationDist.GAUSSIAN, score: bool = False):
     """The one Monte Carlo path of ``run_clt`` and the verify suites: (sim, sums,
     theta, det B, ok) of ``rep_ids`` on ``runner``, sampled at params_at(m) on the
-    balanced window with sum s, under one rule: at most 1% of rows singular."""
+    balanced window with sum s, under one rule: at most 1% of rows singular.
+
+    Each replication's ``RngStream`` is built here, before the sampler, so
+    a seed or id that it rejects raises ConfigError before any work."""
     if len(rep_ids) < 2:
         raise ConfigError(f"reps must be at least 2, got {len(rep_ids)}")
     if s < 2:
         raise ConfigError(f"window sum s must be at least 2, got {s}")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be a nonnegative integer")
+    streams = [RngStream(master_seed, rep) for rep in rep_ids]
     sim = FieldSimulator(design.params_at(m), TriangleWindow.balanced(s), method, dist)
-    sums = _run_reps(sim, master_seed, rep_ids, runner, score)
+    sums = _run_reps(sim, streams, runner, score)
     theta, det, ok = solve(sums)
     n_singular = int(len(ok) - np.sum(ok))
     if n_singular > 0.01 * len(ok):

@@ -106,6 +106,16 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _integer(name: str, value) -> int:
+    """A config integer: an int, a numpy integer or a float with no
+    fractional part.  Anything else, a boolean, a string or a numpy float32
+    included, is rejected, not converted or truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Named closed-form schedule m -> c, c*log(m), or c*m**p with p < 1."""

@@ -59,7 +59,7 @@ from .covariance import (
     tail_variance_bound,
 )
 from .errors import ConfigError, MethodUnsupportedError
-from .model import Field, ModelParams, TriangleWindow
+from .model import Field, ModelParams, TriangleWindow, _integer
 
 __all__ = [
     "InnovationDist", "SimMethod", "RngStream", "cumulant_tail_bound",
@@ -68,7 +68,6 @@ __all__ = [
 
 _GROUP_LAYERS = 8         # normal or uniform innovation layers drawn as one block
 _BATCH_FLOATS = 1 << 17   # float64 (1 MiB) of a batch's widest layers: see FieldSimulator
-_MASK64 = (1 << 64) - 1
 _CUMULANT_TOL = 1e-12     # fourth-cumulant tail of the default depth, in units of kappa4
 
 
@@ -173,17 +172,30 @@ class RngStream:
 
     Backed by an SFC64 generator seeded by
     ``SeedSequence(master_seed, spawn_key=(replication_id,))``, the key
-    ``SeedSequence.spawn`` gives child r, so distinct replications get
+    ``SeedSequence.spawn`` gives child r (it counts children below 2^64
+    only; the key takes any r), so distinct replications get
     statistically independent streams and the sequence a replication sees
-    never depends on worker scheduling.  Both numbers are taken modulo 2^64.
+    never depends on worker scheduling.
+
+    Each number is any non-negative integer, used as it is, so distinct
+    values always give distinct streams.  A value that is not an int, a
+    numpy integer or a whole float (a boolean, a string, 1.5) raises
+    ConfigError when the stream is built, and so does a negative one, with
+    ``master_seed must be a nonnegative integer`` or ``rep must be a
+    nonnegative integer``.
     """
 
     master_seed: int
     replication_id: int = 0
 
+    def __post_init__(self):
+        for name, value in (("master_seed", self.master_seed), ("rep", self.replication_id)):
+            if _integer(name, value) < 0:
+                raise ConfigError(f"{name} must be a nonnegative integer")
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(int(self.master_seed) & _MASK64,
-                                     spawn_key=(int(self.replication_id) & _MASK64,))
+        seq = np.random.SeedSequence(int(self.master_seed),
+                                     spawn_key=(int(self.replication_id),))
         return np.random.Generator(np.random.SFC64(seq))
 
 

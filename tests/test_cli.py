@@ -224,7 +224,6 @@ class TestSimEstimate:
     @pytest.mark.parametrize("option, name", [("--seed", "master_seed"), ("--rep", "rep")])
     def test_negative_seed_or_rep_exits_1_before_sampling(self, capsys, tmp_path,
                                                            monkeypatch, option, name):
-        # RngStream reduces both modulo 2^64, so -1 would sample stream 2^64 - 1
         def no_sampler(*args, **kwargs):
             raise AssertionError("a sampler was built with a negative seed")
         monkeypatch.setattr("spatialar.cli.FieldSimulator", no_sampler)
@@ -242,6 +241,16 @@ class TestSimEstimate:
                     "--k", "6", "--l", "6", "--seed", "7", "--rep", "3",
                     "--out", str(path))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("option", ["--seed", "--rep"])
+    def test_values_2_to_the_64_apart_give_different_fields(self, capsys, tmp_path, option):
+        # a seed or id is used as it is, not reduced modulo 2^64
+        paths = [tmp_path / "0.csv", tmp_path / "2_64.csv"]
+        for value, path in zip(("0", str(2**64)), paths):
+            code, _, err = run_cli(capsys, "sim", "field", "--alpha", "0.4", "--beta", "0.3",
+                                   "--k", "3", "--l", "3", option, value, "--out", str(path))
+            assert code == 0, err
+        assert paths[0].read_bytes() != paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("argv, out_name", [
@@ -437,7 +446,6 @@ class TestLimitsAndVerify:
 
     @pytest.mark.parametrize("what", ["detb", "score"])
     def test_verify_negative_seed_exits_1(self, capsys, monkeypatch, what):
-        # RngStream reduces seeds mod 2^64, so -1 would run as 2^64 - 1
         def no_run(*args, **kwargs):
             raise AssertionError("replications ran with a negative seed")
         monkeypatch.setattr("spatialar.harness._run_reps", no_run)

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -176,15 +177,55 @@ class TestRunCLT:
         # every replication estimates the true (alpha, beta): with B = I and
         # C = (alpha, beta) each aggregate of the scaled errors must vanish
         # exactly
-        def exact_reps(sim, master_seed, rep_ids, runner=(map, 1), score=False):
+        def exact_reps(sim, streams, runner=(map, 1), score=False):
             return np.array([[1.0, 0.0, 1.0, sim.params.alpha, sim.params.beta]
-                             for _ in rep_ids])
+                             for _ in streams])
         monkeypatch.setattr("spatialar.harness._run_reps", exact_reps)
         rep = run_clt(small_config())
         rec = rep.per_size[0]
         assert_allclose(rec["scaled_mean"], [0.0, 0.0])
         assert_allclose(rec["scaled_cov"], np.zeros((2, 2)))
         assert rec["proj_var"] == {"sum": 0.0, "diff": 0.0}
+
+    def test_seeds_2_to_the_64_apart_write_different_errors(self, tmp_path):
+        # a seed is used as it is, not reduced modulo 2^64
+        csvs = []
+        for seed in (0, 2**64):
+            run_clt(small_config(master_seed=seed, out_dir=str(tmp_path / str(seed))))
+            csvs.append((tmp_path / str(seed) / "errors_m16_s16.csv").read_bytes())
+        assert csvs[0] != csvs[1]
+
+    def test_overall_pass_is_the_last_rungs(self):
+        # a cov_rel_tol between the two rungs' deviations passes exactly one
+        # rung; the run's verdict is the last rung's, whichever it is
+        ladder = [(16, 16), (20, 20)]
+        recs = run_clt(small_config(ladder=ladder)).per_size
+        devs = [abs(r["proj_var"]["diff"] - r["limit_proj"]["diff"]) / r["limit_proj"]["diff"]
+                for r in recs]
+        assert devs[0] != devs[1]
+        tol = Tolerances(sum(devs) / 2, 1.01 * max(r["proj_var"]["sum"] for r in recs))
+        report = run_clt(small_config(ladder=ladder, tolerances=tol))
+        passes = [r["pass"] for r in report.per_size]
+        assert passes in ([True, False], [False, True])
+        assert report.pass_flag is passes[-1]
+
+    def test_normality_flag_reads_the_larger_statistic(self, monkeypatch):
+        # errors at normal quantiles along the sum direction and at +-1 along
+        # the diff direction: only d_diff exceeds the threshold, and that
+        # raises the flag
+        n = 100
+        x = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
+        y = np.resize([-1.0, 1.0], n)
+
+        def two_laws(sim, streams, runner=(map, 1), score=False):
+            # B = I, so theta = C: the errors are d
+            d = 1e-3 * np.column_stack([x + y, x - y])
+            return np.column_stack([np.ones(n), np.zeros(n), np.ones(n),
+                                    sim.params.alpha + d[:, 0], sim.params.beta + d[:, 1]])
+        monkeypatch.setattr(harness, "_run_reps", two_laws)
+        rec = run_clt(small_config(reps=n)).per_size[0]["normality"]
+        assert rec["d_sum"] < rec["threshold"] < rec["d_diff"]
+        assert rec["flag"] is True
 
     def test_report_covariance_symmetric_psd(self):
         rep = run_clt(small_config(reps=200))
@@ -333,13 +374,14 @@ class TestBatchedEngine:
     def test_rows_identical_across_batch_sizes_and_workers(self, method, dist):
         params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
         rep_ids = list(range(5, 25))
+        streams = [RngStream(seed, rep) for rep in rep_ids]
         sim = FieldSimulator(params, window, method, dist)
         runs = []
         for batch in (1, 7, 64):
             sim.batch = batch
             for workers in (1, 2):
                 with _worker_pool(workers, len(rep_ids)) as runner:
-                    runs.append(_run_reps(sim, seed, rep_ids, runner, score=True))
+                    runs.append(_run_reps(sim, streams, runner, score=True))
         assert len({sums.tobytes() for sums in runs}) == 1
         assert runs[0].shape == (len(rep_ids), 7)
         # solve of each row is the public single-field path, bit for bit
@@ -356,15 +398,16 @@ class TestBatchedEngine:
         # a runner's map gets n chunks in id order, and its sums are those of
         # the in-process run of one chunk
         sim = FieldSimulator(ModelParams(0.45, 0.4), TriangleWindow.balanced(8))
+        streams = [RngStream(3, rep) for rep in range(10)]
         chunks = []
 
         def spy_map(fn, *iterables):
             calls = list(zip(*iterables))
-            chunks.extend(rep_ids for _, _, rep_ids, _ in calls)
+            chunks.extend([s.replication_id for s in chunk] for _, chunk, _ in calls)
             return [fn(*args) for args in calls]
-        sums = _run_reps(sim, 3, list(range(10)), (spy_map, 3))
+        sums = _run_reps(sim, streams, (spy_map, 3))
         assert chunks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert sums.tobytes() == _run_reps(sim, 3, list(range(10))).tobytes()
+        assert sums.tobytes() == _run_reps(sim, streams).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_without_score_match_the_scored_rows(self, workers):
@@ -373,11 +416,11 @@ class TestBatchedEngine:
         params, window, seed = ModelParams(0.45, 0.4), TriangleWindow.balanced(40), 23
         sim = FieldSimulator(params, window)
         sim.batch = 7
-        rep_ids = list(range(5, 25))
-        with _worker_pool(workers, len(rep_ids)) as runner:
-            scored = _run_reps(sim, seed, rep_ids, runner, score=True)
-            plain = _run_reps(sim, seed, rep_ids, runner)
-        assert plain.shape == (len(rep_ids), 5) and scored.shape == (len(rep_ids), 7)
+        streams = [RngStream(seed, rep) for rep in range(5, 25)]
+        with _worker_pool(workers, len(streams)) as runner:
+            scored = _run_reps(sim, streams, runner, score=True)
+            plain = _run_reps(sim, streams, runner)
+        assert plain.shape == (len(streams), 5) and scored.shape == (len(streams), 7)
         assert plain.tobytes() == scored[:, :5].tobytes()
         assert np.isfinite(scored[:, 5:]).all()
 
@@ -443,6 +486,20 @@ class TestWorkerPool:
         suite(interior_design(), 100, 12, reps=3, workers=2)
         assert entered == [] and started == []
 
+    def test_negative_seed_starts_no_process(self, pools):
+        # the pool is entered, but the streams are built in the parent before
+        # the first task, so no worker is ever started
+        entered, started = pools
+        for run in (lambda: run_clt(small_config(master_seed=-1), workers=2),
+                    lambda: verify_detB(interior_design(), 100, 12, reps=4,
+                                        master_seed=-1, workers=2),
+                    lambda: verify_score(interior_design(), 100, 12, reps=4,
+                                         master_seed=-1, workers=2)):
+            with pytest.raises(ConfigError,
+                               match="^master_seed must be a nonnegative integer$"):
+                run()
+        assert entered == [2, 2, 2] and started == []
+
     def test_fallback_rungs_report_one_worker(self, monkeypatch, tmp_path):
         # 100 replications on 51 workers fall back to the parent process;
         # the stand-in pool refuses to be built, so nothing can fork
@@ -482,8 +539,8 @@ class TestWorkerPool:
         entered, started = pools
         run_reps, live = harness._run_reps, []
 
-        def singular_at_rung_2(sim, master_seed, rep_ids, runner=(map, 1), score=False):
-            sums = run_reps(sim, master_seed, rep_ids, runner, score)
+        def singular_at_rung_2(sim, streams, runner=(map, 1), score=False):
+            sums = run_reps(sim, streams, runner, score)
             live.append(runner[0] is not map)
             if len(live) == 2:
                 sums[:] = 0.0  # det B = 0: every replication is singular
@@ -514,6 +571,11 @@ class TestVerifySuites:
         r = verify_prop1(interior_design(), [(64, 64), (128, 128), (256, 256)])
         assert r["strictly_decreasing"]
 
+    def test_prop1_repeated_entry_is_not_strictly_decreasing(self):
+        r = verify_prop1(interior_design(), [(64, 64), (128, 128), (128, 128)])
+        assert r["deviations"][0] > r["deviations"][1] == r["deviations"][2]
+        assert not r["strictly_decreasing"] and not r["pass"]
+
     def test_reports_name_their_fixed_tolerances(self):
         # the suites take no tolerance argument; each report keeps its key
         prop1 = verify_prop1(interior_design(), [(64, 64), (128, 128)])
@@ -525,6 +587,14 @@ class TestVerifySuites:
         for suite in (verify_detB, verify_score):
             r = suite(interior_design(), 64, 16, reps=20, master_seed=3)
             assert r["rel_tol"] == 0.2
+
+    def test_covlim_fails_a_covariance_that_does_not_halve(self, monkeypatch):
+        # a covariance that does not decay keeps every bound on the diagonal
+        # and fails every off-diagonal pair
+        monkeypatch.setattr("spatialar.harness.cov_closed", lambda params, k, l: 1.0)
+        r = verify_covlim(interior_design(), m=10_000_000, n_probe=8000)
+        assert [rec["pass"] for rec in r["points"]] == [True, True, False, False]
+        assert not r["pass"]
 
     def test_covlim_both_cases(self):
         for design in (interior_design(), boundary_design()):
@@ -687,6 +757,22 @@ class TestVerifySuites:
         assert r["pass"], r
         assert r["mean_within_4se"]
 
+    @pytest.mark.parametrize("shift, within", [(3.0, True), (10.0, False)])
+    def test_score_mean_is_flagged_beyond_four_standard_errors(self, monkeypatch,
+                                                               shift, within):
+        # the first score column's mean is moved to ``shift`` of its standard
+        # errors; the second is left as sampled
+        run_reps = harness._run_reps
+
+        def shifted(*args):
+            sums = run_reps(*args)
+            col = sums[:, 5]
+            col += shift * col.std(ddof=1) / math.sqrt(len(col)) - col.mean()
+            return sums
+        monkeypatch.setattr(harness, "_run_reps", shifted)
+        r = verify_score(interior_design(), 100, 12, reps=100)
+        assert r["reps"] == 100 and r["mean_within_4se"] is within
+
     def test_score_interior_mean_zero(self):
         r = verify_score(interior_design(), 64, 64, reps=300, master_seed=9)
         assert r["mean_within_4se"]
@@ -725,8 +811,8 @@ def test_suite_scales_match_per_case_expressions(design):
     covlim = verify_covlim(design, m, n_probe=50)
     assert_allclose(covlim["value_at_zero_lag"], info * cov_closed(params, 0, 0), **rel)
 
-    sums = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)), seed,
-                     list(range(reps)), score=True)
+    sums = _run_reps(FieldSimulator(params, TriangleWindow.balanced(s)),
+                     [RngStream(seed, rep) for rep in range(reps)], score=True)
     _, det, ok = solve(sums)
     score = verify_score(design, m, s, reps, master_seed=seed)
     assert_array_equal(score["target"], _prop1_target(design, m))
@@ -735,3 +821,5 @@ def test_suite_scales_match_per_case_expressions(design):
     if design.case_tag is CaseTag.INTERIOR:
         detb = verify_detB(design, m, s, reps, master_seed=seed)
         assert_allclose(detb["scaled_mean"], np.mean(det[ok] * det_scale), **rel)
+        assert_allclose(detb["std_error"],
+                        np.std(det[ok] * det_scale, ddof=1) / math.sqrt(np.sum(ok)), **rel)

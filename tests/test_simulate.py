@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,16 +86,34 @@ class TestDraws:
         b = RngStream(5, 3).generator().standard_normal(4)
         assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 3), (2**40 + 1, 12345)])
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 3), (2**40 + 1, 12345),
+                                           (2**64, 0), (2**70 + 1, 3), (5, 2**64 + 3)])
     def test_stream_is_sfc64_keyed_by_spawn_key(self, seed, rep):
-        # replication r's stream is child r of SeedSequence(master_seed)
+        # replication r's stream is keyed by the seed and r as they are, not
+        # modulo 2^64, and is child r of SeedSequence(master_seed)
         ours = RngStream(seed, rep).generator().standard_normal(6)
         keyed = np.random.SeedSequence(seed, spawn_key=(rep,))
         assert_array_equal(
             ours, np.random.Generator(np.random.SFC64(keyed)).standard_normal(6))
-        child = np.random.SeedSequence(seed).spawn(rep + 1)[rep]
-        assert_array_equal(
-            ours, np.random.Generator(np.random.SFC64(child)).standard_normal(6))
+        if rep < 2**64:  # spawn counts its children in 64 bits
+            child = np.random.SeedSequence(seed).spawn(rep + 1)[rep]
+            assert_array_equal(
+                ours, np.random.Generator(np.random.SFC64(child)).standard_normal(6))
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "must be a nonnegative integer"),
+        (True, "must be an integer, got True"),
+        (1.5, "must be an integer, got 1.5"),
+        (np.float32(1.5), "must be an integer, got np.float32(1.5)"),
+        ("7", "must be an integer, got '7'"),
+    ], ids=["negative", "boolean", "fractional", "float32", "string"])
+    @pytest.mark.parametrize("name", ["master_seed", "rep"])
+    def test_stream_rejects_a_seed_or_id_that_is_not_a_nonnegative_integer(
+            self, name, value, message):
+        # a value is never truncated or converted into another seed's stream
+        args = (value, 0) if name == "master_seed" else (0, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} {message}')}$"):
+            RngStream(*args)
 
     @pytest.mark.parametrize("n", [1, 8, 13, 1000])
     def test_signs_are_unpacked_bits_of_the_stream(self, n):
