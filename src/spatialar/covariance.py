@@ -39,6 +39,14 @@ larger): their gathers onto the shared grid, exp, and sums along the grid
 axis.  So a lag's setup costs one table row even where its grid fills a
 grid block.  Every value is bit-identical to the one-lag call, which is the
 one-row case of the same code.
+
+R[k, l] = R[-k, -l], and ``cov_closed``, ``cov_f4`` and ``cov_binrep`` read
+a lag only through its key (|k|, |l|, k*l <= 0).  So on an array of lags
+each of them runs once per distinct key and hands the value to every lag
+with that key (``_per_key``); on the lag box |k|, |l| <= L that is about
+half the lags.  ``cov_series_oracle`` keeps every lag: as the brute-force
+reference it sums the weights of X[k, l] and X[0, 0] as the lag gives them,
+and its values at (k, l) and (-k, -l) may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -174,19 +182,17 @@ def cov_closed(p: ModelParams, k, l):
     first-passage sum.  When alpha*beta = 0 the field degenerates to
     independent AR(1) lines and the one-dimensional formula applies.
 
-    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  A
-    value depends only on (|k|, |l|, k*l <= 0), so the one-lag formula runs
-    once per distinct key and its value goes to every lag with that key.
+    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  The
+    one-lag formula runs once per distinct lag key (``_per_key``), and its
+    value goes to every lag with that key.
     """
     p.require_stationary()
+
+    def route(k, l):
+        return np.array([_cov_closed_at(p, x, y) for x, y in zip(k.tolist(), l.tolist())],
+                        dtype=np.float64)
     k, l, shape = _lag_arrays(k, l)
-    lags = list(zip(k.tolist(), l.tolist()))
-    keys = [(abs(x), abs(y), x * y <= 0) for x, y in lags]
-    values = {}
-    for key, (x, y) in zip(keys, lags):
-        if key not in values:
-            values[key] = _cov_closed_at(p, x, y)
-    return _shaped(np.array([values[key] for key in keys], dtype=np.float64), shape)
+    return _shaped(_per_key(route, k, l), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +277,28 @@ def _lag_arrays(k, l) -> tuple[np.ndarray, np.ndarray, tuple]:
 def _shaped(values: np.ndarray, shape: tuple):
     """Per-lag results in the lags' shape; a float for a scalar lag."""
     return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _per_key(route, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """``route``'s values at the flat lags k, l, with the route run once per
+    distinct lag key (|k|, |l|, k*l <= 0).
+
+    R[k, l] = R[-k, -l], and ``cov_closed``, ``cov_f4`` and ``cov_binrep``
+    read a lag only through its key, so their value is a function of the
+    key alone.  ``route(k, l)`` maps flat lags to their values; it runs on
+    the first lag of each key, in key order, and each value goes back to
+    every lag with that key.  A single lag runs the route as it is.
+    """
+    if k.size < 2:
+        return route(k, l)
+    keys = np.stack((np.abs(k), np.abs(l), np.sign(k) * np.sign(l) <= 0))
+    # a stable sort by key, so the first lag of a run is the key's first lag
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    first = np.concatenate(([True], np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)))
+    inverse = np.empty(k.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return route(k[order[first]], l[order[first]])[inverse]
 
 
 def _in_blocks(tables, grid_pass, k: np.ndarray, l: np.ndarray, smax: int) -> np.ndarray:
@@ -403,11 +431,12 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     from the shared log-factorial table (see ``_f4_grid_sum``).
 
     ``k`` and ``l`` are integers or integer arrays (broadcast together).
-    The table step builds the F4 tables and the signed prefactor of a table
-    block of lags; the grid pass sums a grid block of at most 8192 lag x
-    grid terms along the grid axis (``_in_blocks``).  Every value is
-    bit-identical to its one-lag call.  Integer lags return a float, arrays
-    an array of their broadcast shape.
+    The route runs once per distinct lag key (|k|, |l|, k*l <= 0)
+    (``_per_key``).  The table step builds the F4 tables and the signed
+    prefactor of a table block of keys; the grid pass sums a grid block of
+    at most 8192 key x grid terms along the grid axis (``_in_blocks``).
+    Every value is bit-identical to its one-lag call.  Integer lags return
+    a float, arrays an array of their broadcast shape.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
@@ -432,7 +461,8 @@ def cov_f4(p: ModelParams, k, l, tol: float = 1e-12):
     def grid_pass(level, mfac, nfac, pre):
         return pre * _f4_grid_pass(level, mfac, nfac, a * a, b * b)
     k, l, shape = _lag_arrays(k, l)
-    return _shaped(_in_blocks(tables, grid_pass, k, l, smax), shape)
+    return _shaped(_per_key(lambda k, l: _in_blocks(tables, grid_pass, k, l, smax), k, l),
+                   shape)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +538,12 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     wfac(w) = (|l| + 2w) log(1 - nu) - log w! - log (|l|+w)!,
     each formed once per value from the shared log-factorial table.
 
-    ``k`` and ``l`` are integers or integer arrays, blocked as in
-    ``cov_f4``: the table step builds a table block's three factor tables,
-    its (lags x (M + 1)) weights q^(|k|+|l|+2i) and its signs, and the grid
-    pass sums each grid block's segments along the grid axis, bit-identical
-    to one call per lag.  Any lag with k*l < 0 raises WrongQuadrantError.
+    ``k`` and ``l`` are integers or integer arrays, keyed and blocked as in
+    ``cov_f4``: the route runs once per distinct lag key, the table step
+    builds a table block's three factor tables, its (keys x (M + 1))
+    weights q^(|k|+|l|+2i) and its signs, and the grid pass sums each grid
+    block's segments along the grid axis, bit-identical to one call per
+    lag.  Any lag with k*l < 0 raises WrongQuadrantError.
     """
     p.require_stationary()
     k, l, shape = _lag_arrays(k, l)
@@ -546,7 +577,8 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     def grid_pass(level, ufac, wfac, weight, sign):
         pmf = _segment_sums(_grid_logs(level, ufac, wfac), r + 1)
         return sign * np.sum(weight * pmf, axis=-1)
-    return _shaped(_in_blocks(tables, grid_pass, k, l, margin), shape)
+    return _shaped(_per_key(lambda k, l: _in_blocks(tables, grid_pass, k, l, margin), k, l),
+                   shape)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +641,10 @@ def cov_series_oracle(p: ModelParams, k, l, margin: int | None = None):
     each formed once per value from the shared log-factorial table.
 
     ``k`` and ``l`` are integers or integer arrays, blocked as in
-    ``cov_f4``: the table step builds a table block's three factor tables
-    and signs, and the grid pass sums each grid block along the grid axis,
-    bit-identical to one call per lag.  A ``margin`` that is not a
+    ``cov_f4`` but not keyed: every lag runs, as the reference.  The table
+    step builds a table block's three factor tables and signs, and the grid
+    pass sums each grid block along the grid axis, bit-identical to one
+    call per lag.  A ``margin`` that is not a
     non-negative integer raises OutOfRangeError before any lag runs.
     """
     p.require_stationary()

@@ -495,9 +495,12 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     truncated-series oracle must agree within ``tol`` absolutely over the
     parameter grid (restricted to |alpha| + |beta| <= 0.9) and all lags
     |k|, |l| <= lag_max.  Each route is called once per parameter pair on
-    the whole lag box (binrep on its same-sign lags); the routes bound
-    their own temporaries, and their values equal one call per lag bit for
-    bit.  The worst deviation is reported at its first lag in box order.
+    the whole lag box (binrep on its same-sign lags).  Closed form, F4 and
+    binrep evaluate each distinct key (|k|, |l|, k*l <= 0) once, so about
+    half the box; the oracle evaluates every lag, as the reference.  The
+    routes bound their own temporaries, and their values equal one call
+    per lag bit for bit.  The worst deviation is reported at its first lag
+    in box order.
     The oracle's tail target is tol / 100, floored at 1e-16, below the
     rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite,
     or a ``lag_max`` that is not a non-negative integer, raises

@@ -1,5 +1,6 @@
-"""Mutation check of the harness verdicts: each pass flag and threshold in
-``MUTANTS`` must be caught by the test suite.
+"""Mutation check of the harness verdicts and the covariance lag keys: each
+pass flag, threshold and formula term in ``MUTANTS`` must be caught by the
+test suite.
 
 Each mutant replaces one exact text of one file.  The runner copies the
 repository to a temporary directory once, then for each mutant writes the
@@ -17,7 +18,9 @@ Run from the repository root (each mutant costs up to one tier-1 run):
 The file is not collected by pytest.  The exit status is 0 when every
 mutant is killed by its own test, 1 when one survives or is killed by
 another test only, and 2 when a mutant's old text does not occur exactly
-once in its file (then nothing runs).
+once in its file (then nothing runs).  ``tests/test_mutant_table.py``
+checks the table itself in tier-1: every old text occurs exactly once and
+every named test exists.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ class Mutant(NamedTuple):
 
 _HARNESS = "src/spatialar/harness.py"
 _TESTS = "tests/test_harness.py"
+_COVARIANCE = "src/spatialar/covariance.py"
+_COV_TESTS = "tests/test_covariance.py"
 
 MUTANTS = [
     Mutant("ks_threshold", _HARNESS,
@@ -79,6 +84,24 @@ MUTANTS = [
            '"flag": bool(max(d_sum, d_diff) > thr)',
            '"flag": bool(min(d_sum, d_diff) > thr)',
            f"{_TESTS}::TestRunCLT::test_normality_flag_reads_the_larger_statistic"),
+    Mutant("lag_key_quadrant", _COVARIANCE,
+           "keys = np.stack((np.abs(k), np.abs(l), np.sign(k) * np.sign(l) <= 0))",
+           "keys = np.stack((np.abs(k), np.abs(l)))",
+           f"{_COV_TESTS}::TestLagArrays::test_value_is_a_function_of_the_lag_key"
+           "[0.45--0.45-closed]"),
+    Mutant("f4_same_sign_binomial", _COVARIANCE,
+           "np.where(mixed, 0.0, lf[ka + la] - lf[ka] - lf[la])",
+           "np.where(mixed, 0.0, 0.0)",
+           f"{_COV_TESTS}::TestF4::test_cov_f4_at_large_same_sign_lags"
+           "[0.45--0.45--2000--1500-1e-10]"),
+    Mutant("binrep_sign", _COVARIANCE,
+           "sign = _sign_of_power(a, ka) * _sign_of_power(b, la)",
+           "sign = _sign_of_power(a, la) * _sign_of_power(b, ka)",
+           f"{_COV_TESTS}::TestAgainstReferenceFormulas::test_cov_binrep[-0.5-0.45]"),
+    Mutant("f4_mixed_parameters", _COVARIANCE,
+           "np.where(mixed, la + 1, 1)",
+           "np.where(mixed, ka + 1, 1)",
+           f"{_COV_TESTS}::TestAgainstReferenceFormulas::test_cov_f4[0.45--0.25]"),
 ]
 
 

@@ -419,6 +419,15 @@ def _series_box(route, lag_max):
     return k, l
 
 
+def _lag_keys(k, l):
+    # each distinct key (|k|, |l|, k*l <= 0) of the flat lags k, l, with the
+    # first lag that has it
+    keys = {}
+    for x, y in zip(k.tolist(), l.tolist()):
+        keys.setdefault((abs(x), abs(y), x * y <= 0), (x, y))
+    return keys
+
+
 class TestLagArrays:
     """A series route builds its tables once per table block of lags and
     sums them in grid blocks, and every value equals its one-lag call bit
@@ -543,23 +552,48 @@ class TestLagArrays:
         assert np.array_equal(_bits(box.ravel()), _bits(one_lag))
 
     @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
-    @pytest.mark.parametrize("a, b, lag_max, blocks", [(0.45, 0.45, 3, 1), (0.1, 0.1, 20, 2),
-                                                       (-0.15, 0.1, 20, 3)])
+    @pytest.mark.parametrize("a, b, lag_max, blocks", [
+        (0.45, 0.45, 3, {"f4": 1, "binrep": 1, "oracle": 1}),
+        (0.1, 0.1, 20, {"f4": 1, "binrep": 1, "oracle": 2}),
+        (-0.15, 0.1, 20, {"f4": 2, "binrep": 1, "oracle": 3}),
+    ], ids=["0.45-0.45-3", "0.1-0.1-20", "-0.15-0.1-20"])
     def test_tables_are_built_once_per_table_block(self, route, a, b, lag_max, blocks,
                                                    monkeypatch):
-        # each table step asks for the log-factorial table once; at q = 0.9
-        # a table block holds 58 lags (smax 139), so the 7 x 7 box, whose
-        # grids fill one grid block each, is one table block
+        # each table step asks for the log-factorial table once.  F4 and
+        # binrep block one lag per distinct key (|k|, |l|, k*l <= 0), the
+        # oracle every lag of the box.  At q = 0.9 a table block holds 58
+        # lags (smax 139), so the 7 x 7 box, whose grids fill one grid block
+        # each, is one table block
         fn = SERIES_ROUTES[route]
         p = ModelParams(a, b)
         k, l = _series_box(route, lag_max)
+        runs = k.size if route == "oracle" else len(_lag_keys(k, l))
         per_table = _LAG_BLOCK_TERMS // (oracle_margin(p.q) + 1)
-        assert -(-k.size // per_table) == blocks
+        assert -(-runs // per_table) == blocks[route]
         calls = []
         monkeypatch.setattr(covariance, "_log_factorials",
                             lambda n: calls.append(n) or _log_factorials(n))
         fn(p, k, l)
-        assert len(calls) == blocks
+        assert len(calls) == blocks[route]
+
+    @pytest.mark.parametrize("route", ["closed", "f4", "binrep"])
+    @pytest.mark.parametrize("a, b", [(0.45, -0.45), (-0.25, 0.1), (0.0, 0.6)])
+    def test_value_is_a_function_of_the_lag_key(self, route, a, b):
+        # the premise of running these routes once per key (|k|, |l|,
+        # k*l <= 0): the value at (k, l) is the value at (-k, -l) and the
+        # one-lag call at one representative lag of its key, bit for bit
+        fn = {"closed": cov_closed, "f4": cov_f4, "binrep": cov_binrep}[route]
+        p = ModelParams(a, b)
+        k, l = _series_box("f4", 4)
+        if route == "binrep":
+            k, l = k[k * l >= 0], l[k * l >= 0]
+        box = dict(zip(zip(k.tolist(), l.tolist()), _bits(fn(p, k, l)).tolist()))
+        keys = _lag_keys(k, l)
+        assert len(keys) == (25 if route == "binrep" else 41)
+        for (x, y), bits in box.items():
+            assert bits == box[-x, -y]
+            rep = keys[abs(x), abs(y), x * y <= 0]
+            assert bits == _bits(fn(p, *rep))
 
 
 def test_geom_factor_product_equals_normalised_mixed_lag():
