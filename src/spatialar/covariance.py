@@ -47,6 +47,13 @@ with that key (``_per_key``); on the lag box |k|, |l| <= L that is about
 half the lags.  ``cov_series_oracle`` keeps every lag: as the brute-force
 reference it sums the weights of X[k, l] and X[0, 0] as the lag gives them,
 and its values at (k, l) and (-k, -l) may differ in the last bits.
+
+``cov_closed`` forms sig2, the geometric bases and log sig2 once per call.
+Over the keys, its two product forms (the mixed-quadrant sig2 Ga^|k| Gb^|l|
+and the alpha*beta = 0 axis form c^|lag| / (1 - c^2)) are array
+expressions whose powers are Python float powers, and the first-passage
+sum runs once per same-sign key.  It shares no table with the series
+routes: it keeps ``math.lgamma``, its own signs and ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -102,21 +109,6 @@ def d_factor(p: ModelParams) -> float:
     return ga * gb
 
 
-def _cov_axis_1d(p: ModelParams, k: int, l: int) -> float:
-    # degenerate ab = 0: rows (or columns) are independent AR(1) lines
-    a, b = p.alpha, p.beta
-    if a == 0.0 and b == 0.0:
-        return 1.0 if (k == 0 and l == 0) else 0.0
-    if b == 0.0:
-        return a ** abs(k) / (1 - a * a) if l == 0 else 0.0
-    return b ** abs(l) / (1 - b * b) if k == 0 else 0.0
-
-
-def _cov_mixed(p: ModelParams, k: int, l: int) -> float:
-    ga, gb = geom_factors(p)
-    return sigma_sq(p) * ga ** abs(k) * gb ** abs(l)
-
-
 def _log_comb(n: int, r: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
 
@@ -131,8 +123,15 @@ def _signed_power_log(base: float, expo: int) -> tuple[int, float]:
     return sign, expo * math.log(abs(base))
 
 
-def _cov_same_quadrant(p: ModelParams, k: int, l: int) -> float:
-    """Finite first-passage sum for k, l >= 1.
+def _powers(base: float, expo: np.ndarray) -> np.ndarray:
+    """base ** e for each integer e of ``expo``, each a Python float power."""
+    return np.array([base ** e for e in expo.tolist()], dtype=np.float64)
+
+
+def _cov_same_quadrant(a: float, b: float, ga: float, gb: float, log_s2: float,
+                       k: int, l: int) -> float:
+    """Finite first-passage sum for k, l >= 1, from the per-call constants
+    of ``cov_closed``: alpha, beta, the geometric bases and log sig2.
 
     Unfolding the covariance recursion R[i, j] = a R[i-1, j] + b R[i, j-1]
     until an axis is hit decomposes R[k, l] over monotone lattice paths:
@@ -141,10 +140,6 @@ def _cov_same_quadrant(p: ModelParams, k: int, l: int) -> float:
     are the geometric mixed-quadrant form.  Terms are assembled in log space
     so path counts at lags in the thousands stay representable.
     """
-    s2 = sigma_sq(p)
-    a, b = p.alpha, p.beta
-    ga, gb = geom_factors(p)
-    log_s2 = math.log(s2)
     sa_k, la_k = _signed_power_log(a, k)
     sb_l, lb_l = _signed_power_log(b, l)
     terms = []
@@ -165,32 +160,41 @@ def _cov_same_quadrant(p: ModelParams, k: int, l: int) -> float:
     return math.fsum(terms)
 
 
-def _cov_closed_at(p: ModelParams, k: int, l: int) -> float:
-    # one lag; reads only |k|, |l| and whether k*l <= 0
-    if p.alpha * p.beta == 0.0:
-        return _cov_axis_1d(p, k, l)
-    if k * l <= 0:
-        return _cov_mixed(p, k, l)
-    return _cov_same_quadrant(p, abs(k), abs(l))
-
-
 def cov_closed(p: ModelParams, k, l):
     """Exact closed-form covariance, any lag.
 
-    Mixed quadrant (k*l <= 0) uses the two-factor geometric product; the
-    same-sign quadrant reduces, by stationarity, to k, l >= 1 and the finite
-    first-passage sum.  When alpha*beta = 0 the field degenerates to
-    independent AR(1) lines and the one-dimensional formula applies.
+    Mixed quadrant (k*l <= 0) uses the two-factor geometric product
+    sig2 Ga^|k| Gb^|l|; the same-sign quadrant reduces, by stationarity, to
+    k, l >= 1 and the finite first-passage sum.  When alpha*beta = 0 the
+    field degenerates to independent AR(1) lines, and the one-dimensional
+    form c^|lag| / (1 - c^2) applies along the line of the nonzero
+    coefficient c.
 
-    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  The
-    one-lag formula runs once per distinct lag key (``_per_key``), and its
-    value goes to every lag with that key.
+    ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  sig2,
+    the geometric bases and log sig2 are formed once per call.  The route
+    runs once per distinct lag key (``_per_key``): the two product forms
+    are array expressions over the keys, each power a Python float power,
+    and the path sum runs once per same-sign key.  Every value goes to each
+    lag with that key.
     """
-    p.require_stationary()
+    a, b = p.alpha, p.beta
+    s2 = sigma_sq(p)  # raises NonStationaryError off the stable region
+    if a * b != 0.0:
+        ga, gb = geom_factors(p)
+        log_s2 = math.log(s2)
 
     def route(k, l):
-        return np.array([_cov_closed_at(p, x, y) for x, y in zip(k.tolist(), l.tolist())],
-                        dtype=np.float64)
+        ka, la = np.abs(k), np.abs(l)
+        if a * b == 0.0:
+            # rows (or columns) are independent AR(1) lines; alpha = -0.0
+            # is read as +0.0, so white noise is +0.0 off the origin
+            c, lag, off = (a + 0.0, ka, la) if b == 0.0 else (b, la, ka)
+            return np.where(off == 0, _powers(c, lag) / (1 - c * c), 0.0)
+        values = s2 * _powers(ga, ka) * _powers(gb, la)
+        same = np.flatnonzero(k * l > 0)
+        values[same] = [_cov_same_quadrant(a, b, ga, gb, log_s2, x, y)
+                        for x, y in zip(ka[same].tolist(), la[same].tolist())]
+        return values
     k, l, shape = _lag_arrays(k, l)
     return _shaped(_per_key(route, k, l), shape)
 
@@ -551,11 +555,10 @@ def cov_binrep(p: ModelParams, k, l, tol: float = 1e-12):
     if mixed.size:
         raise WrongQuadrantError("binomial representation needs k*l >= 0, "
                                  f"got ({k[mixed[0]]}, {l[mixed[0]]})")
-    a, b = p.alpha, p.beta
-    q = p.q
-    if q == 0.0:
-        return _shaped(np.where((k == 0) & (l == 0), 1.0, 0.0), shape)
-    nu = abs(a) / q
+    a, b, q = p.alpha, p.beta, p.q
+    # at q = 0 the point mass nu = 1, as in ``cumulant_tail_bound``, leaves
+    # 1.0 at (0, 0) and 0.0 elsewhere
+    nu = abs(a) / q if q > 0.0 else 1.0
     margin = oracle_margin(q, tol)
     r = np.arange(margin + 1)
     log_nu, log_mu = _binomial_logs(nu)

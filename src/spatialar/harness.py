@@ -135,6 +135,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if not self.ladder:
             raise ConfigError("ladder must contain at least one (m, s) pair")
+        self.ladder = [(_integer("ladder m", m), _integer("ladder s", s))
+                       for m, s in self.ladder]
+        self.reps = _integer("reps", self.reps)
         if self.reps < 100:
             raise ConfigError(
                 f"statistical acceptance needs reps >= 100, got {self.reps}")
@@ -171,9 +174,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config keys: {unknown}")
             cfg = cls(
                 design=NearlyUnstableDesign.from_json(obj["design"]),
-                ladder=[(_integer("ladder m", m), _integer("ladder s", s))
-                        for m, s in obj["ladder"]],
-                reps=_integer("reps", obj["reps"]),
+                ladder=[(m, s) for m, s in obj["ladder"]],
+                reps=obj["reps"],
                 dist=InnovationDist(obj.get("dist", cls.dist)),
                 method=SimMethod.parse(obj["method"]) if "method" in obj else None,
                 master_seed=_integer("seed", obj.get("seed", cls.master_seed)),
@@ -260,10 +262,12 @@ def _worker_pool(workers: int, reps: int):
     parent itself, at 1 worker or below 2 * workers reps, and otherwise
     ``(pool.map, workers)`` of the run's one process pool.
 
-    A ``workers`` below 1 raises ConfigError before any replication runs.
+    A ``workers`` that is not an integer (``model._integer``), or is below
+    1, raises ConfigError before any pool or replication starts.
     The pool forks its workers on its first task; ``numpy.random`` is
     imported here, on the pooled path only, so they inherit it.
     """
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if workers == 1 or reps < 2 * workers:
@@ -389,8 +393,9 @@ def run_clt(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     Every rung runs on the one runner that ``_worker_pool`` gives the whole
     ladder, a pool of ``workers`` processes or the parent alone; each
     rung's ``timing.json`` record names the runner's process count as
-    ``workers``.  A ``workers`` below 1 raises ConfigError before
-    any replication runs.
+    ``workers``.  A ``workers`` that is not an integer or is below 1, and
+    a config whose ladder or ``reps`` holds a value that is not an integer,
+    raise ConfigError before any pool or replication starts.
     """
     config.validate()
     design = config.design
@@ -498,9 +503,11 @@ def verify_cov(values=(-0.45, -0.25, -0.1, 0.1, 0.25, 0.45), lag_max: int = 6,
     the whole lag box (binrep on its same-sign lags).  Closed form, F4 and
     binrep evaluate each distinct key (|k|, |l|, k*l <= 0) once, so about
     half the box; the oracle evaluates every lag, as the reference.  The
-    routes bound their own temporaries, and their values equal one call
-    per lag bit for bit.  The worst deviation is reported at its first lag
-    in box order.
+    closed form sets up sig2 and its geometric bases once per call, forms
+    its two product forms as array expressions over the keys and runs its
+    path sum once per same-sign key.  The routes bound their own
+    temporaries, and their values equal one call per lag bit for bit.  The
+    worst deviation is reported at its first lag in box order.
     The oracle's tail target is tol / 100, floored at 1e-16, below the
     rounding of sigma^2 >= 1.  A ``tol`` that is not positive and finite,
     or a ``lag_max`` that is not a non-negative integer, raises
@@ -605,6 +612,7 @@ def verify_covlim(design: NearlyUnstableDesign, m: int, n_probe: int) -> dict:
     closed-form and cheap).  Off-diagonal pairs must at least halve when
     n_probe doubles.
     """
+    m, n_probe = _integer("m", m), _integer("n_probe", n_probe)
     if n_probe < 1:
         raise ConfigError(f"n_probe must be at least 1, got {n_probe}")
     params = design.params_at(m)
@@ -643,6 +651,7 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
     that of the error covariance ``limit_law`` (derived there), to ``_MC_REL_TOL``."""
     if design.case_tag is not CaseTag.INTERIOR:
         raise ConfigError("the determinant limit is an interior-case statement")
+    m, s, reps = _integer("m", m), _integer("s", s), _integer("reps", reps)
     with _worker_pool(workers, reps) as runner:
         *_, det, ok = _rung(design, m, s, list(range(reps)), master_seed, runner)
     scaled = det[ok] * (condition_statistic(design, m, 1) * s**-4.0)
@@ -662,6 +671,7 @@ def verify_detB(design: NearlyUnstableDesign, m: int, s: int, reps: int,
 def verify_score(design: NearlyUnstableDesign, m: int, s: int, reps: int,
                  master_seed: int = 0, workers: int = 1) -> dict:
     """Monte Carlo scaled score covariance against its limit, to ``_MC_REL_TOL``."""
+    m, s, reps = _integer("m", m), _integer("s", s), _integer("reps", reps)
     with _worker_pool(workers, reps) as runner:
         _, sums, _, _, ok = _rung(design, m, s, list(range(reps)), master_seed, runner,
                                   score=True)

@@ -1,6 +1,6 @@
-"""Mutation check of the harness verdicts and the covariance lag keys: each
-pass flag, threshold and formula term in ``MUTANTS`` must be caught by the
-test suite.
+"""Mutation check of the harness verdicts, the covariance lag keys and the
+covariance formulas: each pass flag, threshold and formula term in
+``MUTANTS`` must be caught by the test suite.
 
 Each mutant replaces one exact text of one file.  The runner copies the
 repository to a temporary directory once, then for each mutant writes the
@@ -102,6 +102,18 @@ MUTANTS = [
            "np.where(mixed, la + 1, 1)",
            "np.where(mixed, ka + 1, 1)",
            f"{_COV_TESTS}::TestAgainstReferenceFormulas::test_cov_f4[0.45--0.25]"),
+    Mutant("closed_path_binomial", _COVARIANCE,
+           "_log_comb(k - 1 + l - j, k - 1)",
+           "_log_comb(k - 1 + l - j, k)",
+           f"{_COV_TESTS}::TestClosedForm::test_same_quadrant_value"),
+    Mutant("closed_mixed_bases", _COVARIANCE,
+           "s2 * _powers(ga, ka) * _powers(gb, la)",
+           "s2 * _powers(gb, ka) * _powers(ga, la)",
+           f"{_COV_TESTS}::TestFourWaySmoke::test_methods_agree[0.3--0.4]"),
+    Mutant("closed_axis_denominator", _COVARIANCE,
+           "_powers(c, lag) / (1 - c * c)",
+           "_powers(c, lag) / (1 - c)",
+           f"{_COV_TESTS}::TestClosedForm::test_degenerate_axis"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from spatialar import (
 from spatialar import covariance
 from spatialar.covariance import (
     _LAG_BLOCK_TERMS,
-    _cov_closed_at,
     _f4_grid_sum,
     _log_factorials,
     d_factor,
@@ -481,28 +481,52 @@ class TestLagArrays:
     @pytest.mark.parametrize("a, b", [(0.4, -0.3), (-0.45, 0.45), (0.0, 0.6),
                                       (-0.7, 0.0), (0.0, 0.0)])
     def test_closed_box_equals_one_lag_calls(self, a, b, monkeypatch):
-        # the box holds both axes and both quadrants; each distinct key
-        # (|k|, |l|, k*l <= 0) runs the one-lag formula once, and every lag
-        # gets that formula's value at its own (k, l) bit for bit
+        # the box holds both axes and both quadrants; the path sum runs once
+        # per distinct same-sign key (|k|, |l|), and never on an axis, in the
+        # mixed quadrant or at alpha*beta = 0; every lag gets the value of
+        # its own scalar call bit for bit
         p = ModelParams(a, b)
         lags = np.arange(-5, 6)
         k, l = lags[:, None], lags[None, :]
-        one_lag = np.array([[_cov_closed_at(p, x, y) for y in range(-5, 6)]
-                            for x in range(-5, 6)])
-        calls = []
+        one_lag = [[cov_closed(p, x, y) for y in range(-5, 6)] for x in range(-5, 6)]
+        path_sum, calls = covariance._cov_same_quadrant, []
 
-        def spy(p, k, l):
-            calls.append((abs(k), abs(l), k * l <= 0))
-            return _cov_closed_at(p, k, l)
-        monkeypatch.setattr(covariance, "_cov_closed_at", spy)
+        def spy(*args):
+            calls.append(args[-2:])
+            return path_sum(*args)
+        monkeypatch.setattr(covariance, "_cov_same_quadrant", spy)
         box = cov_closed(p, k, l)
-        assert len(calls) == len(set(calls)) == 61
-        assert set(calls) == {(abs(x), abs(y), x * y <= 0)
-                              for x in range(-5, 6) for y in range(-5, 6)}
+        same_sign = {(x, y) for x in range(1, 6) for y in range(1, 6)} if a * b else set()
+        assert len(calls) == len(set(calls)) == len(same_sign)
+        assert set(calls) == same_sign
         assert box.shape == (11, 11)
         assert np.array_equal(_bits(box), _bits(one_lag))
-        assert np.array_equal(_bits(box), _bits([[cov_closed(p, x, y) for y in range(-5, 6)]
-                                                 for x in range(-5, 6)]))
+
+    @pytest.mark.parametrize("a, b", [(0.4, -0.3), (0.0, 0.6)])
+    def test_closed_setup_runs_once_per_call(self, a, b, monkeypatch):
+        # sig2 and the geometric bases are formed once per call, whatever
+        # the size of the lag box
+        p = ModelParams(a, b)
+        counts = Counter()
+
+        def counted(name):
+            fn = getattr(covariance, name)
+
+            def spy(p):
+                counts[name] += 1
+                return fn(p)
+            return spy
+        for name in ("sigma_sq", "geom_factors"):
+            monkeypatch.setattr(covariance, name, counted(name))
+        per_box = []
+        for lag_max in (0, 1, 5, 20):
+            counts.clear()
+            lags = np.arange(-lag_max, lag_max + 1)
+            cov_closed(p, lags[:, None], lags[None, :])
+            per_box.append(dict(counts))
+        # geom_factors forms sig2 once more itself; at alpha*beta = 0 it is not needed
+        once = {"sigma_sq": 2, "geom_factors": 1} if a * b else {"sigma_sq": 1}
+        assert per_box == [once] * 4
 
     @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
     def test_series_box_equals_one_lag_calls_in_bounded_memory(self, route):

@@ -520,18 +520,25 @@ class TestWorkerPool:
         assert json.loads(proc.stdout) == {"after_import": False,
                                            "at_fork": [True, True]}
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_bad_worker_count_rejected_before_any_replication(self, monkeypatch,
-                                                              workers):
+    @pytest.mark.parametrize("workers, message", [
+        (0, "workers must be at least 1"),
+        (-3, "workers must be at least 1"),
+        # a fraction or a boolean is rejected, not passed to the pool or read as 1
+        (2.5, "workers must be an integer"),
+        (True, "workers must be an integer"),
+    ], ids=["0", "-3", "2.5", "True"])
+    def test_bad_worker_count_rejected_before_any_replication(self, pools, monkeypatch,
+                                                              workers, message):
         def no_run(*args, **kwargs):
             raise AssertionError("replications ran with a bad worker count")
         monkeypatch.setattr("spatialar.harness._run_reps", no_run)
-        with pytest.raises(ConfigError, match="workers must be at least 1"):
+        with pytest.raises(ConfigError, match=message):
             run_clt(small_config(), workers=workers)
-        with pytest.raises(ConfigError, match="workers must be at least 1"):
+        with pytest.raises(ConfigError, match=message):
             verify_detB(interior_design(), 100, 12, reps=10, workers=workers)
-        with pytest.raises(ConfigError, match="workers must be at least 1"):
+        with pytest.raises(ConfigError, match=message):
             verify_score(interior_design(), 100, 12, reps=10, workers=workers)
+        assert pools == ([], [])
 
     def test_abort_inside_the_pool_leaves_no_process(self, pools, monkeypatch):
         # rung 2's replications come back singular while the pool is live:
@@ -562,6 +569,40 @@ class TestWorkerPool:
 
 
 class TestVerifySuites:
+    @pytest.mark.parametrize("run", [
+        lambda: verify_covlim(interior_design(), 10_000_000, True),
+        lambda: verify_covlim(interior_design(), 10_000_000, 8000.5),
+        lambda: verify_detB(interior_design(), 100, 16.5, reps=100, workers=2),
+        lambda: verify_detB(interior_design(), 100.5, 12, reps=100, workers=2),
+        lambda: verify_score(interior_design(), 100, 12, reps=100.5, workers=2),
+        lambda: run_clt(small_config(reps=150.5), workers=2),
+        lambda: run_clt(small_config(ladder=[(16, 16), (16, 16.5)]), workers=2),
+    ], ids=["covlim_n_probe_bool", "covlim_n_probe_fraction", "detb_s_fraction",
+            "detb_m_fraction", "score_reps_fraction", "clt_reps_fraction",
+            "clt_ladder_fraction"])
+    def test_non_integer_count_rejected_before_any_replication(self, pools, monkeypatch,
+                                                               run):
+        # a count passed from Python is read through model._integer, as in a
+        # config file: a fraction or a boolean is rejected, not run or
+        # reported as it is
+        def no_run(*args, **kwargs):
+            raise AssertionError("replications ran with a non-integer count")
+        monkeypatch.setattr("spatialar.harness._run_reps", no_run)
+        with pytest.raises(ConfigError, match="must be an integer, got (True|[0-9.]+)$"):
+            run()
+        assert pools == ([], [])
+
+    @pytest.mark.parametrize("run", [
+        lambda **n: verify_detB(interior_design(), n["m"], n["s"], reps=n["reps"]),
+        lambda **n: verify_score(interior_design(), n["m"], n["s"], reps=n["reps"]),
+        lambda **n: run_clt(small_config(ladder=[(n["m"], n["s"])], reps=n["reps"]),
+                            workers=n["workers"]).to_canonical_dict(),
+    ], ids=["detb", "score", "clt"])
+    def test_integral_float_counts_run_as_integers(self, run):
+        ints = run(m=100, s=12, reps=100, workers=1)
+        floats = run(m=100.0, s=12.0, reps=100.0, workers=1.0)
+        assert dumps_canonical(floats) == dumps_canonical(ints)
+
     def test_prop1_boundary_passes(self):
         r = verify_prop1(boundary_design(),
                          [(m, math.ceil(m**1.25)) for m in (16, 32, 64)])
