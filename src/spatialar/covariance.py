@@ -91,11 +91,18 @@ def geom_factors(p: ModelParams) -> tuple[float, float]:
     """The two geometric bases of the mixed-quadrant product form.
 
     R[k, l] = sig2 * Ga**|k| * Gb**|l| for k*l <= 0.  Requires ab != 0.
+
+    Both are in rationalised form, Ga = 2a / (1 + a^2 - b^2 + 1/sig2) and
+    Gb likewise with a and b swapped.  The other root of the same quadratic,
+    Ga = (1 + a^2 - b^2 - 1/sig2) / (2a), is equal in exact arithmetic, but
+    its numerator, about 2a^2 at small |a|, is a difference of O(1) terms:
+    at (1e-9, 0.1) it read Ga 56 times too large, with the wrong sign.  The
+    denominator lies in (0, 3], so Ga and Gb are 0 only where a or b is.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
     s2inv = 1.0 / sigma_sq(p)
-    ga = (1 + a * a - b * b - s2inv) / (2 * a)
+    ga = (2 * a) / (1 + a * a - b * b + s2inv)
     gb = (2 * b) / (1 + b * b - a * a + s2inv)
     return ga, gb
 

@@ -110,6 +110,11 @@ MUTANTS = [
            "s2 * _powers(ga, ka) * _powers(gb, la)",
            "s2 * _powers(gb, ka) * _powers(ga, la)",
            f"{_COV_TESTS}::TestFourWaySmoke::test_methods_agree[0.3--0.4]"),
+    Mutant("closed_ga_form", _COVARIANCE,
+           "ga = (2 * a) / (1 + a * a - b * b + s2inv)",
+           "ga = (1 + a * a - b * b - s2inv) / (2 * a)",
+           f"{_COV_TESTS}::TestScalarConstants::"
+           "test_geom_factors_match_a_50_digit_reference_at_small_alpha[1e-09-0.1]"),
     Mutant("closed_axis_denominator", _COVARIANCE,
            "_powers(c, lag) / (1 - c * c)",
            "_powers(c, lag) / (1 - c)",

@@ -192,11 +192,11 @@ def test_large_field_report_bytes_are_pinned(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got == {
         "16": {"failed_ops": 0, "report":
-               "ad04437caaa3545e7272aecd5d8020a585f7a0617bc32389aead3bf1c2813c9a"},
+               "b2463c5bf29b55674a1f0fbb2c9361f9f0b087533d941766e6bd573ed5c5a282"},
         "64": {"failed_ops": 0, "report":
                "1c30a2ba21ce20865ffb978f5a92cc496200f73609445d674c0c8f402f19d8b1"},
         "513": {"failed_ops": 0, "report":
-                "acc7e7276a3cf60204dae6a5a5c0ef939ca0818b7bd6ef51dde8d75cc95c8e7c"},
+                "67c96dacbeaeceb0fd598883763b44ecb86d849d9a810a32622313805b513cf7"},
     }
 
 

@@ -180,13 +180,13 @@ class TestSimEstimate:
     # sha256 of the estimate's JSON line for the field of ``sim_field`` at
     # seed 42, as it read when the window was passed as --k K --l L
     ESTIMATE_DIGESTS = {
-        ("12", "12", "gaussian"): "de0e3eee0caf46b5992872a4b3d8e899af26c66db1043d8fccd479c52d57a288",
+        ("12", "12", "gaussian"): "76d13c7cfd7885dd1b794917c04786b1e4747cba5eeeec5803c0935a339005fc",
         ("12", "12", "rademacher"): "8ba44727bd44e75cdacd2b0e53116c5fbd86825772c0cd1aa8b642ea6d03ebd1",
         ("12", "12", "uniform"): "eadd5e7b26f150d451ecd93226eca6c473da3d89097dfcac8dc43a994fa56f20",
-        ("5", "9", "gaussian"): "0470df09be76dd89be8ba004cd39da01234f726776d9afe0581aeccf037697fa",
+        ("5", "9", "gaussian"): "f582a92b2389f5791068eb67cdde13131251c23342f04721841439d433e5585e",
         ("5", "9", "rademacher"): "7ff1db5eb54a0d0e04afa3b3eeed73def688e0649a8cae8e9bfda51b4fd4ccb6",
         ("5", "9", "uniform"): "8268a884d59d83653f38ef4e3b764edb4fe26e75d1981ef547baa6ad0e3d6788",
-        ("3", "3", "gaussian"): "9dc9c2d5391d2802f2296e121e3da8b08d7f03e138e7e65296c0e41c20f35280",
+        ("3", "3", "gaussian"): "450dfa548916e6ec38ef2aad9bfcded1b7e26e2b82e4311f026f3ee9d05ce851",
     }
 
     @pytest.mark.parametrize("k, l, dist", sorted(ESTIMATE_DIGESTS))

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestScalarConstants:
     @settings(max_examples=50, deadline=None)
     def test_sigma_sq_at_least_one(self, p):
         assert sigma_sq(p) >= 1.0
+
+    @pytest.mark.parametrize("a, b", [(1e-4, 0.3), (1e-6, 0.3), (1e-6, -0.3),
+                                      (1e-9, 0.1), (-1e-9, 0.1)])
+    def test_geom_factors_match_a_50_digit_reference_at_small_alpha(self, a, b):
+        # Ga's numerator (1 + a^2 - b^2 - 1/sig2) is about 2 a^2, so it must
+        # not be formed as a difference of O(1) floats
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x, y = Decimal(a), Decimal(b)
+            s2inv = (((1 + x + y) * (1 - x - y)) * ((1 + x - y) * (1 - x + y))).sqrt()
+            ref_ga = (1 + x * x - y * y - s2inv) / (2 * x)
+            ref_gb = (2 * y) / (1 + y * y - x * x + s2inv)
+            for got, ref in zip(geom_factors(ModelParams(a, b)), (ref_ga, ref_gb)):
+                assert abs(Decimal(got) - ref) <= Decimal("1e-15") * abs(ref)
 
     def test_rho_values(self):
         assert d_factor(ModelParams(0.5, 0.0)) == 0.0

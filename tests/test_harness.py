@@ -724,6 +724,12 @@ class TestVerifySuites:
             verify_cov((0.1, 0.2), lag_max=lag_max)
         assert calls == []
 
+    def test_verify_cov_passes_at_a_tiny_alpha(self):
+        # the closed form's mixed-quadrant base Ga at alpha = 1e-9 cancelled
+        # to 56 times its value, 1.1e-7 off the oracle at (-1, 0)
+        r = verify_cov((1e-9, 0.45), lag_max=3)
+        assert r["n_points"] == 196 and r["pass"]
+
     def test_verify_cov_at_lag_max_zero_checks_the_variances(self):
         r = verify_cov((0.1, 0.2), lag_max=np.int64(0))
         assert r["n_points"] == 4 and r["pass"]

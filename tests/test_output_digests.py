@@ -39,15 +39,15 @@ CLI_DIGESTS = {
     ("verify", "prop1", *INTERIOR): "b7cb21c58c85ad21cf2b5a92ee63882b2a566ab9095a2f3e2f327c685e0ea7f4",
     ("verify", "prop1", *NEGATIVE): "16e5a9fdc8f98cec2812b163cdbe625d4a4bab23ab04cf4146a08bdb3c468de4",
     ("verify", "prop1", *BOUNDARY): "ddb0a888b4a3256d82920d15901bf981e0c3cebde4c36741458152277a12c763",
-    ("verify", "covlim", *INTERIOR): "c39e16d71f226f960106a7047a7e731b96e1055065fb4fd9a3c38bcc933386e9",
+    ("verify", "covlim", *INTERIOR): "3a5cbc306e4e1af3d80b0e2cddb4d0b8f73533400fb984093cf7666561da5736",
     ("verify", "covlim", *BOUNDARY): "5d99a6f71e6ecc71a856682e4c123db8df79676a350cf5bc9b270ad3cb1537c7",
-    ("verify", "detb", *INTERIOR, *MC): "52a46785dc125cb5e6e6cf507b37e6d9a88f5d80b3ea9160e6f58f5bbb93ac53",
-    ("verify", "detb", *NEGATIVE, *MC): "aadc5c5a3b4431b3d4a68905cea5b868ec210780769dbb428ddf39a6e8d6a53d",
-    ("verify", "score", *INTERIOR, *MC): "dd4cd620679e2f65491d30cda87707d8176a1d0a540d7a1ed51411bbd3772b29",
+    ("verify", "detb", *INTERIOR, *MC): "30f6d5d8bfd5b8802a472b066adbb12504704393af86384baa3fe42aebf2b45d",
+    ("verify", "detb", *NEGATIVE, *MC): "58d47eb6d84a2d7042b8f5317c9265cc7bbf0294581a0479c66ce5cf7e888d12",
+    ("verify", "score", *INTERIOR, *MC): "b2b95d2bc305788dd13d08c53f1844db0a42d0cdcf80e492dade419f3a81a3ee",
     ("verify", "score", *BOUNDARY, "--m", "64", *MC): "549f0923549e7b23ccee566fa8ced447ac3a61dd4d688aca6f14521aaa095dd3",
-    ("cov", "table", *COV_TABLE, "closed"): "ae80ee21255df9632d33a8b43b5c4fa73dd0bda0edbecef72919d1ffa980d0af",
+    ("cov", "table", *COV_TABLE, "closed"): "0c23beedd156ae24ec4c27d948d59f708ce94381e9e7567f5459c863a562685e",
     ("cov", "table", *COV_TABLE, "f4"): "b449edbb3893b4f4404958a35aab40182dd18253d90aa416ced0f111b33b38be",
-    ("cov", "table", *COV_TABLE, "binrep"): "99617f903ee6598e8ae51f15e4da8878cc269c9839980e66f1052f17ab5a63fe",
+    ("cov", "table", *COV_TABLE, "binrep"): "7861dc8629f143c99c20c1d901e05b224f2d16a9f277cbfdc04e3bd579a069d2",
     ("cov", "table", *COV_TABLE, "oracle"): "56cb4d50193dac25b7d3e1c2f9b91e3ae9e8c475afd36d65c18c9dc45ec71721",
 }
 
@@ -87,11 +87,11 @@ CLT_DESIGNS = {
 }
 CLT_FILES = ("report.json", "errors_m16_s64.csv", "errors_m32_s181.csv")
 CLT_DIGESTS = {
-    ("interior", "report.json"): "0581a799c226b0e78d327734e54bb1c7dffb2b1f33108b8d8f95dee71b126f04",
-    ("interior", "errors_m16_s64.csv"): "e3858ad0f8f49672d353b8c7c0a142b9b1e9d87ace471b52a126a7c30d0811bc",
+    ("interior", "report.json"): "9c0f9e940843ee1183cddd056be0315f318bae4d123ee19e635f8ebca2bb69f6",
+    ("interior", "errors_m16_s64.csv"): "d0505b75ccab9a5ef096e5c9c1562cf1ffabbd6973ac8fa3eaee017e0fb9e1cf",
     ("interior", "errors_m32_s181.csv"): "271353ce7838127eb78c007b522b3ec95d8bea8b6cb45465fd7c550fe707810f",
-    ("negative", "report.json"): "fde88a87124c4b695758c465691251e03ce833e18d2f91dda29e9d742288056e",
-    ("negative", "errors_m16_s64.csv"): "1eeea63a01b71859332b181d513927f43b45665afdcbd0422f8b7a299c1ad8af",
+    ("negative", "report.json"): "e6986b2eb0c51d1ddae860bd44f9b6b55f9681937fb17453c292ddf30d031f2c",
+    ("negative", "errors_m16_s64.csv"): "09f81a37b2e01d4f7c9d7c27a0ce457bcaebbd34986041bc6dc27c648e5dcd94",
     ("negative", "errors_m32_s181.csv"): "d1c1453536bd8aa9c56194db059109bd3cf8e1ffb328aaebf8840e1ad2b8cc9b",
     ("boundary", "report.json"): "336e59e2004deafa6dc2f6b7cb7078e230a9377d621748c6adfbb8e6a01b91d5",
     ("boundary", "errors_m16_s64.csv"): "e777d5cb80f11339844b14f60ff401317c73730545285702097b8f25a22c56bc",

@@ -132,6 +132,14 @@ class TestDraws:
 
 
 class TestSimulate:
+    def test_builds_at_a_tiny_alpha(self):
+        # D = Ga Gb must lie in (-1, 1) for the AR(1) colouring; with Ga's
+        # numerator formed as a difference of O(1) terms it read |D| > 1
+        p = ModelParams(1e-160, 0.1)
+        f = FieldSimulator(p, TriangleWindow(4, 4)).sample(RngStream(3, 0))
+        assert 0.0 <= d_factor(p) < 1e-160
+        assert all(np.all(np.isfinite(layer)) for layer in f.values)
+
     def test_determinism_bit_identical(self):
         p = ModelParams(0.4, 0.35)
         w = TriangleWindow.balanced(16)
