@@ -48,12 +48,15 @@ half the lags.  ``cov_series_oracle`` keeps every lag: as the brute-force
 reference it sums the weights of X[k, l] and X[0, 0] as the lag gives them,
 and its values at (k, l) and (-k, -l) may differ in the last bits.
 
-``cov_closed`` forms sig2, the geometric bases and log sig2 once per call.
-Over the keys, its two product forms (the mixed-quadrant sig2 Ga^|k| Gb^|l|
-and the alpha*beta = 0 axis form c^|lag| / (1 - c^2)) are array
-expressions whose powers are Python float powers, and the first-passage
-sum runs once per same-sign key.  It shares no table with the series
-routes: it keeps ``math.lgamma``, its own signs and ``math.fsum``.
+``cov_closed`` forms sig2, the geometric bases, the logs of |alpha|,
+|beta|, |Ga|, |Gb| and sig2, and one list lgf[n] = lgamma(n + 1) up to its
+largest same-sign |k| + |l|, once per call.  Over the keys, its two
+product forms (the mixed-quadrant sig2 Ga^|k| Gb^|l| and the alpha*beta = 0
+axis form c^|lag| / (1 - c^2)) are array expressions whose powers are
+Python float powers, and the first-passage sum runs once per same-sign
+key, with one term rule for both of its path families.  It shares no
+table with the series routes: it keeps ``math.lgamma``, ``math.exp``, its
+own signs and ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def geom_factors(p: ModelParams) -> tuple[float, float]:
     Ga = (1 + a^2 - b^2 - 1/sig2) / (2a), is equal in exact arithmetic, but
     its numerator, about 2a^2 at small |a|, is a difference of O(1) terms:
     at (1e-9, 0.1) it read Ga 56 times too large, with the wrong sign.  The
-    denominator lies in (0, 3], so Ga and Gb are 0 only where a or b is.
+    denominator lies in (0, 3], so Ga and Gb are 0 only where a or b is,
+    and the closed form's path sum needs no zero-base case.
     """
     p.require_stationary()
     a, b = p.alpha, p.beta
@@ -116,55 +120,36 @@ def d_factor(p: ModelParams) -> float:
     return ga * gb
 
 
-def _log_comb(n: int, r: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-
-
-def _signed_power_log(base: float, expo: int) -> tuple[int, float]:
-    # (sign, log|base^expo|); expo >= 0
-    if expo == 0:
-        return 1, 0.0
-    if base == 0.0:
-        return 0, -math.inf
-    sign = -1 if (base < 0 and expo % 2 == 1) else 1
-    return sign, expo * math.log(abs(base))
-
-
 def _powers(base: float, expo: np.ndarray) -> np.ndarray:
     """base ** e for each integer e of ``expo``, each a Python float power."""
     return np.array([base ** e for e in expo.tolist()], dtype=np.float64)
 
 
-def _cov_same_quadrant(a: float, b: float, ga: float, gb: float, log_s2: float,
-                       k: int, l: int) -> float:
+def _cov_same_quadrant(a: float, b: float, ga: float, gb: float, logs: tuple,
+                       lgf: list, k: int, l: int) -> float:
     """Finite first-passage sum for k, l >= 1, from the per-call constants
-    of ``cov_closed``: alpha, beta, the geometric bases and log sig2.
+    of ``cov_closed``: alpha, beta, the geometric bases, their logs and log
+    sig2 (``logs``), and lgf[n] = lgamma(n + 1) for n < k + l.
 
     Unfolding the covariance recursion R[i, j] = a R[i-1, j] + b R[i, j-1]
     until an axis is hit decomposes R[k, l] over monotone lattice paths:
     paths reaching (0, j) carry weight C(k-1+l-j, k-1) a^k b^(l-j), paths
     reaching (i, 0) carry C(k-i+l-1, l-1) a^(k-i) b^l, and the axis values
-    are the geometric mixed-quadrant form.  Terms are assembled in log space
-    so path counts at lags in the thousands stay representable.
+    are the geometric mixed-quadrant form.  Each path family is a tuple per
+    path, (n, r) of its count C(n, r), the exponents of alpha and beta and
+    its axis base with that base's log and exponent, and one term rule
+    serves both: the sign is the parity of the exponents of the negative
+    bases, and the magnitude is assembled in log space, so path counts at
+    lags in the thousands stay representable.  No base is 0 here.
     """
-    sa_k, la_k = _signed_power_log(a, k)
-    sb_l, lb_l = _signed_power_log(b, l)
-    terms = []
-    for j in range(1, l + 1):
-        sb, lb = _signed_power_log(b, l - j)
-        sg, lg = _signed_power_log(gb, j)
-        sign = sa_k * sb * sg
-        if sign:
-            terms.append(sign * math.exp(
-                _log_comb(k - 1 + l - j, k - 1) + la_k + lb + lg + log_s2))
-    for i in range(1, k + 1):
-        sa, la_ = _signed_power_log(a, k - i)
-        sg, lg = _signed_power_log(ga, i)
-        sign = sa * sb_l * sg
-        if sign:
-            terms.append(sign * math.exp(
-                _log_comb(k - i + l - 1, l - 1) + la_ + lb_l + lg + log_s2))
-    return math.fsum(terms)
+    log_a, log_b, log_ga, log_gb, log_s2 = logs
+    paths = [(k - 1 + l - j, k - 1, k, l - j, gb, log_gb, j) for j in range(1, l + 1)]
+    paths += [(k - i + l - 1, l - 1, k - i, l, ga, log_ga, i) for i in range(1, k + 1)]
+    return math.fsum(
+        (-1 if ((a < 0) * ea + (b < 0) * eb + (g < 0) * eg) % 2 else 1)
+        * math.exp(lgf[n] - lgf[r] - lgf[n - r] + ea * log_a + eb * log_b
+                   + eg * log_g + log_s2)
+        for n, r, ea, eb, g, log_g, eg in paths)
 
 
 def cov_closed(p: ModelParams, k, l):
@@ -178,17 +163,19 @@ def cov_closed(p: ModelParams, k, l):
     coefficient c.
 
     ``k`` and ``l`` are integers or integer arrays, as in ``cov_f4``.  sig2,
-    the geometric bases and log sig2 are formed once per call.  The route
-    runs once per distinct lag key (``_per_key``): the two product forms
-    are array expressions over the keys, each power a Python float power,
-    and the path sum runs once per same-sign key.  Every value goes to each
-    lag with that key.
+    the geometric bases and the logs of |alpha|, |beta|, |Ga|, |Gb| and
+    sig2 are formed once per call, and the log-factorials lgf[n] =
+    lgamma(n + 1) for n below the largest same-sign |k| + |l| once per
+    call too.  The route runs once per distinct lag key (``_per_key``): the
+    two product forms are array expressions over the keys, each power a
+    Python float power, and the path sum runs once per same-sign key.
+    Every value goes to each lag with that key.
     """
     a, b = p.alpha, p.beta
     s2 = sigma_sq(p)  # raises NonStationaryError off the stable region
     if a * b != 0.0:
         ga, gb = geom_factors(p)
-        log_s2 = math.log(s2)
+        logs = tuple(math.log(abs(x)) for x in (a, b, ga, gb, s2))
 
     def route(k, l):
         ka, la = np.abs(k), np.abs(l)
@@ -199,7 +186,8 @@ def cov_closed(p: ModelParams, k, l):
             return np.where(off == 0, _powers(c, lag) / (1 - c * c), 0.0)
         values = s2 * _powers(ga, ka) * _powers(gb, la)
         same = np.flatnonzero(k * l > 0)
-        values[same] = [_cov_same_quadrant(a, b, ga, gb, log_s2, x, y)
+        lgf = [math.lgamma(n + 1) for n in range(int((ka + la)[same].max(initial=0)))]
+        values[same] = [_cov_same_quadrant(a, b, ga, gb, logs, lgf, x, y)
                         for x, y in zip(ka[same].tolist(), la[same].tolist())]
         return values
     k, l, shape = _lag_arrays(k, l)

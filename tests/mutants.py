@@ -103,9 +103,13 @@ MUTANTS = [
            "np.where(mixed, ka + 1, 1)",
            f"{_COV_TESTS}::TestAgainstReferenceFormulas::test_cov_f4[0.45--0.25]"),
     Mutant("closed_path_binomial", _COVARIANCE,
-           "_log_comb(k - 1 + l - j, k - 1)",
-           "_log_comb(k - 1 + l - j, k)",
-           f"{_COV_TESTS}::TestClosedForm::test_same_quadrant_value"),
+           "(k - 1 + l - j, k - 1, k, l - j,",
+           "(k - 1 + l - j, k, k, l - j,",
+           f"{_COV_TESTS}::TestFourWaySmoke::test_methods_agree[0.5-0.3]"),
+    Mutant("closed_path_sign", _COVARIANCE,
+           "(b < 0) * eb",
+           "(b < 0) * ea",
+           f"{_COV_TESTS}::TestFourWaySmoke::test_methods_agree[0.3--0.4]"),
     Mutant("closed_mixed_bases", _COVARIANCE,
            "s2 * _powers(ga, ka) * _powers(gb, la)",
            "s2 * _powers(gb, ka) * _powers(ga, la)",

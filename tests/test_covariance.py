@@ -543,6 +543,27 @@ class TestLagArrays:
         once = {"sigma_sq": 2, "geom_factors": 1} if a * b else {"sigma_sq": 1}
         assert per_box == [once] * 4
 
+    @pytest.mark.parametrize("a, b", [(0.4, -0.3), (-0.45, -0.25), (0.0, 0.6)])
+    def test_closed_logs_and_lgamma_run_once_per_call(self, a, b, monkeypatch):
+        # the logs of |alpha|, |beta|, |Ga|, |Gb| and sig2 are taken once per
+        # call, and lgamma once per n below the largest same-sign |k| + |l|,
+        # not once per term of the path sum
+        p = ModelParams(a, b)
+        counts = Counter()
+        for name in ("log", "lgamma"):
+            def spy(x, fn=getattr(math, name), name=name):
+                counts[name] += 1
+                return fn(x)
+            monkeypatch.setattr(covariance.math, name, spy)
+        per_box = []
+        for lag_max in (0, 1, 5, 20):
+            counts.clear()
+            lags = np.arange(-lag_max, lag_max + 1)
+            cov_closed(p, lags[:, None], lags[None, :])
+            per_box.append(counts["log"])
+            assert counts["lgamma"] <= 2 * lag_max
+        assert per_box == [5 if a * b else 0] * 4
+
     @pytest.mark.parametrize("route", ["f4", "binrep", "oracle"])
     def test_series_box_equals_one_lag_calls_in_bounded_memory(self, route):
         # at q = 0.9 one lag's grid exceeds a block, so the routes take one
