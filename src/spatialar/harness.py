@@ -115,6 +115,18 @@ class Tolerances:
         return cls(**{k: _real(k, v) for k, v in obj.items()})
 
 
+def _read_ladder(ladder, s_min: int) -> list[tuple[int, int]]:
+    """A ladder of (m, s) pairs, each read through ``_integer``; an empty
+    ladder, an m below 1 or an s below ``s_min`` is a ConfigError."""
+    if not ladder:
+        raise ConfigError("ladder must contain at least one (m, s) pair")
+    ladder = [(_integer("ladder m", m), _integer("ladder s", s)) for m, s in ladder]
+    for m, s in ladder:
+        if m < 1 or s < s_min:
+            raise ConfigError(f"ladder entry ({m}, {s}) out of range")
+    return ladder
+
+
 @dataclass
 class ExperimentConfig:
     design: NearlyUnstableDesign
@@ -133,18 +145,13 @@ class ExperimentConfig:
             self.method = SimMethod(0 if self.dist is InnovationDist.GAUSSIAN else None)
 
     def validate(self) -> "ExperimentConfig":
-        if not self.ladder:
-            raise ConfigError("ladder must contain at least one (m, s) pair")
-        self.ladder = [(_integer("ladder m", m), _integer("ladder s", s))
-                       for m, s in self.ladder]
+        self.ladder = _read_ladder(self.ladder, 2)
         self.reps = _integer("reps", self.reps)
         if self.reps < 100:
             raise ConfigError(
                 f"statistical acceptance needs reps >= 100, got {self.reps}")
         stats = []
         for m, s in self.ladder:
-            if m < 1 or s < 2:
-                raise ConfigError(f"ladder entry ({m}, {s}) out of range")
             self.design.params_at(m)  # raises NonStationary when m is too small
             stats.append(condition_statistic(self.design, m, s))
         if any(b <= a for a, b in zip(stats, stats[1:])):
@@ -574,8 +581,12 @@ def verify_prop1(design: NearlyUnstableDesign, ladder: list[tuple[int, int]]) ->
 
     Deviation is max elementwise |scaled - target| over max |target|, the
     target taken at m = 2^20; the suite passes iff deviations strictly
-    decrease and the final one is below ``_PROP1_FINAL_TOL``.
+    decrease and the final one is below ``_PROP1_FINAL_TOL``.  The ladder
+    is read as ``ExperimentConfig.validate`` reads it, before any work: an
+    empty ladder, a count that is not an integer, or an m or s below 1 is a
+    ConfigError.
     """
+    ladder = _read_ladder(ladder, 1)
     target = _prop1_target(design, 1 << 20)
     deviations = [_matrix_rel_dev(scaled_expected_B(design, m, s), target) for m, s in ladder]
     decreasing = all(b < a for a, b in zip(deviations, deviations[1:]))

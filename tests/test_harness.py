@@ -569,26 +569,46 @@ class TestWorkerPool:
 
 
 class TestVerifySuites:
-    @pytest.mark.parametrize("run", [
-        lambda: verify_covlim(interior_design(), 10_000_000, True),
-        lambda: verify_covlim(interior_design(), 10_000_000, 8000.5),
-        lambda: verify_detB(interior_design(), 100, 16.5, reps=100, workers=2),
-        lambda: verify_detB(interior_design(), 100.5, 12, reps=100, workers=2),
-        lambda: verify_score(interior_design(), 100, 12, reps=100.5, workers=2),
-        lambda: run_clt(small_config(reps=150.5), workers=2),
-        lambda: run_clt(small_config(ladder=[(16, 16), (16, 16.5)]), workers=2),
+    @pytest.mark.parametrize("run, message", [
+        (lambda: verify_covlim(interior_design(), 10_000_000, True),
+         "^n_probe must be an integer, got True$"),
+        (lambda: verify_covlim(interior_design(), 10_000_000, 8000.5),
+         "^n_probe must be an integer, got 8000.5$"),
+        (lambda: verify_detB(interior_design(), 100, 16.5, reps=100, workers=2),
+         "^s must be an integer, got 16.5$"),
+        (lambda: verify_detB(interior_design(), 100.5, 12, reps=100, workers=2),
+         "^m must be an integer, got 100.5$"),
+        (lambda: verify_score(interior_design(), 100, 12, reps=100.5, workers=2),
+         "^reps must be an integer, got 100.5$"),
+        (lambda: run_clt(small_config(reps=150.5), workers=2),
+         "^reps must be an integer, got 150.5$"),
+        (lambda: run_clt(small_config(ladder=[(16, 16), (16, 16.5)]), workers=2),
+         "^ladder s must be an integer, got 16.5$"),
+        # verify_prop1 reads its ladder as ExperimentConfig.validate does
+        (lambda: verify_prop1(interior_design(), [(64, 64.5), (128, 128)]),
+         "^ladder s must be an integer, got 64.5$"),
+        (lambda: verify_prop1(interior_design(), [(True, 64), (128, 128)]),
+         "^ladder m must be an integer, got True$"),
+        (lambda: verify_prop1(interior_design(), []),
+         r"^ladder must contain at least one \(m, s\) pair$"),
+        (lambda: verify_prop1(interior_design(), [(0, 64), (128, 128)]),
+         r"^ladder entry \(0, 64\) out of range$"),
+        (lambda: verify_prop1(interior_design(), [(64, 0), (128, 128)]),
+         r"^ladder entry \(64, 0\) out of range$"),
     ], ids=["covlim_n_probe_bool", "covlim_n_probe_fraction", "detb_s_fraction",
             "detb_m_fraction", "score_reps_fraction", "clt_reps_fraction",
-            "clt_ladder_fraction"])
+            "clt_ladder_fraction", "prop1_s_fraction", "prop1_m_bool", "prop1_empty",
+            "prop1_m_zero", "prop1_s_zero"])
     def test_non_integer_count_rejected_before_any_replication(self, pools, monkeypatch,
-                                                               run):
+                                                               run, message):
         # a count passed from Python is read through model._integer, as in a
         # config file: a fraction or a boolean is rejected, not run or
         # reported as it is
         def no_run(*args, **kwargs):
             raise AssertionError("replications ran with a non-integer count")
         monkeypatch.setattr("spatialar.harness._run_reps", no_run)
-        with pytest.raises(ConfigError, match="must be an integer, got (True|[0-9.]+)$"):
+        monkeypatch.setattr("spatialar.harness._prop1_target", no_run)
+        with pytest.raises(ConfigError, match=message):
             run()
         assert pools == ([], [])
 
